@@ -18,7 +18,9 @@ live record still references.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ Vjp = Callable[[np.ndarray], tuple]
 class Tensor:
     """A dense float64 array with an optional gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -61,9 +63,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{req})"
@@ -86,14 +85,27 @@ class Tensor:
         return add(self, mul(_lift(other), -1.0))
 
 
-@dataclass
 class OpRecord:
-    """One executed primitive: its inputs and the adjoint rule to replay."""
+    """One executed primitive: its inputs and the adjoint rule to replay.
 
-    name: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    vjp: Vjp
+    The output tensor owns its record (``Tensor._op``), so the record refers
+    back to it weakly. A strong back-reference would make every graph a
+    reference cycle that only the cyclic garbage collector frees; this way a
+    graph is freed as soon as its root goes out of scope.
+    """
+
+    __slots__ = ("name", "inputs", "vjp", "_output")
+
+    def __init__(self, name: str, inputs: tuple[Tensor, ...], output: Tensor, vjp: Vjp):
+        self.name = name
+        self.inputs = inputs
+        self.vjp = vjp
+        self._output = weakref.ref(output)
+
+    @property
+    def output(self) -> Tensor | None:
+        """The tensor this op produced, or None once it has been freed."""
+        return self._output()
 
 
 @dataclass
@@ -415,9 +427,15 @@ def mix_experts(
     """Sparse weighted sum of per-grid linear experts.
 
     out[pos] = sum_j selected_weights[pos, j] * (W_sel @ x[pos] + b_sel).
-    Only the experts named in ``selected`` are applied, batched position-wise
-    per expert; the second return value counts the expert applications, which
-    equals positions * k. Non-selected experts receive no gradient.
+    Only the experts named in ``selected`` are applied; the second return
+    value counts the expert applications, which equals positions * k.
+    Non-selected experts receive no gradient.
+
+    Dispatch is one stable sort of the flattened selection by expert id, so
+    each expert's (position, slot) pairs form one contiguous segment with
+    positions ascending, and one gemm per expert covers its segment. Each
+    position's terms are summed in ascending expert id starting from zero,
+    so the result does not depend on the order of ids within ``selected``.
     """
     x = _lift(x)
     c_in = x.shape[-1]
@@ -432,50 +450,60 @@ def mix_experts(
 
     positions = int(np.prod(lead)) if lead else 1
     k = sel.shape[-1]
-    xf = x.data.reshape(positions, c_in)
-    idxf = sel.reshape(positions, k)
-    wf = selected_weights.data.reshape(positions, k)
-
-    out = np.zeros((positions, c_out))
-    cache: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-    applications = 0
-    for n in np.unique(idxf):
-        rows, slots = np.nonzero(idxf == n)
-        ys = xf[rows] @ weights[n].data.T + biases[n].data
-        out[rows] += wf[rows, slots][:, None] * ys
-        applications += rows.size
-        cache.append((int(n), rows, slots, ys))
-
-    inputs = (x, selected_weights, *weights, *biases)
     n_experts = len(weights)
+    xf = x.data.reshape(positions, c_in)
+    flat_sel = sel.reshape(-1)
+    counts = np.bincount(flat_sel, minlength=n_experts)
+    if counts.size != n_experts:
+        raise ShapeError(f"mix_experts: selection names an expert >= {n_experts}")
+    bounds = list(accumulate(counts.tolist(), initial=0))
+    segments = [(n, bounds[n], bounds[n + 1]) for n in range(n_experts)
+                if bounds[n] < bounds[n + 1]]
+    order = np.argsort(flat_sel, kind="stable")
+    rows = order // k
+    # by_position[p] lists p's entries of the sorted order in ascending expert id.
+    by_position = np.argsort(rows, kind="stable").reshape(positions, k)
+    xs = xf[rows]
+    ws = selected_weights.data.reshape(-1)[order][:, None]
+
+    ys = np.empty((order.size, c_out))
+    for n, lo, hi in segments:
+        ys[lo:hi] = xs[lo:hi] @ weights[n].data.T + biases[n].data
+
+    def per_position(terms: np.ndarray) -> np.ndarray:
+        total = np.zeros((positions, terms.shape[1]))
+        for j in range(k):
+            total += terms[by_position[:, j]]
+        return total
+
+    out = per_position(ws * ys)
+    inputs = (x, selected_weights, *weights, *biases)
 
     def vjp(g):
-        gf = g.reshape(positions, c_out)
-        dx = np.zeros_like(xf) if x.requires_grad else None
-        dsel = np.zeros_like(wf) if selected_weights.requires_grad else None
-        dws: dict[int, np.ndarray] = {}
-        dbs: dict[int, np.ndarray] = {}
-        for n, rows, slots, ys in cache:
-            gn = gf[rows]
-            gs = gn * wf[rows, slots][:, None]
+        g_rows = g.reshape(positions, c_out)[rows]
+        gs = g_rows * ws
+        dws: list[np.ndarray | None] = [None] * n_experts
+        dbs: list[np.ndarray | None] = [None] * n_experts
+        dxs = np.empty((order.size, c_in)) if x.requires_grad else None
+        for n, lo, hi in segments:
             if weights[n].requires_grad:
-                dws[n] = gs.T @ xf[rows]
+                dws[n] = gs[lo:hi].T @ xs[lo:hi]
             if biases[n].requires_grad:
-                dbs[n] = gs.sum(axis=0)
-            if dx is not None:
-                dx[rows] += gs @ weights[n].data
-            if dsel is not None:
-                dsel[rows, slots] += np.sum(gn * ys, axis=1)
-        grads = [
-            dx.reshape(x.shape) if dx is not None else None,
-            dsel.reshape(selected_weights.shape) if dsel is not None else None,
-        ]
-        grads.extend(dws.get(n) for n in range(n_experts))
-        grads.extend(dbs.get(n) for n in range(n_experts))
-        return tuple(grads)
+                dbs[n] = gs[lo:hi].sum(axis=0)
+            if dxs is not None:
+                dxs[lo:hi] = gs[lo:hi] @ weights[n].data
+        dx = per_position(dxs).reshape(x.shape) if dxs is not None else None
+        dsel = None
+        if selected_weights.requires_grad:
+            # Added into zeros, like every other accumulated sum here, so a
+            # -0.0 dot product reads 0.0.
+            dsel = np.zeros(order.size)
+            dsel[order] += np.sum(g_rows * ys, axis=1)
+            dsel = dsel.reshape(selected_weights.shape)
+        return (dx, dsel, *dws, *dbs)
 
     result = _node("mix_experts", out.reshape(*lead, c_out), inputs, vjp)
-    return result, applications
+    return result, order.size
 
 
 # ---------------------------------------------------------------------------

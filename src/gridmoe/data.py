@@ -14,7 +14,7 @@ flipped and regression targets jittered through ``label_noise``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -123,10 +123,6 @@ def default_tasks(label_noise: dict[str, float] | None = None) -> dict[str, Task
         "B": TaskSpec("B", REGRESSION, SMOOTH_L1, head_width=5, label_noise=noise["B"]),
         "C": TaskSpec("C", REGRESSION, SMOOTH_L1, head_width=5, label_noise=noise["C"]),
     }
-
-
-def with_noise_multiplier(task: TaskSpec, multiplier: float, base: float) -> TaskSpec:
-    return replace(task, label_noise=min(1.0, base * multiplier))
 
 
 def _texture_field(rng: np.random.Generator, height: int, width: int, channels: int,

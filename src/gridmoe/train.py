@@ -374,7 +374,11 @@ def normalized_loss_spread(history: dict[str, list[float]], window: int = 50) ->
 
 def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000,
                         hard_task: str = "A") -> BenchmarkResult:
-    """Paired runs (governor on/off) per seed on the scripted-imbalance setup."""
+    """Paired runs (governor on/off) per seed on the scripted-imbalance setup.
+
+    Every seed keeps ``data.modality_seed`` 0, so all seeds read one data
+    stream: a seed changes only the model initialization and the batch order.
+    """
     out_root = Path(out_root)
     per_seed = []
     for seed in seeds:

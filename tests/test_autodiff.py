@@ -1,7 +1,9 @@
 """Tensor engine tests: forward semantics against hand oracles, gradients
 against centered finite differences."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -224,6 +226,31 @@ class TestBackward:
             for parent in op.inputs:
                 if parent._op is not None:
                     assert positions[id(parent)] < positions[id(op.output)]
+
+    def test_graph_freed_by_refcount_once_root_dropped(self):
+        # Records hold their outputs weakly, so no graph is a reference cycle:
+        # with the cyclic collector off, dropping the root frees every node.
+        rng = np.random.default_rng(8)
+        weight = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        experts = [Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(3)]
+        biases = [Tensor(np.zeros(3), requires_grad=True) for _ in range(3)]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hidden = ad.relu(ad.grid_linear(Tensor(rng.normal(size=(2, 2, 3))), weight))
+            probs = ad.softmax(hidden)
+            selected = np.argsort(-probs.data, axis=-1)[..., :2]
+            mixed, _ = ad.mix_experts(hidden, experts, biases, selected,
+                                      ad.gather_last(probs, selected))
+            root = ad.sum_all(ad.square(mixed))
+            backward(root)
+            refs = [weakref.ref(t) for t in (hidden, probs, mixed, root)]
+            del hidden, probs, mixed, root
+            assert all(ref() is None for ref in refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert weight.grad is not None and experts[0].grad is not None
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,24 @@ class TestTrainCommand:
         assert ((out / "losses.csv").read_bytes()
                 == library.loss_csv().read_bytes())
 
+    def test_runtime_shape_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # ShapeError is also a ValueError; raised mid-run it is not a config error.
+        from gridmoe import data as gdata
+
+        real = gdata.generate_sample
+
+        def one_channel_short(*args, **kwargs):
+            image, target = real(*args, **kwargs)
+            return image[..., :-1], target
+
+        monkeypatch.setattr(gdata, "generate_sample", one_channel_short)
+        cfg = write_config(tmp_path / "cfg.json")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "config error" not in err
+        assert "expected (H, W, 8) input" in err
+
     def test_env_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
         cfg = write_config(tmp_path / "cfg.json", **{"run.out_dir": "nested/run"})

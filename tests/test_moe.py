@@ -495,3 +495,136 @@ class TestTop1Map:
             full_softmax=full,
         )
         np.testing.assert_array_equal(export_top1_map(decision), [[1, 0], [2, 0]])
+
+
+# ---------------------------------------------------------------------------
+# sorted dispatch against the per-expert-mask dispatch, byte for byte
+# ---------------------------------------------------------------------------
+
+def oracle_mix_experts(x, weights, biases, selected, selected_weights):
+    """The per-expert-mask dispatch that ``ad.mix_experts`` replaced.
+
+    One boolean mask and one gemm per distinct selected expert, in ascending
+    expert id; each expert's terms are added into the output at its rows.
+    """
+    c_in = x.shape[-1]
+    c_out = weights[0].shape[0]
+    lead = x.shape[:-1]
+    sel = np.asarray(selected)
+    positions = int(np.prod(lead)) if lead else 1
+    k = sel.shape[-1]
+    xf = x.data.reshape(positions, c_in)
+    idxf = sel.reshape(positions, k)
+    wf = selected_weights.data.reshape(positions, k)
+
+    out = np.zeros((positions, c_out))
+    cache = []
+    applications = 0
+    for n in np.unique(idxf):
+        rows, slots = np.nonzero(idxf == n)
+        ys = xf[rows] @ weights[n].data.T + biases[n].data
+        out[rows] += wf[rows, slots][:, None] * ys
+        applications += rows.size
+        cache.append((int(n), rows, slots, ys))
+    n_experts = len(weights)
+
+    def vjp(g):
+        gf = g.reshape(positions, c_out)
+        dx = np.zeros_like(xf) if x.requires_grad else None
+        dsel = np.zeros_like(wf) if selected_weights.requires_grad else None
+        dws, dbs = {}, {}
+        for n, rows, slots, ys in cache:
+            gn = gf[rows]
+            gs = gn * wf[rows, slots][:, None]
+            if weights[n].requires_grad:
+                dws[n] = gs.T @ xf[rows]
+            if biases[n].requires_grad:
+                dbs[n] = gs.sum(axis=0)
+            if dx is not None:
+                dx[rows] += gs @ weights[n].data
+            if dsel is not None:
+                dsel[rows, slots] += np.sum(gn * ys, axis=1)
+        grads = [
+            dx.reshape(x.shape) if dx is not None else None,
+            dsel.reshape(selected_weights.shape) if dsel is not None else None,
+        ]
+        grads.extend(dws.get(n) for n in range(n_experts))
+        grads.extend(dbs.get(n) for n in range(n_experts))
+        return tuple(grads)
+
+    inputs = (x, selected_weights, *weights, *biases)
+    result = ad._node("mix_experts", out.reshape(*lead, c_out), inputs, vjp)
+    return result, applications
+
+
+def _dispatch_instance(rng):
+    """Random mix_experts arguments: 0-3 grid axes, k in 1..N, unused experts."""
+    n = int(rng.integers(1, 9))
+    k = int(rng.integers(1, n + 1))
+    lead = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(0, 4))))
+    c_in, c_out = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    # Draw each position's k distinct experts from a pool that may leave some out.
+    pool = rng.permutation(n)[: int(rng.integers(k, n + 1))]
+    positions = int(np.prod(lead))
+    selected = np.stack([rng.permutation(pool)[:k] for _ in range(positions)])
+    grads = rng.random(2 + 2 * n) < 0.8
+    x = Tensor(rng.normal(size=(*lead, c_in)), requires_grad=grads[0])
+    weights = [Tensor(rng.normal(size=(c_out, c_in)), requires_grad=g) for g in grads[2:2 + n]]
+    biases = [Tensor(rng.normal(size=c_out), requires_grad=g) for g in grads[2 + n:]]
+    selected = selected.reshape(*lead, k)
+    selected_w = Tensor(rng.random(selected.shape), requires_grad=grads[1])
+    return x, weights, biases, selected, selected_w
+
+
+def _as_bytes(arrays):
+    return [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+class TestSortedDispatch:
+    def test_matches_mask_dispatch_bit_for_bit(self):
+        rng = np.random.default_rng(2211)
+        seen_k3 = seen_unused = seen_single = 0
+        for _ in range(300):
+            args = _dispatch_instance(rng)
+            x, weights, _, selected, _ = args
+            seen_k3 += selected.shape[-1] >= 3
+            seen_unused += len(np.unique(selected)) < len(weights)
+            seen_single += x.data.ndim == 1
+            out, applications = ad.mix_experts(*args)
+            ref, ref_applications = oracle_mix_experts(*args)
+            assert applications == ref_applications == selected.size
+            assert out.shape == ref.shape
+            assert out.data.tobytes() == ref.data.tobytes()
+            if ref._op is None:
+                assert out._op is None
+                continue
+            g = rng.normal(size=out.shape)
+            assert _as_bytes(out._op.vjp(g)) == _as_bytes(ref._op.vjp(g))
+        assert seen_k3 > 20 and seen_unused > 20 and seen_single > 20
+
+    def test_expert_id_outside_bank_rejected(self):
+        weights = [Tensor(np.eye(2)) for _ in range(3)]
+        biases = [Tensor(np.zeros(2)) for _ in range(3)]
+        with pytest.raises(ShapeError):
+            ad.mix_experts(Tensor(np.ones((2, 2))), weights, biases,
+                           np.array([[0], [3]]), Tensor(np.ones((2, 1))))
+
+    @pytest.mark.parametrize("top_k", [2, 3])
+    def test_training_artifacts_identical_to_mask_dispatch(self, tmp_path, monkeypatch, top_k):
+        # With k = 2 the order of a position's terms cannot change a sum;
+        # k = 3 also checks that they are added in ascending expert id.
+        from gridmoe.runconfig import parse_config
+        from gridmoe.train import benchmark_config, train
+
+        def config(name):
+            cfg = benchmark_config(0, 30, str(tmp_path / name), True)
+            raw = cfg.snapshot()
+            raw["moe"]["top_k"] = top_k
+            return parse_config(raw)
+
+        train(config("sorted"), keep_model=False)
+        monkeypatch.setattr(ad, "mix_experts", oracle_mix_experts)
+        train(config("mask"), keep_model=False)
+        for name in ("losses.csv", "dso_log.csv", "checkpoint.bin"):
+            assert ((tmp_path / "sorted" / name).read_bytes()
+                    == (tmp_path / "mask" / name).read_bytes()), name
