@@ -23,7 +23,6 @@ from .moe import (
     GateParams,
     MoEConfig,
     RoutingDecision,
-    accumulate_stats,
     export_top1_map,
     gate,
     init_from_pretrained,
@@ -56,7 +55,6 @@ __all__ = [
     "TrainResult",
     "TrainingAborted",
     "UsageError",
-    "accumulate_stats",
     "apply_multipliers",
     "backward",
     "export_top1_map",

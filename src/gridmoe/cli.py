@@ -13,7 +13,6 @@ from . import data as gdata
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, GridMoeError, ShapeError, TrainingAborted
 from .model import Model
-from .moe import ExpertStats, export_top1_map, write_top1_map_csv
 from .runconfig import (
     CONFIG_SNAPSHOT_NAME,
     RunManifest,
@@ -22,7 +21,7 @@ from .runconfig import (
     resolve_out_dir,
     set_path,
 )
-from .train import EVAL_INDEX_OFFSET, sweep_rows, train, write_sweep_csv
+from .train import evaluate_stats, sweep_rows, train, write_sweep_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,6 +122,10 @@ def cmd_train(args) -> int:
         manifest.finish(out_dir, {"diagnostic_dump": exc.dump_path}, EXIT_RUNTIME)
         print(f"runtime abort: {exc} (dump: {exc.dump_path})", file=sys.stderr)
         return EXIT_RUNTIME
+    except GridMoeError:
+        # main() reports it and exits 3; the manifest records that status.
+        manifest.finish(out_dir, {}, EXIT_RUNTIME)
+        raise
     artifacts = {
         "losses": str(result.loss_csv()),
         "dso_log": str(result.dso_csv()),
@@ -166,26 +169,11 @@ def cmd_inspect_gates(args) -> int:
     except ShapeError as exc:
         raise ConfigError("checkpoint", str(exc)) from exc
 
-    stats = ExpertStats()
-    for layer in model.moe_layer_names:
-        stats.register_layer(layer, model.spec.n_experts)
     out_dir = Path(args.out) if args.out else checkpoint_path.parent / "inspect"
     _prepare_out_dir(out_dir, args.force)
-    maps_dir = out_dir / "top1_maps"
-    maps_dir.mkdir(exist_ok=True)
-    mod = modalities[args.modality]
-    task = tasks[args.modality]
-    for j in range(args.n):
-        image, _ = gdata.generate_sample(mod, task, EVAL_INDEX_OFFSET + j,
-                                         cfg.height, cfg.width)
-        _, routings = model.features(image)
-        for layer, decision in routings:
-            stats.accumulate(decision, args.modality, layer)
-            if j == 0:
-                write_top1_map_csv(
-                    maps_dir / f"{args.modality}_{layer.replace('.', '_')}.csv",
-                    export_top1_map(decision),
-                )
+    modality = args.modality
+    stats = evaluate_stats(model, {modality: modalities[modality]}, {modality: tasks[modality]},
+                           args.n, cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")
     stats.to_csv(out_dir / "participation.csv")
     print(f"modality {args.modality}, {args.n} samples")
     for row in stats.rows():

@@ -251,13 +251,6 @@ class BatchSampler:
         return [items[i] for i in order]
 
 
-def sample_batch(cfg: SamplerConfig, sampler: BatchSampler | None = None) -> list[BatchItem]:
-    """One batch; pass a persistent BatchSampler to advance the stream."""
-    if sampler is None:
-        sampler = BatchSampler(cfg)
-    return sampler.next_batch()
-
-
 # ---------------------------------------------------------------------------
 # generator self-test: modality separation
 # ---------------------------------------------------------------------------

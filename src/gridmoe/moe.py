@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -364,20 +364,6 @@ class ExpertStats:
         from .csvio import write_csv
 
         write_csv(path, STATS_CSV_COLUMNS, self.rows(), schema="expert_stats")
-
-
-def accumulate_stats(
-    stats: ExpertStats,
-    decisions: Iterable[RoutingDecision] | RoutingDecision,
-    dataset: str,
-    layer: str,
-) -> ExpertStats:
-    """Fold one decision (or a stream of them) into the statistics, in place."""
-    if isinstance(decisions, RoutingDecision):
-        decisions = (decisions,)
-    for decision in decisions:
-        stats.accumulate(decision, dataset, layer)
-    return stats
 
 
 def export_top1_map(decision: RoutingDecision) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Run configuration: JSON sections -> validated dataclasses, plus manifests.
 
-A config file has sections model, moe, dso, sampler, data, and run. Only
-``moe.n_experts``, ``moe.top_k``, and ``run.iterations`` are mandatory;
-everything else has a documented default. Validation errors always name the
-offending field as ``section.key``.
+A config file has sections model, moe, dso, sampler, data, and run. ``SCHEMA``
+declares every key once, with its type and default; it drives parsing,
+unknown-key rejection and the snapshot. Only ``moe.n_experts``,
+``moe.top_k``, and ``run.iterations`` are mandatory. Validation errors always
+name the offending field as ``section.key``.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,22 +25,34 @@ from .model import ModelSpec
 CONFIG_SNAPSHOT_NAME = "config_snapshot.json"
 MANIFEST_NAME = "manifest.json"
 
-_SECTIONS = ("model", "moe", "dso", "sampler", "data", "run")
+REQUIRED = object()  # default of a key every config must give
+DERIVED = object()   # default computed from other keys after parsing
 
-_KNOWN_KEYS = {
-    "model": {"depth", "channels", "moe_layers"},
-    "moe": {"n_experts", "top_k", "gate_temperature", "gate_dim"},
-    "dso": {"alpha", "theta", "tau", "bias_b"},
-    "sampler": {"counts", "batch_size"},
-    "data": {"height", "width", "label_noise", "modality_seed"},
+# section -> key -> (type, default). A default of None makes the key nullable.
+SCHEMA = {
+    "model": {"depth": (int, 4), "channels": (int, 8), "moe_layers": (list, [0, 2])},
+    "moe": {
+        "n_experts": (int, REQUIRED),
+        "top_k": (int, REQUIRED),
+        "gate_temperature": (float, 0.07),
+        "gate_dim": (int, None),  # None: the channel count
+    },
+    "dso": {"alpha": (float, 0.05), "theta": (float, 1.0), "tau": (float, 3.0),
+            "bias_b": (float, 0.4)},
+    "sampler": {
+        "counts": (dict, {"A": 2, "B": 1, "C": 1}),
+        "batch_size": (int, DERIVED),  # the sum of counts
+    },
+    "data": {"height": (int, 8), "width": (int, 8), "label_noise": (dict, {}),
+             "modality_seed": (int, 0)},
     "run": {
-        "seed",
-        "iterations",
-        "out_dir",
-        "base_lr",
-        "dso",
-        "moe",
-        "stats_samples",
+        "seed": (int, 0),
+        "iterations": (int, REQUIRED),
+        "out_dir": (str, "run"),
+        "base_lr": (float, 1e-4),
+        "dso": (bool, True),
+        "moe": (bool, True),
+        "stats_samples": (int, 8),
     },
 }
 
@@ -59,178 +73,104 @@ class RunConfig:
     dso_enabled: bool
     moe_enabled: bool
     stats_samples: int
+    # Every resolved key, as plain JSON values; the fields above hold the same.
+    sections: dict = field(repr=False, compare=False)
 
     def label_noise_dict(self) -> dict[str, float]:
         return dict(self.label_noise)
 
     def snapshot(self) -> dict:
         """Fully resolved config as plain JSON-serializable sections."""
-        return {
-            "model": {
-                "depth": self.model.depth,
-                "channels": self.model.channels,
-                "moe_layers": list(self.model.moe_layers),
-            },
-            "moe": {
-                "n_experts": self.model.n_experts,
-                "top_k": self.model.top_k,
-                "gate_temperature": self.model.gate_temperature,
-                "gate_dim": self.model.gate_dim,
-            },
-            "dso": {
-                "alpha": self.dso.alpha,
-                "theta": self.dso.theta,
-                "tau": self.dso.tau,
-                "bias_b": self.dso.bias_b,
-            },
-            "sampler": {
-                "counts": {m: c for m, c in self.sampler.counts},
-                "batch_size": self.sampler.batch_size,
-            },
-            "data": {
-                "height": self.height,
-                "width": self.width,
-                "label_noise": dict(self.label_noise),
-                "modality_seed": self.modality_seed,
-            },
-            "run": {
-                "seed": self.seed,
-                "iterations": self.iterations,
-                "out_dir": self.out_dir,
-                "base_lr": self.base_lr,
-                "dso": self.dso_enabled,
-                "moe": self.moe_enabled,
-                "stats_samples": self.stats_samples,
-            },
-        }
+        return copy.deepcopy(self.sections)
 
 
 def _section(raw: dict, name: str) -> dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(name, "must be a table/object")
-    unknown = sorted(set(section) - _KNOWN_KEYS[name])
+    unknown = sorted(set(section) - SCHEMA[name].keys())
     if unknown:
         raise ConfigError(f"{name}.{unknown[0]}", "unknown key")
     return section
 
 
-def _value(section: dict, section_name: str, key: str, kind, default=None, required=False,
-           nullable=False):
-    field = f"{section_name}.{key}"
+def _value(section: dict, section_name: str, key: str):
+    kind, default = SCHEMA[section_name][key]
+    dotted = f"{section_name}.{key}"
     if key not in section:
-        if required:
-            raise ConfigError(field, "required")
+        if default is REQUIRED:
+            raise ConfigError(dotted, "required")
         return default
     value = section[key]
     if value is None:
-        if nullable:
+        if default is None:
             return None
-        raise ConfigError(field, "must not be null")
+        raise ConfigError(dotted, "must not be null")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if kind is int and isinstance(value, bool):
-        raise ConfigError(field, "expected int, got bool")
+        raise ConfigError(dotted, "expected int, got bool")
     if not isinstance(value, kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {type(value).__name__}")
+        raise ConfigError(dotted, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
-    unknown = sorted(set(raw) - set(_SECTIONS))
+    unknown = sorted(set(raw) - SCHEMA.keys())
     if unknown:
         raise ConfigError(unknown[0], "unknown section")
+    given = {name: _section(raw, name) for name in SCHEMA}
+    sections = {name: {key: _value(given[name], name, key) for key in keys}
+                for name, keys in SCHEMA.items()}
+    model, moe, dso, sampler, data, run = sections.values()
 
-    model = _section(raw, "model")
-    moe = _section(raw, "moe")
-    dso = _section(raw, "dso")
-    sampler = _section(raw, "sampler")
-    data = _section(raw, "data")
-    run = _section(raw, "run")
-
-    depth = _value(model, "model", "depth", int, default=4)
-    channels = _value(model, "model", "channels", int, default=8)
-    moe_layers = _value(model, "model", "moe_layers", list, default=[0, 2])
-    if not all(isinstance(i, int) and not isinstance(i, bool) for i in moe_layers):
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in model["moe_layers"]):
         raise ConfigError("model.moe_layers", "must be a list of layer indices")
-
-    n_experts = _value(moe, "moe", "n_experts", int, required=True)
-    top_k = _value(moe, "moe", "top_k", int, required=True)
-    gate_temperature = _value(moe, "moe", "gate_temperature", float, default=0.07)
-    gate_dim = _value(moe, "moe", "gate_dim", int, default=None, nullable=True)
-
-    counts_raw = _value(sampler, "sampler", "counts", dict, default={"A": 2, "B": 1, "C": 1})
-    batch_size = _value(sampler, "sampler", "batch_size", int, default=sum(counts_raw.values()))
-    for m, c in counts_raw.items():
+    for m, c in sampler["counts"].items():
         if m not in ("A", "B", "C"):
             raise ConfigError("sampler.counts", f"unknown modality {m!r}")
         if not isinstance(c, int) or isinstance(c, bool):
             raise ConfigError("sampler.counts", f"count for {m!r} must be an int")
-
-    height = _value(data, "data", "height", int, default=8)
-    width = _value(data, "data", "width", int, default=8)
-    noise_raw = _value(data, "data", "label_noise", dict, default={})
-    for m, level in noise_raw.items():
+    sampler["counts"] = dict(sorted(sampler["counts"].items()))
+    if sampler["batch_size"] is DERIVED:
+        sampler["batch_size"] = sum(sampler["counts"].values())
+    for m, level in data["label_noise"].items():
         if m not in ("A", "B", "C"):
             raise ConfigError("data.label_noise", f"unknown modality {m!r}")
         if not isinstance(level, (int, float)) or isinstance(level, bool):
             raise ConfigError("data.label_noise", f"noise for {m!r} must be a number")
-    modality_seed = _value(data, "data", "modality_seed", int, default=0)
-
-    seed = _value(run, "run", "seed", int, default=0)
-    iterations = _value(run, "run", "iterations", int, required=True)
-    if iterations < 1:
-        raise ConfigError("run.iterations", f"must be >= 1, got {iterations}")
-    out_dir = _value(run, "run", "out_dir", str, default="run")
-    base_lr = _value(run, "run", "base_lr", float, default=1e-4)
-    if base_lr <= 0:
-        raise ConfigError("run.base_lr", f"must be > 0, got {base_lr}")
-    dso_enabled = _value(run, "run", "dso", bool, default=True)
-    moe_enabled = _value(run, "run", "moe", bool, default=True)
-    stats_samples = _value(run, "run", "stats_samples", int, default=8)
-    if stats_samples < 0:
+    data["label_noise"] = {m: float(v) for m, v in sorted(data["label_noise"].items())}
+    if run["iterations"] < 1:
+        raise ConfigError("run.iterations", f"must be >= 1, got {run['iterations']}")
+    if run["base_lr"] <= 0:
+        raise ConfigError("run.base_lr", f"must be > 0, got {run['base_lr']}")
+    if run["stats_samples"] < 0:
         raise ConfigError("run.stats_samples", "must be >= 0")
 
-    try:
-        model_spec = ModelSpec(
-            depth=depth,
-            channels=channels,
-            moe_layers=tuple(moe_layers),
-            n_experts=n_experts,
-            top_k=top_k,
-            gate_temperature=gate_temperature,
-            gate_dim=gate_dim,
-        )
-        model_spec.moe_config()  # surfaces expert-count/top-k violations now
-        sampler_cfg = SamplerConfig(
-            counts=tuple(sorted(counts_raw.items())), batch_size=batch_size, seed=seed
-        )
-        dso_cfg = DsoConfig(
-            n_tasks=len(counts_raw),
-            alpha=_value(dso, "dso", "alpha", float, default=0.05),
-            theta=_value(dso, "dso", "theta", float, default=1.0),
-            tau=_value(dso, "dso", "tau", float, default=3.0),
-            bias_b=_value(dso, "dso", "bias_b", float, default=0.4),
-        )
-    except ConfigError:
-        raise
+    model_spec = ModelSpec(**dict(model, moe_layers=tuple(model["moe_layers"])), **moe)
+    model_spec.moe_config()  # surfaces expert-count/top-k violations now
+    sampler_cfg = SamplerConfig(counts=tuple(sampler["counts"].items()),
+                                batch_size=sampler["batch_size"], seed=run["seed"])
+    dso_cfg = DsoConfig(n_tasks=len(sampler["counts"]), **dso)
     return RunConfig(
         model=model_spec,
         dso=dso_cfg,
         sampler=sampler_cfg,
-        height=height,
-        width=width,
-        label_noise=tuple(sorted((m, float(v)) for m, v in noise_raw.items())),
-        modality_seed=modality_seed,
-        seed=seed,
-        iterations=iterations,
-        out_dir=out_dir,
-        base_lr=base_lr,
-        dso_enabled=dso_enabled,
-        moe_enabled=moe_enabled,
-        stats_samples=stats_samples,
+        height=data["height"],
+        width=data["width"],
+        label_noise=tuple(data["label_noise"].items()),
+        modality_seed=data["modality_seed"],
+        seed=run["seed"],
+        iterations=run["iterations"],
+        out_dir=run["out_dir"],
+        base_lr=run["base_lr"],
+        dso_enabled=run["dso"],
+        moe_enabled=run["moe"],
+        stats_samples=run["stats_samples"],
+        # Copied, so no config shares a list or dict with SCHEMA or the caller.
+        sections=copy.deepcopy(sections),
     )
 
 

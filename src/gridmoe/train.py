@@ -65,11 +65,18 @@ def build_setup(cfg: RunConfig):
 
 
 def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int, width: int,
-                   index_offset: int = EVAL_INDEX_OFFSET) -> ExpertStats:
-    """Routing statistics over fresh evaluation samples (no training indices)."""
+                   index_offset: int = EVAL_INDEX_OFFSET, maps_dir: Path | None = None
+                   ) -> ExpertStats:
+    """Routing statistics over fresh evaluation samples (no training indices).
+
+    With ``maps_dir``, also writes each modality's top-1 maps of its first
+    sample there, one CSV per MoE layer.
+    """
     stats = ExpertStats()
     for layer in model.moe_layer_names:
         stats.register_layer(layer, model.spec.n_experts)
+    if maps_dir is not None:
+        maps_dir.mkdir(parents=True, exist_ok=True)
     for modality in sorted(modalities):
         for j in range(n_samples):
             image, _ = gdata.generate_sample(
@@ -78,6 +85,11 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
             _, routings = model.features(image)
             for layer, decision in routings:
                 stats.accumulate(decision, modality, layer)
+                if j == 0 and maps_dir is not None:
+                    write_top1_map_csv(
+                        maps_dir / f"{modality}_{layer.replace('.', '_')}.csv",
+                        export_top1_map(decision),
+                    )
     return stats
 
 
@@ -201,10 +213,9 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     final_entropy: dict[str, float] = {}
     if model.moe_layer_names and cfg.stats_samples > 0:
         final_stats = evaluate_stats(model, modalities, tasks, cfg.stats_samples,
-                                     cfg.height, cfg.width)
+                                     cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")
         final_stats.to_csv(out_dir / "expert_stats_final.csv")
         final_entropy = {m: final_stats.participation_entropy(m) for m in sorted(modalities)}
-        _export_maps(out_dir / "top1_maps", model, modalities, tasks, cfg)
 
     return TrainResult(
         out_dir=out_dir,
@@ -224,20 +235,6 @@ def _write_dump(path: Path, columns, rows) -> None:
     with CsvLogger(path, columns, "diagnostic_dump") as log:
         for row in rows:
             log.write(row)
-
-
-def _export_maps(maps_dir: Path, model: Model, modalities, tasks, cfg: RunConfig) -> None:
-    maps_dir.mkdir(parents=True, exist_ok=True)
-    for modality in sorted(modalities):
-        image, _ = gdata.generate_sample(
-            modalities[modality], tasks[modality], EVAL_INDEX_OFFSET, cfg.height, cfg.width
-        )
-        _, routings = model.features(image)
-        for layer, decision in routings:
-            write_top1_map_csv(
-                maps_dir / f"{modality}_{layer.replace('.', '_')}.csv",
-                export_top1_map(decision),
-            )
 
 
 # ---------------------------------------------------------------------------

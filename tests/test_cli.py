@@ -119,6 +119,23 @@ class TestTrainCommand:
         assert "config error" not in err
         assert "expected (H, W, 8) input" in err
 
+    def test_runtime_error_records_manifest(self, tmp_path, monkeypatch):
+        from gridmoe import data as gdata
+
+        real = gdata.generate_sample
+
+        def one_channel_short(*args, **kwargs):
+            image, target = real(*args, **kwargs)
+            return image[..., :-1], target
+
+        monkeypatch.setattr(gdata, "generate_sample", one_channel_short)
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        recorded = json.loads((out / "manifest.json").read_text())
+        assert recorded["exit_status"] == 3
+        assert verify_manifest(out)
+
     def test_env_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
         cfg = write_config(tmp_path / "cfg.json", **{"run.out_dir": "nested/run"})

@@ -17,7 +17,6 @@ from gridmoe.data import (
     generate_sample,
     histogram_symmetric_kl,
     modality_separation,
-    sample_batch,
     self_test,
 )
 from gridmoe.errors import ConfigError
@@ -118,14 +117,14 @@ class TestModalitySeparation:
 class TestSampler:
     def test_exact_default_composition(self):
         cfg = SamplerConfig()
-        batch = sample_batch(cfg)
+        batch = BatchSampler(cfg).next_batch()
         counts = collections.Counter(item.modality for item in batch)
         assert counts == {"A": 2, "B": 1, "C": 1}
         assert len(batch) == 4
 
     def test_one_each(self):
         cfg = SamplerConfig(counts=(("A", 1), ("B", 1), ("C", 1)), batch_size=3)
-        batch = sample_batch(cfg)
+        batch = BatchSampler(cfg).next_batch()
         assert collections.Counter(i.modality for i in batch) == {"A": 1, "B": 1, "C": 1}
 
     def test_thousand_batches_exact_frequencies(self):

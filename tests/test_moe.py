@@ -15,7 +15,6 @@ from gridmoe.moe import (
     GateParams,
     MoEConfig,
     RoutingDecision,
-    accumulate_stats,
     export_top1_map,
     gate,
     init_from_pretrained,
@@ -416,13 +415,16 @@ class TestExpertStats:
 
         merged_target = ExpertStats()
         merged_target.register_layer("L", 5)
-        accumulate_stats(merged_target, decisions, "ds", "L")
+        for decision in decisions:
+            merged_target.accumulate(decision, "ds", "L")
 
         a, b = ExpertStats(), ExpertStats()
         a.register_layer("L", 5)
         b.register_layer("L", 5)
-        accumulate_stats(a, decisions[:17], "ds", "L")
-        accumulate_stats(b, decisions[17:], "ds", "L")
+        for decision in decisions[:17]:
+            a.accumulate(decision, "ds", "L")
+        for decision in decisions[17:]:
+            b.accumulate(decision, "ds", "L")
         merged = a.merge(b)
 
         ca = merged.cells[("ds", "L")]

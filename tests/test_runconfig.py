@@ -1,11 +1,15 @@
 """Config parsing, validation messages, and run manifests."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from gridmoe.errors import ConfigError
 from gridmoe.runconfig import (
+    REQUIRED,
+    SCHEMA,
     RunManifest,
     load_config_file,
     parse_config,
@@ -99,6 +103,128 @@ class TestParsing:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config_file(bad)
+
+
+def dropped(dotted):
+    raw = minimal()
+    section, key = dotted.split(".")
+    del raw[section][key]
+    return raw
+
+
+# The resolved snapshot of MINIMAL: every default, plus the three required keys.
+DEFAULT_SNAPSHOT = {
+    "model": {"depth": 4, "channels": 8, "moe_layers": [0, 2]},
+    "moe": {"n_experts": 4, "top_k": 2, "gate_temperature": 0.07, "gate_dim": None},
+    "dso": {"alpha": 0.05, "theta": 1.0, "tau": 3.0, "bias_b": 0.4},
+    "sampler": {"counts": {"A": 2, "B": 1, "C": 1}, "batch_size": 4},
+    "data": {"height": 8, "width": 8, "label_noise": {}, "modality_seed": 0},
+    "run": {"seed": 0, "iterations": 10, "out_dir": "run", "base_lr": 1e-4,
+            "dso": True, "moe": True, "stats_samples": 8},
+}
+
+FAULTS = [
+    pytest.param([], "config: top level must be an object", id="top_level_list"),
+    pytest.param(dict(minimal(), optimizer={}), "optimizer: unknown section",
+                 id="unknown_section"),
+    pytest.param(dict(minimal(), zeta={}, beta={}), "beta: unknown section",
+                 id="two_unknown_sections"),
+    pytest.param(dict(minimal(), dso=[1]), "dso: must be a table/object", id="section_list"),
+    pytest.param(minimal(**{"moe.n_expert": 4}), "moe.n_expert: unknown key", id="unknown_key"),
+    pytest.param(dropped("moe.n_experts"), "moe.n_experts: required", id="no_n_experts"),
+    pytest.param(dropped("moe.top_k"), "moe.top_k: required", id="no_top_k"),
+    pytest.param(dropped("run.iterations"), "run.iterations: required", id="no_iterations"),
+    pytest.param(minimal(**{"model.depth": True}), "model.depth: expected int, got bool",
+                 id="bool_for_int"),
+    pytest.param(minimal(**{"moe.top_k": "two"}), "moe.top_k: expected int, got str",
+                 id="str_for_int"),
+    pytest.param(minimal(**{"data.height": None}), "data.height: must not be null",
+                 id="null_int"),
+    pytest.param(minimal(**{"sampler.batch_size": None}),
+                 "sampler.batch_size: must not be null", id="null_batch_size"),
+    pytest.param(minimal(**{"run.base_lr": "fast"}), "run.base_lr: expected float, got str",
+                 id="str_for_float"),
+    pytest.param(minimal(**{"dso.alpha": True}), "dso.alpha: expected float, got bool",
+                 id="bool_for_float"),
+    pytest.param(minimal(**{"model.moe_layers": [0, "1"]}),
+                 "model.moe_layers: must be a list of layer indices", id="moe_layers_element"),
+    pytest.param(minimal(**{"model.moe_layers": [7]}),
+                 "model.moe_layers: indices [7] outside trunk depth 4", id="moe_layers_range"),
+    pytest.param(minimal(**{"sampler.counts": {"A": 2, "D": 1}}),
+                 "sampler.counts: unknown modality 'D'", id="counts_modality"),
+    pytest.param(minimal(**{"sampler.counts": {"A": 1.5}}),
+                 "sampler.counts: count for 'A' must be an int", id="counts_float"),
+    pytest.param(minimal(**{"sampler.counts": {"A": "x"}}),
+                 "sampler.counts: count for 'A' must be an int", id="counts_str"),
+    pytest.param(minimal(**{"sampler.counts": {"A": 2}, "sampler.batch_size": 3}),
+                 "sampler.counts: counts sum to 2 but batch_size is 3", id="counts_sum"),
+    pytest.param(minimal(**{"sampler.counts": {"A": 0, "B": 1}}),
+                 "sampler.counts: every modality needs >= 1 sample per batch", id="counts_zero"),
+    pytest.param(minimal(**{"data.label_noise": {"Z": 0.1}}),
+                 "data.label_noise: unknown modality 'Z'", id="noise_modality"),
+    pytest.param(minimal(**{"data.label_noise": {"A": "x"}}),
+                 "data.label_noise: noise for 'A' must be a number", id="noise_str"),
+    pytest.param(minimal(**{"run.iterations": 0}), "run.iterations: must be >= 1, got 0",
+                 id="iterations_zero"),
+    pytest.param(minimal(**{"run.base_lr": -1.0}), "run.base_lr: must be > 0, got -1.0",
+                 id="base_lr_negative"),
+    pytest.param(minimal(**{"run.stats_samples": -1}), "run.stats_samples: must be >= 0",
+                 id="stats_samples_negative"),
+    pytest.param(minimal(**{"moe.top_k": 9}), "moe.top_k: must be in [1, n_experts=4], got 9",
+                 id="top_k_range"),
+    pytest.param(minimal(**{"moe.gate_temperature": 0}),
+                 "moe.gate_temperature: must be > 0, got 0.0", id="temperature_zero"),
+    pytest.param(minimal(**{"dso.tau": -1.0}), "dso.tau: must be > 0, got -1.0",
+                 id="tau_negative"),
+    # Several faults: structure before values, values in section order,
+    # types before ranges.
+    pytest.param(dict(dropped("moe.top_k"), run={"iterations": 10, "foo": 1}),
+                 "run.foo: unknown key", id="unknown_key_and_missing"),
+    pytest.param(dict(dropped("moe.n_experts"), model={"depth": "x"}),
+                 "model.depth: expected int, got str", id="type_and_missing"),
+    pytest.param(minimal(**{"run.seed": "s", "data.width": "w"}),
+                 "data.width: expected int, got str", id="two_types"),
+    pytest.param(minimal(**{"model.depth": "x", "run.iterations": 0}),
+                 "model.depth: expected int, got str", id="type_and_range"),
+]
+
+
+class TestSchemaTable:
+    def test_minimal_snapshot_holds_every_default(self):
+        cfg = parse_config(minimal())
+        assert cfg.snapshot() == DEFAULT_SNAPSHOT
+        assert "sections" not in repr(cfg)
+
+    @pytest.mark.parametrize("raw, message", FAULTS)
+    def test_fault_message(self, raw, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(raw)
+        assert str(excinfo.value) == message
+
+    def test_no_config_shares_mutable_values(self):
+        cfg = parse_config(minimal())
+        snapshot = cfg.snapshot()
+        snapshot["model"]["moe_layers"].append(3)
+        snapshot["sampler"]["counts"]["D"] = 1
+        assert cfg.snapshot() == DEFAULT_SNAPSHOT
+        assert parse_config(minimal()).snapshot() == DEFAULT_SNAPSHOT
+
+        raw = minimal(**{"model.moe_layers": [1]})
+        cfg = parse_config(raw)
+        raw["model"]["moe_layers"].append(3)
+        assert cfg.snapshot()["model"]["moe_layers"] == [1]
+
+    def test_readme_lists_the_table(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("## Configuration"):]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        documented = json.loads(block)
+        assert {name: set(keys) for name, keys in documented.items()} == {
+            name: set(keys) for name, keys in SCHEMA.items()}
+        for name, keys in SCHEMA.items():
+            for key, (_, default) in keys.items():
+                expected = "<required>" if default is REQUIRED else DEFAULT_SNAPSHOT[name][key]
+                assert documented[name][key] == expected, f"{name}.{key}"
 
 
 class TestOutDirResolution:
