@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
-from .numerics import cosine_logits, sigmoid_array, stable_softmax
+from .numerics import NORM_EPS, sigmoid_array, stable_softmax
 
 MAX_RANK = 4
 
@@ -369,10 +369,12 @@ def gate_logits(u: Tensor, embeddings: Tensor, temperature: float) -> Tensor:
             f"{emb.shape[0] if emb.ndim == 2 else emb.shape}"
         )
     norm_e = np.linalg.norm(emb, axis=0)
-    if np.any(norm_e < 1e-12):
+    if np.any(norm_e < NORM_EPS):
         raise DomainError("gate_logits: an expert embedding column has (near-)zero norm")
-
-    logits, inv_norm_u, degenerate = cosine_logits(u.data, emb, temperature)
+    norm_u = np.linalg.norm(u.data, axis=-1)
+    degenerate = norm_u < NORM_EPS
+    inv_norm_u = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, norm_u))
+    logits = (u.data @ emb) * inv_norm_u[..., None] / (temperature * norm_e)
 
     def vjp(g):
         g = np.where(degenerate[..., None], 0.0, g)

@@ -12,7 +12,6 @@ from pathlib import Path
 from . import data as gdata
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, GridMoeError, ShapeError, TrainingAborted
-from .model import Model
 from .runconfig import (
     CONFIG_SNAPSHOT_NAME,
     RunManifest,
@@ -21,7 +20,7 @@ from .runconfig import (
     resolve_out_dir,
     set_path,
 )
-from .train import evaluate_stats, sweep_rows, train, write_sweep_csv
+from .train import build_setup, evaluate_stats, sweep_rows, train, write_sweep_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,13 +156,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_inspect_gates(args) -> int:
+    if args.n < 0:
+        raise ConfigError("--n", f"must be >= 0, got {args.n}")
     checkpoint_path = Path(args.checkpoint)
     config_path = Path(args.config) if args.config else checkpoint_path.parent / CONFIG_SNAPSHOT_NAME
     cfg = parse_config(load_config_file(config_path))
+    _, _, model, _ = build_setup(cfg)
+    # Unfiltered, so a modality the run did not train on can be inspected.
     modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
     tasks = gdata.default_tasks(cfg.label_noise_dict())
-    active_tasks = {m: t for m, t in tasks.items() if m in set(cfg.sampler.modalities)}
-    model = Model(cfg.model, active_tasks, seed=cfg.seed, moe_enabled=cfg.moe_enabled)
     try:
         model.load_state(load_checkpoint(checkpoint_path))
     except ShapeError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, UsageError
-from .numerics import NORM_EPS, cosine_logits, stable_softmax
+from .numerics import NORM_EPS
 
 GATE_INIT_STD = 0.02
 
@@ -126,10 +126,14 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
-def route_probabilities(u: np.ndarray, embeddings: np.ndarray, temperature: float) -> np.ndarray:
-    """Full softmax over temperature-scaled cosine logits (plain numpy path)."""
-    logits, _, _ = cosine_logits(u, embeddings, temperature)
-    return stable_softmax(logits, axis=-1)
+def _route(x: Tensor, params: GateParams, cfg: MoEConfig):
+    """Full softmax, top-k expert ids and their gate weights at every position of x."""
+    if x.shape[-1] != cfg.in_channels:
+        raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
+    u = ad.grid_linear(x, params.W)
+    probs = ad.softmax(ad.gate_logits(u, params.E, cfg.gate_temperature))
+    selected = topk_select(probs.data, cfg.top_k)
+    return probs, selected, ad.gather_last(probs, selected)
 
 
 def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
@@ -139,19 +143,8 @@ def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
     the uniform distribution, so the first k experts are selected with weight
     1/N each.
     """
-    x = np.asarray(x_grid, dtype=np.float64).reshape(-1)
-    if x.shape[0] != cfg.in_channels:
-        raise ShapeError(f"gate: expected {cfg.in_channels} channels, got {x.shape[0]}")
-    u = params.W.data @ x
-    probs = route_probabilities(u, params.E.data, cfg.gate_temperature)
-    k = min(cfg.top_k, cfg.n_experts)
-    selected = topk_select(probs, k)
-    return RoutingDecision(
-        selected_indices=selected,
-        gate_weights=probs[selected].copy(),
-        full_softmax=probs,
-        expert_applications=k,
-    )
+    probs, selected, selected_w = _route(Tensor(np.reshape(x_grid, -1)), params, cfg)
+    return RoutingDecision(selected, selected_w.data.copy(), probs.data.copy(), cfg.top_k)
 
 
 def moe_forward(
@@ -163,26 +156,12 @@ def moe_forward(
     axes. Exactly k experts are evaluated per position; gradients flow to the
     input, the gate parameters, and the selected experts only.
     """
-    if x.shape[-1] != cfg.in_channels:
-        raise ShapeError(
-            f"moe_forward: expected {cfg.in_channels} channels, got {x.shape[-1]}"
-        )
+    probs, selected, selected_w = _route(x, params, cfg)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")
-
-    u = ad.grid_linear(x, params.W)
-    logits = ad.gate_logits(u, params.E, cfg.gate_temperature)
-    probs = ad.softmax(logits)
-    k = min(cfg.top_k, cfg.n_experts)
-    selected = topk_select(probs.data, k)
-    selected_w = ad.gather_last(probs, selected)
     out, applications = ad.mix_experts(x, bank.weights, bank.biases, selected, selected_w)
-    decision = RoutingDecision(
-        selected_indices=selected,
-        gate_weights=selected_w.data.copy(),
-        full_softmax=probs.data.copy(),
-        expert_applications=applications,
-    )
+    # Copies: the softmax vjp closes over probs.data.
+    decision = RoutingDecision(selected, selected_w.data.copy(), probs.data.copy(), applications)
     return out, decision
 
 
@@ -323,9 +302,6 @@ class ExpertStats:
                     tgt.positions += cell.positions
 
         return merged
-
-    def datasets(self) -> list[str]:
-        return sorted({dataset for dataset, _ in self.cells})
 
     def participation_entropy(self, dataset: str) -> float:
         """Mean (over this dataset's layers) entropy of normalized participation."""

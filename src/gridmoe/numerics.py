@@ -33,24 +33,3 @@ def sigmoid(x: float) -> float:
     ex = math.exp(x)
     return ex / (1.0 + ex)
 
-
-def cosine_logits(u: np.ndarray, embeddings: np.ndarray, temperature: float):
-    """Temperature-scaled cosine similarity of each row vector against embedding columns.
-
-    Args:
-        u: array of shape (..., D), one direction vector per grid position.
-        embeddings: array of shape (D, N), one embedding column per expert.
-        temperature: positive sharpness divisor applied to every logit.
-
-    Returns:
-        (logits, inv_norm_u, degenerate): logits has shape (..., N) and is
-        exactly zero (uniform after softmax) wherever ``u`` has norm below
-        NORM_EPS; ``degenerate`` is the boolean mask of those positions.
-    """
-    norm_u = np.linalg.norm(u, axis=-1)
-    norm_e = np.linalg.norm(embeddings, axis=0)
-    degenerate = norm_u < NORM_EPS
-    inv_norm_u = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, norm_u))
-    dots = u @ embeddings
-    logits = dots * inv_norm_u[..., None] / (temperature * norm_e)
-    return logits, inv_norm_u, degenerate

@@ -142,6 +142,10 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(level, (int, float)) or isinstance(level, bool):
             raise ConfigError("data.label_noise", f"noise for {m!r} must be a number")
     data["label_noise"] = {m: float(v) for m, v in sorted(data["label_noise"].items())}
+    if data["modality_seed"] < 0:
+        raise ConfigError("data.modality_seed", f"must be >= 0, got {data['modality_seed']}")
+    if run["seed"] < 0:
+        raise ConfigError("run.seed", f"must be >= 0, got {run['seed']}")
     if run["iterations"] < 1:
         raise ConfigError("run.iterations", f"must be >= 1, got {run['iterations']}")
     if run["base_lr"] <= 0:

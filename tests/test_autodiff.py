@@ -311,6 +311,36 @@ class TestFiniteDiffCheck:
 
 
 # ---------------------------------------------------------------------------
+# gate_logits
+# ---------------------------------------------------------------------------
+
+class TestGateLogits:
+    def test_degenerate_row_on_a_grid(self):
+        """A zero row of u gets zero logits and zero du, and adds nothing to dE."""
+        rng = np.random.default_rng(21)
+        u_data = rng.normal(size=(2, 3, 4))
+        u_data[1, 2] = 0.0
+        emb = rng.normal(size=(4, 5))
+        upstream = rng.normal(size=(2, 3, 5))
+
+        def run(rows, weights):
+            u = Tensor(rows, requires_grad=True)
+            E = Tensor(emb, requires_grad=True)
+            logits = ad.gate_logits(u, E, 0.3)
+            backward(ad.sum_all(ad.mul(logits, Tensor(weights))))
+            return logits.data, u.grad, E.grad
+
+        logits, du, dE = run(u_data, upstream)
+        np.testing.assert_array_equal(logits[1, 2], np.zeros(5))
+        np.testing.assert_array_equal(du[1, 2], np.zeros(4))
+        keep = np.ones((2, 3), dtype=bool)
+        keep[1, 2] = False
+        rest_logits, _, rest_dE = run(u_data[keep], upstream[keep])
+        np.testing.assert_allclose(logits[keep], rest_logits, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dE, rest_dE, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # structured ops: gather / mix / losses
 # ---------------------------------------------------------------------------
 

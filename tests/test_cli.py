@@ -136,6 +136,13 @@ class TestTrainCommand:
         assert recorded["exit_status"] == 3
         assert verify_manifest(out)
 
+    def test_negative_seed_exits_2_naming_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+        assert "run.seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
         cfg = write_config(tmp_path / "cfg.json", **{"run.out_dir": "nested/run"})
@@ -220,6 +227,25 @@ class TestInspectCommand:
                      "--modality", "A", "--n", "0"])
         assert code == 0
         assert read_csv(out / "inspect" / "participation.csv") == []
+
+    def test_negative_n_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = self._trained_run(tmp_path, iterations=2)
+        code = main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--modality", "A", "--n", "-1"])
+        assert code == 2
+        assert "--n: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (out / "inspect").exists()
+
+    def test_modality_the_run_did_not_train_on(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "sampler.counts": {"A": 2, "B": 2}})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        code = main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--modality", "C", "--n", "2"])
+        assert code == 0
+        rows = read_csv(out / "inspect" / "participation.csv")
+        assert rows and {row["dataset"] for row in rows} == {"C"}
 
     def test_fresh_init_participation_mass_is_spread(self, tmp_path):
         """A freshly initialized checkpoint spreads routing mass over several

@@ -170,6 +170,10 @@ FAULTS = [
                  id="base_lr_negative"),
     pytest.param(minimal(**{"run.stats_samples": -1}), "run.stats_samples: must be >= 0",
                  id="stats_samples_negative"),
+    pytest.param(minimal(**{"run.seed": -1}), "run.seed: must be >= 0, got -1",
+                 id="seed_negative"),
+    pytest.param(minimal(**{"data.modality_seed": -1}),
+                 "data.modality_seed: must be >= 0, got -1", id="modality_seed_negative"),
     pytest.param(minimal(**{"moe.top_k": 9}), "moe.top_k: must be in [1, n_experts=4], got 9",
                  id="top_k_range"),
     pytest.param(minimal(**{"moe.gate_temperature": 0}),
