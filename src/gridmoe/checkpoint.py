@@ -8,11 +8,30 @@ diffable.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
+
+MANIFEST_SCHEMA = "checkpoint.v1"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A write that fails or is killed partway leaves ``path`` as it was (absent
+    or the previous complete file), never half written; a killed process may
+    leave the hidden temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def manifest_path_for(bin_path) -> Path:
@@ -31,11 +50,10 @@ def save_checkpoint(bin_path, state: dict[str, np.ndarray]) -> tuple[Path, Path]
         entries.append({"name": name, "shape": list(arr.shape)})
         chunks.append(np.ravel(arr, order="C"))
     flat = np.concatenate(chunks) if chunks else np.empty(0)
-    bin_path.write_bytes(flat.tobytes())
+    write_atomic(bin_path, flat.tobytes())
     manifest = manifest_path_for(bin_path)
-    manifest.write_text(
-        json.dumps({"schema": "checkpoint.v1", "entries": entries}, indent=2) + "\n"
-    )
+    text = json.dumps({"schema": MANIFEST_SCHEMA, "entries": entries}, indent=2) + "\n"
+    write_atomic(manifest, text.encode())
     return bin_path, manifest
 
 
@@ -45,10 +63,21 @@ def load_checkpoint(bin_path) -> dict[str, np.ndarray]:
     if not bin_path.exists() or not manifest.exists():
         raise ShapeError(f"checkpoint files missing: {bin_path} / {manifest}")
     meta = json.loads(manifest.read_text())
+    if not isinstance(meta, dict) or meta.get("schema") != MANIFEST_SCHEMA:
+        raise ShapeError(f"{manifest}: schema is not {MANIFEST_SCHEMA!r}")
+    entries = meta.get("entries")
+    if not isinstance(entries, list):
+        raise ShapeError(f"{manifest}: 'entries' must be a list")
+    for entry in entries:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise ShapeError(f"{manifest}: entry {entry!r} needs a string 'name' and a "
+                             "'shape' list of non-negative ints")
     flat = np.frombuffer(bin_path.read_bytes(), dtype=np.float64)
     state: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in meta["entries"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         if offset + size > flat.size:

@@ -15,6 +15,7 @@ flipped and regression targets jittered through ``label_noise``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -128,36 +129,49 @@ def default_tasks(label_noise: dict[str, float] | None = None) -> dict[str, Task
 def _texture_field(rng: np.random.Generator, height: int, width: int, channels: int,
                    freq: float) -> np.ndarray:
     """Smooth oriented sinusoid per channel, random phase and orientation."""
-    rows = np.arange(height)[:, None] / max(height, 1)
-    cols = np.arange(width)[None, :] / max(width, 1)
-    field = np.empty((height, width, channels))
-    for c in range(channels):
-        angle = rng.uniform(0.0, np.pi)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        wave = rows * np.cos(angle) + cols * np.sin(angle)
-        field[:, :, c] = np.sin(2.0 * np.pi * freq * wave + phase)
-    return field
+    rows = np.arange(height)[:, None, None] / max(height, 1)
+    cols = np.arange(width)[None, :, None] / max(width, 1)
+    # One (angle, phase) row per channel, in the order of the scalar
+    # ``uniform(0, pi)``, ``uniform(0, 2 pi)`` draws (uniform is lo + (hi - lo) * u).
+    u = rng.random((channels, 2))
+    angle = np.pi * u[:, 0]
+    phase = (2.0 * np.pi) * u[:, 1]
+    wave = rows * np.cos(angle) + cols * np.sin(angle)
+    return np.sin(2.0 * np.pi * freq * wave + phase)
 
 
 def _blob_field(rng: np.random.Generator, height: int, width: int, density: float) -> np.ndarray:
     """Sum of Gaussian bumps; expected count set by density."""
     count = rng.poisson(density)
-    field = np.zeros((height, width))
-    if count == 0:
-        return field
+    u = rng.random((count, 3))  # per bump: centre row, centre column, width
+    cy = (height * u[:, 0])[:, None, None]
+    cx = (width * u[:, 1])[:, None, None]
+    sigma = 0.8 + (2.0 - 0.8) * u[:, 2]
+    # float_power calls libm pow, as Python's float ``sigma**2`` does; numpy's
+    # ``**2`` is sigma * sigma, which rounds differently for some sigma.
+    denom = (2.0 * np.float_power(sigma, 2.0))[:, None, None]
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
-    for _ in range(count):
-        cy, cx = rng.uniform(0, height), rng.uniform(0, width)
-        sigma = rng.uniform(0.8, 2.0)
-        field += np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * sigma**2))
+    bumps = np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / denom)
+    field = np.zeros((height, width))
+    for bump in bumps:  # from zeros in draw order: the rounded sum depends on its order
+        field += bump
     return field
 
 
+@lru_cache(maxsize=64)
+def _projection(seed: int, head_width: int, channels: int) -> np.ndarray:
+    projection = np.random.default_rng((seed, 7919)).normal(0.0, 1.0, size=(head_width, channels))
+    projection.flags.writeable = False
+    return projection
+
+
 def target_projection(mod: ModalitySpec, task: TaskSpec) -> np.ndarray:
-    """Fixed per-(modality, task) mixing matrix the targets are derived from."""
-    rng = np.random.default_rng((mod.seed, 7919))
-    return rng.normal(0.0, 1.0, size=(task.head_width, mod.channels))
+    """Fixed per-(modality, task) mixing matrix the targets are derived from.
+
+    Every caller shares one read-only array per (seed, head width, channels).
+    """
+    return _projection(mod.seed, task.head_width, mod.channels)
 
 
 def generate_sample(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .checkpoint import write_atomic
 from .data import SamplerConfig
 from .dso import DsoConfig
 from .errors import ConfigError
@@ -245,7 +246,7 @@ class RunManifest:
         self.artifacts = artifacts
         self.exit_status = exit_status
         path = out_dir / MANIFEST_NAME
-        path.write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
+        write_atomic(path, (json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n").encode())
         return path
 
 

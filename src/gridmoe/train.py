@@ -245,17 +245,19 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
                keep_models: bool = False) -> list[dict]:
     """Cross-product of grid values x seeds; one training run per cell.
 
-    Every cell reuses the same seed list, so cells are comparable. Returns
-    one row per run with the swept parameters and final metrics.
+    Every cell reuses the same seed list, so cells are comparable. Every
+    cell's config is parsed before the first run, so a bad value in any cell
+    fails the sweep before anything is trained. Returns one row per run with
+    the swept parameters and final metrics.
     """
     from .runconfig import parse_config, set_path
     import copy
     import itertools
 
     keys = sorted(grid)
-    rows: list[dict] = []
     if not keys or any(not grid[k] for k in keys):
         raise ValueError("sweep grid is empty")
+    runs = []
     for cell_index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         for seed in seeds:
             raw = copy.deepcopy(base_raw)
@@ -263,16 +265,18 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
                 set_path(raw, key, value)
             set_path(raw, "run.seed", int(seed))
             set_path(raw, "run.out_dir", str(out_root / f"cell{cell_index:03d}_seed{seed}"))
-            cfg = parse_config(raw)
-            result = train(cfg, keep_model=keep_models)
-            row = {key: _render(value) for key, value in zip(keys, combo)}
-            row["seed"] = int(seed)
-            for t in result.task_order:
-                row[f"final_loss_{t}"] = result.final_losses[t]
-            row["final_total"] = float(sum(result.final_losses.values()))
-            row["gamma_min"] = result.gamma_min
-            row["gamma_max"] = result.gamma_max
-            rows.append(row)
+            runs.append((combo, int(seed), parse_config(raw)))
+    rows: list[dict] = []
+    for combo, seed, cfg in runs:
+        result = train(cfg, keep_model=keep_models)
+        row = {key: _render(value) for key, value in zip(keys, combo)}
+        row["seed"] = seed
+        for t in result.task_order:
+            row[f"final_loss_{t}"] = result.final_losses[t]
+        row["final_total"] = float(sum(result.final_losses.values()))
+        row["gamma_min"] = result.gamma_min
+        row["gamma_max"] = result.gamma_max
+        rows.append(row)
     return rows
 
 

@@ -1,12 +1,15 @@
-"""Flat-binary checkpoint format tests."""
+"""Flat-binary checkpoint format tests, and the crash-safe writes it shares with run manifests."""
 
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gridmoe.checkpoint import load_checkpoint, manifest_path_for, save_checkpoint
 from gridmoe.errors import ShapeError
+from gridmoe.runconfig import RunManifest, parse_config
 
 
 def test_roundtrip_preserves_bits(tmp_path):
@@ -60,3 +63,63 @@ def test_missing_files_rejected(tmp_path):
 
 def test_manifest_path_for_non_bin_suffix(tmp_path):
     assert manifest_path_for("model.ckpt").name == "model.ckpt.manifest.json"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta.pop("entries"),
+    lambda meta: meta.update(schema="checkpoint.v9"),
+    lambda meta: meta.pop("schema"),
+    lambda meta: meta.update(entries={"name": "a", "shape": [2, 3]}),
+    lambda meta: meta["entries"][0].pop("name"),
+    lambda meta: meta["entries"][0].update(name=7),
+    lambda meta: meta["entries"][0].update(shape=6),
+    lambda meta: meta["entries"][0].update(shape=[2, -3]),
+    lambda meta: meta["entries"][0].update(shape=[2, 3.0]),
+    lambda meta: meta["entries"][0].update(shape=[True, 3]),
+    lambda meta: meta["entries"].append("b"),
+], ids=["no_entries", "schema_v9", "no_schema", "entries_not_list", "no_name", "name_not_str",
+        "shape_not_list", "negative_dim", "float_dim", "bool_dim", "entry_not_dict"])
+def test_malformed_manifest_rejected(tmp_path, edit):
+    bin_path, manifest = save_checkpoint(tmp_path / "checkpoint.bin", {"a": np.zeros((2, 3))})
+    meta = json.loads(manifest.read_text())
+    edit(meta)
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(ShapeError):
+        load_checkpoint(bin_path)
+
+
+def _fail_halfway(monkeypatch):
+    """Make every ``Path.write_bytes`` write half its data, then fail (disk full)."""
+    real = Path.write_bytes
+
+    def half_then_fail(path, data):
+        real(path, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
+    old = {"a": np.arange(6.0).reshape(2, 3)}
+    bin_path, manifest = save_checkpoint(tmp_path / "checkpoint.bin", old)
+    saved = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_halfway(monkeypatch)
+    with pytest.raises(OSError):
+        save_checkpoint(bin_path, {"a": np.ones((2, 3)), "b": np.ones(4)})
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "fresh.bin", old)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == saved
+    monkeypatch.undo()
+    assert load_checkpoint(bin_path)["a"].tobytes() == old["a"].tobytes()
+
+
+def test_failed_run_manifest_leaves_no_partial_file(tmp_path, monkeypatch):
+    cfg = parse_config({"moe": {"n_experts": 4, "top_k": 2},
+                        "run": {"iterations": 1, "out_dir": str(tmp_path)}})
+    manifest = RunManifest.start(tmp_path, cfg, "cfg.json")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    _fail_halfway(monkeypatch)
+    with pytest.raises(OSError):
+        manifest.finish(tmp_path, {"a": "b"}, 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert "manifest.json" not in before

@@ -185,6 +185,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--grid", "tau",
                      "--out", str(tmp_path / "s")]) == 2
 
+    def test_bad_later_cell_exits_2_before_any_training(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1,9",
+                     "--out", str(out)])
+        assert code == 2
+        assert "moe.top_k" in capsys.readouterr().err
+        assert not list(out.glob("cell*"))
+        assert not (out / "sweep.csv").exists()
+
     def test_single_cell_matches_train_command(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 6,
                                                      "run.stats_samples": 0})
@@ -275,6 +286,21 @@ class TestInspectCommand:
             # post-top-k mass per position is at most 1 and sums below 1
             assert 0.5 < sum(shares) <= 1.0 + 1e-9, layer
             assert sum(s > 0.05 for s in shares) >= 2, layer
+
+    @pytest.mark.parametrize("edit", [lambda meta: meta.pop("entries"),
+                                      lambda meta: meta.update(schema="checkpoint.v9")],
+                             ids=["no_entries", "schema_v9"])
+    def test_malformed_checkpoint_manifest_exits_2(self, tmp_path, capsys, edit):
+        out = self._trained_run(tmp_path, iterations=2)
+        manifest = out / "checkpoint.manifest.json"
+        meta = json.loads(manifest.read_text())
+        edit(meta)
+        manifest.write_text(json.dumps(meta))
+        code = main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--modality", "A", "--n", "1"])
+        assert code == 2
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (out / "inspect").exists()
 
     def test_checkpoint_config_mismatch_exits_2(self, tmp_path, capsys):
         out = self._trained_run(tmp_path)

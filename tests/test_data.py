@@ -1,10 +1,12 @@
 """Synthetic modality generator and batch sampler tests."""
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
 
+from gridmoe import data as gdata
 from gridmoe.data import (
     CLASSIFICATION,
     REGRESSION,
@@ -18,8 +20,44 @@ from gridmoe.data import (
     histogram_symmetric_kl,
     modality_separation,
     self_test,
+    target_projection,
 )
 from gridmoe.errors import ConfigError
+
+
+# Reference: the per-channel and per-bump loop generator that the whole-array
+# helpers in ``gridmoe.data`` replace; images and targets must match it bit
+# for bit.
+
+def _loop_texture_field(rng, height, width, channels, freq):
+    rows = np.arange(height)[:, None] / max(height, 1)
+    cols = np.arange(width)[None, :] / max(width, 1)
+    field = np.empty((height, width, channels))
+    for c in range(channels):
+        angle = rng.uniform(0.0, np.pi)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        wave = rows * np.cos(angle) + cols * np.sin(angle)
+        field[:, :, c] = np.sin(2.0 * np.pi * freq * wave + phase)
+    return field
+
+
+def _loop_blob_field(rng, height, width, density):
+    count = rng.poisson(density)
+    field = np.zeros((height, width))
+    if count == 0:
+        return field
+    rows = np.arange(height)[:, None]
+    cols = np.arange(width)[None, :]
+    for _ in range(count):
+        cy, cx = rng.uniform(0, height), rng.uniform(0, width)
+        sigma = rng.uniform(0.8, 2.0)
+        field += np.exp(-((rows - cy) ** 2 + (cols - cx) ** 2) / (2.0 * sigma**2))
+    return field
+
+
+def _loop_target_projection(mod, task):
+    rng = np.random.default_rng((mod.seed, 7919))
+    return rng.normal(0.0, 1.0, size=(task.head_width, mod.channels))
 
 
 class TestGenerateSample:
@@ -77,6 +115,45 @@ class TestGenerateSample:
             flips += int((clean != noisy).sum())
             total += clean.size
         assert 0.2 < flips / total < 0.6  # ~0.5 * 3/4 expected
+
+    def test_matches_loop_generator_bit_for_bit(self, monkeypatch):
+        dense = ModalitySpec(id="B", channel_means=(0.1, -0.2, 0.3), channel_stds=(0.3, 0.2, 0.1),
+                             spatial_freq=1.5, speckle_rate=0.2, blob_density=8.0, seed=3)
+        cases = [(dense, default_tasks()["B"])]
+        for seed, noise in itertools.product((0, 5), (0.0, 0.4)):
+            mods = default_modalities(seed=seed)
+            tasks = default_tasks({"A": noise, "B": noise, "C": noise})
+            cases += [(mods[m], tasks[m]) for m in ("A", "B", "C")]
+        indices = [*range(50), *range(1_000_000, 1_000_005)]
+        grids = ((8, 8), (16, 16), (5, 7))
+
+        def draw():
+            return [generate_sample(mod, task, i, h, w)
+                    for mod, task in cases for h, w in grids for i in indices]
+
+        fast = draw()
+        monkeypatch.setattr(gdata, "_texture_field", _loop_texture_field)
+        monkeypatch.setattr(gdata, "_blob_field", _loop_blob_field)
+        monkeypatch.setattr(gdata, "target_projection", _loop_target_projection)
+        reference = draw()
+        for (image, target), (ref_image, ref_target) in zip(fast, reference):
+            assert image.tobytes() == ref_image.tobytes()
+            assert target.tobytes() == ref_target.tobytes()
+            assert (image.shape, target.shape) == (ref_image.shape, ref_target.shape)
+            assert (image.dtype, target.dtype) == (ref_image.dtype, ref_target.dtype)
+
+    def test_target_projection_is_shared_and_read_only(self):
+        mod = default_modalities(seed=5)["C"]
+        task = default_tasks()["C"]
+        projection = target_projection(mod, task)
+        fresh = np.random.default_rng((mod.seed, 7919)).normal(
+            0.0, 1.0, size=(task.head_width, mod.channels))
+        assert projection.tobytes() == fresh.tobytes()
+        assert projection.shape == fresh.shape
+        assert not projection.flags.writeable
+        with pytest.raises(ValueError):
+            projection[0, 0] = 0.0
+        assert target_projection(mod, task) is projection
 
     def test_task_spec_validation(self):
         with pytest.raises(ConfigError):
