@@ -3,7 +3,9 @@
 The engine covers exactly what the grid mixture-of-experts layer, the task
 heads, and the losses need: per-grid linear maps, last-axis softmax, a small
 set of pointwise functions, cosine gate logits, sparse expert mixing, and two
-mean-reduced losses. Everything is 64-bit, dense, row-major, rank <= 4.
+mean-reduced losses. Everything is 64-bit, dense, row-major, rank <= 4. A
+whole MoE layer, from the gate projection to the expert mixing, records one
+node, ``moe_layer``, built from the same array-level helpers as those ops.
 
 Execution is eager. Each operation whose inputs carry gradients appends an
 ``OpRecord`` to the output tensor; ``backward`` linearizes the records
@@ -18,10 +20,11 @@ live record still references.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -294,7 +297,22 @@ def mean_all(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # structured primitives
+#
+# Each one is written once as an array-level forward (with its checks) and
+# vjp, which record nothing. The public op is a thin wrapper that records one
+# node; ``moe_layer`` chains the same helpers into one node per MoE layer.
 # ---------------------------------------------------------------------------
+
+def _softmax(v: np.ndarray, temperature: float) -> np.ndarray:
+    if temperature <= 0.0:
+        raise ConfigError("softmax.temperature", f"must be > 0, got {temperature}")
+    return stable_softmax(v / temperature, axis=-1)
+
+
+def _softmax_vjp(g: np.ndarray, s: np.ndarray, temperature: float) -> np.ndarray:
+    inner = g - (g * s).sum(axis=-1, keepdims=True)
+    return s * inner / temperature
+
 
 def softmax(v, temperature: float = 1.0) -> Tensor:
     """Probability vector along the last axis of ``v / temperature``.
@@ -302,16 +320,39 @@ def softmax(v, temperature: float = 1.0) -> Tensor:
     Computed with max-subtraction, so it is invariant (to rounding) under a
     common shift of the inputs and never overflows for finite logits.
     """
-    if temperature <= 0.0:
-        raise ConfigError("softmax.temperature", f"must be > 0, got {temperature}")
     v = _lift(v)
-    s = stable_softmax(v.data / temperature, axis=-1)
+    s = _softmax(v.data, temperature)
 
     def vjp(g):
-        inner = g - np.sum(g * s, axis=-1, keepdims=True)
-        return (s * inner / temperature,)
+        return (_softmax_vjp(g, s, temperature),)
 
     return _node("softmax", s, (v,), vjp)
+
+
+def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    if weight.ndim != 2:
+        raise ShapeError(f"grid_linear weight must be rank 2, got shape {weight.shape}")
+    c_out, c_in = weight.shape
+    if x.ndim < 1 or x.shape[-1] != c_in:
+        raise ShapeError(
+            f"grid_linear: input channels {x.shape[-1] if x.ndim else 'none'} "
+            f"do not match weight columns {c_in}"
+        )
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"grid_linear bias shape {bias.shape} != ({c_out},)")
+    out = x @ weight.T
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def _linear_vjp(g, x, weight, need_x: bool, need_w: bool, need_b: bool):
+    c_out, c_in = weight.shape
+    gf = g.reshape(-1, c_out)
+    dx = (g @ weight) if need_x else None
+    dw = (gf.T @ x.reshape(-1, c_in)) if need_w else None
+    db = gf.sum(axis=0) if need_b else None
+    return dx, dw, db
 
 
 def grid_linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -319,36 +360,56 @@ def grid_linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     Accepts any leading grid shape; the channel axis is last. This is the
     1x1-projection building block used by the trunk, the experts, and the
-    gate transform.
+    heads.
     """
     x = _lift(x)
-    if weight.data.ndim != 2:
-        raise ShapeError(f"grid_linear weight must be rank 2, got shape {weight.shape}")
-    c_out, c_in = weight.shape
-    if x.data.ndim < 1 or x.shape[-1] != c_in:
-        raise ShapeError(
-            f"grid_linear: input channels {x.shape[-1] if x.data.ndim else 'none'} "
-            f"do not match weight columns {c_in}"
-        )
-    if bias is not None and bias.shape != (c_out,):
-        raise ShapeError(f"grid_linear bias shape {bias.shape} != ({c_out},)")
-
-    out = x.data @ weight.data.T
-    if bias is not None:
-        out = out + bias.data
+    out = _linear(x.data, weight.data, None if bias is None else bias.data)
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def vjp(g):
-        gf = g.reshape(-1, c_out)
-        xf = x.data.reshape(-1, c_in)
-        dx = (g @ weight.data) if x.requires_grad else None
-        dw = (gf.T @ xf) if weight.requires_grad else None
-        if bias is None:
-            return (dx, dw)
-        db = gf.sum(axis=0) if bias.requires_grad else None
-        return (dx, dw, db)
+        grads = _linear_vjp(g, x.data, weight.data, x.requires_grad, weight.requires_grad,
+                            bias is not None and bias.requires_grad)
+        return grads[:len(inputs)]
 
     return _node("grid_linear", out, inputs, vjp)
+
+
+def _cosine_logits(u: np.ndarray, emb: np.ndarray, temperature: float):
+    """Cosine logits of u against the columns of emb, and what their vjp needs."""
+    if temperature <= 0.0:
+        raise ConfigError("gate_temperature", f"must be > 0, got {temperature}")
+    if emb.ndim != 2 or u.shape[-1] != emb.shape[0]:
+        raise ShapeError(
+            f"gate_logits: input dim {u.shape[-1]} does not match embedding rows "
+            f"{emb.shape[0] if emb.ndim == 2 else emb.shape}"
+        )
+    norm_e = np.linalg.norm(emb, axis=0)
+    if np.any(norm_e < NORM_EPS):
+        raise DomainError("gate_logits: an expert embedding column has (near-)zero norm")
+    norm_u = np.linalg.norm(u, axis=-1)
+    degenerate = norm_u < NORM_EPS
+    inv_norm_u = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, norm_u))
+    logits = (u @ emb) * inv_norm_u[..., None] / (temperature * norm_e)
+    return logits, (emb, temperature, norm_e, degenerate, inv_norm_u)
+
+
+def _cosine_logits_vjp(g, u, logits, saved, need_u: bool, need_e: bool):
+    emb, temperature, norm_e, degenerate, inv_norm_u = saved
+    g = np.where(degenerate[..., None], 0.0, g)
+    scale = inv_norm_u[..., None] / (temperature * norm_e)  # (..., N)
+    g_scaled = g * scale
+    du = None
+    if need_u:
+        radial = (g * logits).sum(axis=-1, keepdims=True)
+        du = g_scaled @ emb.T - radial * u * (inv_norm_u**2)[..., None]
+    de = None
+    if need_e:
+        d = emb.shape[0]
+        uf = u.reshape(-1, d)
+        gs = g_scaled.reshape(-1, emb.shape[1])
+        col_radial = (g * logits).reshape(-1, emb.shape[1]).sum(axis=0)
+        de = uf.T @ gs - emb * (col_radial / (norm_e**2))
+    return du, de
 
 
 def gate_logits(u: Tensor, embeddings: Tensor, temperature: float) -> Tensor:
@@ -359,41 +420,39 @@ def gate_logits(u: Tensor, embeddings: Tensor, temperature: float) -> Tensor:
     after softmax) and are excluded from gradient flow, since the direction
     of a zero vector is undefined.
     """
-    if temperature <= 0.0:
-        raise ConfigError("gate_temperature", f"must be > 0, got {temperature}")
     u = _lift(u)
-    emb = embeddings.data
-    if emb.ndim != 2 or u.shape[-1] != emb.shape[0]:
-        raise ShapeError(
-            f"gate_logits: input dim {u.shape[-1]} does not match embedding rows "
-            f"{emb.shape[0] if emb.ndim == 2 else emb.shape}"
-        )
-    norm_e = np.linalg.norm(emb, axis=0)
-    if np.any(norm_e < NORM_EPS):
-        raise DomainError("gate_logits: an expert embedding column has (near-)zero norm")
-    norm_u = np.linalg.norm(u.data, axis=-1)
-    degenerate = norm_u < NORM_EPS
-    inv_norm_u = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, norm_u))
-    logits = (u.data @ emb) * inv_norm_u[..., None] / (temperature * norm_e)
+    logits, saved = _cosine_logits(u.data, embeddings.data, temperature)
 
     def vjp(g):
-        g = np.where(degenerate[..., None], 0.0, g)
-        scale = inv_norm_u[..., None] / (temperature * norm_e)  # (..., N)
-        g_scaled = g * scale
-        du = None
-        if u.requires_grad:
-            radial = np.sum(g * logits, axis=-1, keepdims=True)
-            du = g_scaled @ emb.T - radial * u.data * (inv_norm_u**2)[..., None]
-        de = None
-        if embeddings.requires_grad:
-            d = emb.shape[0]
-            uf = u.data.reshape(-1, d)
-            gs = g_scaled.reshape(-1, emb.shape[1])
-            col_radial = np.sum((g * logits).reshape(-1, emb.shape[1]), axis=0)
-            de = uf.T @ gs - emb * (col_radial / (norm_e**2))
-        return (du, de)
+        return _cosine_logits_vjp(g, u.data, logits, saved, u.requires_grad,
+                                  embeddings.requires_grad)
 
     return _node("gate_logits", logits, (u, embeddings), vjp)
+
+
+def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    if idx.shape[:-1] != x.shape[:-1]:
+        raise ShapeError(f"gather_last: leading dims {idx.shape[:-1]} != {x.shape[:-1]}")
+    # The entries of np.take_along_axis, through one fancy index.
+    flat = x.reshape(-1, x.shape[-1])
+    rows = np.arange(flat.shape[0])[:, None]
+    return flat[rows, idx.reshape(flat.shape[0], idx.shape[-1])].reshape(idx.shape)
+
+
+def _gather_vjp(g, idx, shape, distinct: bool) -> np.ndarray:
+    """Scatter g back to ``shape`` at idx, added into zeros.
+
+    With ``distinct`` ids in every row each (row, id) pair occurs once, so a
+    fancy-index add gives the bits of ``np.add.at`` at a fraction of its cost.
+    """
+    dx = np.zeros(shape)
+    flat = dx.reshape(-1, shape[-1])
+    rows = np.repeat(np.arange(flat.shape[0]), idx.shape[-1])
+    if distinct:
+        flat[rows, idx.reshape(-1)] += g.reshape(-1)
+    else:
+        np.add.at(flat, (rows, idx.reshape(-1)), g.reshape(-1))
+    return dx
 
 
 def gather_last(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -403,20 +462,101 @@ def gather_last(x: Tensor, indices: np.ndarray) -> Tensor:
     """
     x = _lift(x)
     idx = np.asarray(indices)
-    if idx.shape[:-1] != x.shape[:-1]:
-        raise ShapeError(f"gather_last: leading dims {idx.shape[:-1]} != {x.shape[:-1]}")
-    n = x.shape[-1]
-    k = idx.shape[-1]
-    out = np.take_along_axis(x.data, idx, axis=-1)
+    out = _gather(x.data, idx)
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
-        flat = dx.reshape(-1, n)
-        rows = np.repeat(np.arange(flat.shape[0]), k)
-        np.add.at(flat, (rows, idx.reshape(-1)), g.reshape(-1))
-        return (dx,)
+        return (_gather_vjp(g, idx, x.shape, distinct=False),)
 
     return _node("gather_last", out, (x,), vjp)
+
+
+@dataclass(slots=True)
+class _Dispatch:
+    """Sorted dispatch of one expert mixture: what its vjp replays."""
+
+    x_shape: tuple
+    sel_shape: tuple
+    positions: int
+    k: int
+    order: np.ndarray         # flattened (position, slot) entries sorted by expert id
+    rows: np.ndarray          # the position of each sorted entry
+    by_position: np.ndarray   # (positions, k) indices into the sorted order, ids ascending
+    segments: list            # (expert, lo, hi) of each selected expert's sorted entries
+    xs: np.ndarray            # input row of each sorted entry
+    ws: np.ndarray            # gate weight of each sorted entry, as a column
+    ys: np.ndarray            # expert output of each sorted entry
+
+    def per_position(self, terms: np.ndarray) -> np.ndarray:
+        total = np.zeros((self.positions, terms.shape[1]))
+        for j in range(self.k):
+            total += terms[self.by_position[:, j]]
+        return total
+
+
+def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
+         sel: np.ndarray, selected_weights: np.ndarray) -> tuple[np.ndarray, _Dispatch]:
+    c_in = x.shape[-1]
+    c_out = weights[0].shape[0]
+    lead = x.shape[:-1]
+    if sel.shape[:-1] != lead or selected_weights.shape != sel.shape:
+        raise ShapeError("mix_experts: selection shapes do not match the grid")
+    for w, b in zip(weights, biases):
+        if w.shape != (c_out, c_in) or b.shape != (c_out,):
+            raise ShapeError("mix_experts: expert parameter shapes are inconsistent")
+
+    positions = math.prod(lead)
+    k = sel.shape[-1]
+    n_experts = len(weights)
+    xf = x.reshape(positions, c_in)
+    flat_sel = sel.reshape(-1)
+    counts = np.bincount(flat_sel, minlength=n_experts)
+    if counts.size != n_experts:
+        raise ShapeError(f"mix_experts: selection names an expert >= {n_experts}")
+    bounds = list(accumulate(counts.tolist(), initial=0))
+    segments = [(n, bounds[n], bounds[n + 1]) for n in range(n_experts)
+                if bounds[n] < bounds[n + 1]]
+    order = np.argsort(flat_sel, kind="stable")
+    rows = order // k
+    # by_position[p] lists p's entries of the sorted order in ascending expert id.
+    by_position = np.argsort(rows, kind="stable").reshape(positions, k)
+    xs = xf[rows]
+    ws = selected_weights.reshape(-1)[order][:, None]
+
+    ys = np.empty((order.size, c_out))
+    for n, lo, hi in segments:
+        ys[lo:hi] = xs[lo:hi] @ weights[n].data.T + biases[n].data
+
+    dispatch = _Dispatch(x.shape, sel.shape, positions, k, order, rows, by_position, segments,
+                         xs, ws, ys)
+    out = dispatch.per_position(ws * ys)
+    return out.reshape(*lead, c_out), dispatch
+
+
+def _mix_vjp(g, d: _Dispatch, weights, biases, need_x: bool, need_sel: bool):
+    """Gradients of a mixture: dx, d(selected weights), and per-expert lists."""
+    c_out = d.ys.shape[1]
+    g_rows = g.reshape(d.positions, c_out)[d.rows]
+    gs = g_rows * d.ws
+    n_experts = len(weights)
+    dws: list[np.ndarray | None] = [None] * n_experts
+    dbs: list[np.ndarray | None] = [None] * n_experts
+    dxs = np.empty((d.order.size, d.x_shape[-1])) if need_x else None
+    for n, lo, hi in d.segments:
+        if weights[n].requires_grad:
+            dws[n] = gs[lo:hi].T @ d.xs[lo:hi]
+        if biases[n].requires_grad:
+            dbs[n] = gs[lo:hi].sum(axis=0)
+        if dxs is not None:
+            dxs[lo:hi] = gs[lo:hi] @ weights[n].data
+    dx = d.per_position(dxs).reshape(d.x_shape) if dxs is not None else None
+    dsel = None
+    if need_sel:
+        # Added into zeros, like every other accumulated sum here, so a
+        # -0.0 dot product reads 0.0.
+        dsel = np.zeros(d.order.size)
+        dsel[d.order] += (g_rows * d.ys).sum(axis=1)
+        dsel = dsel.reshape(d.sel_shape)
+    return dx, dsel, dws, dbs
 
 
 def mix_experts(
@@ -440,72 +580,70 @@ def mix_experts(
     so the result does not depend on the order of ids within ``selected``.
     """
     x = _lift(x)
-    c_in = x.shape[-1]
-    c_out = weights[0].shape[0]
-    lead = x.shape[:-1]
-    sel = np.asarray(selected)
-    if sel.shape[:-1] != lead or selected_weights.shape != sel.shape:
-        raise ShapeError("mix_experts: selection shapes do not match the grid")
-    for w, b in zip(weights, biases):
-        if w.shape != (c_out, c_in) or b.shape != (c_out,):
-            raise ShapeError("mix_experts: expert parameter shapes are inconsistent")
-
-    positions = int(np.prod(lead)) if lead else 1
-    k = sel.shape[-1]
-    n_experts = len(weights)
-    xf = x.data.reshape(positions, c_in)
-    flat_sel = sel.reshape(-1)
-    counts = np.bincount(flat_sel, minlength=n_experts)
-    if counts.size != n_experts:
-        raise ShapeError(f"mix_experts: selection names an expert >= {n_experts}")
-    bounds = list(accumulate(counts.tolist(), initial=0))
-    segments = [(n, bounds[n], bounds[n + 1]) for n in range(n_experts)
-                if bounds[n] < bounds[n + 1]]
-    order = np.argsort(flat_sel, kind="stable")
-    rows = order // k
-    # by_position[p] lists p's entries of the sorted order in ascending expert id.
-    by_position = np.argsort(rows, kind="stable").reshape(positions, k)
-    xs = xf[rows]
-    ws = selected_weights.data.reshape(-1)[order][:, None]
-
-    ys = np.empty((order.size, c_out))
-    for n, lo, hi in segments:
-        ys[lo:hi] = xs[lo:hi] @ weights[n].data.T + biases[n].data
-
-    def per_position(terms: np.ndarray) -> np.ndarray:
-        total = np.zeros((positions, terms.shape[1]))
-        for j in range(k):
-            total += terms[by_position[:, j]]
-        return total
-
-    out = per_position(ws * ys)
-    inputs = (x, selected_weights, *weights, *biases)
+    out, dispatch = _mix(x.data, weights, biases, np.asarray(selected), selected_weights.data)
 
     def vjp(g):
-        g_rows = g.reshape(positions, c_out)[rows]
-        gs = g_rows * ws
-        dws: list[np.ndarray | None] = [None] * n_experts
-        dbs: list[np.ndarray | None] = [None] * n_experts
-        dxs = np.empty((order.size, c_in)) if x.requires_grad else None
-        for n, lo, hi in segments:
-            if weights[n].requires_grad:
-                dws[n] = gs[lo:hi].T @ xs[lo:hi]
-            if biases[n].requires_grad:
-                dbs[n] = gs[lo:hi].sum(axis=0)
-            if dxs is not None:
-                dxs[lo:hi] = gs[lo:hi] @ weights[n].data
-        dx = per_position(dxs).reshape(x.shape) if dxs is not None else None
-        dsel = None
-        if selected_weights.requires_grad:
-            # Added into zeros, like every other accumulated sum here, so a
-            # -0.0 dot product reads 0.0.
-            dsel = np.zeros(order.size)
-            dsel[order] += np.sum(g_rows * ys, axis=1)
-            dsel = dsel.reshape(selected_weights.shape)
+        dx, dsel, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad,
+                                      selected_weights.requires_grad)
         return (dx, dsel, *dws, *dbs)
 
-    result = _node("mix_experts", out.reshape(*lead, c_out), inputs, vjp)
-    return result, order.size
+    result = _node("mix_experts", out, (x, selected_weights, *weights, *biases), vjp)
+    return result, dispatch.order.size
+
+
+class Routing(NamedTuple):
+    """The gate's forward at every grid position, as ``_route`` computes it."""
+
+    u: np.ndarray             # gate projection x @ W.T
+    logits: np.ndarray        # cosine logits
+    cosine: tuple             # what the cosine-logit vjp reuses
+    probs: np.ndarray         # full softmax
+    selected: np.ndarray      # top-k expert ids
+    weights: np.ndarray       # their probabilities
+
+
+def _route(x: np.ndarray, gate_w: np.ndarray, gate_e: np.ndarray, temperature: float,
+           top_k: int, select: Callable[[np.ndarray, int], np.ndarray]) -> Routing:
+    """Gate projection, cosine logits, softmax, ``select(probs, top_k)``, gather."""
+    u = _linear(x, gate_w)
+    logits, cosine = _cosine_logits(u, gate_e, temperature)
+    probs = _softmax(logits, 1.0)
+    selected = select(probs, top_k)
+    return Routing(u, logits, cosine, probs, selected, _gather(probs, selected))
+
+
+def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tensor],
+              biases: Sequence[Tensor], routing: Routing) -> tuple[Tensor, int]:
+    """One graph node for a whole expert-mixture layer routed by ``routing``.
+
+    The forward is ``mix_experts`` of x with the routing's selection. The vjp
+    replays, in reverse and with the same expressions, the vjps of the five
+    ops this node stands for: ``mix_experts``, ``gather_last``, ``softmax``,
+    ``gate_logits`` and the gate's ``grid_linear``. So every gradient has
+    the bits of the five-node graph: dx is the mixture's term plus the
+    gate's, in that order, and a gradient is None where that graph has none.
+    """
+    out, dispatch = _mix(x.data, weights, biases, routing.selected, routing.weights)
+    need_gate = x.requires_grad or gate_w.requires_grad or gate_e.requires_grad
+
+    def vjp(g):
+        dx, dsel, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad, need_gate)
+        dw = de = None
+        if dsel is not None:
+            dprobs = _gather_vjp(dsel, routing.selected, routing.probs.shape, distinct=True)
+            dlogits = _softmax_vjp(dprobs, routing.probs, 1.0)
+            du, de = _cosine_logits_vjp(dlogits, routing.u, routing.logits, routing.cosine,
+                                        x.requires_grad or gate_w.requires_grad,
+                                        gate_e.requires_grad)
+            if du is not None:
+                dx_gate, dw, _ = _linear_vjp(du, x.data, gate_w.data, x.requires_grad,
+                                             gate_w.requires_grad, False)
+                if dx_gate is not None:
+                    dx = dx + dx_gate
+        return (dx, dw, de, *dws, *dbs)
+
+    result = _node("moe_layer", out, (x, gate_w, gate_e, *weights, *biases), vjp)
+    return result, dispatch.order.size
 
 
 # ---------------------------------------------------------------------------

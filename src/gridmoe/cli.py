@@ -11,20 +11,17 @@ from pathlib import Path
 
 from . import data as gdata
 from .checkpoint import load_checkpoint
-from .errors import ConfigError, GridMoeError, ShapeError, TrainingAborted
-from .runconfig import (
-    CONFIG_SNAPSHOT_NAME,
-    RunManifest,
-    load_config_file,
-    parse_config,
-    resolve_out_dir,
-    set_path,
+from .errors import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    ConfigError,
+    GridMoeError,
+    ShapeError,
+    TrainingAborted,
 )
-from .train import build_setup, evaluate_stats, sweep_rows, train, write_sweep_csv
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_RUNTIME = 3
+from .runconfig import CONFIG_SNAPSHOT_NAME, load_config_file, parse_config, resolve_out_dir, set_path
+from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train, write_sweep_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,25 +111,12 @@ def cmd_train(args) -> int:
     _prepare_out_dir(out_dir, args.force)
     set_path(raw, "run.out_dir", str(out_dir))
     cfg = parse_config(raw)
-    manifest = RunManifest.start(out_dir, cfg, args.config)
     try:
-        result = train(cfg, keep_model=False)
+        # Any other GridMoeError reaches main(), which exits 3.
+        result = recorded_train(cfg, args.config, trainer=train)
     except TrainingAborted as exc:
-        manifest.finish(out_dir, {"diagnostic_dump": exc.dump_path}, EXIT_RUNTIME)
         print(f"runtime abort: {exc} (dump: {exc.dump_path})", file=sys.stderr)
         return EXIT_RUNTIME
-    except GridMoeError:
-        # main() reports it and exits 3; the manifest records that status.
-        manifest.finish(out_dir, {}, EXIT_RUNTIME)
-        raise
-    artifacts = {
-        "losses": str(result.loss_csv()),
-        "dso_log": str(result.dso_csv()),
-        "expert_stats": str(out_dir / "expert_stats.csv"),
-        "checkpoint": str(result.checkpoint_bin()),
-        "config_snapshot": str(out_dir / CONFIG_SNAPSHOT_NAME),
-    }
-    manifest.finish(out_dir, artifacts, EXIT_OK)
     final = ", ".join(f"{t}={result.final_losses[t]:.4f}" for t in result.task_order)
     print(f"done: {cfg.iterations} iterations, final losses {final}")
     print(f"artifacts in {out_dir}")
@@ -143,12 +127,10 @@ def cmd_sweep(args) -> int:
     raw = load_config_file(args.config)
     grid = _parse_grid(args.grid)
     seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    if not seeds:
-        raise ConfigError("seeds", "need at least one seed")
     base_out = resolve_out_dir(args.out if args.out is not None
                                else raw.get("run", {}).get("out_dir", "sweep"))
     _prepare_out_dir(base_out, args.force)
-    rows = sweep_rows(raw, grid, seeds, base_out)
+    rows = sweep_rows(raw, grid, seeds, base_out, config_path=args.config)
     sweep_csv = base_out / "sweep.csv"
     write_sweep_csv(sweep_csv, rows)
     print(f"{len(rows)} runs -> {sweep_csv}")

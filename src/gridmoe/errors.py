@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exit codes they map to."""
+
+# Process exit codes; a run manifest records the same values.
+EXIT_OK = 0
+EXIT_CONFIG = 2   # a ConfigError: nothing has run
+EXIT_RUNTIME = 3  # any other GridMoeError, raised while running
 
 
 class GridMoeError(Exception):

@@ -126,14 +126,12 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
-def _route(x: Tensor, params: GateParams, cfg: MoEConfig):
+def _route(x: np.ndarray, params: GateParams, cfg: MoEConfig) -> ad.Routing:
     """Full softmax, top-k expert ids and their gate weights at every position of x."""
     if x.shape[-1] != cfg.in_channels:
         raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
-    u = ad.grid_linear(x, params.W)
-    probs = ad.softmax(ad.gate_logits(u, params.E, cfg.gate_temperature))
-    selected = topk_select(probs.data, cfg.top_k)
-    return probs, selected, ad.gather_last(probs, selected)
+    return ad._route(x, params.W.data, params.E.data, cfg.gate_temperature, cfg.top_k,
+                     topk_select)
 
 
 def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
@@ -143,8 +141,8 @@ def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
     the uniform distribution, so the first k experts are selected with weight
     1/N each.
     """
-    probs, selected, selected_w = _route(Tensor(np.reshape(x_grid, -1)), params, cfg)
-    return RoutingDecision(selected, selected_w.data.copy(), probs.data.copy(), cfg.top_k)
+    routing = _route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), params, cfg)
+    return RoutingDecision(routing.selected, routing.weights, routing.probs, cfg.top_k)
 
 
 def moe_forward(
@@ -154,14 +152,17 @@ def moe_forward(
 
     ``x`` has shape (..., in_channels) with the leading axes treated as grid
     axes. Exactly k experts are evaluated per position; gradients flow to the
-    input, the gate parameters, and the selected experts only.
+    input, the gate parameters, and the selected experts only. The layer is
+    one graph node, ``moe_layer``.
     """
-    probs, selected, selected_w = _route(x, params, cfg)
+    x = ad._lift(x)
+    routing = _route(x.data, params, cfg)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out, applications = ad.mix_experts(x, bank.weights, bank.biases, selected, selected_w)
-    # Copies: the softmax vjp closes over probs.data.
-    decision = RoutingDecision(selected, selected_w.data.copy(), probs.data.copy(), applications)
+    out, applications = ad.moe_layer(x, params.W, params.E, bank.weights, bank.biases, routing)
+    # A copy: the layer's vjp reads routing.probs.
+    decision = RoutingDecision(routing.selected, routing.weights, routing.probs.copy(),
+                               applications)
     return out, decision
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -113,6 +114,9 @@ def _value(section: dict, section_name: str, key: str):
         raise ConfigError(dotted, "expected int, got bool")
     if not isinstance(value, kind):
         raise ConfigError(dotted, f"expected {kind.__name__}, got {type(value).__name__}")
+    # json.loads accepts NaN and Infinity; no float key means anything by them.
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(dotted, f"must be finite, got {value}")
     return value
 
 

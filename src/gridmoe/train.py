@@ -13,6 +13,7 @@ import collections
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from . import data as gdata
 from . import dso
 from .checkpoint import save_checkpoint
 from .csvio import CsvLogger
-from .errors import TrainingAborted
+from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map, write_top1_map_csv
-from .runconfig import RunConfig, write_config_snapshot
+from .runconfig import CONFIG_SNAPSHOT_NAME, RunConfig, RunManifest, write_config_snapshot
 
 # Evaluation samples use indices far above anything training can reach.
 EVAL_INDEX_OFFSET = 1_000_000
@@ -231,6 +232,35 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     )
 
 
+def recorded_train(cfg: RunConfig, config_path: str, keep_model: bool = False,
+                   trainer: Callable[..., TrainResult] | None = None) -> TrainResult:
+    """``train`` with a run manifest: started before, finished after.
+
+    The manifest records exit status 0 and the artifacts, or 3 when training
+    raises a ``GridMoeError``, which is then re-raised. ``trainer`` stands in
+    for ``train``: the CLI passes the ``train`` it looks up itself, so a
+    wrapper installed on ``gridmoe.cli.train`` sees every CLI run.
+    """
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest.start(out_dir, cfg, config_path)
+    try:
+        result = (trainer or train)(cfg, keep_model=keep_model)
+    except GridMoeError as exc:
+        artifacts = ({"diagnostic_dump": exc.dump_path}
+                     if isinstance(exc, TrainingAborted) else {})
+        manifest.finish(out_dir, artifacts, EXIT_RUNTIME)
+        raise
+    manifest.finish(out_dir, {
+        "losses": str(result.loss_csv()),
+        "dso_log": str(result.dso_csv()),
+        "expert_stats": str(out_dir / "expert_stats.csv"),
+        "checkpoint": str(result.checkpoint_bin()),
+        "config_snapshot": str(out_dir / CONFIG_SNAPSHOT_NAME),
+    }, EXIT_OK)
+    return result
+
+
 def _write_dump(path: Path, columns, rows) -> None:
     with CsvLogger(path, columns, "diagnostic_dump") as log:
         for row in rows:
@@ -242,13 +272,15 @@ def _write_dump(path: Path, columns, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
-               keep_models: bool = False) -> list[dict]:
+               keep_models: bool = False, config_path: str = "") -> list[dict]:
     """Cross-product of grid values x seeds; one training run per cell.
 
-    Every cell reuses the same seed list, so cells are comparable. Every
-    cell's config is parsed before the first run, so a bad value in any cell
-    fails the sweep before anything is trained. Returns one row per run with
-    the swept parameters and final metrics.
+    Every cell reuses the same seed list, so cells are comparable; the seeds
+    must be distinct, since each names its own run directory. Every cell's
+    config is parsed before the first run, so a bad value in any cell fails
+    the sweep before anything is trained. Each run writes a manifest, as
+    ``recorded_train`` does, naming ``config_path``. Returns one row per run
+    with the swept parameters and final metrics.
     """
     from .runconfig import parse_config, set_path
     import copy
@@ -257,18 +289,24 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     keys = sorted(grid)
     if not keys or any(not grid[k] for k in keys):
         raise ValueError("sweep grid is empty")
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ConfigError("seeds", "need at least one seed")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ConfigError("seeds", f"seed {repeated[0]} is given more than once")
     runs = []
     for cell_index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         for seed in seeds:
             raw = copy.deepcopy(base_raw)
             for key, value in zip(keys, combo):
                 set_path(raw, key, value)
-            set_path(raw, "run.seed", int(seed))
+            set_path(raw, "run.seed", seed)
             set_path(raw, "run.out_dir", str(out_root / f"cell{cell_index:03d}_seed{seed}"))
-            runs.append((combo, int(seed), parse_config(raw)))
+            runs.append((combo, seed, parse_config(raw)))
     rows: list[dict] = []
     for combo, seed, cfg in runs:
-        result = train(cfg, keep_model=keep_models)
+        result = recorded_train(cfg, config_path, keep_model=keep_models)
         row = {key: _render(value) for key, value in zip(keys, combo)}
         row["seed"] = seed
         for t in result.task_order:

@@ -150,6 +150,16 @@ class TestTrainCommand:
         assert (tmp_path / "root" / "nested" / "run" / "losses.csv").exists()
 
 
+    def test_nan_in_config_file_exits_2_naming_field(self, tmp_path, capsys):
+        # json.loads accepts NaN; training with it would abort with exit 3.
+        cfg = write_config(tmp_path / "cfg.json", **{"run.base_lr": float("nan")})
+        assert "NaN" in cfg.read_text()
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run.base_lr: must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_expert_grid_three_runs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 3,
@@ -208,6 +218,53 @@ class TestSweepCommand:
         final = read_csv(train_out / "losses.csv")[-1]
         for t in ("A", "B", "C"):
             assert float(row[f"final_loss_{t}"]) == float(final[f"loss_{t}"])
+
+
+    def test_repeated_seed_exits_2_before_any_training(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1,2",
+                     "--seeds", "0,1,0", "--out", str(out)])
+        assert code == 2
+        assert "seeds: seed 0 is given more than once" in capsys.readouterr().err
+        assert not list(out.glob("cell*"))
+        assert not (out / "sweep.csv").exists()
+
+    def test_every_cell_has_a_verified_manifest(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1,2",
+                     "--out", str(out)]) == 0
+        cells = sorted(out.glob("cell*"))
+        assert [c.name for c in cells] == ["cell000_seed0", "cell001_seed0"]
+        for cell in cells:
+            recorded = json.loads((cell / "manifest.json").read_text())
+            assert recorded["exit_status"] == 0
+            assert recorded["config_path"] == str(cfg)
+            assert recorded["artifacts"]["losses"] == str(cell / "losses.csv")
+            assert verify_manifest(cell)
+
+    def test_runtime_error_in_a_cell_records_exit_3(self, tmp_path, monkeypatch):
+        from gridmoe import data as gdata
+
+        real = gdata.generate_sample
+
+        def one_channel_short(*args, **kwargs):
+            image, target = real(*args, **kwargs)
+            return image[..., :-1], target
+
+        monkeypatch.setattr(gdata, "generate_sample", one_channel_short)
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1,2",
+                     "--out", str(out)]) == 3
+        cell = out / "cell000_seed0"
+        assert json.loads((cell / "manifest.json").read_text())["exit_status"] == 3
+        assert verify_manifest(cell)
+        assert not (out / "sweep.csv").exists()
 
 
 class TestInspectCommand:

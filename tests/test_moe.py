@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from gridmoe import autodiff as ad
+from gridmoe import moe as moe_mod
 from gridmoe.autodiff import Tensor, backward, finite_diff_check
-from gridmoe.errors import ConfigError, ShapeError, UsageError
+from gridmoe.errors import ConfigError, DomainError, ShapeError, UsageError
 from gridmoe.moe import (
     ExpertBank,
     ExpertStats,
@@ -630,3 +631,182 @@ class TestSortedDispatch:
         for name in ("losses.csv", "dso_log.csv", "checkpoint.bin"):
             assert ((tmp_path / "sorted" / name).read_bytes()
                     == (tmp_path / "mask" / name).read_bytes()), name
+
+
+# ---------------------------------------------------------------------------
+# the one-node layer against the five-node composition, byte for byte
+# ---------------------------------------------------------------------------
+
+def oracle_moe_forward(x, bank, params, cfg):
+    """The five-node composition that ``moe_forward`` records as one node.
+
+    Gate ``grid_linear`` -> ``gate_logits`` -> ``softmax`` -> ``topk_select``
+    -> ``gather_last`` -> ``mix_experts``, each recorded as its own node, with
+    the checks in the order the layer makes them.
+    """
+    if x.shape[-1] != cfg.in_channels:
+        raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
+    u = ad.grid_linear(x, params.W)
+    probs = ad.softmax(ad.gate_logits(u, params.E, cfg.gate_temperature))
+    selected = moe_mod.topk_select(probs.data, cfg.top_k)
+    selected_w = ad.gather_last(probs, selected)
+    if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
+        raise ShapeError("moe_forward: expert count disagrees with the configuration")
+    out, applications = ad.mix_experts(x, bank.weights, bank.biases, selected, selected_w)
+    decision = RoutingDecision(selected, selected_w.data.copy(), probs.data.copy(), applications)
+    return out, decision
+
+
+def _replayed_adjoints(out, g, tensors):
+    """What ``backward`` accumulates for each of ``tensors`` from ``g`` at ``out``.
+
+    The same replay as ``backward`` (reverse topological order, first
+    contribution taken as is, later ones added), without the zero fill for
+    tensors that got no contribution: those read None.
+    """
+    adjoint = {id(out): g}
+    for op in reversed(ad.ComputationRecord.trace(out).ops):
+        out_grad = adjoint.get(id(op.output))
+        if out_grad is None:
+            continue
+        for parent, contribution in zip(op.inputs, op.vjp(out_grad)):
+            if contribution is None:
+                continue
+            key = id(parent)
+            adjoint[key] = contribution if key not in adjoint else adjoint[key] + contribution
+    return [adjoint.get(id(t)) for t in tensors]
+
+
+def _layer_instance(rng):
+    """Random layer: 0-3 grid axes, k in 1..N, zero rows, frozen tensors."""
+    n = int(rng.integers(1, 9))
+    k = int(rng.integers(1, n + 1))
+    c_in, c_out = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    gate_dim = int(rng.integers(1, 6))
+    cfg = MoEConfig(n_experts=n, top_k=k, in_channels=c_in, out_channels=c_out,
+                    gate_temperature=float(rng.uniform(0.05, 2.0)), gate_dim=gate_dim)
+    lead = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(0, 4))))
+    x = rng.normal(size=(*lead, c_in))
+    if lead and rng.random() < 0.5:
+        x.reshape(-1, c_in)[rng.random(int(np.prod(lead))) < 0.3] = 0.0
+    # Mostly trainable; some x, W, E and one expert's weight or bias frozen.
+    grads = rng.random(3) < 0.75
+    params = GateParams(Tensor(rng.normal(size=(gate_dim, c_in)), requires_grad=grads[1]),
+                        Tensor(rng.normal(size=(gate_dim, n)), requires_grad=grads[2]))
+    weights = [Tensor(rng.normal(size=(c_out, c_in)), requires_grad=True) for _ in range(n)]
+    biases = [Tensor(rng.normal(size=c_out), requires_grad=True) for _ in range(n)]
+    if rng.random() < 0.5:
+        frozen = int(rng.integers(n))
+        for t in (weights[frozen], biases[frozen])[: int(rng.integers(1, 3))]:
+            t.requires_grad = False
+    return cfg, Tensor(x, requires_grad=grads[0]), ExpertBank(weights, biases), params
+
+
+def _decision_bytes(decision):
+    return (_as_bytes([decision.selected_indices, decision.gate_weights,
+                       decision.full_softmax]), decision.expert_applications)
+
+
+class TestOneNodeLayer:
+    def test_one_node_named_moe_layer(self):
+        cfg, x, bank, params = _layer_instance(np.random.default_rng(1))
+        x.requires_grad = True
+        out, _ = moe_forward(x, bank, params, cfg)
+        record = ad.ComputationRecord.trace(out)
+        assert [op.name for op in record.ops] == ["moe_layer"]
+        assert record.ops[0].inputs == (x, params.W, params.E, *bank.weights, *bank.biases)
+
+    def test_matches_five_node_composition_bit_for_bit(self):
+        rng = np.random.default_rng(2403)
+        seen = dict(single=0, k_is_n=0, unused=0, zero_row=0, x_frozen=0, expert_frozen=0)
+        for _ in range(300):
+            cfg, x, bank, params = _layer_instance(rng)
+            out, decision = moe_forward(x, bank, params, cfg)
+            ref, ref_decision = oracle_moe_forward(x, bank, params, cfg)
+            assert out.shape == ref.shape
+            assert out.data.tobytes() == ref.data.tobytes()
+            assert _decision_bytes(decision) == _decision_bytes(ref_decision)
+            if ref._op is None:
+                assert out._op is None
+                continue
+            g = rng.normal(size=out.shape)
+            layer_inputs = (x, params.W, params.E, *bank.weights, *bank.biases)
+            assert _as_bytes(out._op.vjp(g)) == _as_bytes(_replayed_adjoints(ref, g, layer_inputs))
+
+            seen["single"] += x.data.ndim == 1
+            seen["k_is_n"] += cfg.top_k == cfg.n_experts
+            seen["unused"] += len(np.unique(decision.selected_indices)) < cfg.n_experts
+            seen["zero_row"] += bool(np.any(np.all(x.data == 0.0, axis=-1)))
+            seen["x_frozen"] += not x.requires_grad
+            seen["expert_frozen"] += not all(t.requires_grad for t in (*bank.weights,
+                                                                        *bank.biases))
+        assert min(seen.values()) > 20, seen
+
+    def test_backward_through_a_preceding_op_bit_for_bit(self):
+        # x is an intermediate here, so its adjoint flows on into W0 and x0.
+        rng = np.random.default_rng(2211)
+        for _ in range(100):
+            cfg, _, bank, params = _layer_instance(rng)
+            x0 = Tensor(rng.normal(size=(3, 2, cfg.in_channels)), requires_grad=True)
+            W0 = Tensor(rng.normal(size=(cfg.in_channels, cfg.in_channels)), requires_grad=True)
+            coef = Tensor(rng.normal(size=(3, 2, cfg.out_channels)))
+            leaves = (x0, W0, params.W, params.E, *bank.weights, *bank.biases)
+            grads = []
+            for forward in (moe_forward, oracle_moe_forward):
+                for t in leaves:
+                    t.zero_grad()
+                out, _ = forward(ad.relu(ad.grid_linear(x0, W0)), bank, params, cfg)
+                backward(ad.sum_all(ad.mul(out, coef)))
+                grads.append(_as_bytes([t.grad for t in leaves]))
+            assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("case", ["channels_before_count", "count", "gate_columns",
+                                      "zero_embedding", "expert_columns"])
+    def test_same_errors_in_the_same_order(self, case):
+        rng = np.random.default_rng(7)
+        cfg = MoEConfig(n_experts=3, top_k=2, in_channels=4, out_channels=2)
+        params = GateParams(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(4, 3))))
+        bank = build_bank(rng, cfg)
+        x = Tensor(rng.normal(size=(2, 2, 4)))
+        short_bank = ExpertBank(bank.weights[:2], bank.biases[:2])
+        if case == "channels_before_count":
+            x, bank = Tensor(rng.normal(size=(2, 2, 5))), short_bank
+        elif case == "count":
+            bank = short_bank
+        elif case == "gate_columns":
+            params, bank = GateParams(Tensor(rng.normal(size=(4, 5))), params.E), short_bank
+        elif case == "zero_embedding":
+            params.E.data[:, 1] = 0.0
+            bank = short_bank
+        else:
+            bank = ExpertBank([Tensor(rng.normal(size=(2, 3))) for _ in range(3)],
+                              [Tensor(rng.normal(size=2)) for _ in range(3)])
+        errors = []
+        for forward in (moe_forward, oracle_moe_forward):
+            with pytest.raises((ShapeError, DomainError)) as excinfo:
+                forward(x, bank, params, cfg)
+            errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors[0] == errors[1]
+        expected = {"channels_before_count": "routing: expected 4 channels",
+                    "count": "expert count disagrees",
+                    "gate_columns": "grid_linear: input channels 4",
+                    "zero_embedding": "(near-)zero norm",
+                    "expert_columns": "expert parameter shapes"}[case]
+        assert expected in errors[0][1]
+
+    @pytest.mark.parametrize("dispatch", ["sorted", "mask"])
+    def test_training_artifacts_identical_to_five_nodes(self, tmp_path, monkeypatch, dispatch):
+        # "mask" also swaps in the per-expert-mask dispatch that the sorted one
+        # replaced, so the layer is checked against both.
+        from gridmoe import model as model_mod
+        from gridmoe.train import benchmark_config, train
+
+        train(benchmark_config(0, 30, str(tmp_path / "fused"), True), keep_model=False)
+        monkeypatch.setattr(moe_mod, "moe_forward", oracle_moe_forward)
+        monkeypatch.setattr(model_mod, "moe_forward", oracle_moe_forward)
+        if dispatch == "mask":
+            monkeypatch.setattr(ad, "mix_experts", oracle_mix_experts)
+        train(benchmark_config(0, 30, str(tmp_path / "five"), True), keep_model=False)
+        for name in ("losses.csv", "dso_log.csv", "checkpoint.bin"):
+            assert ((tmp_path / "fused" / name).read_bytes()
+                    == (tmp_path / "five" / name).read_bytes()), name

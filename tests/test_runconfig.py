@@ -275,3 +275,30 @@ class TestManifest:
         text1 = p1.read_text()
         p2 = write_config_snapshot(tmp_path, cfg)
         assert p2.read_text() == text1
+
+
+FLOAT_KEYS = [f"{section}.{key}" for section, keys in SCHEMA.items()
+              for key, (kind, _) in keys.items() if kind is float]
+
+
+class TestNonFiniteFloats:
+    """json.loads accepts NaN and Infinity; no float key takes them."""
+
+    def test_every_float_key_covered(self):
+        assert set(FLOAT_KEYS) == {"moe.gate_temperature", "dso.alpha", "dso.theta", "dso.tau",
+                                   "dso.bias_b", "run.base_lr"}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dotted", FLOAT_KEYS)
+    def test_rejected_naming_the_key(self, dotted, value):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(minimal(**{dotted: value}))
+        assert str(excinfo.value) == f"{dotted}: must be finite, got {value}"
+
+    def test_json_literals_in_a_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"moe": {"n_experts": 4, "top_k": 2, "gate_temperature": Infinity},'
+                        ' "run": {"iterations": 1}}')
+        with pytest.raises(ConfigError, match="moe.gate_temperature: must be finite, got inf"):
+            parse_config(load_config_file(path))

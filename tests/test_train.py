@@ -14,6 +14,8 @@ from gridmoe.errors import TrainingAborted
 from gridmoe.model import Model
 from gridmoe.runconfig import parse_config
 from gridmoe.train import (
+    benchmark_config,
+    build_setup,
     evaluate_stats,
     imbalance_benchmark,
     normalized_loss_spread,
@@ -251,3 +253,24 @@ class TestBenchmarkPieces:
         seed_result = result.per_seed[0]
         assert seed_result.spread_with_dso >= 0.0
         assert set(seed_result.init_entropy) == {"A", "B", "C"}
+
+
+class TestGraphSize:
+    def test_benchmark_step_records_46_nodes_8_of_them_moe_layers(self, tmp_path):
+        # Per sample: 2 moe_layer, 2 trunk and 1 head grid_linear, 4 relu and
+        # the loss (40); then per-task means (add + mul for A's two samples,
+        # mul for B and C) and the two adds of the total.
+        cfg = benchmark_config(0, 1, str(tmp_path), True)
+        modalities, tasks, model, sampler = build_setup(cfg)
+        samples = []
+        for item in sampler.next_batch():
+            image, target = gdata.generate_sample(modalities[item.modality], tasks[item.modality],
+                                                  item.sample_index, cfg.height, cfg.width)
+            samples.append((item.modality, item.sample_index, image, target))
+        losses, _ = model.forward_batch(samples)
+        total = losses[model.task_order[0]]
+        for t in model.task_order[1:]:
+            total = ad.add(total, losses[t])
+        names = [op.name for op in ad.ComputationRecord.trace(total).ops]
+        assert len(names) == 46
+        assert names.count("moe_layer") == 8
