@@ -1,17 +1,21 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 The engine covers exactly what the grid mixture-of-experts layer, the task
-heads, and the losses need: per-grid linear maps, last-axis softmax, a small
-set of pointwise functions, cosine gate logits, sparse expert mixing, and two
-mean-reduced losses. Everything is 64-bit, dense, row-major, rank <= 4. A
-whole MoE layer, from the gate projection to the expert mixing, records one
-node, ``moe_layer``, built from the same array-level helpers as those ops.
+heads, and the losses need: per-grid linear maps, last-axis softmax, relu,
+add, mul, cosine gate logits, sparse expert mixing, and two mean-reduced
+losses. Everything is 64-bit, dense, row-major, rank <= 4. A whole MoE layer,
+from the gate projection to the expert mixing, records one node,
+``moe_layer``, and a task head with its per-sample losses and their mean
+records one node, ``head_loss``; both are built from the same array-level
+helpers as those ops. The trunk's ops can run a batch of samples at once,
+with every gradient bit for bit as one op per sample would give it.
 
 Execution is eager. Each operation whose inputs carry gradients appends an
 ``OpRecord`` to the output tensor; ``backward`` linearizes the records
 reachable from a scalar root into a ``ComputationRecord`` (topological order)
 and replays them in reverse, accumulating adjoints exactly once per
-contributing parent. Broadcasting is restricted to scalar-with-tensor.
+contributing parent; only leaves keep a ``grad``. Broadcasting is restricted
+to scalar-with-tensor.
 
 Tensors are treated as immutable once created: training code swaps in a fresh
 ``data`` array between forward/backward cycles instead of mutating an array a
@@ -21,15 +25,17 @@ live record still references.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
-from .numerics import NORM_EPS, sigmoid_array, stable_softmax
+from .numerics import NORM_EPS, stable_softmax
 
 MAX_RANK = 4
 
@@ -165,41 +171,39 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(root: Tensor) -> None:
-    """Populate ``grad`` on every gradient-carrying ancestor of a scalar root.
+    """Populate ``grad`` on every gradient-carrying leaf ancestor of a scalar root.
 
-    Repeated calls without resetting grads accumulate additively; each call
-    uses a fresh adjoint pass so earlier accumulations never leak into the
-    propagation itself.
+    Only leaves (tensors no op produced, such as parameters) get a ``grad``;
+    op outputs keep theirs None. Repeated calls without resetting grads
+    accumulate additively; each call uses a fresh adjoint pass so earlier
+    accumulations never leak into the propagation itself.
     """
     if root.data.size != 1:
         raise UsageError("backward requires a scalar root tensor")
     record = ComputationRecord.trace(root)
     adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    holders: dict[int, Tensor] = {id(root): root}
-    reached: dict[int, Tensor] = {}
+    leaves: dict[int, Tensor] = {} if root._op is not None else {id(root): root}
     for op in reversed(record.ops):
         out_grad = adjoint.get(id(op.output))
         if out_grad is None:
             continue
         for parent, contribution in zip(op.inputs, op.vjp(out_grad)):
-            reached.setdefault(id(parent), parent)
+            key = id(parent)
+            if parent._op is None:
+                leaves.setdefault(key, parent)
             if contribution is None:
                 continue
-            key = id(parent)
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + contribution
-            else:
-                adjoint[key] = contribution
-                holders[key] = parent
-    for key, tensor in holders.items():
-        if tensor.requires_grad:
-            acc = np.array(adjoint[key], dtype=np.float64, copy=True).reshape(tensor.shape)
-            tensor.grad = acc if tensor.grad is None else tensor.grad + acc
-    # Ancestors that were reached but never contributed (e.g. experts the
-    # router skipped everywhere) still get an exact-zero gradient.
-    for key, tensor in reached.items():
-        if tensor.requires_grad and key not in adjoint and tensor.grad is None:
-            tensor.grad = np.zeros_like(tensor.data)
+            adjoint[key] = adjoint[key] + contribution if key in adjoint else contribution
+    for key, leaf in leaves.items():
+        if not leaf.requires_grad:
+            continue
+        if key in adjoint:
+            acc = np.array(adjoint[key], dtype=np.float64, copy=True).reshape(leaf.shape)
+            leaf.grad = acc if leaf.grad is None else leaf.grad + acc
+        elif leaf.grad is None:
+            # Reached but never contributed to (e.g. an expert the router
+            # skipped everywhere): an exact-zero gradient.
+            leaf.grad = np.zeros_like(leaf.data)
 
 
 # ---------------------------------------------------------------------------
@@ -242,36 +246,6 @@ def relu(x) -> Tensor:
     return _node("relu", np.where(mask, x.data, 0.0), (x,), vjp)
 
 
-def sigmoid(x) -> Tensor:
-    x = _lift(x)
-    s = sigmoid_array(x.data)
-
-    def vjp(g):
-        return (g * s * (1.0 - s),)
-
-    return _node("sigmoid", s, (x,), vjp)
-
-
-def log(x) -> Tensor:
-    x = _lift(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-
-    def vjp(g):
-        return (g / x.data,)
-
-    return _node("log", np.log(x.data), (x,), vjp)
-
-
-def square(x) -> Tensor:
-    x = _lift(x)
-
-    def vjp(g):
-        return (g * 2.0 * x.data,)
-
-    return _node("square", x.data * x.data, (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -285,23 +259,35 @@ def sum_all(x: Tensor) -> Tensor:
     return _node("sum_all", np.array(np.sum(x.data)), (x,), vjp)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    x = _lift(x)
-    n = x.data.size
-
-    def vjp(g):
-        return (np.full(x.shape, float(g) / n),)
-
-    return _node("mean_all", np.array(np.mean(x.data)), (x,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # structured primitives
 #
 # Each one is written once as an array-level forward (with its checks) and
 # vjp, which record nothing. The public op is a thin wrapper that records one
 # node; ``moe_layer`` chains the same helpers into one node per MoE layer.
+#
+# A batched op takes a (B, ..., C) input whose axis 0 indexes samples. Its
+# forward and its input gradient run on the whole batch; every reduction
+# over grid positions (a weight or bias gradient) runs per sample, and the
+# per-sample terms are added in axis order, the first taken as it is. That
+# is how ``backward`` adds the contributions of one op per sample, so a
+# batched op has the bits of B single-sample ops replayed in sample order.
 # ---------------------------------------------------------------------------
+
+def _sample_count(x: np.ndarray, batched: bool) -> int:
+    if not batched:
+        return 1
+    # A sample without grid axes would be a matrix-vector product on its own,
+    # and those bits differ from one row of a matrix product.
+    if x.ndim < 3:
+        raise ShapeError(f"a batched input needs (B, grid..., C) axes, got shape {x.shape}")
+    return x.shape[0]
+
+
+def _sample_sum(terms):
+    """Sum per-sample terms in order, the first taken as it is (not added to zeros)."""
+    return reduce(operator.add, terms)
+
 
 def _softmax(v: np.ndarray, temperature: float) -> np.ndarray:
     if temperature <= 0.0:
@@ -346,29 +332,31 @@ def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -
     return out
 
 
-def _linear_vjp(g, x, weight, need_x: bool, need_w: bool, need_b: bool):
+def _linear_vjp(g, x, weight, need_x: bool, need_w: bool, need_b: bool, samples: int = 1):
     c_out, c_in = weight.shape
-    gf = g.reshape(-1, c_out)
+    gf = g.reshape(samples, -1, c_out)
+    xf = x.reshape(samples, -1, c_in)
     dx = (g @ weight) if need_x else None
-    dw = (gf.T @ x.reshape(-1, c_in)) if need_w else None
-    db = gf.sum(axis=0) if need_b else None
+    dw = _sample_sum(gf[s].T @ xf[s] for s in range(samples)) if need_w else None
+    db = _sample_sum(gf[s].sum(axis=0) for s in range(samples)) if need_b else None
     return dx, dw, db
 
 
-def grid_linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def grid_linear(x, weight: Tensor, bias: Tensor | None = None, batched: bool = False) -> Tensor:
     """Per-grid linear map: out[..., :] = weight @ x[..., :] (+ bias).
 
     Accepts any leading grid shape; the channel axis is last. This is the
     1x1-projection building block used by the trunk, the experts, and the
-    heads.
+    heads. With ``batched``, axis 0 indexes samples (see above).
     """
     x = _lift(x)
+    samples = _sample_count(x.data, batched)
     out = _linear(x.data, weight.data, None if bias is None else bias.data)
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def vjp(g):
         grads = _linear_vjp(g, x.data, weight.data, x.requires_grad, weight.requires_grad,
-                            bias is not None and bias.requires_grad)
+                            bias is not None and bias.requires_grad, samples)
         return grads[:len(inputs)]
 
     return _node("grid_linear", out, inputs, vjp)
@@ -393,7 +381,7 @@ def _cosine_logits(u: np.ndarray, emb: np.ndarray, temperature: float):
     return logits, (emb, temperature, norm_e, degenerate, inv_norm_u)
 
 
-def _cosine_logits_vjp(g, u, logits, saved, need_u: bool, need_e: bool):
+def _cosine_logits_vjp(g, u, logits, saved, need_u: bool, need_e: bool, samples: int = 1):
     emb, temperature, norm_e, degenerate, inv_norm_u = saved
     g = np.where(degenerate[..., None], 0.0, g)
     scale = inv_norm_u[..., None] / (temperature * norm_e)  # (..., N)
@@ -404,11 +392,12 @@ def _cosine_logits_vjp(g, u, logits, saved, need_u: bool, need_e: bool):
         du = g_scaled @ emb.T - radial * u * (inv_norm_u**2)[..., None]
     de = None
     if need_e:
-        d = emb.shape[0]
-        uf = u.reshape(-1, d)
-        gs = g_scaled.reshape(-1, emb.shape[1])
-        col_radial = (g * logits).reshape(-1, emb.shape[1]).sum(axis=0)
-        de = uf.T @ gs - emb * (col_radial / (norm_e**2))
+        d, n = emb.shape
+        uf = u.reshape(samples, -1, d)
+        gs = g_scaled.reshape(samples, -1, n)
+        radial_terms = (g * logits).reshape(samples, -1, n)
+        de = _sample_sum(uf[s].T @ gs[s] - emb * (radial_terms[s].sum(axis=0) / (norm_e**2))
+                         for s in range(samples))
     return du, de
 
 
@@ -478,10 +467,10 @@ class _Dispatch:
     sel_shape: tuple
     positions: int
     k: int
-    order: np.ndarray         # flattened (position, slot) entries sorted by expert id
+    order: np.ndarray         # flattened (position, slot) entries sorted by (sample, expert)
     rows: np.ndarray          # the position of each sorted entry
     by_position: np.ndarray   # (positions, k) indices into the sorted order, ids ascending
-    segments: list            # (expert, lo, hi) of each selected expert's sorted entries
+    segments: list            # (expert, lo, hi) of each (sample, expert) run, samples in order
     xs: np.ndarray            # input row of each sorted entry
     ws: np.ndarray            # gate weight of each sorted entry, as a column
     ys: np.ndarray            # expert output of each sorted entry
@@ -494,7 +483,8 @@ class _Dispatch:
 
 
 def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
-         sel: np.ndarray, selected_weights: np.ndarray) -> tuple[np.ndarray, _Dispatch]:
+         sel: np.ndarray, selected_weights: np.ndarray,
+         samples: int = 1) -> tuple[np.ndarray, _Dispatch]:
     c_in = x.shape[-1]
     c_out = weights[0].shape[0]
     lead = x.shape[:-1]
@@ -509,13 +499,17 @@ def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
     n_experts = len(weights)
     xf = x.reshape(positions, c_in)
     flat_sel = sel.reshape(-1)
-    counts = np.bincount(flat_sel, minlength=n_experts)
-    if counts.size != n_experts:
+    if flat_sel.size and flat_sel.max() >= n_experts:
         raise ShapeError(f"mix_experts: selection names an expert >= {n_experts}")
-    bounds = list(accumulate(counts.tolist(), initial=0))
-    segments = [(n, bounds[n], bounds[n + 1]) for n in range(n_experts)
-                if bounds[n] < bounds[n + 1]]
-    order = np.argsort(flat_sel, kind="stable")
+    # Sorting by expert + N * sample gives every (sample, expert) pair its own
+    # segment and gemm, with exactly the rows a single-sample call gives it.
+    keys = flat_sel + np.repeat(np.arange(0, n_experts * samples, n_experts),
+                                flat_sel.size // samples)
+    bounds = list(accumulate(np.bincount(keys, minlength=n_experts * samples).tolist(),
+                             initial=0))
+    segments = [(key % n_experts, bounds[key], bounds[key + 1])
+                for key in range(n_experts * samples) if bounds[key] < bounds[key + 1]]
+    order = np.argsort(keys, kind="stable")
     rows = order // k
     # by_position[p] lists p's entries of the sorted order in ascending expert id.
     by_position = np.argsort(rows, kind="stable").reshape(positions, k)
@@ -541,11 +535,15 @@ def _mix_vjp(g, d: _Dispatch, weights, biases, need_x: bool, need_sel: bool):
     dws: list[np.ndarray | None] = [None] * n_experts
     dbs: list[np.ndarray | None] = [None] * n_experts
     dxs = np.empty((d.order.size, d.x_shape[-1])) if need_x else None
+    # Segments run in sample order, so each expert's per-sample terms are
+    # added in sample order, the first taken as it is.
     for n, lo, hi in d.segments:
         if weights[n].requires_grad:
-            dws[n] = gs[lo:hi].T @ d.xs[lo:hi]
+            term = gs[lo:hi].T @ d.xs[lo:hi]
+            dws[n] = term if dws[n] is None else dws[n] + term
         if biases[n].requires_grad:
-            dbs[n] = gs[lo:hi].sum(axis=0)
+            term = gs[lo:hi].sum(axis=0)
+            dbs[n] = term if dbs[n] is None else dbs[n] + term
         if dxs is not None:
             dxs[lo:hi] = gs[lo:hi] @ weights[n].data
     dx = d.per_position(dxs).reshape(d.x_shape) if dxs is not None else None
@@ -613,7 +611,8 @@ def _route(x: np.ndarray, gate_w: np.ndarray, gate_e: np.ndarray, temperature: f
 
 
 def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tensor],
-              biases: Sequence[Tensor], routing: Routing) -> tuple[Tensor, int]:
+              biases: Sequence[Tensor], routing: Routing,
+              batched: bool = False) -> tuple[Tensor, int]:
     """One graph node for a whole expert-mixture layer routed by ``routing``.
 
     The forward is ``mix_experts`` of x with the routing's selection. The vjp
@@ -622,8 +621,11 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tenso
     ``gate_logits`` and the gate's ``grid_linear``. So every gradient has
     the bits of the five-node graph: dx is the mixture's term plus the
     gate's, in that order, and a gradient is None where that graph has none.
+    With ``batched``, axis 0 of x indexes samples, and the gradients have the
+    bits of one such graph per sample replayed in sample order.
     """
-    out, dispatch = _mix(x.data, weights, biases, routing.selected, routing.weights)
+    samples = _sample_count(x.data, batched)
+    out, dispatch = _mix(x.data, weights, biases, routing.selected, routing.weights, samples)
     need_gate = x.requires_grad or gate_w.requires_grad or gate_e.requires_grad
 
     def vjp(g):
@@ -634,10 +636,10 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tenso
             dlogits = _softmax_vjp(dprobs, routing.probs, 1.0)
             du, de = _cosine_logits_vjp(dlogits, routing.u, routing.logits, routing.cosine,
                                         x.requires_grad or gate_w.requires_grad,
-                                        gate_e.requires_grad)
+                                        gate_e.requires_grad, samples)
             if du is not None:
                 dx_gate, dw, _ = _linear_vjp(du, x.data, gate_w.data, x.requires_grad,
-                                             gate_w.requires_grad, False)
+                                             gate_w.requires_grad, False, samples)
                 if dx_gate is not None:
                     dx = dx + dx_gate
         return (dx, dw, de, *dws, *dbs)
@@ -650,47 +652,95 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tenso
 # losses
 # ---------------------------------------------------------------------------
 
-def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under last-axis softmax."""
+def _cross_entropy(z: np.ndarray, labels) -> tuple[float, Callable[[float], np.ndarray]]:
+    """Mean NLL of integer labels under last-axis softmax, and its vjp at a scalar."""
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise DomainError("cross_entropy: labels must be integers")
-    n_classes = logits.shape[-1]
-    if labels.shape != logits.shape[:-1]:
-        raise ShapeError(f"cross_entropy: label shape {labels.shape} != {logits.shape[:-1]}")
+    n_classes = z.shape[-1]
+    if labels.shape != z.shape[:-1]:
+        raise ShapeError(f"cross_entropy: label shape {labels.shape} != {z.shape[:-1]}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise DomainError("cross_entropy: label outside [0, n_classes)")
 
-    z = logits.data
     shifted = z - z.max(axis=-1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
     picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
     count = max(labels.size, 1)
-    value = float(np.sum(log_norm - picked)) / count
 
-    def vjp(g):
+    def vjp(g: float) -> np.ndarray:
         p = stable_softmax(z, axis=-1)
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
-        return ((p - onehot) * (float(g) / count),)
+        return (p - onehot) * (g / count)
 
-    return _node("cross_entropy_mean", np.array(value), (logits,), vjp)
+    return float(np.sum(log_norm - picked)) / count, vjp
 
 
-def smooth_l1_mean(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean Huber-style loss: 0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
+def _smooth_l1(pred: np.ndarray, target) -> tuple[float, Callable[[float], np.ndarray]]:
+    """Mean Huber-style loss and its vjp at a scalar."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != pred.shape:
         raise ShapeError(f"smooth_l1: target shape {target.shape} != {pred.shape}")
-    d = pred.data - target
+    d = pred - target
     small = np.abs(d) < 1.0
     per_elem = np.where(small, 0.5 * d * d, np.abs(d) - 0.5)
     count = max(d.size, 1)
 
-    def vjp(g):
-        return (np.clip(d, -1.0, 1.0) * (float(g) / count),)
+    def vjp(g: float) -> np.ndarray:
+        return np.clip(d, -1.0, 1.0) * (g / count)
 
-    return _node("smooth_l1_mean", np.array(float(per_elem.sum()) / count), (pred,), vjp)
+    return float(per_elem.sum()) / count, vjp
+
+
+_LOSSES = {"cross_entropy_mean": _cross_entropy, "smooth_l1_mean": _smooth_l1}
+
+
+def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of integer labels under last-axis softmax."""
+    value, grad = _cross_entropy(logits.data, labels)
+    return _node("cross_entropy_mean", np.array(value), (logits,), lambda g: (grad(float(g)),))
+
+
+def smooth_l1_mean(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean Huber-style loss: 0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
+    value, grad = _smooth_l1(pred.data, target)
+    return _node("smooth_l1_mean", np.array(value), (pred,), lambda g: (grad(float(g)),))
+
+
+def head_loss(x: Tensor, weight: Tensor, bias: Tensor, lo: int, targets: Sequence[np.ndarray],
+              loss: str) -> Tensor:
+    """One graph node for a task head over samples lo, lo+1, ... of a batch.
+
+    x is a batch whose axis 0 indexes samples; ``targets`` has one target per
+    head sample. The node projects those samples as a batched ``grid_linear``
+    does, scores each with ``loss`` ("cross_entropy_mean" or
+    "smooth_l1_mean"), adds the scores in order and multiplies by 1/n. These
+    are the expressions of one head op and one loss op per sample followed by
+    ``add`` and ``mul``, so the value and every gradient have their bits.
+    The rows of x outside the head's samples get a -0.0 adjoint: -0.0 is the
+    additive identity, so adding it leaves another head's rows bit for bit.
+    """
+    n = len(targets)
+    rows = x.data[lo:lo + n]
+    out = _linear(rows, weight.data, bias.data)
+    scored = [_LOSSES[loss](out[s], target) for s, target in enumerate(targets)]
+    total = scored[0][0]
+    for value, _ in scored[1:]:
+        total = total + value
+
+    def vjp(g):
+        scale = float(g) * (1.0 / n)
+        dout = np.stack([grad(scale) for _, grad in scored])
+        drows, dw, db = _linear_vjp(dout, rows, weight.data, x.requires_grad,
+                                    weight.requires_grad, bias.requires_grad, n)
+        dx = None
+        if drows is not None:
+            dx = np.full(x.shape, -0.0)
+            dx[lo:lo + n] = drows
+        return dx, dw, db
+
+    return _node("head_loss", np.array(total * (1.0 / n)), (x, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

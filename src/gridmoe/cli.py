@@ -20,7 +20,8 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .runconfig import CONFIG_SNAPSHOT_NAME, load_config_file, parse_config, resolve_out_dir, set_path
+from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, load_config_file, parse_config,
+                        resolve_out_dir, set_path)
 from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train, write_sweep_csv
 
 
@@ -71,7 +72,11 @@ def _parse_grid(spec: str) -> dict[str, list]:
         if "=" not in token:
             raise ConfigError("grid", f"expected key=v1,v2 tokens, got {token!r}")
         key, _, values = token.partition("=")
-        parsed = [_parse_scalar(v) for v in values.split(",") if v != ""]
+        section, _, name = key.partition(".")
+        entry = SCHEMA.get(section, {}).get(name)
+        if entry is None:
+            raise ConfigError(key, "unknown key")
+        parsed = [_parse_value(key, *entry, v) for v in values.split(",") if v != ""]
         if not parsed:
             raise ConfigError("grid", f"no values for {key!r}")
         grid[key] = parsed
@@ -80,20 +85,20 @@ def _parse_grid(spec: str) -> dict[str, list]:
     return grid
 
 
-def _parse_scalar(token: str):
-    if "|" in token:
-        return [int(v) for v in token.split("|") if v != ""]
-    lowered = token.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
+def _parse_value(key: str, kind: type, default, token: str):
+    """One sweep value, typed by its key's entry in ``runconfig.SCHEMA``."""
+    if token == "null" and default is None:
+        return None
     try:
-        return int(token)
-    except ValueError:
+        if kind is list:
+            return [int(v) for v in token.split("|") if v != ""]
+        if kind is bool:
+            return {"true": True, "false": False}[token.lower()]
+        if kind in (int, float, str):
+            return kind(token)
+    except (KeyError, ValueError):
         pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
+    raise ConfigError(key, f"expected {kind.__name__}, got {token!r}")
 
 
 def cmd_train(args) -> int:

@@ -9,6 +9,7 @@ Heads are zero-initialized single projections, one per task.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,10 @@ class TrunkBlock:
         self.cfg = cfg
 
     def forward(self, h: Tensor) -> tuple[Tensor, RoutingDecision | None]:
+        """The block over a batch whose axis 0 indexes samples."""
         if self.has_moe:
-            out, decision = moe_forward(h, self.bank, self.gate, self.cfg)
-            return out, decision
-        return ad.grid_linear(h, self.weight, self.bias), None
+            return moe_forward(h, self.bank, self.gate, self.cfg, batched=True)
+        return ad.grid_linear(h, self.weight, self.bias, batched=True), None
 
     def parameters(self) -> list[Tensor]:
         if self.has_moe:
@@ -134,12 +135,12 @@ class Model:
     def moe_layer_names(self) -> list[str]:
         return [f"trunk.{b.index}" for b in self.blocks if b.has_moe]
 
-    def features(self, image: np.ndarray) -> tuple[Tensor, list[tuple[str, RoutingDecision]]]:
-        if image.ndim != 3 or image.shape[-1] != self.spec.channels:
-            raise ShapeError(
-                f"expected (H, W, {self.spec.channels}) input, got {image.shape}"
-            )
-        h = Tensor(image)
+    def features(self, images: np.ndarray) -> tuple[Tensor, list[tuple[str, RoutingDecision]]]:
+        """Trunk features of a (B, H, W, C) batch; decisions keep the sample axis."""
+        if images.ndim != 4 or images.shape[-1] != self.spec.channels:
+            raise ShapeError(f"expected (H, W, {self.spec.channels}) input per sample, "
+                             f"got a batch of shape {images.shape}")
+        h = Tensor(images)
         routings: list[tuple[str, RoutingDecision]] = []
         for block in self.blocks:
             h, decision = block.forward(h)
@@ -149,44 +150,42 @@ class Model:
         return h, routings
 
     def head_output(self, features: Tensor, task_id: str) -> Tensor:
+        """The task head's per-grid prediction from features."""
         w, b = self.heads[task_id]
         return ad.grid_linear(features, w, b)
 
-    def sample_loss(self, image: np.ndarray, target: np.ndarray, task_id: str):
-        features, routings = self.features(image)
-        out = self.head_output(features, task_id)
-        task = self.tasks[task_id]
-        if task.kind == gdata.CLASSIFICATION:
-            loss = ad.cross_entropy_mean(out, target)
-        else:
-            loss = ad.smooth_l1_mean(out, target)
-        return loss, routings
-
     def forward_batch(self, samples):
-        """Per-task mean losses over a tagged batch.
+        """Per-task mean losses over a tagged batch, run as one (B, H, W, C) batch.
 
         ``samples`` is an iterable of (task_id, sample_index, image, target).
-        Within a task, losses are summed in sample-index order so the result
-        is exactly independent of batch order.
+        The batch is stacked in (task order, sample index) order, so each
+        task's samples are adjacent and its losses are added in sample-index
+        order: the result is exactly independent of batch order. Each task
+        head with its loss is one ``head_loss`` node. The routing decisions
+        come back one per (sample, MoE layer), in the order of ``samples``.
         """
-        per_task: dict[str, list[tuple[int, object]]] = {t: [] for t in self.task_order}
-        all_routings: list[tuple[str, str, RoutingDecision]] = []
-        for task_id, sample_index, image, target in samples:
-            if task_id not in per_task:
+        samples = list(samples)
+        task_index = {task_id: i for i, task_id in enumerate(self.task_order)}
+        for task_id, *_ in samples:
+            if task_id not in task_index:
                 raise ShapeError(f"sample tagged with unknown task {task_id!r}")
-            loss, routings = self.sample_loss(image, target, task_id)
-            per_task[task_id].append((sample_index, loss))
-            all_routings.extend((task_id, layer, dec) for layer, dec in routings)
+        stacked = sorted(range(len(samples)),
+                         key=lambda i: (task_index[samples[i][0]], samples[i][1]))
+        features, routings = self.features(np.stack([samples[i][2] for i in stacked]))
 
         losses: dict[str, Tensor] = {}
-        for task_id, entries in per_task.items():
-            if not entries:
-                continue
-            entries.sort(key=lambda pair: pair[0])
-            total = entries[0][1]
-            for _, loss in entries[1:]:
-                total = ad.add(total, loss)
-            losses[task_id] = ad.mul(total, 1.0 / len(entries))
+        lo = 0
+        for task_id, group in itertools.groupby(stacked, key=lambda i: samples[i][0]):
+            targets = [samples[i][3] for i in group]
+            loss = ("cross_entropy_mean" if self.tasks[task_id].kind == gdata.CLASSIFICATION
+                    else "smooth_l1_mean")
+            losses[task_id] = ad.head_loss(features, *self.heads[task_id], lo, targets, loss)
+            lo += len(targets)
+
+        position = {i: p for p, i in enumerate(stacked)}
+        all_routings = [(task_id, layer, decision.sample(position[i]))
+                        for i, (task_id, *_) in enumerate(samples)
+                        for layer, decision in routings]
         return losses, all_routings
 
     # -- parameter bookkeeping -------------------------------------------

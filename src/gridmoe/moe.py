@@ -99,7 +99,8 @@ class RoutingDecision:
     probability with ties broken toward the lowest index; ``gate_weights``
     are the matching full-softmax entries (everything else is implicitly
     zero); ``full_softmax`` keeps the dense probabilities for statistics.
-    Leading axes are the grid axes (a single position has none).
+    Leading axes are the grid axes (a single position has none), after the
+    sample axis when the layer ran batched.
     """
 
     selected_indices: np.ndarray
@@ -114,6 +115,12 @@ class RoutingDecision:
     @property
     def n_experts(self) -> int:
         return self.full_softmax.shape[-1]
+
+    def sample(self, index: int) -> "RoutingDecision":
+        """One sample's decision out of a batched one (axis 0 indexes samples)."""
+        selected = self.selected_indices[index]
+        return RoutingDecision(selected, self.gate_weights[index], self.full_softmax[index],
+                               selected.size)
 
 
 def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
@@ -146,20 +153,24 @@ def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
 
 
 def moe_forward(
-    x: Tensor, bank: ExpertBank, params: GateParams, cfg: MoEConfig
+    x: Tensor, bank: ExpertBank, params: GateParams, cfg: MoEConfig, batched: bool = False
 ) -> tuple[Tensor, RoutingDecision]:
     """Apply the sparse expert mixture to a full grid feature map.
 
     ``x`` has shape (..., in_channels) with the leading axes treated as grid
     axes. Exactly k experts are evaluated per position; gradients flow to the
     input, the gate parameters, and the selected experts only. The layer is
-    one graph node, ``moe_layer``.
+    one graph node, ``moe_layer``. With ``batched``, axis 0 of x indexes
+    samples: the batch is routed and mixed at once, its gradients have the
+    bits of one layer per sample replayed in sample order, and the decision
+    keeps the sample axis (see ``RoutingDecision.sample``).
     """
     x = ad._lift(x)
     routing = _route(x.data, params, cfg)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out, applications = ad.moe_layer(x, params.W, params.E, bank.weights, bank.biases, routing)
+    out, applications = ad.moe_layer(x, params.W, params.E, bank.weights, bank.biases, routing,
+                                     batched)
     # A copy: the layer's vjp reads routing.probs.
     decision = RoutingDecision(routing.selected, routing.weights, routing.probs.copy(),
                                applications)

@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import data as gdata
 from . import dso
 from .checkpoint import save_checkpoint
-from .csvio import CsvLogger
+from .csvio import CsvLogger, write_csv
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map, write_top1_map_csv
@@ -83,13 +83,13 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
             image, _ = gdata.generate_sample(
                 modalities[modality], tasks[modality], index_offset + j, height, width
             )
-            _, routings = model.features(image)
+            _, routings = model.features(image[None])
             for layer, decision in routings:
                 stats.accumulate(decision, modality, layer)
                 if j == 0 and maps_dir is not None:
                     write_top1_map_csv(
                         maps_dir / f"{modality}_{layer.replace('.', '_')}.csv",
-                        export_top1_map(decision),
+                        export_top1_map(decision)[0],
                     )
     return stats
 
@@ -325,8 +325,6 @@ def _render(value):
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:
-    from .csvio import write_csv
-
     columns = list(rows[0].keys())
     write_csv(path, columns, rows, schema="sweep")
 
@@ -336,6 +334,7 @@ def write_sweep_csv(path, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 BENCHMARK_BASE_NOISE = 0.1
+BENCHMARK_SEEDS_CSV = "benchmark_seeds.csv"
 BENCHMARK_HARD_MULTIPLIER = 4.0
 
 
@@ -362,6 +361,18 @@ class BenchmarkResult:
         return statistics.median(
             r.final_entropy[modality] - r.init_entropy[modality] for r in self.per_seed
         )
+
+    def to_csv(self, path) -> None:
+        """One row per seed: both spreads and each modality's entropy change."""
+        modalities = sorted(self.per_seed[0].init_entropy) if self.per_seed else []
+        columns = ["seed", "spread_with_dso", "spread_without_dso",
+                   *(f"entropy_change_{m}" for m in modalities)]
+        rows = [{"seed": r.seed, "spread_with_dso": r.spread_with_dso,
+                 "spread_without_dso": r.spread_without_dso,
+                 **{f"entropy_change_{m}": r.final_entropy[m] - r.init_entropy[m]
+                    for m in modalities}}
+                for r in self.per_seed]
+        write_csv(path, columns, rows, schema="benchmark_seeds")
 
 
 def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool,
@@ -417,8 +428,11 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000,
 
     Every seed keeps ``data.modality_seed`` 0, so all seeds read one data
     stream: a seed changes only the model initialization and the batch order.
+    Writes each seed's spreads and entropy changes to ``benchmark_seeds.csv``
+    under ``out_root``, so a seed that flips the comparison shows there.
     """
     out_root = Path(out_root)
+    out_root.mkdir(parents=True, exist_ok=True)
     per_seed = []
     for seed in seeds:
         with_dso = train(
@@ -440,4 +454,6 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000,
                 final_entropy=with_dso.final_entropy,
             )
         )
-    return BenchmarkResult(per_seed)
+    result = BenchmarkResult(per_seed)
+    result.to_csv(out_root / BENCHMARK_SEEDS_CSV)
+    return result

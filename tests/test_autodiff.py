@@ -11,6 +11,7 @@ import pytest
 from gridmoe import autodiff as ad
 from gridmoe.autodiff import Tensor, backward, finite_diff_check
 from gridmoe.errors import ConfigError, DomainError, ShapeError, UsageError
+from reference_ops import log, mean_all, sigmoid, square
 
 LOGISTIC_1 = 1.0 / (1.0 + math.exp(-1.0))  # 0.731059...
 
@@ -114,27 +115,27 @@ class TestSoftmax:
 
 class TestElementwise:
     def test_sigmoid_symmetry_point(self):
-        assert ad.sigmoid(Tensor([0.0])).data[0] == 0.5
+        assert sigmoid(Tensor([0.0])).data[0] == 0.5
 
     def test_sigmoid_oracle_value(self):
         # direct arithmetic: 1 / (1 + e^{-1.8})
         expected = 1.0 / (1.0 + math.exp(-1.8))
-        got = ad.sigmoid(Tensor([1.8])).data[0]
+        got = sigmoid(Tensor([1.8])).data[0]
         assert abs(got - expected) < 1e-15
         assert abs(got - 0.858149) < 1e-6
 
     def test_square_value_and_grad(self):
         x = Tensor([3.0], requires_grad=True)
-        y = ad.square(x)
+        y = square(x)
         assert y.data[0] == 9.0
         backward(ad.sum_all(y))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            ad.log(Tensor([1.0, 0.0]))
+            log(Tensor([1.0, 0.0]))
         with pytest.raises(DomainError):
-            ad.log(Tensor([-2.0]))
+            log(Tensor([-2.0]))
 
     def test_scalar_broadcast_allowed(self):
         x = Tensor(np.ones((2, 3)))
@@ -162,9 +163,9 @@ class TestElementwise:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(3)
         x = rng.normal(scale=30.0, size=(4, 4))
-        for op in (ad.relu, ad.sigmoid, ad.square):
+        for op in (ad.relu, sigmoid, square):
             assert np.all(np.isfinite(op(Tensor(x)).data))
-        assert np.all(np.isfinite(ad.log(Tensor(np.abs(x) + 0.1)).data))
+        assert np.all(np.isfinite(log(Tensor(np.abs(x) + 0.1)).data))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,7 @@ class TestElementwise:
 class TestBackward:
     def test_square_chain(self):
         x = Tensor([3.0], requires_grad=True)
-        backward(ad.sum_all(ad.square(x)))
+        backward(ad.sum_all(square(x)))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_non_scalar_root_rejected(self):
@@ -184,7 +185,7 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
-        y = ad.sum_all(ad.square(x))
+        y = ad.sum_all(square(x))
         backward(y)
         backward(y)
         np.testing.assert_allclose(x.grad, [8.0])
@@ -194,8 +195,8 @@ class TestBackward:
         v = rng.normal(size=4)
 
         def roots(x):
-            a = ad.sum_all(ad.square(x))
-            b = ad.sum_all(ad.sigmoid(x))
+            a = ad.sum_all(square(x))
+            b = ad.sum_all(sigmoid(x))
             return a, b
 
         x1 = Tensor(v.copy(), requires_grad=True)
@@ -217,7 +218,7 @@ class TestBackward:
 
     def test_computation_record_is_topological(self):
         x = Tensor([1.0], requires_grad=True)
-        y = ad.square(x)
+        y = square(x)
         z = ad.add(y, ad.mul(y, 2.0))
         root = ad.sum_all(z)
         record = ad.ComputationRecord.trace(root)
@@ -242,7 +243,7 @@ class TestBackward:
             selected = np.argsort(-probs.data, axis=-1)[..., :2]
             mixed, _ = ad.mix_experts(hidden, experts, biases, selected,
                                       ad.gather_last(probs, selected))
-            root = ad.sum_all(ad.square(mixed))
+            root = ad.sum_all(square(mixed))
             backward(root)
             refs = [weakref.ref(t) for t in (hidden, probs, mixed, root)]
             del hidden, probs, mixed, root
@@ -259,7 +260,7 @@ class TestBackward:
 
 class TestFiniteDiffCheck:
     def test_square_tight(self):
-        err = finite_diff_check(lambda t: ad.sum_all(ad.square(t)), np.array([3.0]), h=1e-5)
+        err = finite_diff_check(lambda t: ad.sum_all(square(t)), np.array([3.0]), h=1e-5)
         assert err < 1e-6
 
     def test_softmax_dot(self):
@@ -293,12 +294,12 @@ class TestFiniteDiffCheck:
             "mul": lambda t: ad.sum_all(ad.mul(t, other)),
             # keep relu inputs away from the kink
             "relu": lambda t: ad.sum_all(ad.relu(t)),
-            "sigmoid": lambda t: ad.sum_all(ad.sigmoid(t)),
-            "log": lambda t: ad.sum_all(ad.log(t)),
-            "square": lambda t: ad.sum_all(ad.square(t)),
-            "softmax": lambda t: ad.sum_all(ad.square(ad.softmax(t, temperature=0.5))),
-            "grid_linear": lambda t: ad.sum_all(ad.square(ad.grid_linear(t, weight, bias))),
-            "mean": lambda t: ad.mean_all(ad.square(t)),
+            "sigmoid": lambda t: ad.sum_all(sigmoid(t)),
+            "log": lambda t: ad.sum_all(log(t)),
+            "square": lambda t: ad.sum_all(square(t)),
+            "softmax": lambda t: ad.sum_all(square(ad.softmax(t, temperature=0.5))),
+            "grid_linear": lambda t: ad.sum_all(square(ad.grid_linear(t, weight, bias))),
+            "mean": lambda t: mean_all(square(t)),
         }
         f = builders[case]
         for trial in range(100):
@@ -408,6 +409,85 @@ class TestLosses:
 
 
 # ---------------------------------------------------------------------------
+# batched ops against one op per sample, byte for byte
+# ---------------------------------------------------------------------------
+
+def _bytes(arrays):
+    return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+
+def _summed(terms):
+    """Per-sample terms added in sample order, the first taken as it is."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+class TestSampleAxis:
+    def test_batched_grid_linear_matches_one_op_per_sample(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            batch = int(rng.integers(1, 5))
+            grid = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(1, 3))))
+            c_in, c_out = (int(v) for v in rng.integers(1, 9, size=2))
+            x = rng.normal(size=(batch, *grid, c_in))
+            weight = Tensor(rng.normal(size=(c_out, c_in)), requires_grad=True)
+            bias = Tensor(rng.normal(size=c_out), requires_grad=True) if rng.random() < 0.7 else None
+            out = ad.grid_linear(Tensor(x, requires_grad=True), weight, bias, batched=True)
+            per = [ad.grid_linear(Tensor(x[s], requires_grad=True), weight, bias)
+                   for s in range(batch)]
+            assert out.data.tobytes() == np.stack([p.data for p in per]).tobytes()
+            g = rng.normal(size=out.shape)
+            got = out._op.vjp(g)
+            grads = [p._op.vjp(g[s]) for s, p in enumerate(per)]
+            expected = [np.stack([gr[0] for gr in grads]),
+                        *(_summed([gr[i] for gr in grads]) for i in range(1, len(got)))]
+            assert _bytes(got) == _bytes(expected)
+
+    def test_batched_input_needs_a_grid_axis(self):
+        with pytest.raises(ShapeError, match="needs \\(B, grid..., C\\) axes"):
+            ad.grid_linear(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3))), batched=True)
+
+    @pytest.mark.parametrize("loss", ["cross_entropy_mean", "smooth_l1_mean"])
+    def test_head_loss_matches_per_sample_heads_losses_and_mean(self, loss):
+        rng = np.random.default_rng(32 if loss == "smooth_l1_mean" else 33)
+        for _ in range(100):
+            batch = int(rng.integers(1, 5))
+            lo = int(rng.integers(0, batch))
+            n = int(rng.integers(1, batch - lo + 1))
+            h, w, c = (int(v) for v in rng.integers(1, 5, size=3))
+            width = int(rng.integers(2, 6))
+            x = Tensor(rng.normal(size=(batch, h, w, c)), requires_grad=True)
+            weight = Tensor(rng.normal(size=(width, c)), requires_grad=True)
+            bias = Tensor(rng.normal(size=width), requires_grad=True)
+            if loss == "cross_entropy_mean":
+                targets = [rng.integers(0, width, size=(h, w)) for _ in range(n)]
+            else:
+                targets = [rng.normal(size=(h, w, width)) * 2.0 for _ in range(n)]
+            node = ad.head_loss(x, weight, bias, lo, targets, loss)
+            backward(node)
+            got = [x.grad, weight.grad, bias.grad]
+            weight.zero_grad()
+            bias.zero_grad()
+
+            # One head and one loss per sample, then add in order and mul by 1/n.
+            rows = [Tensor(x.data[lo + s], requires_grad=True) for s in range(n)]
+            scores = [getattr(ad, loss)(ad.grid_linear(r, weight, bias), t)
+                      for r, t in zip(rows, targets)]
+            total = scores[0]
+            for score in scores[1:]:
+                total = ad.add(total, score)
+            ref = ad.mul(total, 1.0 / n)
+            backward(ref)
+            assert node.data.tobytes() == ref.data.tobytes()
+            assert got[0][lo:lo + n].tobytes() == np.stack([r.grad for r in rows]).tobytes()
+            outside = np.delete(got[0], np.s_[lo:lo + n], axis=0)
+            assert np.all(outside == 0.0) and np.all(np.signbit(outside))
+            assert _bytes(got[1:]) == _bytes([weight.grad, bias.grad])
+
+
+# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 
@@ -416,7 +496,7 @@ def _composite(seed: int) -> np.ndarray:
     x = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     out = ad.softmax(ad.grid_linear(x, w), temperature=0.3)
-    backward(ad.mean_all(ad.square(out)))
+    backward(mean_all(square(out)))
     return np.concatenate([out.data.reshape(-1), x.grad.reshape(-1), w.grad.reshape(-1)])
 
 

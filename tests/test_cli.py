@@ -267,6 +267,55 @@ class TestSweepCommand:
         assert not (out / "sweep.csv").exists()
 
 
+class TestSweepValueTypes:
+    """Sweep values take their key's type from ``runconfig.SCHEMA``."""
+
+    def test_each_value_typed_by_its_key(self):
+        from gridmoe.cli import _parse_grid
+
+        grid = _parse_grid("model.moe_layers=2,0|2 moe.gate_dim=null,4 run.dso=true,False "
+                           "moe.gate_temperature=1,0.5 moe.top_k=3 run.out_dir=7")
+        assert grid == {"model.moe_layers": [[2], [0, 2]], "moe.gate_dim": [None, 4],
+                        "run.dso": [True, False], "moe.gate_temperature": [1.0, 0.5],
+                        "moe.top_k": [3], "run.out_dir": ["7"]}
+        assert type(grid["moe.gate_temperature"][0]) is float
+
+    @pytest.mark.parametrize("token, message", [
+        ("moe.experts=2", "moe.experts: unknown key"),
+        ("moe_layers=2", "moe_layers: unknown key"),
+        ("moe.top_k=2.5", "moe.top_k: expected int, got '2.5'"),
+        ("moe.top_k=null", "moe.top_k: expected int, got 'null'"),
+        ("run.dso=yes", "run.dso: expected bool, got 'yes'"),
+        ("model.moe_layers=0|x", "model.moe_layers: expected list, got '0|x'"),
+        ("dso.tau=fast", "dso.tau: expected float, got 'fast'"),
+        ("sampler.counts=2", "sampler.counts: expected dict, got '2'"),
+    ])
+    def test_bad_key_or_value_exits_2_before_any_training(self, tmp_path, capsys, token,
+                                                          message):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", f"moe.top_k=1 {token}",
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("cell*"))
+
+    def test_single_layer_list_and_null_gate_dim_train(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--grid",
+                     "model.moe_layers=2 moe.gate_dim=null,3", "--out", str(out)]) == 0
+        snapshots = [json.loads((cell / "config_snapshot.json").read_text())
+                     for cell in sorted(out.glob("cell*"))]
+        assert [s["model"]["moe_layers"] for s in snapshots] == [[2], [2]]
+        assert [s["moe"]["gate_dim"] for s in snapshots] == [None, 3]
+        rows = read_csv(out / "sweep.csv")
+        assert [r["model.moe_layers"] for r in rows] == ["2", "2"]
+        assert [r["moe.gate_dim"] for r in rows] == ["None", "3"]
+
+
 class TestInspectCommand:
     def _trained_run(self, tmp_path, iterations=10):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": iterations})

@@ -21,6 +21,7 @@ from gridmoe.moe import (
     init_from_pretrained,
     moe_forward,
 )
+from reference_ops import per_sample_forward_batch
 
 
 def oracle_gate(x, W, E, temperature, k):
@@ -612,38 +613,20 @@ class TestSortedDispatch:
             ad.mix_experts(Tensor(np.ones((2, 2))), weights, biases,
                            np.array([[0], [3]]), Tensor(np.ones((2, 1))))
 
-    @pytest.mark.parametrize("top_k", [2, 3])
-    def test_training_artifacts_identical_to_mask_dispatch(self, tmp_path, monkeypatch, top_k):
-        # With k = 2 the order of a position's terms cannot change a sum;
-        # k = 3 also checks that they are added in ascending expert id.
-        from gridmoe.runconfig import parse_config
-        from gridmoe.train import benchmark_config, train
-
-        def config(name):
-            cfg = benchmark_config(0, 30, str(tmp_path / name), True)
-            raw = cfg.snapshot()
-            raw["moe"]["top_k"] = top_k
-            return parse_config(raw)
-
-        train(config("sorted"), keep_model=False)
-        monkeypatch.setattr(ad, "mix_experts", oracle_mix_experts)
-        train(config("mask"), keep_model=False)
-        for name in ("losses.csv", "dso_log.csv", "checkpoint.bin"):
-            assert ((tmp_path / "sorted" / name).read_bytes()
-                    == (tmp_path / "mask" / name).read_bytes()), name
-
 
 # ---------------------------------------------------------------------------
 # the one-node layer against the five-node composition, byte for byte
 # ---------------------------------------------------------------------------
 
-def oracle_moe_forward(x, bank, params, cfg):
+def oracle_moe_forward(x, bank, params, cfg, batched=False):
     """The five-node composition that ``moe_forward`` records as one node.
 
     Gate ``grid_linear`` -> ``gate_logits`` -> ``softmax`` -> ``topk_select``
     -> ``gather_last`` -> ``mix_experts``, each recorded as its own node, with
-    the checks in the order the layer makes them.
+    the checks in the order the layer makes them. It routes one sample: a
+    batch may only hold one, whose grid is then the whole input.
     """
+    assert not batched or x.shape[0] == 1, "the five-node oracle routes one sample per call"
     if x.shape[-1] != cfg.in_channels:
         raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
     u = ad.grid_linear(x, params.W)
@@ -797,11 +780,13 @@ class TestOneNodeLayer:
     @pytest.mark.parametrize("dispatch", ["sorted", "mask"])
     def test_training_artifacts_identical_to_five_nodes(self, tmp_path, monkeypatch, dispatch):
         # "mask" also swaps in the per-expert-mask dispatch that the sorted one
-        # replaced, so the layer is checked against both.
+        # replaced, so the layer is checked against both. The five-node side
+        # runs one graph per sample, so the oracle routes one sample per call.
         from gridmoe import model as model_mod
         from gridmoe.train import benchmark_config, train
 
         train(benchmark_config(0, 30, str(tmp_path / "fused"), True), keep_model=False)
+        monkeypatch.setattr(model_mod.Model, "forward_batch", per_sample_forward_batch)
         monkeypatch.setattr(moe_mod, "moe_forward", oracle_moe_forward)
         monkeypatch.setattr(model_mod, "moe_forward", oracle_moe_forward)
         if dispatch == "mask":
@@ -810,3 +795,62 @@ class TestOneNodeLayer:
         for name in ("losses.csv", "dso_log.csv", "checkpoint.bin"):
             assert ((tmp_path / "fused" / name).read_bytes()
                     == (tmp_path / "five" / name).read_bytes()), name
+
+
+# ---------------------------------------------------------------------------
+# the sample axis: a batched layer against one layer per sample, byte for byte
+# ---------------------------------------------------------------------------
+
+def summed_per_sample(per_sample_grads):
+    """What ``backward`` adds up from one op per sample, input by input.
+
+    The non-None terms in sample order, the first taken as it is; None when
+    no sample gives one.
+    """
+    summed = []
+    for terms in zip(*per_sample_grads):
+        present = [t for t in terms if t is not None]
+        total = present[0] if present else None
+        for term in present[1:]:
+            total = total + term
+        summed.append(total)
+    return summed
+
+
+class TestSampleAxis:
+    def test_batched_layer_matches_one_layer_per_sample(self):
+        rng = np.random.default_rng(5101)
+        seen = dict(batch=0, k3=0, absent=0, zero_row=0, x_frozen=0, expert_frozen=0)
+        for _ in range(300):
+            cfg, x, bank, params = _layer_instance(rng)
+            # One to two grid axes: room for the sample axis under the rank limit.
+            grid = np.atleast_2d(x.data[(0,) * max(0, x.data.ndim - 3)])
+            batch = int(rng.integers(1, 5))
+            grids = [grid] + [rng.normal(size=grid.shape) for _ in range(batch - 1)]
+            xb = np.stack([grids[i] for i in rng.permutation(batch)])
+            out, decision = moe_forward(Tensor(xb, requires_grad=x.requires_grad), bank,
+                                        params, cfg, batched=True)
+            per = [moe_forward(Tensor(xb[s], requires_grad=x.requires_grad), bank, params, cfg)
+                   for s in range(batch)]
+            assert out.data.tobytes() == np.stack([o.data for o, _ in per]).tobytes()
+            assert decision.expert_applications == sum(d.expert_applications for _, d in per)
+            for s, (_, ref_decision) in enumerate(per):
+                assert _decision_bytes(decision.sample(s)) == _decision_bytes(ref_decision)
+            if out._op is None:
+                assert all(o._op is None for o, _ in per)
+                continue
+            g = rng.normal(size=out.shape)
+            per_grads = [o._op.vjp(g[s]) for s, (o, _) in enumerate(per)]
+            dx = None if per_grads[0][0] is None else np.stack([p[0] for p in per_grads])
+            expected = [dx, *summed_per_sample([p[1:] for p in per_grads])]
+            assert _as_bytes(out._op.vjp(g)) == _as_bytes(expected)
+
+            seen["batch"] += batch >= 3
+            seen["k3"] += cfg.top_k >= 3
+            seen["absent"] += any(len(np.unique(d.selected_indices)) < cfg.n_experts
+                                  for _, d in per)
+            seen["zero_row"] += bool(np.any(np.all(xb == 0.0, axis=-1)))
+            seen["x_frozen"] += not x.requires_grad
+            seen["expert_frozen"] += not all(t.requires_grad for t in (*bank.weights,
+                                                                        *bank.biases))
+        assert min(seen.values()) > 20, seen

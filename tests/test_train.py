@@ -23,6 +23,7 @@ from gridmoe.train import (
     train,
     write_sweep_csv,
 )
+from reference_ops import per_sample_forward_batch
 
 
 def small_config(out_dir, iterations=40, seed=0, dso_enabled=True, moe_enabled=True,
@@ -254,23 +255,108 @@ class TestBenchmarkPieces:
         assert seed_result.spread_with_dso >= 0.0
         assert set(seed_result.init_entropy) == {"A", "B", "C"}
 
+    def test_per_seed_csv_equals_per_seed_results(self, tmp_path):
+        result = imbalance_benchmark(tmp_path, seeds=(0, 2), iterations=12)
+        assert (tmp_path / "benchmark_seeds.csv").read_text().startswith(
+            "# schema=benchmark_seeds.v1\n")
+        rows = read_csv(tmp_path / "benchmark_seeds.csv")
+        assert [r["seed"] for r in rows] == ["0", "2"]
+        for row, seed_result in zip(rows, result.per_seed):
+            assert float(row["spread_with_dso"]) == seed_result.spread_with_dso
+            assert float(row["spread_without_dso"]) == seed_result.spread_without_dso
+            assert {k for k in row if k.startswith("entropy_change_")} == {
+                "entropy_change_A", "entropy_change_B", "entropy_change_C"}
+            for m in ("A", "B", "C"):
+                assert float(row[f"entropy_change_{m}"]) == (
+                    seed_result.final_entropy[m] - seed_result.init_entropy[m])
 
-class TestGraphSize:
-    def test_benchmark_step_records_46_nodes_8_of_them_moe_layers(self, tmp_path):
-        # Per sample: 2 moe_layer, 2 trunk and 1 head grid_linear, 4 relu and
-        # the loss (40); then per-task means (add + mul for A's two samples,
-        # mul for B and C) and the two adds of the total.
-        cfg = benchmark_config(0, 1, str(tmp_path), True)
-        modalities, tasks, model, sampler = build_setup(cfg)
+
+def benchmark_step(out_dir, seed=0, moe=True):
+    """A model of the scripted-imbalance config and a function that draws its next batch."""
+    raw = benchmark_config(seed, 1, str(out_dir), True).snapshot()
+    raw["run"]["moe"] = moe
+    cfg = parse_config(raw)
+    modalities, tasks, model, sampler = build_setup(cfg)
+
+    def draw():
         samples = []
         for item in sampler.next_batch():
             image, target = gdata.generate_sample(modalities[item.modality], tasks[item.modality],
                                                   item.sample_index, cfg.height, cfg.width)
             samples.append((item.modality, item.sample_index, image, target))
-        losses, _ = model.forward_batch(samples)
-        total = losses[model.task_order[0]]
-        for t in model.task_order[1:]:
-            total = ad.add(total, losses[t])
-        names = [op.name for op in ad.ComputationRecord.trace(total).ops]
-        assert len(names) == 46
-        assert names.count("moe_layer") == 8
+        return samples
+
+    return model, draw
+
+
+def total_loss(model, losses):
+    total = losses[model.task_order[0]]
+    for t in model.task_order[1:]:
+        total = ad.add(total, losses[t])
+    return total
+
+
+class TestGraphSize:
+    def test_benchmark_step_records_13_nodes_2_of_them_moe_layers(self, tmp_path):
+        # One moe_layer or trunk grid_linear and one relu per block for the
+        # whole batch (8), one head_loss per task (3) and the two adds of the
+        # total.
+        model, draw = benchmark_step(tmp_path)
+        losses, _ = model.forward_batch(draw())
+        names = [op.name for op in ad.ComputationRecord.trace(total_loss(model, losses)).ops]
+        assert len(names) == 13
+        assert sorted(set(names)) == ["add", "grid_linear", "head_loss", "moe_layer", "relu"]
+        assert [names.count(n) for n in ("moe_layer", "grid_linear", "relu", "head_loss")] \
+            == [2, 2, 4, 3]
+
+    def test_backward_stores_grad_on_leaves_only(self, tmp_path):
+        model, draw = benchmark_step(tmp_path)
+        losses, _ = model.forward_batch(draw())
+        total = total_loss(model, losses)
+        ad.backward(total)
+        outputs = [op.output for op in ad.ComputationRecord.trace(total).ops]
+        assert len(outputs) == 13 and all(t.grad is None for t in outputs)
+        params = [p for group in model.param_groups().values() for p in group]
+        assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
+
+
+class TestSampleAxis:
+    """One (B, H, W, C) batch against one graph per sample, byte for byte."""
+
+    @pytest.mark.parametrize("moe", [True, False], ids=["moe", "plain"])
+    def test_losses_and_gradients_match_per_sample(self, tmp_path, moe):
+        model, draw = benchmark_step(tmp_path, seed=3, moe=moe)
+        params = [p for group in model.param_groups().values() for p in group]
+        for _ in range(4):
+            samples = draw()
+            runs = []
+            for forward in (Model.forward_batch, per_sample_forward_batch):
+                losses, routings = forward(model, samples)
+                ad.backward(total_loss(model, losses))
+                grads = [p.grad for p in params]
+                runs.append(([losses[t].data.tobytes() for t in model.task_order],
+                             [g.tobytes() for g in grads],
+                             [(task, layer, d.selected_indices.tobytes(), d.gate_weights.tobytes(),
+                               d.full_softmax.tobytes(), d.expert_applications)
+                              for task, layer, d in routings]))
+                for p in params:
+                    p.grad = None
+            assert runs[0] == runs[1]
+            for p, g in zip(params, grads):
+                p.data = p.data - 0.05 * g
+
+    @pytest.mark.parametrize("top_k", [2, 3])
+    def test_training_artifacts_identical_to_per_sample(self, tmp_path, monkeypatch, top_k):
+        # With k = 3 a position's terms span three (sample, expert) segments,
+        # so this also checks that they are added in ascending expert id.
+        def config(name):
+            raw = benchmark_config(0, 30, str(tmp_path / name), True).snapshot()
+            raw["moe"]["top_k"] = top_k
+            return parse_config(raw)
+
+        train(config("batched"), keep_model=False)
+        monkeypatch.setattr(Model, "forward_batch", per_sample_forward_batch)
+        train(config("per_sample"), keep_model=False)
+        for name in ("losses.csv", "dso_log.csv", "checkpoint.bin", "expert_stats.csv"):
+            assert ((tmp_path / "batched" / name).read_bytes()
+                    == (tmp_path / "per_sample" / name).read_bytes()), name
