@@ -25,10 +25,8 @@ live record still references.
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
@@ -268,10 +266,13 @@ def sum_all(x: Tensor) -> Tensor:
 #
 # A batched op takes a (B, ..., C) input whose axis 0 indexes samples. Its
 # forward and its input gradient run on the whole batch; every reduction
-# over grid positions (a weight or bias gradient) runs per sample, and the
-# per-sample terms are added in axis order, the first taken as it is. That
-# is how ``backward`` adds the contributions of one op per sample, so a
-# batched op has the bits of B single-sample ops replayed in sample order.
+# over grid positions (a weight or bias gradient) gives one term per sample
+# through a stacked matmul or axis reduction, and ``.sum(axis=0)`` adds the
+# terms in sample order. That is how ``backward`` adds the contributions of
+# one op per sample, so a batched op has the bits of B single-sample ops
+# replayed in sample order. numpy starts that sum from 0.0 where ``backward``
+# takes the first term as it is; the two differ only for a -0.0 first term,
+# and no term is -0.0: a matmul or numpy sum accumulates from +0.0.
 # ---------------------------------------------------------------------------
 
 def _sample_count(x: np.ndarray, batched: bool) -> int:
@@ -282,11 +283,6 @@ def _sample_count(x: np.ndarray, batched: bool) -> int:
     if x.ndim < 3:
         raise ShapeError(f"a batched input needs (B, grid..., C) axes, got shape {x.shape}")
     return x.shape[0]
-
-
-def _sample_sum(terms):
-    """Sum per-sample terms in order, the first taken as it is (not added to zeros)."""
-    return reduce(operator.add, terms)
 
 
 def _softmax(v: np.ndarray, temperature: float) -> np.ndarray:
@@ -335,10 +331,11 @@ def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -
 def _linear_vjp(g, x, weight, need_x: bool, need_w: bool, need_b: bool, samples: int = 1):
     c_out, c_in = weight.shape
     gf = g.reshape(samples, -1, c_out)
-    xf = x.reshape(samples, -1, c_in)
     dx = (g @ weight) if need_x else None
-    dw = _sample_sum(gf[s].T @ xf[s] for s in range(samples)) if need_w else None
-    db = _sample_sum(gf[s].sum(axis=0) for s in range(samples)) if need_b else None
+    dw = None
+    if need_w:
+        dw = np.matmul(gf.transpose(0, 2, 1), x.reshape(samples, -1, c_in)).sum(axis=0)
+    db = gf.sum(axis=1).sum(axis=0) if need_b else None
     return dx, dw, db
 
 
@@ -371,10 +368,11 @@ def _cosine_logits(u: np.ndarray, emb: np.ndarray, temperature: float):
             f"gate_logits: input dim {u.shape[-1]} does not match embedding rows "
             f"{emb.shape[0] if emb.ndim == 2 else emb.shape}"
         )
-    norm_e = np.linalg.norm(emb, axis=0)
+    # np.linalg.norm's expression for real input, without its dispatch.
+    norm_e = np.sqrt(np.add.reduce(emb * emb, 0))
     if np.any(norm_e < NORM_EPS):
         raise DomainError("gate_logits: an expert embedding column has (near-)zero norm")
-    norm_u = np.linalg.norm(u, axis=-1)
+    norm_u = np.sqrt(np.add.reduce(u * u, -1))
     degenerate = norm_u < NORM_EPS
     inv_norm_u = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, norm_u))
     logits = (u @ emb) * inv_norm_u[..., None] / (temperature * norm_e)
@@ -386,18 +384,19 @@ def _cosine_logits_vjp(g, u, logits, saved, need_u: bool, need_e: bool, samples:
     g = np.where(degenerate[..., None], 0.0, g)
     scale = inv_norm_u[..., None] / (temperature * norm_e)  # (..., N)
     g_scaled = g * scale
+    g_logits = g * logits
     du = None
     if need_u:
-        radial = (g * logits).sum(axis=-1, keepdims=True)
+        radial = g_logits.sum(axis=-1, keepdims=True)
         du = g_scaled @ emb.T - radial * u * (inv_norm_u**2)[..., None]
     de = None
     if need_e:
         d, n = emb.shape
         uf = u.reshape(samples, -1, d)
-        gs = g_scaled.reshape(samples, -1, n)
-        radial_terms = (g * logits).reshape(samples, -1, n)
-        de = _sample_sum(uf[s].T @ gs[s] - emb * (radial_terms[s].sum(axis=0) / (norm_e**2))
-                         for s in range(samples))
+        radial_terms = g_logits.reshape(samples, -1, n).sum(axis=1)  # (samples, N)
+        terms = (np.matmul(uf.transpose(0, 2, 1), g_scaled.reshape(samples, -1, n))
+                 - emb * (radial_terms / (norm_e**2))[:, None, :])
+        de = terms.sum(axis=0)
     return du, de
 
 
@@ -518,7 +517,8 @@ def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
 
     ys = np.empty((order.size, c_out))
     for n, lo, hi in segments:
-        ys[lo:hi] = xs[lo:hi] @ weights[n].data.T + biases[n].data
+        np.matmul(xs[lo:hi], weights[n].data.T, out=ys[lo:hi])
+    ys += np.stack([b.data for b in biases])[flat_sel[order]]
 
     dispatch = _Dispatch(x.shape, sel.shape, positions, k, order, rows, by_position, segments,
                          xs, ws, ys)
@@ -605,7 +605,7 @@ def _route(x: np.ndarray, gate_w: np.ndarray, gate_e: np.ndarray, temperature: f
     """Gate projection, cosine logits, softmax, ``select(probs, top_k)``, gather."""
     u = _linear(x, gate_w)
     logits, cosine = _cosine_logits(u, gate_e, temperature)
-    probs = _softmax(logits, 1.0)
+    probs = stable_softmax(logits)
     selected = select(probs, top_k)
     return Routing(u, logits, cosine, probs, selected, _gather(probs, selected))
 
@@ -664,15 +664,20 @@ def _cross_entropy(z: np.ndarray, labels) -> tuple[float, Callable[[float], np.n
         raise DomainError("cross_entropy: label outside [0, n_classes)")
 
     shifted = z - z.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
-    picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
+    e = np.exp(shifted)
+    norm = np.sum(e, axis=-1, keepdims=True)
+    log_norm = np.log(norm[..., 0])
+    # The (position, label) entries of the flattened classes.
+    at_label = (np.arange(labels.size), labels.reshape(-1))
+    picked = shifted.reshape(-1, n_classes)[at_label].reshape(labels.shape)
     count = max(labels.size, 1)
 
     def vjp(g: float) -> np.ndarray:
-        p = stable_softmax(z, axis=-1)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
-        return (p - onehot) * (g / count)
+        # stable_softmax(z) from the forward's pieces, minus the one-hot
+        # labels: x - 0.0 is x, so only the label entries change.
+        p = e / norm
+        p.reshape(-1, n_classes)[at_label] -= 1.0
+        return p * (g / count)
 
     return float(np.sum(log_norm - picked)) / count, vjp
 

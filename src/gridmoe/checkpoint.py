@@ -62,7 +62,10 @@ def load_checkpoint(bin_path) -> dict[str, np.ndarray]:
     manifest = manifest_path_for(bin_path)
     if not bin_path.exists() or not manifest.exists():
         raise ShapeError(f"checkpoint files missing: {bin_path} / {manifest}")
-    meta = json.loads(manifest.read_text())
+    try:
+        meta = json.loads(manifest.read_text())
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ShapeError(f"{manifest}: not a JSON manifest ({exc})") from exc
     if not isinstance(meta, dict) or meta.get("schema") != MANIFEST_SCHEMA:
         raise ShapeError(f"{manifest}: schema is not {MANIFEST_SCHEMA!r}")
     entries = meta.get("entries")
@@ -74,16 +77,19 @@ def load_checkpoint(bin_path) -> dict[str, np.ndarray]:
                 and all(type(d) is int and d >= 0 for d in entry["shape"])):
             raise ShapeError(f"{manifest}: entry {entry!r} needs a string 'name' and a "
                              "'shape' list of non-negative ints")
-    flat = np.frombuffer(bin_path.read_bytes(), dtype=np.float64)
+    raw = bin_path.read_bytes()
+    if len(raw) % 8:
+        raise ShapeError(f"{bin_path}: {len(raw)} bytes is not a whole number of float64 values")
+    flat = np.frombuffer(raw, dtype=np.float64)
     state: dict[str, np.ndarray] = {}
     offset = 0
     for entry in entries:
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         if offset + size > flat.size:
-            raise ShapeError("checkpoint binary is shorter than its manifest declares")
+            raise ShapeError(f"{bin_path}: shorter than its manifest declares")
         state[entry["name"]] = flat[offset : offset + size].reshape(shape).copy()
         offset += size
     if offset != flat.size:
-        raise ShapeError("checkpoint binary is longer than its manifest declares")
+        raise ShapeError(f"{bin_path}: longer than its manifest declares")
     return state

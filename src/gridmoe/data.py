@@ -126,11 +126,20 @@ def default_tasks(label_noise: dict[str, float] | None = None) -> dict[str, Task
     }
 
 
+@lru_cache(maxsize=16)
+def _unit_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column coordinates in [0, 1), shaped to broadcast over channels."""
+    rows = np.arange(height)[:, None, None] / max(height, 1)
+    cols = np.arange(width)[None, :, None] / max(width, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _texture_field(rng: np.random.Generator, height: int, width: int, channels: int,
                    freq: float) -> np.ndarray:
     """Smooth oriented sinusoid per channel, random phase and orientation."""
-    rows = np.arange(height)[:, None, None] / max(height, 1)
-    cols = np.arange(width)[None, :, None] / max(width, 1)
+    rows, cols = _unit_grid(height, width)
     # One (angle, phase) row per channel, in the order of the scalar
     # ``uniform(0, pi)``, ``uniform(0, 2 pi)`` draws (uniform is lo + (hi - lo) * u).
     u = rng.random((channels, 2))

@@ -288,11 +288,11 @@ class ExpertStats:
             cell = _StatsCell(np.zeros(n), np.zeros(n, dtype=np.int64))
             self.cells[(dataset, layer)] = cell
         sel = decision.selected_indices.reshape(-1, decision.top_k)
-        w = decision.gate_weights.reshape(-1, decision.top_k)
-        np.add.at(cell.participation, sel.reshape(-1), w.reshape(-1))
-        top1 = np.argmax(decision.full_softmax.reshape(-1, n), axis=-1)
-        np.add.at(cell.top1, top1, 1)
-        cell.positions += top1.size
+        np.add.at(cell.participation, sel.reshape(-1), decision.gate_weights.reshape(-1))
+        # Ids come in descending probability, ties to the lowest id, so the
+        # first is the argmax of the full softmax.
+        cell.top1 += np.bincount(sel[:, 0], minlength=n)
+        cell.positions += sel.shape[0]
 
     def merge(self, other: "ExpertStats") -> "ExpertStats":
         merged = ExpertStats()

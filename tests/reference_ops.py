@@ -6,9 +6,17 @@
 - ``per_sample_forward_batch``: the forward that ``Model.forward_batch``
   replaced, one graph per sample. The batched model must match it bit for
   bit.
+- ``linear_param_grads`` and ``cosine_embedding_grad``: the weight, bias and
+  embedding gradients as one term per sample added by ``sample_sum``, the
+  loop the stacked reductions in ``autodiff`` replaced.
+- ``cross_entropy_recompute``: the cross-entropy whose vjp builds the
+  softmax again.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 
@@ -17,6 +25,7 @@ from gridmoe import data as gdata
 from gridmoe import model as model_mod
 from gridmoe.autodiff import Tensor
 from gridmoe.errors import DomainError, ShapeError
+from gridmoe.numerics import stable_softmax
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -109,3 +118,57 @@ def per_sample_forward_batch(model, samples):
             total = ad.add(total, loss)
         losses[task_id] = ad.mul(total, 1.0 / len(entries))
     return losses, all_routings
+
+
+def sample_sum(terms):
+    """Sum per-sample terms in order, the first taken as it is (not added to zeros).
+
+    This is how ``backward`` adds the contributions of one op per sample.
+    """
+    return reduce(operator.add, terms)
+
+
+def linear_param_grads(g, x, weight, samples):
+    """``grid_linear``'s weight and bias gradients, one term per sample."""
+    c_out, c_in = weight.shape
+    gf = g.reshape(samples, -1, c_out)
+    xf = x.reshape(samples, -1, c_in)
+    dw = sample_sum(gf[s].T @ xf[s] for s in range(samples))
+    db = sample_sum(gf[s].sum(axis=0) for s in range(samples))
+    return dw, db
+
+
+def cosine_embedding_grad(g, u, logits, saved, samples):
+    """The cosine gate's embedding gradient, one term per sample.
+
+    ``saved`` is what ``autodiff._cosine_logits`` returns beside the logits.
+    """
+    emb, temperature, norm_e, degenerate, inv_norm_u = saved
+    g = np.where(degenerate[..., None], 0.0, g)
+    g_scaled = g * (inv_norm_u[..., None] / (temperature * norm_e))
+    d, n = emb.shape
+    uf = u.reshape(samples, -1, d)
+    gs = g_scaled.reshape(samples, -1, n)
+    radial_terms = (g * logits).reshape(samples, -1, n)
+    return sample_sum(uf[s].T @ gs[s] - emb * (radial_terms[s].sum(axis=0) / (norm_e**2))
+                      for s in range(samples))
+
+
+def cross_entropy_recompute(z: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and its vjp, the vjp recomputing the softmax.
+
+    Labels are picked and the one-hot built with ``take_along_axis`` and
+    ``put_along_axis``.
+    """
+    shifted = z - z.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=-1))
+    picked = np.take_along_axis(shifted, labels[..., None], axis=-1)[..., 0]
+    count = max(labels.size, 1)
+
+    def vjp(g: float) -> np.ndarray:
+        p = stable_softmax(z, axis=-1)
+        onehot = np.zeros_like(p)
+        np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
+        return (p - onehot) * (g / count)
+
+    return float(np.sum(log_norm - picked)) / count, vjp

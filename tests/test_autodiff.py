@@ -11,6 +11,7 @@ import pytest
 from gridmoe import autodiff as ad
 from gridmoe.autodiff import Tensor, backward, finite_diff_check
 from gridmoe.errors import ConfigError, DomainError, ShapeError, UsageError
+import reference_ops as ref
 from reference_ops import log, mean_all, sigmoid, square
 
 LOGISTIC_1 = 1.0 / (1.0 + math.exp(-1.0))  # 0.731059...
@@ -485,6 +486,112 @@ class TestSampleAxis:
             outside = np.delete(got[0], np.s_[lo:lo + n], axis=0)
             assert np.all(outside == 0.0) and np.all(np.signbit(outside))
             assert _bytes(got[1:]) == _bytes([weight.grad, bias.grad])
+
+
+# ---------------------------------------------------------------------------
+# stacked reductions and reused passes against the parent's loops, byte for byte
+# ---------------------------------------------------------------------------
+
+def _relu_adjoint(rng, shape):
+    """An adjoint as relu's vjp gives it, -0.0 where a negative entry is masked.
+
+    One sample's first channel is masked everywhere with negative entries, so
+    its whole adjoint column is -0.0.
+    """
+    g = rng.normal(size=shape)
+    pre = rng.normal(size=shape)
+    s = int(rng.integers(shape[0]))
+    g[s, ..., 0] = -np.abs(g[s, ..., 0]) - 0.1
+    pre[s, ..., 0] = -1.0
+    adjoint = ad.relu(Tensor(pre, requires_grad=True))._op.vjp(g)[0]
+    column = adjoint[s, ..., 0]
+    assert np.all(column == 0.0) and np.all(np.signbit(column))
+    return adjoint
+
+
+def _batch_shape(rng, channels):
+    batch = int(rng.integers(1, 5))
+    grid = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(1, 3))))
+    return (batch, *grid, channels)
+
+
+class TestStackedReductions:
+    def test_grid_linear_grads_match_per_sample_sum(self):
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            c_in, c_out = (int(v) for v in rng.integers(1, 9, size=2))
+            shape = _batch_shape(rng, c_in)
+            x = rng.normal(size=shape)
+            weight = Tensor(rng.normal(size=(c_out, c_in)), requires_grad=True)
+            bias = Tensor(rng.normal(size=c_out), requires_grad=True)
+            g = _relu_adjoint(rng, (*shape[:-1], c_out))
+            expected = ref.linear_param_grads(g, x, weight.data, shape[0])
+            batched = ad.grid_linear(Tensor(x), weight, bias, batched=True)
+            assert _bytes(batched._op.vjp(g)[1:]) == _bytes(expected)
+            one = ad.grid_linear(Tensor(x[0]), weight, bias)
+            expected_one = ref.linear_param_grads(g[0], x[0], weight.data, 1)
+            assert _bytes(one._op.vjp(g[0])[1:]) == _bytes(expected_one)
+
+    def test_gate_embedding_grad_matches_per_sample_sum(self):
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            d, n = (int(v) for v in rng.integers(1, 7, size=2))
+            shape = _batch_shape(rng, d)
+            u = rng.normal(size=shape)
+            u[rng.random(shape[:-1]) < 0.1] = 0.0  # degenerate positions
+            emb = rng.normal(size=(d, n))
+            logits, saved = ad._cosine_logits(u, emb, float(rng.uniform(0.05, 2.0)))
+            g = _relu_adjoint(rng, logits.shape)
+            _, de = ad._cosine_logits_vjp(g, u, logits, saved, False, True, shape[0])
+            expected = ref.cosine_embedding_grad(g, u, logits, saved, shape[0])
+            assert _bytes([de]) == _bytes([expected])
+
+    @pytest.mark.parametrize("loss", ["cross_entropy_mean", "smooth_l1_mean"])
+    def test_head_loss_grads_match_per_sample_sum(self, loss):
+        rng = np.random.default_rng(37 if loss == "smooth_l1_mean" else 38)
+        negative_zero_columns = 0
+        for _ in range(100):
+            h, w, c = (int(v) for v in rng.integers(1, 5, size=3))
+            n = int(rng.integers(1, 5))
+            width = int(rng.integers(2, 6))
+            x = Tensor(rng.normal(size=(n, h, w, c)), requires_grad=True)
+            weight = Tensor(rng.normal(size=(width, c)), requires_grad=True)
+            bias = Tensor(rng.normal(size=width), requires_grad=True)
+            if loss == "cross_entropy_mean":
+                targets = [rng.integers(0, width, size=(h, w)) for _ in range(n)]
+            else:
+                targets = [rng.normal(size=(h, w, width)) * 2.0 for _ in range(n)]
+            node = ad.head_loss(x, weight, bias, 0, targets, loss)
+            out = ad._linear(x.data, weight.data, bias.data)
+            # A -0.0 root adjoint turns every loss gradient into signed zeros.
+            for g in (1.0, -0.0):
+                scale = g * (1.0 / n)
+                dout = np.stack([ad._LOSSES[loss](out[s], t)[1](scale)
+                                 for s, t in enumerate(targets)])
+                negative_zero = np.signbit(dout) & (dout == 0.0)
+                negative_zero_columns += int(np.sum(np.all(negative_zero, axis=(1, 2))))
+                expected = ref.linear_param_grads(dout, x.data, weight.data, n)
+                assert _bytes(node._op.vjp(np.array(g))[1:]) == _bytes(expected)
+        assert negative_zero_columns > 20
+
+    def test_cross_entropy_matches_recomputed_softmax(self):
+        rng = np.random.default_rng(39)
+        for _ in range(300):
+            n_classes = int(rng.integers(2, 7))
+            lead = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(0, 3))))
+            z = rng.normal(size=(*lead, n_classes)) * float(rng.choice([1.0, 40.0]))
+            extreme = rng.random(z.shape)
+            z[extreme < 0.1] = 700.0
+            z[extreme > 0.9] = -700.0
+            size = math.prod(lead)
+            # Every class is a label when there are enough positions.
+            labels = rng.permutation(np.resize(np.arange(n_classes), size)).reshape(lead)
+            assert np.unique(labels).size == min(size, n_classes)
+            value, vjp = ad._cross_entropy(z, labels)
+            ref_value, ref_vjp = ref.cross_entropy_recompute(z, labels)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            for g in (1.0, 0.3, -0.0):
+                assert vjp(g).tobytes() == ref_vjp(g).tobytes()
 
 
 # ---------------------------------------------------------------------------

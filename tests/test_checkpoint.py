@@ -56,6 +56,28 @@ def test_oversized_binary_rejected(tmp_path):
         load_checkpoint(bin_path)
 
 
+@pytest.mark.parametrize("size, message", [
+    (45, "45 bytes is not a whole number of float64 values"),
+    (47, "47 bytes is not a whole number of float64 values"),
+    (49, "49 bytes is not a whole number of float64 values"),
+    (40, "shorter than its manifest declares"),
+    (56, "longer than its manifest declares"),
+])
+def test_wrong_size_binary_rejected_naming_the_file(tmp_path, size, message):
+    bin_path, _ = save_checkpoint(tmp_path / "checkpoint.bin", {"a": np.zeros((2, 3))})
+    bin_path.write_bytes((bin_path.read_bytes() + b"\x00" * 8)[:size])
+    with pytest.raises(ShapeError, match=f"checkpoint.bin: {message}"):
+        load_checkpoint(bin_path)
+
+
+@pytest.mark.parametrize("text", ["{not json", "", "\udcff"], ids=["bad_json", "empty", "bad_utf8"])
+def test_unparsable_manifest_rejected_naming_the_file(tmp_path, text):
+    bin_path, manifest = save_checkpoint(tmp_path / "checkpoint.bin", {"a": np.zeros((2, 3))})
+    manifest.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ShapeError, match="checkpoint.manifest.json: not a JSON manifest"):
+        load_checkpoint(bin_path)
+
+
 def test_missing_files_rejected(tmp_path):
     with pytest.raises(ShapeError):
         load_checkpoint(tmp_path / "nope.bin")

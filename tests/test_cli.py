@@ -408,6 +408,21 @@ class TestInspectCommand:
         assert "checkpoint" in capsys.readouterr().err
         assert not (out / "inspect").exists()
 
+    @pytest.mark.parametrize("damage", ["cut_binary", "manifest_not_json"])
+    def test_damaged_checkpoint_exits_2_naming_the_file(self, tmp_path, capsys, damage):
+        out = self._trained_run(tmp_path, iterations=2)
+        if damage == "cut_binary":
+            damaged = out / "checkpoint.bin"
+            damaged.write_bytes(damaged.read_bytes()[:-3])
+        else:
+            damaged = out / "checkpoint.manifest.json"
+            damaged.write_text("{not json")
+        code = main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--modality", "A", "--n", "1"])
+        assert code == 2
+        assert f"config error: checkpoint: {damaged}: " in capsys.readouterr().err
+        assert not (out / "inspect").exists()
+
     def test_checkpoint_config_mismatch_exits_2(self, tmp_path, capsys):
         out = self._trained_run(tmp_path)
         other_cfg = write_config(tmp_path / "other.json", **{"model.channels": 6})

@@ -468,6 +468,43 @@ class TestExpertStats:
         cell = stats.cells[("ds", "L")]
         assert cell.top1.sum() == total == cell.positions
 
+    def test_top1_counts_equal_full_softmax_argmax(self):
+        """accumulate counts each position's first selected id, which the
+        RoutingDecision contract makes the argmax of the full softmax (ties
+        to the lowest id); checked with ties from repeated embeddings and
+        from degenerate positions."""
+        rng = np.random.default_rng(17)
+        tied_positions = 0
+        for trial in range(60):
+            cfg, params = random_instance(rng)
+            n = cfg.n_experts
+            if trial % 3 == 1 and n > 1:
+                params.E.data[:, 1:] = params.E.data[:, :1]  # every expert the same
+            elif trial % 3 == 2 and n > 2:
+                params.E.data[:, -1] = params.E.data[:, 0]  # experts 0 and N-1 tie
+            bank = build_bank(rng, cfg)
+            x = rng.normal(size=(int(rng.integers(1, 4)), 3, 2, cfg.in_channels))
+            x[rng.random(x.shape[:-1]) < 0.2] = 0.0  # uniform routing
+            decisions = [
+                moe_forward(Tensor(x), bank, params, cfg, batched=True)[1],
+                moe_forward(Tensor(x[0]), bank, params, cfg)[1],
+                gate(x[0, 0, 0], params, cfg),
+                gate(np.zeros(cfg.in_channels), params, cfg),
+            ]
+            stats = ExpertStats()
+            stats.register_layer("L", n)
+            expected = np.zeros(n, dtype=np.int64)
+            for decision in decisions:
+                stats.accumulate(decision, "ds", "L")
+                probs = decision.full_softmax.reshape(-1, n)
+                expected += np.bincount(np.argmax(probs, axis=-1), minlength=n)
+                tied_positions += int(np.sum((probs == probs.max(axis=-1, keepdims=True))
+                                             .sum(axis=-1) > 1))
+            cell = stats.cells[("ds", "L")]
+            np.testing.assert_array_equal(cell.top1, expected)
+            assert cell.positions == expected.sum()
+        assert tied_positions > 200
+
 
 class TestTop1Map:
     def test_uniform_gates_give_zero_map(self):

@@ -1,0 +1,65 @@
+"""Print the SHA-256 of every artifact of short ``benchmark_config`` runs.
+
+For each seed it trains ``train.benchmark_config`` three ways (governor on,
+``--no-dso``, and ``--no-dso --no-moe``) into a temporary directory and prints
+one ``<sha256>  <variant>/seed<N>/<file>`` line per artifact, sorted.
+``config_snapshot.json`` is left out: it records the output directory.
+
+Two checkouts that compute the same bits print the same lines, so a change
+that must stay bit for bit is checked by diffing its output with the
+parent's::
+
+    python3 tools/artifact_digest.py --seeds 0,3 --iterations 300 > change.txt
+    python3 tools/artifact_digest.py --src ../parent/src --seeds 0,3 --iterations 300 > parent.txt
+    diff parent.txt change.txt
+
+gridmoe is imported from ``--src`` (default: the ``src/`` beside this file).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+SKIPPED = {"config_snapshot.json"}
+VARIANTS = {
+    "dso": {"run.dso": True},
+    "no-dso": {"run.dso": False},
+    "no-dso-no-moe": {"run.dso": False, "run.moe": False},
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", default="0,3", help="comma list of run seeds")
+    parser.add_argument("--iterations", type=int, default=300)
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the gridmoe package to run")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from gridmoe.runconfig import parse_config, set_path
+    from gridmoe.train import benchmark_config, train
+
+    seeds = [int(s) for s in args.seeds.split(",")]
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            for variant, overrides in VARIANTS.items():
+                out = Path(tmp) / variant / f"seed{seed}"
+                raw = benchmark_config(seed, args.iterations, str(out), True).snapshot()
+                for dotted, value in overrides.items():
+                    set_path(raw, dotted, value)
+                train(parse_config(raw), keep_model=False)
+                lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                          f"{variant}/seed{seed}/{path.relative_to(out).as_posix()}"
+                          for path in sorted(out.rglob("*"))
+                          if path.is_file() and path.name not in SKIPPED]
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
