@@ -5,10 +5,10 @@ heads, and the losses need: per-grid linear maps, last-axis softmax, relu,
 add, mul, cosine gate logits, sparse expert mixing, and two mean-reduced
 losses. Everything is 64-bit, dense, row-major, rank <= 4. A whole MoE layer,
 from the gate projection to the expert mixing, records one node,
-``moe_layer``, and a task head with its per-sample losses and their mean
-records one node, ``head_loss``; both are built from the same array-level
-helpers as those ops. The trunk's ops can run a batch of samples at once,
-with every gradient bit for bit as one op per sample would give it.
+``moe_layer``, and all task heads with their losses and the total record
+one node, ``heads_loss``; both are built from the same array-level helpers
+as those ops. The trunk's ops can run a batch of samples at once, with
+every gradient bit for bit as one op per sample would give it.
 
 Execution is eager. Each operation whose inputs carry gradients appends an
 ``OpRecord`` to the output tensor; ``backward`` linearizes the records
@@ -25,15 +25,17 @@ live record still references.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, UsageError
-from .numerics import NORM_EPS, stable_softmax
+from .numerics import NORM_EPS, last_axis_max, stable_softmax
 
 MAX_RANK = 4
 
@@ -285,15 +287,9 @@ def _sample_count(x: np.ndarray, batched: bool) -> int:
     return x.shape[0]
 
 
-def _softmax(v: np.ndarray, temperature: float) -> np.ndarray:
-    if temperature <= 0.0:
-        raise ConfigError("softmax.temperature", f"must be > 0, got {temperature}")
-    return stable_softmax(v / temperature, axis=-1)
-
-
-def _softmax_vjp(g: np.ndarray, s: np.ndarray, temperature: float) -> np.ndarray:
-    inner = g - (g * s).sum(axis=-1, keepdims=True)
-    return s * inner / temperature
+def _softmax_vjp(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The vjp at temperature 1; dividing it by the temperature gives the others."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
 def softmax(v, temperature: float = 1.0) -> Tensor:
@@ -303,10 +299,12 @@ def softmax(v, temperature: float = 1.0) -> Tensor:
     common shift of the inputs and never overflows for finite logits.
     """
     v = _lift(v)
-    s = _softmax(v.data, temperature)
+    if temperature <= 0.0:
+        raise ConfigError("softmax.temperature", f"must be > 0, got {temperature}")
+    s = stable_softmax(v.data / temperature)
 
     def vjp(g):
-        return (_softmax_vjp(g, s, temperature),)
+        return (_softmax_vjp(g, s) / temperature,)
 
     return _node("softmax", s, (v,), vjp)
 
@@ -370,7 +368,7 @@ def _cosine_logits(u: np.ndarray, emb: np.ndarray, temperature: float):
         )
     # np.linalg.norm's expression for real input, without its dispatch.
     norm_e = np.sqrt(np.add.reduce(emb * emb, 0))
-    if np.any(norm_e < NORM_EPS):
+    if (norm_e < NORM_EPS).any():
         raise DomainError("gate_logits: an expert embedding column has (near-)zero norm")
     norm_u = np.sqrt(np.add.reduce(u * u, -1))
     degenerate = norm_u < NORM_EPS
@@ -421,26 +419,11 @@ def gate_logits(u: Tensor, embeddings: Tensor, temperature: float) -> Tensor:
 def _gather(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if idx.shape[:-1] != x.shape[:-1]:
         raise ShapeError(f"gather_last: leading dims {idx.shape[:-1]} != {x.shape[:-1]}")
-    # The entries of np.take_along_axis, through one fancy index.
-    flat = x.reshape(-1, x.shape[-1])
-    rows = np.arange(flat.shape[0])[:, None]
-    return flat[rows, idx.reshape(flat.shape[0], idx.shape[-1])].reshape(idx.shape)
-
-
-def _gather_vjp(g, idx, shape, distinct: bool) -> np.ndarray:
-    """Scatter g back to ``shape`` at idx, added into zeros.
-
-    With ``distinct`` ids in every row each (row, id) pair occurs once, so a
-    fancy-index add gives the bits of ``np.add.at`` at a fraction of its cost.
-    """
-    dx = np.zeros(shape)
-    flat = dx.reshape(-1, shape[-1])
-    rows = np.repeat(np.arange(flat.shape[0]), idx.shape[-1])
-    if distinct:
-        flat[rows, idx.reshape(-1)] += g.reshape(-1)
-    else:
-        np.add.at(flat, (rows, idx.reshape(-1)), g.reshape(-1))
-    return dx
+    # The entries of np.take_along_axis, through one take of flat cells.
+    n = x.shape[-1]
+    rows = math.prod(x.shape[:-1])
+    cells = idx.reshape(rows, -1) + np.arange(0, rows * n, n)[:, None]
+    return x.reshape(-1).take(cells).reshape(idx.shape)
 
 
 def gather_last(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -450,10 +433,16 @@ def gather_last(x: Tensor, indices: np.ndarray) -> Tensor:
     """
     x = _lift(x)
     idx = np.asarray(indices)
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[-1]):
+        raise ShapeError(f"gather_last: an index lies outside [0, {x.shape[-1]})")
     out = _gather(x.data, idx)
 
     def vjp(g):
-        return (_gather_vjp(g, idx, x.shape, distinct=False),)
+        dx = np.zeros(x.shape)
+        flat = dx.reshape(-1, x.shape[-1])
+        rows = np.repeat(np.arange(flat.shape[0]), idx.shape[-1])
+        np.add.at(flat, (rows, idx.reshape(-1)), g.reshape(-1))
+        return (dx,)
 
     return _node("gather_last", out, (x,), vjp)
 
@@ -463,11 +452,10 @@ class _Dispatch:
     """Sorted dispatch of one expert mixture: what its vjp replays."""
 
     x_shape: tuple
-    sel_shape: tuple
     positions: int
     k: int
-    order: np.ndarray         # flattened (position, slot) entries sorted by (sample, expert)
-    rows: np.ndarray          # the position of each sorted entry
+    rows: np.ndarray          # the position of each sorted (position, slot) entry
+    experts: np.ndarray       # the expert of each sorted entry
     by_position: np.ndarray   # (positions, k) indices into the sorted order, ids ascending
     segments: list            # (expert, lo, hi) of each (sample, expert) run, samples in order
     xs: np.ndarray            # input row of each sorted entry
@@ -475,9 +463,11 @@ class _Dispatch:
     ys: np.ndarray            # expert output of each sorted entry
 
     def per_position(self, terms: np.ndarray) -> np.ndarray:
-        total = np.zeros((self.positions, terms.shape[1]))
-        for j in range(self.k):
-            total += terms[self.by_position[:, j]]
+        """Each position's k terms added in ascending expert id, starting from zero."""
+        picked = terms.take(self.by_position, axis=0)
+        total = picked[:, 0] + 0.0  # the bits of adding into zeros: -0.0 reads 0.0
+        for j in range(1, self.k):
+            total += picked[:, j]
         return total
 
 
@@ -496,65 +486,72 @@ def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
     positions = math.prod(lead)
     k = sel.shape[-1]
     n_experts = len(weights)
-    xf = x.reshape(positions, c_in)
     flat_sel = sel.reshape(-1)
     if flat_sel.size and flat_sel.max() >= n_experts:
         raise ShapeError(f"mix_experts: selection names an expert >= {n_experts}")
     # Sorting by expert + N * sample gives every (sample, expert) pair its own
     # segment and gemm, with exactly the rows a single-sample call gives it.
-    keys = flat_sel + np.repeat(np.arange(0, n_experts * samples, n_experts),
-                                flat_sel.size // samples)
+    keys = flat_sel + np.arange(0, n_experts * samples, n_experts).repeat(flat_sel.size // samples)
     bounds = list(accumulate(np.bincount(keys, minlength=n_experts * samples).tolist(),
                              initial=0))
     segments = [(key % n_experts, bounds[key], bounds[key + 1])
                 for key in range(n_experts * samples) if bounds[key] < bounds[key + 1]]
-    order = np.argsort(keys, kind="stable")
+    # A stable sort's permutation does not depend on the key dtype, and numpy
+    # sorts keys of 16 bits or fewer by radix.
+    order = keys.astype(np.min_scalar_type(n_experts * samples - 1)).argsort(kind="stable")
     rows = order // k
     # by_position[p] lists p's entries of the sorted order in ascending expert id.
-    by_position = np.argsort(rows, kind="stable").reshape(positions, k)
-    xs = xf[rows]
-    ws = selected_weights.reshape(-1)[order][:, None]
+    by_position = rows.astype(np.min_scalar_type(positions - 1)).argsort(kind="stable")
+    experts = flat_sel.take(order)
+    xs = x.reshape(positions, c_in).take(rows, axis=0)
+    ws = selected_weights.reshape(-1).take(order)[:, None]
 
     ys = np.empty((order.size, c_out))
     for n, lo, hi in segments:
         np.matmul(xs[lo:hi], weights[n].data.T, out=ys[lo:hi])
-    ys += np.stack([b.data for b in biases])[flat_sel[order]]
+    ys += np.stack([b.data for b in biases]).take(experts, axis=0)
 
-    dispatch = _Dispatch(x.shape, sel.shape, positions, k, order, rows, by_position, segments,
-                         xs, ws, ys)
+    dispatch = _Dispatch(x.shape, positions, k, rows, experts, by_position.reshape(positions, k),
+                         segments, xs, ws, ys)
     out = dispatch.per_position(ws * ys)
     return out.reshape(*lead, c_out), dispatch
 
 
 def _mix_vjp(g, d: _Dispatch, weights, biases, need_x: bool, need_sel: bool):
-    """Gradients of a mixture: dx, d(selected weights), and per-expert lists."""
+    """Gradients of a mixture: dx, the gate-weight table, and per-expert lists.
+
+    The table is (positions, N): each selected (position, expert) cell holds
+    its gate weight's gradient added into zero, every other cell is 0.0.
+    """
     c_out = d.ys.shape[1]
-    g_rows = g.reshape(d.positions, c_out)[d.rows]
+    g_rows = g.reshape(d.positions, c_out).take(d.rows, axis=0)
     gs = g_rows * d.ws
     n_experts = len(weights)
+    need_w = [w.requires_grad for w in weights]
+    need_b = [b.requires_grad for b in biases]
     dws: list[np.ndarray | None] = [None] * n_experts
     dbs: list[np.ndarray | None] = [None] * n_experts
-    dxs = np.empty((d.order.size, d.x_shape[-1])) if need_x else None
+    dxs = np.empty((d.rows.size, d.x_shape[-1])) if need_x else None
     # Segments run in sample order, so each expert's per-sample terms are
     # added in sample order, the first taken as it is.
     for n, lo, hi in d.segments:
-        if weights[n].requires_grad:
-            term = gs[lo:hi].T @ d.xs[lo:hi]
+        g_seg = gs[lo:hi]
+        if need_w[n]:
+            term = g_seg.T @ d.xs[lo:hi]
             dws[n] = term if dws[n] is None else dws[n] + term
-        if biases[n].requires_grad:
-            term = gs[lo:hi].sum(axis=0)
+        if need_b[n]:
+            term = g_seg.sum(axis=0)
             dbs[n] = term if dbs[n] is None else dbs[n] + term
         if dxs is not None:
-            dxs[lo:hi] = gs[lo:hi] @ weights[n].data
+            np.matmul(g_seg, weights[n].data, out=dxs[lo:hi])
     dx = d.per_position(dxs).reshape(d.x_shape) if dxs is not None else None
-    dsel = None
+    table = None
     if need_sel:
         # Added into zeros, like every other accumulated sum here, so a
         # -0.0 dot product reads 0.0.
-        dsel = np.zeros(d.order.size)
-        dsel[d.order] += (g_rows * d.ys).sum(axis=1)
-        dsel = dsel.reshape(d.sel_shape)
-    return dx, dsel, dws, dbs
+        table = np.zeros((d.positions, n_experts))
+        table.reshape(-1)[d.rows * n_experts + d.experts] += (g_rows * d.ys).sum(axis=1)
+    return dx, table, dws, dbs
 
 
 def mix_experts(
@@ -569,7 +566,8 @@ def mix_experts(
     out[pos] = sum_j selected_weights[pos, j] * (W_sel @ x[pos] + b_sel).
     Only the experts named in ``selected`` are applied; the second return
     value counts the expert applications, which equals positions * k.
-    Non-selected experts receive no gradient.
+    Non-selected experts receive no gradient. A position must name k
+    distinct experts.
 
     Dispatch is one stable sort of the flattened selection by expert id, so
     each expert's (position, slot) pairs form one contiguous segment with
@@ -578,15 +576,20 @@ def mix_experts(
     so the result does not depend on the order of ids within ``selected``.
     """
     x = _lift(x)
-    out, dispatch = _mix(x.data, weights, biases, np.asarray(selected), selected_weights.data)
+    sel = np.asarray(selected)
+    ids = np.sort(sel, axis=-1)
+    if (ids[..., 1:] == ids[..., :-1]).any():
+        raise ShapeError("mix_experts: a position names the same expert twice")
+    out, dispatch = _mix(x.data, weights, biases, sel, selected_weights.data)
 
     def vjp(g):
-        dx, dsel, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad,
-                                      selected_weights.requires_grad)
+        dx, table, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad,
+                                       selected_weights.requires_grad)
+        dsel = None if table is None else _gather(table.reshape(*sel.shape[:-1], -1), sel)
         return (dx, dsel, *dws, *dbs)
 
     result = _node("mix_experts", out, (x, selected_weights, *weights, *biases), vjp)
-    return result, dispatch.order.size
+    return result, dispatch.rows.size
 
 
 class Routing(NamedTuple):
@@ -629,11 +632,11 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tenso
     need_gate = x.requires_grad or gate_w.requires_grad or gate_e.requires_grad
 
     def vjp(g):
-        dx, dsel, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad, need_gate)
+        dx, table, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad, need_gate)
         dw = de = None
-        if dsel is not None:
-            dprobs = _gather_vjp(dsel, routing.selected, routing.probs.shape, distinct=True)
-            dlogits = _softmax_vjp(dprobs, routing.probs, 1.0)
+        if table is not None:
+            # The table is the gradient gather_last's vjp scatters into zeros.
+            dlogits = _softmax_vjp(table.reshape(routing.probs.shape), routing.probs)
             du, de = _cosine_logits_vjp(dlogits, routing.u, routing.logits, routing.cosine,
                                         x.requires_grad or gate_w.requires_grad,
                                         gate_e.requires_grad, samples)
@@ -645,15 +648,19 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tenso
         return (dx, dw, de, *dws, *dbs)
 
     result = _node("moe_layer", out, (x, gate_w, gate_e, *weights, *biases), vjp)
-    return result, dispatch.order.size
+    return result, dispatch.rows.size
 
 
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
 
-def _cross_entropy(z: np.ndarray, labels) -> tuple[float, Callable[[float], np.ndarray]]:
-    """Mean NLL of integer labels under last-axis softmax, and its vjp at a scalar."""
+# A loss helper scores samples stacked on axis 0: it returns each sample's
+# mean and their vjp at one scalar. numpy sums a sample's contiguous row as it
+# sums that sample alone, so each mean has the bits of one call per sample.
+
+def _cross_entropy(z: np.ndarray, labels) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+    """Per-sample mean NLL of integer labels under last-axis softmax, and its vjp."""
     labels = np.asarray(labels)
     if not np.issubdtype(labels.dtype, np.integer):
         raise DomainError("cross_entropy: labels must be integers")
@@ -663,89 +670,96 @@ def _cross_entropy(z: np.ndarray, labels) -> tuple[float, Callable[[float], np.n
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise DomainError("cross_entropy: label outside [0, n_classes)")
 
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - last_axis_max(z)
     e = np.exp(shifted)
-    norm = np.sum(e, axis=-1, keepdims=True)
+    norm = e.sum(axis=-1, keepdims=True)
     log_norm = np.log(norm[..., 0])
-    # The (position, label) entries of the flattened classes.
-    at_label = (np.arange(labels.size), labels.reshape(-1))
-    picked = shifted.reshape(-1, n_classes)[at_label].reshape(labels.shape)
-    count = max(labels.size, 1)
+    # The label cell of every position in the flattened classes.
+    at_label = np.arange(0, labels.size * n_classes, n_classes) + labels.reshape(-1)
+    picked = shifted.reshape(-1).take(at_label).reshape(labels.shape)
+    count = max(math.prod(labels.shape[1:]), 1)
 
     def vjp(g: float) -> np.ndarray:
         # stable_softmax(z) from the forward's pieces, minus the one-hot
         # labels: x - 0.0 is x, so only the label entries change.
         p = e / norm
-        p.reshape(-1, n_classes)[at_label] -= 1.0
+        p.reshape(-1)[at_label] -= 1.0
         return p * (g / count)
 
-    return float(np.sum(log_norm - picked)) / count, vjp
+    return (log_norm - picked).reshape(len(labels), -1).sum(axis=1) / count, vjp
 
 
-def _smooth_l1(pred: np.ndarray, target) -> tuple[float, Callable[[float], np.ndarray]]:
-    """Mean Huber-style loss and its vjp at a scalar."""
+def _smooth_l1(pred: np.ndarray, target) -> tuple[np.ndarray, Callable[[float], np.ndarray]]:
+    """Per-sample mean Huber-style loss and its vjp."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != pred.shape:
         raise ShapeError(f"smooth_l1: target shape {target.shape} != {pred.shape}")
     d = pred - target
     small = np.abs(d) < 1.0
     per_elem = np.where(small, 0.5 * d * d, np.abs(d) - 0.5)
-    count = max(d.size, 1)
+    count = max(math.prod(d.shape[1:]), 1)
 
     def vjp(g: float) -> np.ndarray:
         return np.clip(d, -1.0, 1.0) * (g / count)
 
-    return float(per_elem.sum()) / count, vjp
+    return per_elem.reshape(len(d), -1).sum(axis=1) / count, vjp
 
 
 _LOSSES = {"cross_entropy_mean": _cross_entropy, "smooth_l1_mean": _smooth_l1}
 
 
+def _one_sample_loss(name: str, pred: Tensor, target) -> Tensor:
+    """The loss ``name`` of ``pred`` as one sample, recorded as its own node."""
+    values, grad = _LOSSES[name](pred.data[None], np.asarray(target)[None])
+    return _node(name, np.array(values[0]), (pred,), lambda g: (grad(float(g))[0],))
+
+
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer labels under last-axis softmax."""
-    value, grad = _cross_entropy(logits.data, labels)
-    return _node("cross_entropy_mean", np.array(value), (logits,), lambda g: (grad(float(g)),))
+    return _one_sample_loss("cross_entropy_mean", logits, labels)
 
 
 def smooth_l1_mean(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean Huber-style loss: 0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
-    value, grad = _smooth_l1(pred.data, target)
-    return _node("smooth_l1_mean", np.array(value), (pred,), lambda g: (grad(float(g)),))
+    return _one_sample_loss("smooth_l1_mean", pred, target)
 
 
-def head_loss(x: Tensor, weight: Tensor, bias: Tensor, lo: int, targets: Sequence[np.ndarray],
-              loss: str) -> Tensor:
-    """One graph node for a task head over samples lo, lo+1, ... of a batch.
+def heads_loss(x: Tensor, heads: Sequence[tuple[Tensor, Tensor, np.ndarray, str]]
+               ) -> tuple[Tensor, list[float]]:
+    """All task heads of a batch and the sum of their mean losses, as one graph node.
 
-    x is a batch whose axis 0 indexes samples; ``targets`` has one target per
-    head sample. The node projects those samples as a batched ``grid_linear``
-    does, scores each with ``loss`` ("cross_entropy_mean" or
-    "smooth_l1_mean"), adds the scores in order and multiplies by 1/n. These
-    are the expressions of one head op and one loss op per sample followed by
-    ``add`` and ``mul``, so the value and every gradient have their bits.
-    The rows of x outside the head's samples get a -0.0 adjoint: -0.0 is the
-    additive identity, so adding it leaves another head's rows bit for bit.
+    ``heads`` lists each head's weight, bias, targets stacked on axis 0 and
+    loss name, in task order; together they take the samples of x in turn.
+    Per head: project as a batched ``grid_linear``, score with one loss call,
+    add the scores in sample order, multiply by 1/n; then add the means in
+    task order. These are the expressions of per-sample head and loss ops,
+    ``add`` and ``mul``, so every bit is kept. Returns the node and the means.
     """
-    n = len(targets)
-    rows = x.data[lo:lo + n]
-    out = _linear(rows, weight.data, bias.data)
-    scored = [_LOSSES[loss](out[s], target) for s, target in enumerate(targets)]
-    total = scored[0][0]
-    for value, _ in scored[1:]:
-        total = total + value
+    parts, means, lo = [], [], 0
+    for weight, bias, targets, loss in heads:
+        n = len(targets)
+        rows = x.data[lo:lo + n]
+        values, grad = _LOSSES[loss](_linear(rows, weight.data, bias.data), targets)
+        means.append(reduce(operator.add, values.tolist()) * (1.0 / n))
+        parts.append((lo, n, rows, weight, bias, grad))
+        lo += n
+    if lo != x.shape[0]:
+        raise ShapeError(f"heads_loss: the heads take {lo} samples of a batch of {x.shape[0]}")
 
     def vjp(g):
-        scale = float(g) * (1.0 / n)
-        dout = np.stack([grad(scale) for _, grad in scored])
-        drows, dw, db = _linear_vjp(dout, rows, weight.data, x.requires_grad,
-                                    weight.requires_grad, bias.requires_grad, n)
-        dx = None
-        if drows is not None:
-            dx = np.full(x.shape, -0.0)
-            dx[lo:lo + n] = drows
-        return dx, dw, db
+        dx = np.empty(x.shape) if x.requires_grad else None  # each row is written once
+        grads = []
+        for lo, n, rows, weight, bias, grad in parts:
+            drows, dw, db = _linear_vjp(grad(float(g) * (1.0 / n)), rows, weight.data,
+                                        dx is not None, weight.requires_grad,
+                                        bias.requires_grad, n)
+            if dx is not None:
+                dx[lo:lo + n] = drows
+            grads += (dw, db)
+        return (dx, *grads)
 
-    return _node("head_loss", np.array(total * (1.0 / n)), (x, weight, bias), vjp)
+    inputs = (x, *(t for weight, bias, *_ in heads for t in (weight, bias)))
+    return _node("heads_loss", np.array(reduce(operator.add, means)), inputs, vjp), means
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@ def load_checkpoint(bin_path) -> dict[str, np.ndarray]:
     state: dict[str, np.ndarray] = {}
     offset = 0
     for entry in entries:
+        if entry["name"] in state:
+            raise ShapeError(f"{manifest}: entry name {entry['name']!r} appears more than once")
         shape = tuple(entry["shape"])
         size = int(np.prod(shape)) if shape else 1
         if offset + size > flat.size:

@@ -131,7 +131,10 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     raw = load_config_file(args.config)
     grid = _parse_grid(args.grid)
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    except ValueError:
+        raise ConfigError("seeds", f"{args.seeds!r} is not a comma list of integers") from None
     base_out = resolve_out_dir(args.out if args.out is not None
                                else raw.get("run", {}).get("out_dir", "sweep"))
     _prepare_out_dir(base_out, args.force)

@@ -126,7 +126,7 @@ def head_multipliers(tracker: LossTracker, cfg: DsoConfig) -> np.ndarray:
         log.warning("current loss at or below %g clamped for ratio computation", CUR_LOSS_FLOOR)
         cur = np.maximum(cur, CUR_LOSS_FLOOR)
     w = tracker.his / cur
-    return cfg.n_tasks * stable_softmax(w / cfg.theta, axis=-1)
+    return cfg.n_tasks * stable_softmax(w / cfg.theta)
 
 
 def convergence_ratios(tracker: LossTracker) -> np.ndarray:
@@ -146,8 +146,8 @@ def consistency_score(tracker: LossTracker) -> float:
         raise UsageError("consistency_score requires an updated tracker")
     if tracker.n_tasks < 2:
         raise ConfigError("dso.n_tasks", "consistency score requires at least 2 tasks")
-    p_cur = stable_softmax(tracker.cur, axis=-1)
-    p_his = stable_softmax(tracker.his, axis=-1)
+    p_cur = stable_softmax(tracker.cur)
+    p_his = stable_softmax(tracker.his)
     kl = float(
         np.sum(p_cur * (np.log(np.maximum(p_cur, KL_FLOOR)) - np.log(np.maximum(p_his, KL_FLOOR))))
     )

@@ -155,14 +155,15 @@ class Model:
         return ad.grid_linear(features, w, b)
 
     def forward_batch(self, samples):
-        """Per-task mean losses over a tagged batch, run as one (B, H, W, C) batch.
+        """The summed task losses of a tagged batch, run as one (B, H, W, C) batch.
 
         ``samples`` is an iterable of (task_id, sample_index, image, target).
         The batch is stacked in (task order, sample index) order, so each
         task's samples are adjacent and its losses are added in sample-index
-        order: the result is exactly independent of batch order. Each task
-        head with its loss is one ``head_loss`` node. The routing decisions
-        come back one per (sample, MoE layer), in the order of ``samples``.
+        order: the result is exactly independent of batch order. Returns the
+        ``heads_loss`` node (the task means added in task order), each task's
+        mean as a float, and the routing decisions, one per (sample, MoE
+        layer) in the order of ``samples``.
         """
         samples = list(samples)
         task_index = {task_id: i for i, task_id in enumerate(self.task_order)}
@@ -173,20 +174,19 @@ class Model:
                          key=lambda i: (task_index[samples[i][0]], samples[i][1]))
         features, routings = self.features(np.stack([samples[i][2] for i in stacked]))
 
-        losses: dict[str, Tensor] = {}
-        lo = 0
+        task_ids, heads = [], []
         for task_id, group in itertools.groupby(stacked, key=lambda i: samples[i][0]):
-            targets = [samples[i][3] for i in group]
             loss = ("cross_entropy_mean" if self.tasks[task_id].kind == gdata.CLASSIFICATION
                     else "smooth_l1_mean")
-            losses[task_id] = ad.head_loss(features, *self.heads[task_id], lo, targets, loss)
-            lo += len(targets)
+            task_ids.append(task_id)
+            heads.append((*self.heads[task_id], np.stack([samples[i][3] for i in group]), loss))
+        total, means = ad.heads_loss(features, heads)
 
         position = {i: p for p, i in enumerate(stacked)}
         all_routings = [(task_id, layer, decision.sample(position[i]))
                         for i, (task_id, *_) in enumerate(samples)
                         for layer, decision in routings]
-        return losses, all_routings
+        return total, dict(zip(task_ids, means)), all_routings
 
     # -- parameter bookkeeping -------------------------------------------
 

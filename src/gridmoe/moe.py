@@ -129,7 +129,7 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
     Stable descending sort means equal probabilities resolve to the lowest
     expert index, which pins down routing for oracle comparisons.
     """
-    order = np.argsort(-probs, axis=-1, kind="stable")
+    order = (-probs).argsort(axis=-1, kind="stable")
     return order[..., :k]
 
 

@@ -147,8 +147,8 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
                 )
                 samples.append((item.modality, item.sample_index, image, target))
 
-            losses, routings = model.forward_batch(samples)
-            values = np.array([losses[t].item() for t in order])
+            total, losses, routings = model.forward_batch(samples)
+            values = np.array([losses[t] for t in order])
             if not np.all(np.isfinite(values)):
                 dump_path = out_dir / "diagnostic_dump.csv"
                 _write_dump(dump_path, loss_columns, recent)
@@ -171,9 +171,6 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
                     dso.update_ema(tracker, values, cfg.dso)
                 ratios = np.ones(n_tasks)
 
-            total = losses[order[0]]
-            for t in order[1:]:
-                total = ad.add(total, losses[t])
             ad.backward(total)
             effective = {}
             for group_name, params in groups.items():

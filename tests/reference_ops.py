@@ -6,6 +6,14 @@
 - ``per_sample_forward_batch``: the forward that ``Model.forward_batch``
   replaced, one graph per sample. The batched model must match it bit for
   bit.
+- ``head_loss``: one task head's node as it was before ``heads_loss`` took
+  all heads, scoring each sample with its own loss call
+  (``PER_SAMPLE_LOSSES``).
+- ``replayed_adjoints``: what ``backward`` accumulates from a given root
+  adjoint, which may be -0.0.
+- ``mix``, ``mix_vjp`` and ``gather_vjp``: the expert mixture with 2-D
+  fancy-index gathers, per-position sums added into zeros and the gate-weight
+  gradient scattered twice, which the take-based dispatch replaced.
 - ``linear_param_grads`` and ``cosine_embedding_grad``: the weight, bias and
   embedding gradients as one term per sample added by ``sample_sum``, the
   loop the stacked reductions in ``autodiff`` replaced.
@@ -15,8 +23,11 @@
 
 from __future__ import annotations
 
+import math
 import operator
+from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +36,6 @@ from gridmoe import data as gdata
 from gridmoe import model as model_mod
 from gridmoe.autodiff import Tensor
 from gridmoe.errors import DomainError, ShapeError
-from gridmoe.numerics import stable_softmax
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -85,8 +95,9 @@ def per_sample_forward_batch(model, samples):
     ``gridmoe.model`` at call time, so a patched one is used) or the base
     ``grid_linear``, then ``relu``; then the head ``grid_linear`` and the
     sample's loss. A task's losses are added in sample-index order and
-    multiplied by 1/n. Decisions come back per (sample, MoE layer) in batch
-    order.
+    multiplied by 1/n, and the task means are added in task order. Returns
+    the total, each task's mean as a float and the decisions, per (sample,
+    MoE layer) in batch order.
     """
     per_task = {t: [] for t in model.task_order}
     all_routings = []
@@ -108,7 +119,7 @@ def per_sample_forward_batch(model, samples):
             loss = ad.smooth_l1_mean(out, target)
         per_task[task_id].append((sample_index, loss))
 
-    losses = {}
+    means = {}
     for task_id, entries in per_task.items():
         if not entries:
             continue
@@ -116,8 +127,12 @@ def per_sample_forward_batch(model, samples):
         total = entries[0][1]
         for _, loss in entries[1:]:
             total = ad.add(total, loss)
-        losses[task_id] = ad.mul(total, 1.0 / len(entries))
-    return losses, all_routings
+        means[task_id] = ad.mul(total, 1.0 / len(entries))
+    losses = list(means.values())
+    total = losses[0]
+    for loss in losses[1:]:
+        total = ad.add(total, loss)
+    return total, {task_id: mean.item() for task_id, mean in means.items()}, all_routings
 
 
 def sample_sum(terms):
@@ -166,9 +181,166 @@ def cross_entropy_recompute(z: np.ndarray, labels: np.ndarray):
     count = max(labels.size, 1)
 
     def vjp(g: float) -> np.ndarray:
-        p = stable_softmax(z, axis=-1)
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        p = e / np.sum(e, axis=-1, keepdims=True)
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, labels[..., None], 1.0, axis=-1)
         return (p - onehot) * (g / count)
 
     return float(np.sum(log_norm - picked)) / count, vjp
+
+
+def smooth_l1_whole(pred: np.ndarray, target: np.ndarray):
+    """Mean smooth-L1 loss of a whole array and its vjp at a scalar."""
+    d = pred - np.asarray(target, dtype=np.float64)
+    per_elem = np.where(np.abs(d) < 1.0, 0.5 * d * d, np.abs(d) - 0.5)
+    count = max(d.size, 1)
+
+    def vjp(g: float) -> np.ndarray:
+        return np.clip(d, -1.0, 1.0) * (g / count)
+
+    return float(per_elem.sum()) / count, vjp
+
+
+PER_SAMPLE_LOSSES = {"cross_entropy_mean": cross_entropy_recompute,
+                     "smooth_l1_mean": smooth_l1_whole}
+
+
+def head_loss(x: Tensor, weight: Tensor, bias: Tensor, lo: int, targets, loss: str) -> Tensor:
+    """One graph node for a task head over samples lo, lo+1, ... of a batch.
+
+    x is a batch whose axis 0 indexes samples; ``targets`` has one target per
+    head sample. The node projects those samples as a batched ``grid_linear``
+    does, scores each with its own ``PER_SAMPLE_LOSSES[loss]`` call, adds the
+    scores in order and multiplies by 1/n. The rows of x outside the head's
+    samples get a -0.0 adjoint, the additive identity.
+    """
+    n = len(targets)
+    rows = x.data[lo:lo + n]
+    out = ad._linear(rows, weight.data, bias.data)
+    scored = [PER_SAMPLE_LOSSES[loss](out[s], target) for s, target in enumerate(targets)]
+    total = scored[0][0]
+    for value, _ in scored[1:]:
+        total = total + value
+
+    def vjp(g):
+        scale = float(g) * (1.0 / n)
+        dout = np.stack([grad(scale) for _, grad in scored])
+        drows, dw, db = ad._linear_vjp(dout, rows, weight.data, x.requires_grad,
+                                       weight.requires_grad, bias.requires_grad, n)
+        dx = None
+        if drows is not None:
+            dx = np.full(x.shape, -0.0)
+            dx[lo:lo + n] = drows
+        return dx, dw, db
+
+    return ad._node("head_loss", np.array(total * (1.0 / n)), (x, weight, bias), vjp)
+
+
+@dataclass
+class Dispatch:
+    """What ``mix_vjp`` replays."""
+
+    x_shape: tuple
+    sel_shape: tuple
+    positions: int
+    k: int
+    order: np.ndarray
+    rows: np.ndarray
+    by_position: np.ndarray
+    segments: list
+    xs: np.ndarray
+    ws: np.ndarray
+    ys: np.ndarray
+
+    def per_position(self, terms):
+        total = np.zeros((self.positions, terms.shape[1]))
+        for j in range(self.k):
+            total += terms[self.by_position[:, j]]
+        return total
+
+
+def mix(x, weights, biases, sel, selected_weights, samples=1):
+    """The sorted expert mixture with int64 sorts and 2-D fancy-index gathers."""
+    c_in = x.shape[-1]
+    c_out = weights[0].shape[0]
+    lead = x.shape[:-1]
+    positions = math.prod(lead)
+    k = sel.shape[-1]
+    n_experts = len(weights)
+    xf = x.reshape(positions, c_in)
+    flat_sel = sel.reshape(-1)
+    keys = flat_sel + np.repeat(np.arange(0, n_experts * samples, n_experts),
+                                flat_sel.size // samples)
+    bounds = list(accumulate(np.bincount(keys, minlength=n_experts * samples).tolist(),
+                             initial=0))
+    segments = [(key % n_experts, bounds[key], bounds[key + 1])
+                for key in range(n_experts * samples) if bounds[key] < bounds[key + 1]]
+    order = np.argsort(keys, kind="stable")
+    rows = order // k
+    by_position = np.argsort(rows, kind="stable").reshape(positions, k)
+    xs = xf[rows]
+    ws = selected_weights.reshape(-1)[order][:, None]
+    ys = np.empty((order.size, c_out))
+    for n, lo, hi in segments:
+        np.matmul(xs[lo:hi], weights[n].data.T, out=ys[lo:hi])
+    ys += np.stack([b.data for b in biases])[flat_sel[order]]
+    dispatch = Dispatch(x.shape, sel.shape, positions, k, order, rows, by_position, segments,
+                        xs, ws, ys)
+    return dispatch.per_position(ws * ys).reshape(*lead, c_out), dispatch
+
+
+def mix_vjp(g, d, weights, biases, need_x, need_sel):
+    """dx, d(selected weights) as a (..., k) array, and per-expert lists."""
+    c_out = d.ys.shape[1]
+    g_rows = g.reshape(d.positions, c_out)[d.rows]
+    gs = g_rows * d.ws
+    n_experts = len(weights)
+    dws = [None] * n_experts
+    dbs = [None] * n_experts
+    dxs = np.empty((d.order.size, d.x_shape[-1])) if need_x else None
+    for n, lo, hi in d.segments:
+        if weights[n].requires_grad:
+            term = gs[lo:hi].T @ d.xs[lo:hi]
+            dws[n] = term if dws[n] is None else dws[n] + term
+        if biases[n].requires_grad:
+            term = gs[lo:hi].sum(axis=0)
+            dbs[n] = term if dbs[n] is None else dbs[n] + term
+        if dxs is not None:
+            dxs[lo:hi] = gs[lo:hi] @ weights[n].data
+    dx = d.per_position(dxs).reshape(d.x_shape) if dxs is not None else None
+    dsel = None
+    if need_sel:
+        dsel = np.zeros(d.order.size)
+        dsel[d.order] += (g_rows * d.ys).sum(axis=1)
+        dsel = dsel.reshape(d.sel_shape)
+    return dx, dsel, dws, dbs
+
+
+def gather_vjp(g, idx, shape):
+    """Scatter g back to ``shape`` at distinct ids idx by a fancy-index add into zeros."""
+    dx = np.zeros(shape)
+    flat = dx.reshape(-1, shape[-1])
+    rows = np.repeat(np.arange(flat.shape[0]), idx.shape[-1])
+    flat[rows, idx.reshape(-1)] += g.reshape(-1)
+    return dx
+
+
+def replayed_adjoints(out, g, tensors):
+    """What ``backward`` accumulates for each of ``tensors`` from ``g`` at ``out``.
+
+    The same replay as ``backward`` (reverse topological order, first
+    contribution taken as is, later ones added), without the zero fill for
+    tensors that got no contribution: those read None.
+    """
+    adjoint = {id(out): g}
+    for op in reversed(ad.ComputationRecord.trace(out).ops):
+        out_grad = adjoint.get(id(op.output))
+        if out_grad is None:
+            continue
+        for parent, contribution in zip(op.inputs, op.vjp(out_grad)):
+            if contribution is None:
+                continue
+            key = id(parent)
+            adjoint[key] = contribution if key not in adjoint else adjoint[key] + contribution
+    return [adjoint.get(id(t)) for t in tensors]

@@ -12,7 +12,8 @@ from gridmoe import autodiff as ad
 from gridmoe.autodiff import Tensor, backward, finite_diff_check
 from gridmoe.errors import ConfigError, DomainError, ShapeError, UsageError
 import reference_ops as ref
-from reference_ops import log, mean_all, sigmoid, square
+from gridmoe.numerics import last_axis_max, stable_softmax
+from reference_ops import head_loss, log, mean_all, replayed_adjoints, sigmoid, square
 
 LOGISTIC_1 = 1.0 / (1.0 + math.exp(-1.0))  # 0.731059...
 
@@ -108,6 +109,30 @@ class TestSoftmax:
         out = ad.softmax(Tensor([1000.0, -1000.0, 0.0]), temperature=1.0)
         assert np.all(np.isfinite(out.data))
         assert abs(out.data.sum() - 1.0) < 1e-12
+
+    def test_column_max_matches_np_max(self):
+        # Ties, signed zeros, infinities and NaN. On rows longer than 8 np.max
+        # may return either zero of a +-0.0 tie; the softmax does not see it.
+        rng = np.random.default_rng(9)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5])
+        for trial in range(600):
+            n = int(rng.integers(1, 13))
+            lead = tuple(int(v) for v in rng.integers(1, 5, size=int(rng.integers(0, 3))))
+            if trial % 3 == 0:
+                z = rng.choice(special, size=(*lead, n))
+            elif trial % 3 == 1:
+                z = rng.integers(-1, 2, size=(*lead, n)) * rng.choice([1.0, -1.0], size=(*lead, n))
+            else:
+                z = rng.normal(size=(*lead, n)) * 300.0
+            got = last_axis_max(z)
+            expected = np.max(z, axis=-1, keepdims=True)
+            if n <= 8:
+                assert got.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(got, expected)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                e = np.exp(z - expected)
+                softmax = stable_softmax(z)
+            assert softmax.tobytes() == (e / np.sum(e, axis=-1, keepdims=True)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +384,12 @@ class TestGatherLast:
         expected[2, 2] = expected[2, 0] = 1
         np.testing.assert_array_equal(x.grad, expected)
 
+    def test_index_outside_last_axis_rejected(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        for bad in (4, -1):
+            with pytest.raises(ShapeError, match="outside"):
+                ad.gather_last(x, np.array([[0], [bad], [1]]))
+
 
 class TestLosses:
     def test_cross_entropy_uniform_logits(self):
@@ -466,7 +497,7 @@ class TestSampleAxis:
                 targets = [rng.integers(0, width, size=(h, w)) for _ in range(n)]
             else:
                 targets = [rng.normal(size=(h, w, width)) * 2.0 for _ in range(n)]
-            node = ad.head_loss(x, weight, bias, lo, targets, loss)
+            node = head_loss(x, weight, bias, lo, targets, loss)
             backward(node)
             got = [x.grad, weight.grad, bias.grad]
             weight.zero_grad()
@@ -486,6 +517,66 @@ class TestSampleAxis:
             outside = np.delete(got[0], np.s_[lo:lo + n], axis=0)
             assert np.all(outside == 0.0) and np.all(np.signbit(outside))
             assert _bytes(got[1:]) == _bytes([weight.grad, bias.grad])
+
+
+class TestHeadsNode:
+    """``heads_loss`` against one ``head_loss`` node per task and ``add``, byte for byte."""
+
+    def test_matches_head_loss_nodes_and_adds(self):
+        rng = np.random.default_rng(34)
+        seen = dict(both_losses=0, extreme=0, frozen=0)
+        for _ in range(150):
+            h, w, c = (int(v) for v in rng.integers(1, 4, size=3))
+            counts = [int(v) for v in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+            kinds = rng.choice(["cross_entropy_mean", "smooth_l1_mean"], size=len(counts))
+            x = Tensor(rng.normal(size=(sum(counts), h, w, c)), requires_grad=rng.random() < 0.9)
+            heads = []
+            for n, loss in zip(counts, kinds):
+                width = int(rng.integers(2, 6))
+                weight = rng.normal(size=(width, c)) * rng.choice([1.0, 300.0])
+                bias = rng.normal(size=width)
+                # Zero rows with a +-700 bias give logits of exactly +-700.
+                extreme = rng.random(width) < 0.3
+                weight[extreme] = 0.0
+                bias[extreme] = rng.choice([700.0, -700.0], size=int(extreme.sum()))
+                if loss == "cross_entropy_mean":
+                    # Every class is a label when there are enough positions.
+                    targets = rng.permutation(np.resize(np.arange(width), n * h * w))
+                    targets = targets.reshape(n, h, w)
+                else:
+                    targets = rng.normal(size=(n, h, w, width)) * 2.0
+                heads.append((Tensor(weight, requires_grad=rng.random() < 0.9),
+                              Tensor(bias, requires_grad=rng.random() < 0.9), targets, loss))
+                seen["extreme"] += bool(extreme.any()) and loss == "cross_entropy_mean"
+            seen["both_losses"] += len(set(kinds)) == 2
+            seen["frozen"] += not all(t.requires_grad for t in [x, *(p for hd in heads
+                                                                     for p in hd[:2])])
+
+            node, means = ad.heads_loss(x, heads)
+            ref_means, lo = [], 0
+            for weight, bias, targets, loss in heads:
+                ref_means.append(head_loss(x, weight, bias, lo, list(targets), loss))
+                lo += len(targets)
+            total = ref_means[0]
+            for mean in ref_means[1:]:
+                total = ad.add(total, mean)
+            assert node.data.tobytes() == total.data.tobytes()
+            assert [np.float64(m).tobytes() for m in means] == [m.data.tobytes() for m in ref_means]
+            if node._op is None:
+                assert total._op is None
+                continue
+            params = [p for weight, bias, *_ in heads for p in (weight, bias)]
+            for g in (1.0, -0.0, float(rng.normal())):
+                got = node._op.vjp(np.array(g))
+                assert _bytes(got) == _bytes(replayed_adjoints(total, np.array(g), [x, *params]))
+        assert min(seen.values()) > 10, seen
+
+    def test_heads_must_take_the_whole_batch(self):
+        x = Tensor(np.zeros((3, 2, 2, 2)), requires_grad=True)
+        head = (Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)), np.zeros((2, 2, 2), dtype=int),
+                "cross_entropy_mean")
+        with pytest.raises(ShapeError, match="take 2 samples of a batch of 3"):
+            ad.heads_loss(x, [head])
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +652,12 @@ class TestStackedReductions:
                 targets = [rng.integers(0, width, size=(h, w)) for _ in range(n)]
             else:
                 targets = [rng.normal(size=(h, w, width)) * 2.0 for _ in range(n)]
-            node = ad.head_loss(x, weight, bias, 0, targets, loss)
+            node, _ = ad.heads_loss(x, [(weight, bias, np.stack(targets), loss)])
             out = ad._linear(x.data, weight.data, bias.data)
             # A -0.0 root adjoint turns every loss gradient into signed zeros.
             for g in (1.0, -0.0):
                 scale = g * (1.0 / n)
-                dout = np.stack([ad._LOSSES[loss](out[s], t)[1](scale)
+                dout = np.stack([ref.PER_SAMPLE_LOSSES[loss](out[s], t)[1](scale)
                                  for s, t in enumerate(targets)])
                 negative_zero = np.signbit(dout) & (dout == 0.0)
                 negative_zero_columns += int(np.sum(np.all(negative_zero, axis=(1, 2))))
@@ -587,7 +678,8 @@ class TestStackedReductions:
             # Every class is a label when there are enough positions.
             labels = rng.permutation(np.resize(np.arange(n_classes), size)).reshape(lead)
             assert np.unique(labels).size == min(size, n_classes)
-            value, vjp = ad._cross_entropy(z, labels)
+            values, stacked_vjp = ad._cross_entropy(z[None], labels[None])
+            value, vjp = values[0], lambda g: stacked_vjp(g)[0]
             ref_value, ref_vjp = ref.cross_entropy_recompute(z, labels)
             assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
             for g in (1.0, 0.3, -0.0):

@@ -110,6 +110,22 @@ def test_malformed_manifest_rejected(tmp_path, edit):
         load_checkpoint(bin_path)
 
 
+@pytest.mark.parametrize("entries", [
+    [("a", [2]), ("a", [3])],
+    [("a", [2]), ("b", [1]), ("a", [2])],
+], ids=["later_chunk_wins", "same_shape"])
+def test_manifest_naming_an_entry_twice_rejected(tmp_path, entries):
+    # Each layout covers the whole binary, so only the repeated name is wrong.
+    size = sum(shape[0] for _, shape in entries)
+    bin_path, manifest = save_checkpoint(tmp_path / "checkpoint.bin",
+                                         {"x": np.arange(float(size))})
+    meta = json.loads(manifest.read_text())
+    meta["entries"] = [{"name": name, "shape": shape} for name, shape in entries]
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(ShapeError, match=f"{manifest}: entry name 'a' appears more than once"):
+        load_checkpoint(bin_path)
+
+
 def _fail_halfway(monkeypatch):
     """Make every ``Path.write_bytes`` write half its data, then fail (disk full)."""
     real = Path.write_bytes

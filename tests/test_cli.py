@@ -231,6 +231,17 @@ class TestSweepCommand:
         assert not list(out.glob("cell*"))
         assert not (out / "sweep.csv").exists()
 
+    def test_non_integer_seed_exits_2_naming_seeds(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1,2",
+                     "--seeds", "0,x", "--out", str(out)])
+        assert code == 2
+        assert "config error: seeds: '0,x' is not a comma list of integers" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_cell_has_a_verified_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
                                                      "run.stats_samples": 0})
@@ -406,6 +417,19 @@ class TestInspectCommand:
                      "--modality", "A", "--n", "1"])
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+        assert not (out / "inspect").exists()
+
+    def test_checkpoint_manifest_naming_an_entry_twice_exits_2(self, tmp_path, capsys):
+        out = self._trained_run(tmp_path, iterations=2)
+        manifest = out / "checkpoint.manifest.json"
+        meta = json.loads(manifest.read_text())
+        meta["entries"][1]["name"] = meta["entries"][0]["name"]  # shapes, sizes unchanged
+        manifest.write_text(json.dumps(meta))
+        code = main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--modality", "A", "--n", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: entry name {meta['entries'][0]['name']!r} appears more than once" in err
         assert not (out / "inspect").exists()
 
     @pytest.mark.parametrize("damage", ["cut_binary", "manifest_not_json"])

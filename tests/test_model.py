@@ -44,14 +44,14 @@ class TestFixtures:
             block.bias.data = np.zeros(model.spec.channels)
 
         samples = make_batch(mods, tasks, [("A", 0), ("B", 0), ("C", 0)])
-        losses, _ = model.forward_batch(samples)
-        assert losses["A"].item() == pytest.approx(math.log(4.0), abs=1e-12)
+        _, losses, _ = model.forward_batch(samples)
+        assert losses["A"] == pytest.approx(math.log(4.0), abs=1e-12)
 
         for modality in ("B", "C"):
             _, target = generate_sample(mods[modality], tasks[modality], 0)
             d = np.abs(target)  # prediction is zero everywhere
             expected = np.where(d < 1.0, 0.5 * d * d, d - 0.5).mean()
-            assert losses[modality].item() == pytest.approx(expected, abs=1e-12)
+            assert losses[modality] == pytest.approx(expected, abs=1e-12)
 
     def test_moe_block_output_is_scaled_base_projection(self):
         """Duplicated experts + identical embeddings: each MoE block equals
@@ -89,17 +89,18 @@ class TestForwardBatch:
         model = Model(ModelSpec(), tasks, seed=1)
         indices = [("A", 0), ("A", 1), ("B", 0), ("C", 0)]
         forward = make_batch(mods, tasks, indices)
-        losses1, _ = model.forward_batch(forward)
-        losses2, _ = model.forward_batch(list(reversed(forward)))
+        total1, losses1, _ = model.forward_batch(forward)
+        total2, losses2, _ = model.forward_batch(list(reversed(forward)))
+        assert total1.item() == total2.item()
         for t in losses1:
-            assert losses1[t].item() == losses2[t].item()
+            assert losses1[t] == losses2[t]
 
     def test_routing_decisions_per_moe_block(self):
         mods = default_modalities()
         tasks = default_tasks()
         model = Model(ModelSpec(moe_layers=(0, 2)), tasks, seed=1)
         samples = make_batch(mods, tasks, [("A", 0), ("B", 0)])
-        _, routings = model.forward_batch(samples)
+        _, _, routings = model.forward_batch(samples)
         assert len(routings) == 2 * 2  # two samples, two MoE blocks
         layers = {layer for _, layer, _ in routings}
         assert layers == {"trunk.0", "trunk.2"}

@@ -21,7 +21,8 @@ from gridmoe.moe import (
     init_from_pretrained,
     moe_forward,
 )
-from reference_ops import per_sample_forward_batch
+import reference_ops
+from reference_ops import per_sample_forward_batch, replayed_adjoints
 
 
 def oracle_gate(x, W, E, temperature, k):
@@ -651,6 +652,77 @@ class TestSortedDispatch:
                            np.array([[0], [3]]), Tensor(np.ones((2, 1))))
 
 
+    def test_repeated_expert_id_rejected(self):
+        weights = [Tensor(np.eye(2)) for _ in range(3)]
+        biases = [Tensor(np.zeros(2)) for _ in range(3)]
+        with pytest.raises(ShapeError, match="same expert twice"):
+            ad.mix_experts(Tensor(np.ones((2, 2))), weights, biases,
+                           np.array([[0, 1], [2, 2]]), Tensor(np.ones((2, 2))))
+
+
+# ---------------------------------------------------------------------------
+# take-based dispatch against the fancy-index dispatch, byte for byte
+# ---------------------------------------------------------------------------
+
+def _signed_zero_adjoint(rng, shape):
+    """A normal adjoint with scattered 0.0 and -0.0 entries and one all -0.0 row."""
+    g = rng.normal(size=shape)
+    draw = rng.random(shape)
+    g[draw < 0.1] = 0.0
+    g[draw > 0.9] = -0.0
+    g.reshape(-1, shape[-1])[int(rng.integers(math.prod(shape[:-1])))] = -0.0
+    return g
+
+
+class TestTakeDispatch:
+    def test_mix_matches_fancy_index_dispatch(self):
+        rng = np.random.default_rng(2213)
+        seen = dict(samples=0, k3=0, unused=0)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            k = int(rng.integers(1, n + 1))
+            samples = int(rng.integers(1, 4))
+            lead = (samples, *(int(v) for v in rng.integers(1, 5, size=int(rng.integers(0, 3)))))
+            c_in, c_out = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            pool = rng.permutation(n)[: int(rng.integers(k, n + 1))]
+            selected = np.stack([rng.permutation(pool)[:k]
+                                 for _ in range(math.prod(lead))]).reshape(*lead, k)
+            x = rng.normal(size=(*lead, c_in))
+            flags = rng.random(2 * n) < 0.8
+            weights = [Tensor(rng.normal(size=(c_out, c_in)), requires_grad=f) for f in flags[:n]]
+            biases = [Tensor(rng.normal(size=c_out), requires_grad=f) for f in flags[n:]]
+            gate_w = rng.random(selected.shape)
+            gate_w[rng.random(selected.shape) < 0.1] = 0.0
+            out, d = ad._mix(x, weights, biases, selected, gate_w, samples)
+            ref_out, ref_d = reference_ops.mix(x, weights, biases, selected, gate_w, samples)
+            assert out.tobytes() == ref_out.tobytes()
+
+            g = _signed_zero_adjoint(rng, out.shape)
+            dx, table, dws, dbs = ad._mix_vjp(g, d, weights, biases, True, True)
+            ref_dx, ref_dsel, ref_dws, ref_dbs = reference_ops.mix_vjp(
+                g, ref_d, weights, biases, True, True)
+            assert _as_bytes([dx, *dws, *dbs]) == _as_bytes([ref_dx, *ref_dws, *ref_dbs])
+            # The table is what gather_last's vjp scatters the (..., k) gradient to.
+            ref_table = reference_ops.gather_vjp(ref_dsel, selected, (*lead, n))
+            assert table.tobytes() == ref_table.tobytes()
+            assert ad._gather(ref_table, selected).tobytes() == ref_dsel.tobytes()
+            probs = rng.random((*lead, n))
+            assert (ad._gather(probs, selected).tobytes()
+                    == np.take_along_axis(probs, selected, axis=-1).tobytes())
+            seen["samples"] += samples > 1
+            seen["k3"] += k >= 3
+            seen["unused"] += np.unique(selected).size < n
+        assert min(seen.values()) > 20, seen
+
+    def test_small_key_argsort_matches_int64_argsort(self):
+        rng = np.random.default_rng(2214)
+        for top in (1, 255, 256, 65535, 65536, 2**40):
+            for size in (0, 1, 7, 300, 2000):
+                keys = rng.integers(0, min(top, 40) + 1, size=size) * (top // min(top, 40))
+                small = keys.astype(np.min_scalar_type(top)).argsort(kind="stable")
+                assert small.tobytes() == np.argsort(keys, kind="stable").tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the one-node layer against the five-node composition, byte for byte
 # ---------------------------------------------------------------------------
@@ -675,26 +747,6 @@ def oracle_moe_forward(x, bank, params, cfg, batched=False):
     out, applications = ad.mix_experts(x, bank.weights, bank.biases, selected, selected_w)
     decision = RoutingDecision(selected, selected_w.data.copy(), probs.data.copy(), applications)
     return out, decision
-
-
-def _replayed_adjoints(out, g, tensors):
-    """What ``backward`` accumulates for each of ``tensors`` from ``g`` at ``out``.
-
-    The same replay as ``backward`` (reverse topological order, first
-    contribution taken as is, later ones added), without the zero fill for
-    tensors that got no contribution: those read None.
-    """
-    adjoint = {id(out): g}
-    for op in reversed(ad.ComputationRecord.trace(out).ops):
-        out_grad = adjoint.get(id(op.output))
-        if out_grad is None:
-            continue
-        for parent, contribution in zip(op.inputs, op.vjp(out_grad)):
-            if contribution is None:
-                continue
-            key = id(parent)
-            adjoint[key] = contribution if key not in adjoint else adjoint[key] + contribution
-    return [adjoint.get(id(t)) for t in tensors]
 
 
 def _layer_instance(rng):
@@ -751,7 +803,7 @@ class TestOneNodeLayer:
                 continue
             g = rng.normal(size=out.shape)
             layer_inputs = (x, params.W, params.E, *bank.weights, *bank.biases)
-            assert _as_bytes(out._op.vjp(g)) == _as_bytes(_replayed_adjoints(ref, g, layer_inputs))
+            assert _as_bytes(out._op.vjp(g)) == _as_bytes(replayed_adjoints(ref, g, layer_inputs))
 
             seen["single"] += x.data.ndim == 1
             seen["k_is_n"] += cfg.top_k == cfg.n_experts

@@ -121,10 +121,7 @@ class TestGovernorOffEquivalence:
                     item.sample_index, cfg.height, cfg.width,
                 )
                 samples.append((item.modality, item.sample_index, image, target))
-            losses, _ = model.forward_batch(samples)
-            total = losses["A"]
-            for t in ("B", "C"):
-                total = ad.add(total, losses[t])
+            total, _, _ = model.forward_batch(samples)
             ad.backward(total)
             for p in params:
                 if p.grad is not None:
@@ -289,33 +286,25 @@ def benchmark_step(out_dir, seed=0, moe=True):
     return model, draw
 
 
-def total_loss(model, losses):
-    total = losses[model.task_order[0]]
-    for t in model.task_order[1:]:
-        total = ad.add(total, losses[t])
-    return total
-
-
 class TestGraphSize:
-    def test_benchmark_step_records_13_nodes_2_of_them_moe_layers(self, tmp_path):
+    def test_benchmark_step_records_9_nodes_2_of_them_moe_layers(self, tmp_path):
         # One moe_layer or trunk grid_linear and one relu per block for the
-        # whole batch (8), one head_loss per task (3) and the two adds of the
+        # whole batch (8), and one heads_loss for every head, loss and the
         # total.
         model, draw = benchmark_step(tmp_path)
-        losses, _ = model.forward_batch(draw())
-        names = [op.name for op in ad.ComputationRecord.trace(total_loss(model, losses)).ops]
-        assert len(names) == 13
-        assert sorted(set(names)) == ["add", "grid_linear", "head_loss", "moe_layer", "relu"]
-        assert [names.count(n) for n in ("moe_layer", "grid_linear", "relu", "head_loss")] \
-            == [2, 2, 4, 3]
+        total, _, _ = model.forward_batch(draw())
+        names = [op.name for op in ad.ComputationRecord.trace(total).ops]
+        assert len(names) == 9
+        assert sorted(set(names)) == ["grid_linear", "heads_loss", "moe_layer", "relu"]
+        assert [names.count(n) for n in ("moe_layer", "grid_linear", "relu", "heads_loss")] \
+            == [2, 2, 4, 1]
 
     def test_backward_stores_grad_on_leaves_only(self, tmp_path):
         model, draw = benchmark_step(tmp_path)
-        losses, _ = model.forward_batch(draw())
-        total = total_loss(model, losses)
+        total, _, _ = model.forward_batch(draw())
         ad.backward(total)
         outputs = [op.output for op in ad.ComputationRecord.trace(total).ops]
-        assert len(outputs) == 13 and all(t.grad is None for t in outputs)
+        assert len(outputs) == 9 and all(t.grad is None for t in outputs)
         params = [p for group in model.param_groups().values() for p in group]
         assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
 
@@ -331,10 +320,11 @@ class TestSampleAxis:
             samples = draw()
             runs = []
             for forward in (Model.forward_batch, per_sample_forward_batch):
-                losses, routings = forward(model, samples)
-                ad.backward(total_loss(model, losses))
+                total, losses, routings = forward(model, samples)
+                ad.backward(total)
                 grads = [p.grad for p in params]
-                runs.append(([losses[t].data.tobytes() for t in model.task_order],
+                runs.append(([total.data.tobytes(),
+                              *(np.float64(losses[t]).tobytes() for t in model.task_order)],
                              [g.tobytes() for g in grads],
                              [(task, layer, d.selected_indices.tobytes(), d.gate_weights.tobytes(),
                                d.full_softmax.tobytes(), d.expert_applications)
