@@ -173,10 +173,11 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(root: Tensor) -> None:
     """Populate ``grad`` on every gradient-carrying leaf ancestor of a scalar root.
 
-    Only leaves (tensors no op produced, such as parameters) get a ``grad``;
-    op outputs keep theirs None. Repeated calls without resetting grads
-    accumulate additively; each call uses a fresh adjoint pass so earlier
-    accumulations never leak into the propagation itself.
+    Only leaves (tensors no op produced, such as parameters) get a ``grad``, and
+    only where a contribution arrives: every op here returns one for each input
+    that requires grad. Repeated calls without resetting grads accumulate
+    additively; each call uses a fresh adjoint pass so earlier accumulations
+    never leak into the propagation itself.
     """
     if root.data.size != 1:
         raise UsageError("backward requires a scalar root tensor")
@@ -188,22 +189,16 @@ def backward(root: Tensor) -> None:
         if out_grad is None:
             continue
         for parent, contribution in zip(op.inputs, op.vjp(out_grad)):
-            key = id(parent)
-            if parent._op is None:
-                leaves.setdefault(key, parent)
             if contribution is None:
                 continue
+            key = id(parent)
+            if parent._op is None:
+                leaves[key] = parent
             adjoint[key] = adjoint[key] + contribution if key in adjoint else contribution
     for key, leaf in leaves.items():
-        if not leaf.requires_grad:
-            continue
-        if key in adjoint:
+        if leaf.requires_grad:
             acc = np.array(adjoint[key], dtype=np.float64, copy=True).reshape(leaf.shape)
             leaf.grad = acc if leaf.grad is None else leaf.grad + acc
-        elif leaf.grad is None:
-            # Reached but never contributed to (e.g. an expert the router
-            # skipped everywhere): an exact-zero gradient.
-            leaf.grad = np.zeros_like(leaf.data)
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +466,17 @@ class _Dispatch:
         return total
 
 
-def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
-         sel: np.ndarray, selected_weights: np.ndarray,
-         samples: int = 1) -> tuple[np.ndarray, _Dispatch]:
-    c_in = x.shape[-1]
-    c_out = weights[0].shape[0]
+def _mix(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, sel: np.ndarray,
+         selected_weights: np.ndarray, samples: int = 1) -> tuple[np.ndarray, _Dispatch]:
     lead = x.shape[:-1]
     if sel.shape[:-1] != lead or selected_weights.shape != sel.shape:
         raise ShapeError("mix_experts: selection shapes do not match the grid")
-    for w, b in zip(weights, biases):
-        if w.shape != (c_out, c_in) or b.shape != (c_out,):
-            raise ShapeError("mix_experts: expert parameter shapes are inconsistent")
+    if weight.ndim != 3 or weight.shape[2] != x.shape[-1] or bias.shape != weight.shape[:2]:
+        raise ShapeError("mix_experts: expert parameter shapes are inconsistent")
 
+    n_experts, c_out, c_in = weight.shape
     positions = math.prod(lead)
     k = sel.shape[-1]
-    n_experts = len(weights)
     flat_sel = sel.reshape(-1)
     if flat_sel.size and flat_sel.max() >= n_experts:
         raise ShapeError(f"mix_experts: selection names an expert >= {n_experts}")
@@ -508,8 +499,8 @@ def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
 
     ys = np.empty((order.size, c_out))
     for n, lo, hi in segments:
-        np.matmul(xs[lo:hi], weights[n].data.T, out=ys[lo:hi])
-    ys += np.stack([b.data for b in biases]).take(experts, axis=0)
+        np.matmul(xs[lo:hi], weight[n].T, out=ys[lo:hi])
+    ys += bias.take(experts, axis=0)
 
     dispatch = _Dispatch(x.shape, positions, k, rows, experts, by_position.reshape(positions, k),
                          segments, xs, ws, ys)
@@ -517,33 +508,30 @@ def _mix(x: np.ndarray, weights: Sequence[Tensor], biases: Sequence[Tensor],
     return out.reshape(*lead, c_out), dispatch
 
 
-def _mix_vjp(g, d: _Dispatch, weights, biases, need_x: bool, need_sel: bool):
-    """Gradients of a mixture: dx, the gate-weight table, and per-expert lists.
+def _mix_vjp(g, d: _Dispatch, weight: Tensor, bias: Tensor, need_x: bool, need_sel: bool):
+    """Gradients of a mixture: dx, the gate-weight table, and the bank's dW and dB.
 
-    The table is (positions, N): each selected (position, expert) cell holds
-    its gate weight's gradient added into zero, every other cell is 0.0.
+    The table is (positions, N): each selected (position, expert) cell holds its
+    gate weight's gradient added into zero, every other cell is 0.0, as is each
+    row of dW and dB whose expert no position selected.
     """
-    c_out = d.ys.shape[1]
+    w = weight.data
+    n_experts, c_out, c_in = w.shape
     g_rows = g.reshape(d.positions, c_out).take(d.rows, axis=0)
     gs = g_rows * d.ws
-    n_experts = len(weights)
-    need_w = [w.requires_grad for w in weights]
-    need_b = [b.requires_grad for b in biases]
-    dws: list[np.ndarray | None] = [None] * n_experts
-    dbs: list[np.ndarray | None] = [None] * n_experts
-    dxs = np.empty((d.rows.size, d.x_shape[-1])) if need_x else None
-    # Segments run in sample order, so each expert's per-sample terms are
-    # added in sample order, the first taken as it is.
+    dw = np.zeros(w.shape) if weight.requires_grad else None
+    db = np.zeros(bias.shape) if bias.requires_grad else None
+    dxs = np.empty((d.rows.size, c_in)) if need_x else None
+    # Segments run in sample order, so each expert's per-sample terms are added
+    # in sample order, into zeros: no term is -0.0 (see above).
     for n, lo, hi in d.segments:
         g_seg = gs[lo:hi]
-        if need_w[n]:
-            term = g_seg.T @ d.xs[lo:hi]
-            dws[n] = term if dws[n] is None else dws[n] + term
-        if need_b[n]:
-            term = g_seg.sum(axis=0)
-            dbs[n] = term if dbs[n] is None else dbs[n] + term
+        if dw is not None:
+            dw[n] += g_seg.T @ d.xs[lo:hi]
+        if db is not None:
+            db[n] += g_seg.sum(axis=0)
         if dxs is not None:
-            np.matmul(g_seg, weights[n].data, out=dxs[lo:hi])
+            np.matmul(g_seg, w[n], out=dxs[lo:hi])
     dx = d.per_position(dxs).reshape(d.x_shape) if dxs is not None else None
     table = None
     if need_sel:
@@ -551,23 +539,18 @@ def _mix_vjp(g, d: _Dispatch, weights, biases, need_x: bool, need_sel: bool):
         # -0.0 dot product reads 0.0.
         table = np.zeros((d.positions, n_experts))
         table.reshape(-1)[d.rows * n_experts + d.experts] += (g_rows * d.ys).sum(axis=1)
-    return dx, table, dws, dbs
+    return dx, table, dw, db
 
 
-def mix_experts(
-    x: Tensor,
-    weights: Sequence[Tensor],
-    biases: Sequence[Tensor],
-    selected: np.ndarray,
-    selected_weights: Tensor,
-) -> tuple[Tensor, int]:
-    """Sparse weighted sum of per-grid linear experts.
+def mix_experts(x: Tensor, weight: Tensor, bias: Tensor, selected: np.ndarray,
+                selected_weights: Tensor) -> tuple[Tensor, int]:
+    """Sparse weighted sum of the per-grid linear experts stacked on axis 0.
 
-    out[pos] = sum_j selected_weights[pos, j] * (W_sel @ x[pos] + b_sel).
-    Only the experts named in ``selected`` are applied; the second return
-    value counts the expert applications, which equals positions * k.
-    Non-selected experts receive no gradient. A position must name k
-    distinct experts.
+    out[pos] = sum_j selected_weights[pos, j] * (weight[sel] @ x[pos] + bias[sel]),
+    with ``weight`` (N, C_out, C_in) and ``bias`` (N, C_out). Only the experts
+    named in ``selected`` are applied; the second return value counts the
+    expert applications, which equals positions * k. A non-selected expert's
+    gradient rows are 0.0. A position must name k distinct experts.
 
     Dispatch is one stable sort of the flattened selection by expert id, so
     each expert's (position, slot) pairs form one contiguous segment with
@@ -580,15 +563,15 @@ def mix_experts(
     ids = np.sort(sel, axis=-1)
     if (ids[..., 1:] == ids[..., :-1]).any():
         raise ShapeError("mix_experts: a position names the same expert twice")
-    out, dispatch = _mix(x.data, weights, biases, sel, selected_weights.data)
+    out, dispatch = _mix(x.data, weight.data, bias.data, sel, selected_weights.data)
 
     def vjp(g):
-        dx, table, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad,
-                                       selected_weights.requires_grad)
+        dx, table, dw, db = _mix_vjp(g, dispatch, weight, bias, x.requires_grad,
+                                     selected_weights.requires_grad)
         dsel = None if table is None else _gather(table.reshape(*sel.shape[:-1], -1), sel)
-        return (dx, dsel, *dws, *dbs)
+        return dx, dsel, dw, db
 
-    result = _node("mix_experts", out, (x, selected_weights, *weights, *biases), vjp)
+    result = _node("mix_experts", out, (x, selected_weights, weight, bias), vjp)
     return result, dispatch.rows.size
 
 
@@ -613,9 +596,8 @@ def _route(x: np.ndarray, gate_w: np.ndarray, gate_e: np.ndarray, temperature: f
     return Routing(u, logits, cosine, probs, selected, _gather(probs, selected))
 
 
-def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tensor],
-              biases: Sequence[Tensor], routing: Routing,
-              batched: bool = False) -> tuple[Tensor, int]:
+def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: Tensor,
+              routing: Routing, batched: bool = False) -> tuple[Tensor, int]:
     """One graph node for a whole expert-mixture layer routed by ``routing``.
 
     The forward is ``mix_experts`` of x with the routing's selection. The vjp
@@ -628,11 +610,11 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tenso
     bits of one such graph per sample replayed in sample order.
     """
     samples = _sample_count(x.data, batched)
-    out, dispatch = _mix(x.data, weights, biases, routing.selected, routing.weights, samples)
+    out, dispatch = _mix(x.data, weight.data, bias.data, routing.selected, routing.weights, samples)
     need_gate = x.requires_grad or gate_w.requires_grad or gate_e.requires_grad
 
     def vjp(g):
-        dx, table, dws, dbs = _mix_vjp(g, dispatch, weights, biases, x.requires_grad, need_gate)
+        dx, table, *d_bank = _mix_vjp(g, dispatch, weight, bias, x.requires_grad, need_gate)
         dw = de = None
         if table is not None:
             # The table is the gradient gather_last's vjp scatters into zeros.
@@ -645,9 +627,9 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weights: Sequence[Tenso
                                              gate_w.requires_grad, False, samples)
                 if dx_gate is not None:
                     dx = dx + dx_gate
-        return (dx, dw, de, *dws, *dbs)
+        return (dx, dw, de, *d_bank)
 
-    result = _node("moe_layer", out, (x, gate_w, gate_e, *weights, *biases), vjp)
+    result = _node("moe_layer", out, (x, gate_w, gate_e, weight, bias), vjp)
     return result, dispatch.rows.size
 
 

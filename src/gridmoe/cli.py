@@ -20,7 +20,7 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, load_config_file, parse_config,
+from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, get_path, load_config_file, parse_config,
                         resolve_out_dir, set_path)
 from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train, write_sweep_csv
 
@@ -136,7 +136,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError("seeds", f"{args.seeds!r} is not a comma list of integers") from None
     base_out = resolve_out_dir(args.out if args.out is not None
-                               else raw.get("run", {}).get("out_dir", "sweep"))
+                               else get_path(raw, "run.out_dir", "sweep"))
     _prepare_out_dir(base_out, args.force)
     rows = sweep_rows(raw, grid, seeds, base_out, config_path=args.config)
     sweep_csv = base_out / "sweep.csv"

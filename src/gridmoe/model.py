@@ -85,18 +85,17 @@ class TrunkBlock:
 
     def parameters(self) -> list[Tensor]:
         if self.has_moe:
-            return [self.gate.W, self.gate.E, *self.bank.weights, *self.bank.biases]
+            return [self.gate.W, self.gate.E, self.bank.weight, self.bank.bias]
         return [self.weight, self.bias]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
+    def named_parameters(self) -> list[tuple[str, Tensor, tuple]]:
         prefix = f"trunk.{self.index}"
-        named = [(f"{prefix}.base.weight", self.weight), (f"{prefix}.base.bias", self.bias)]
+        named = [(f"{prefix}.base.weight", self.weight, ()), (f"{prefix}.base.bias", self.bias, ())]
         if self.has_moe:
-            named.append((f"{prefix}.gate.W", self.gate.W))
-            named.append((f"{prefix}.gate.E", self.gate.E))
+            named += [(f"{prefix}.gate.W", self.gate.W, ()), (f"{prefix}.gate.E", self.gate.E, ())]
             for n in range(self.bank.n_experts):
-                named.append((f"{prefix}.expert.{n}.weight", self.bank.weights[n]))
-                named.append((f"{prefix}.expert.{n}.bias", self.bank.biases[n]))
+                named += [(f"{prefix}.expert.{n}.weight", self.bank.weight, (n,)),
+                          (f"{prefix}.expert.{n}.bias", self.bank.bias, (n,))]
         return named
 
 
@@ -202,32 +201,39 @@ class Model:
     def head_group_name(self, task_id: str) -> str:
         return f"head_{self.task_order.index(task_id)}"
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        named: list[tuple[str, Tensor]] = []
+    def named_parameters(self) -> list[tuple[str, Tensor, tuple]]:
+        """(checkpoint entry, tensor, index) triples; the entry is ``tensor.data[index]``,
+        so each expert of a stacked bank is an entry of its own."""
+        named: list[tuple[str, Tensor, tuple]] = []
         for block in self.blocks:
             named.extend(block.named_parameters())
         for task_id in self.task_order:
             w, b = self.heads[task_id]
-            named.append((f"head.{task_id}.weight", w))
-            named.append((f"head.{task_id}.bias", b))
+            named.append((f"head.{task_id}.weight", w, ()))
+            named.append((f"head.{task_id}.bias", b, ()))
         return named
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: tensor.data.copy() for name, tensor in self.named_parameters()}
+        return {name: tensor.data[index].copy() for name, tensor, index in self.named_parameters()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        named = dict(self.named_parameters())
+        named = {name: (tensor, index) for name, tensor, index in self.named_parameters()}
         missing = sorted(set(named) - set(state))
         extra = sorted(set(state) - set(named))
         if missing or extra:
             raise ShapeError(
                 f"checkpoint does not match the model: missing={missing}, unexpected={extra}"
             )
-        for name, tensor in named.items():
+        # Fresh arrays, filled entry by entry: a live record may hold the old ones.
+        fresh: dict[int, tuple[Tensor, np.ndarray]] = {}
+        for name, (tensor, index) in named.items():
             arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != tensor.shape:
+            expected = tensor.shape[len(index):]
+            if arr.shape != expected:
                 raise ShapeError(
-                    f"checkpoint entry {name!r} has shape {arr.shape}, expected {tensor.shape}"
+                    f"checkpoint entry {name!r} has shape {arr.shape}, expected {expected}"
                 )
-            tensor.data = arr.copy()
+            fresh.setdefault(id(tensor), (tensor, np.empty(tensor.shape)))[1][index] = arr
+        for tensor, data in fresh.values():
+            tensor.data = data
             tensor.grad = None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -74,21 +73,19 @@ class GateParams:
 
 
 class ExpertBank:
-    """N per-grid linear experts with identical shapes."""
+    """N per-grid linear experts stacked on axis 0: expert n is ``weight.data[n]``
+    (C_out, C_in) and ``bias.data[n]`` (C_out,)."""
 
-    def __init__(self, weights: Sequence[Tensor], biases: Sequence[Tensor]):
-        if len(weights) != len(biases) or not weights:
-            raise ShapeError("expert bank needs matching, non-empty weight/bias lists")
-        shape = weights[0].shape
-        for w, b in zip(weights, biases):
-            if w.shape != shape or b.shape != (shape[0],):
-                raise ShapeError("all experts must share identical shapes")
-        self.weights = list(weights)
-        self.biases = list(biases)
+    def __init__(self, weight: Tensor, bias: Tensor):
+        if weight.data.ndim != 3 or weight.shape[0] < 1 or bias.shape != weight.shape[:2]:
+            raise ShapeError(f"expert bank needs an (N >= 1, C_out, C_in) weight and an "
+                             f"(N, C_out) bias, got {weight.shape} and {bias.shape}")
+        self.weight = weight
+        self.bias = bias
 
     @property
     def n_experts(self) -> int:
-        return len(self.weights)
+        return self.weight.shape[0]
 
 
 @dataclass
@@ -159,7 +156,7 @@ def moe_forward(
 
     ``x`` has shape (..., in_channels) with the leading axes treated as grid
     axes. Exactly k experts are evaluated per position; gradients flow to the
-    input, the gate parameters, and the selected experts only. The layer is
+    input, the gate parameters, and the selected experts' bank rows. The layer is
     one graph node, ``moe_layer``. With ``batched``, axis 0 of x indexes
     samples: the batch is routed and mixed at once, its gradients have the
     bits of one layer per sample replayed in sample order, and the decision
@@ -169,7 +166,7 @@ def moe_forward(
     routing = _route(x.data, params, cfg)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out, applications = ad.moe_layer(x, params.W, params.E, bank.weights, bank.biases, routing,
+    out, applications = ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias, routing,
                                      batched)
     # A copy: the layer's vjp reads routing.probs.
     decision = RoutingDecision(routing.selected, routing.weights, routing.probs.copy(),
@@ -200,8 +197,6 @@ def init_from_pretrained(
             f"({cfg.out_channels}, {cfg.in_channels})"
         )
     rng = np.random.default_rng(seed)
-    weights = [Tensor(weight.copy(), requires_grad=True) for _ in range(cfg.n_experts)]
-    biases = [Tensor(bias.copy(), requires_grad=True) for _ in range(cfg.n_experts)]
 
     gate_dim = cfg.effective_gate_dim
     W = _orthogonal_frame(rng, gate_dim, cfg.in_channels, GATE_INIT_STD)
@@ -210,7 +205,8 @@ def init_from_pretrained(
         E = np.repeat(column[:, None], cfg.n_experts, axis=1)
     else:
         E = _orthogonal_frame(rng, gate_dim, cfg.n_experts, GATE_INIT_STD)
-    bank = ExpertBank(weights, biases)
+    bank = ExpertBank(Tensor(np.repeat(weight[None], cfg.n_experts, axis=0), requires_grad=True),
+                      Tensor(np.repeat(bias[None], cfg.n_experts, axis=0), requires_grad=True))
     gate_params = GateParams(
         Tensor(W, requires_grad=True), Tensor(E, requires_grad=True)
     )

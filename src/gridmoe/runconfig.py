@@ -147,12 +147,11 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(level, (int, float)) or isinstance(level, bool):
             raise ConfigError("data.label_noise", f"noise for {m!r} must be a number")
     data["label_noise"] = {m: float(v) for m, v in sorted(data["label_noise"].items())}
-    if data["modality_seed"] < 0:
-        raise ConfigError("data.modality_seed", f"must be >= 0, got {data['modality_seed']}")
-    if run["seed"] < 0:
-        raise ConfigError("run.seed", f"must be >= 0, got {run['seed']}")
-    if run["iterations"] < 1:
-        raise ConfigError("run.iterations", f"must be >= 1, got {run['iterations']}")
+    for dotted, low in (("data.height", 1), ("data.width", 1), ("data.modality_seed", 0),
+                        ("run.seed", 0), ("run.iterations", 1)):
+        section, key = dotted.split(".")
+        if sections[section][key] < low:
+            raise ConfigError(dotted, f"must be >= {low}, got {sections[section][key]}")
     if run["base_lr"] <= 0:
         raise ConfigError("run.base_lr", f"must be > 0, got {run['base_lr']}")
     if run["stats_samples"] < 0:
@@ -163,6 +162,8 @@ def parse_config(raw: dict) -> RunConfig:
     sampler_cfg = SamplerConfig(counts=tuple(sampler["counts"].items()),
                                 batch_size=sampler["batch_size"], seed=run["seed"])
     dso_cfg = DsoConfig(n_tasks=len(sampler["counts"]), **dso)
+    if run["dso"] and dso_cfg.n_tasks < 2:
+        raise ConfigError("run.dso", "the governor needs 2 or more tasks; set it false for one")
     return RunConfig(
         model=model_spec,
         dso=dso_cfg,
@@ -188,9 +189,12 @@ def load_config_file(path) -> dict:
     if not path.exists():
         raise ConfigError("config", f"file not found: {path}")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ConfigError("config", f"{path}: not a UTF-8 JSON file ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config", f"{path}: top level must be an object")
+    return raw
 
 
 def set_path(raw: dict, dotted: str, value) -> None:
@@ -199,7 +203,17 @@ def set_path(raw: dict, dotted: str, value) -> None:
     if len(parts) != 2:
         raise ConfigError(dotted, "override keys look like section.key")
     section, key = parts
-    raw.setdefault(section, {})[key] = value
+    target = raw.setdefault(section, {})
+    if not isinstance(target, dict):
+        raise ConfigError(section, "must be a table/object")
+    target[key] = value
+
+
+def get_path(raw: dict, dotted: str, default):
+    """The type-checked value of ``section.key`` in a raw config dict, or ``default``."""
+    section_name, key = dotted.split(".")
+    section = _section(raw, section_name)
+    return _value(section, section_name, key) if key in section else default
 
 
 def resolve_out_dir(out_dir: str) -> Path:

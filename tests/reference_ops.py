@@ -13,7 +13,9 @@
   adjoint, which may be -0.0.
 - ``mix``, ``mix_vjp`` and ``gather_vjp``: the expert mixture with 2-D
   fancy-index gathers, per-position sums added into zeros and the gate-weight
-  gradient scattered twice, which the take-based dispatch replaced.
+  gradient scattered twice, which the take-based dispatch replaced. They
+  take per-expert lists, which ``split_bank`` makes of a stacked bank, and
+  ``stack_expert_grads`` stacks their per-expert gradients as the bank's.
 - ``linear_param_grads`` and ``cosine_embedding_grad``: the weight, bias and
   embedding gradients as one term per sample added by ``sample_sum``, the
   loop the stacked reductions in ``autodiff`` replaced.
@@ -315,6 +317,20 @@ def mix_vjp(g, d, weights, biases, need_x, need_sel):
         dsel[d.order] += (g_rows * d.ys).sum(axis=1)
         dsel = dsel.reshape(d.sel_shape)
     return dx, dsel, dws, dbs
+
+
+def split_bank(weight: Tensor, bias: Tensor) -> tuple[list[Tensor], list[Tensor]]:
+    """One weight and one bias Tensor per expert of a stacked bank, with its flags."""
+    return ([Tensor(w, requires_grad=weight.requires_grad) for w in weight.data],
+            [Tensor(b, requires_grad=bias.requires_grad) for b in bias.data])
+
+
+def stack_expert_grads(terms, bank: Tensor):
+    """Per-expert gradients as the bank's: None when the bank is frozen, else
+    stacked with a zero row for each expert that got none."""
+    if not bank.requires_grad:
+        return None
+    return np.stack([np.zeros(bank.shape[1:]) if t is None else t for t in terms])
 
 
 def gather_vjp(g, idx, shape):

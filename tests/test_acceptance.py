@@ -119,24 +119,21 @@ def test_criterion_3_gradient_correctness():
         assert finite_diff_check(through_e, params.E.data, h=1e-5) < 1e-4
 
         selected = set(decision.selected_indices.reshape(-1).tolist())
-        pick = min(selected)
 
-        def through_expert(t):
-            weights = list(bank.weights)
-            weights[pick] = t
-            out, _ = moe_forward(Tensor(x), ExpertBank(weights, bank.biases), params, cfg)
+        def through_experts(t):
+            out, _ = moe_forward(Tensor(x), ExpertBank(t, bank.bias), params, cfg)
             return ad.sum_all(ad.mul(out, coef_t))
 
-        assert finite_diff_check(through_expert, bank.weights[pick].data, h=1e-5) < 1e-4
+        assert finite_diff_check(through_experts, bank.weight.data, h=1e-5) < 1e-4
 
-        for p in (*bank.weights, *bank.biases):
+        for p in (bank.weight, bank.bias):
             p.zero_grad()
         out, decision = moe_forward(Tensor(x), bank, params, cfg)
         backward(ad.sum_all(ad.mul(out, coef_t)))
         for n in range(cfg.n_experts):
             if n not in selected:
-                assert np.all(bank.weights[n].grad == 0.0)
-                assert np.all(bank.biases[n].grad == 0.0)
+                assert np.all(bank.weight.grad[n] == 0.0)
+                assert np.all(bank.bias.grad[n] == 0.0)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"gradient checks took {elapsed:.2f}s"
 
@@ -185,7 +182,7 @@ def test_criterion_5_duplication_init():
     pre_b = rng.normal(size=4)
     bank, _ = init_from_pretrained(pre_w, pre_b, cfg, seed=3)
     for x in rng.normal(size=(100, 5)):
-        outputs = [w.data @ x + b.data for w, b in zip(bank.weights, bank.biases)]
+        outputs = [w @ x + b for w, b in zip(bank.weight.data, bank.bias.data)]
         reference = outputs[0].tobytes()
         assert all(out.tobytes() == reference for out in outputs[1:])
 
@@ -212,7 +209,7 @@ def test_criterion_6_k_equals_n_dense():
         dense = np.zeros_like(out.data)
         for e in range(n):
             dense += decision.full_softmax[..., e : e + 1] * (
-                x @ bank.weights[e].data.T + bank.biases[e].data
+                x @ bank.weight.data[e].T + bank.bias.data[e]
             )
         assert np.max(np.abs(out.data - dense)) <= 1e-12
 

@@ -259,8 +259,8 @@ class TestBackward:
         # with the cyclic collector off, dropping the root frees every node.
         rng = np.random.default_rng(8)
         weight = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        experts = [Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(3)]
-        biases = [Tensor(np.zeros(3), requires_grad=True) for _ in range(3)]
+        experts = Tensor(np.stack([rng.normal(size=(3, 3)) for _ in range(3)]), requires_grad=True)
+        biases = Tensor(np.zeros((3, 3)), requires_grad=True)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -277,7 +277,7 @@ class TestBackward:
         finally:
             if was_enabled:
                 gc.enable()
-        assert weight.grad is not None and experts[0].grad is not None
+        assert weight.grad is not None and experts.grad is not None
 
 
 # ---------------------------------------------------------------------------

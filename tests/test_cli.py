@@ -160,6 +160,71 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+    def test_nonpositive_grid_exits_2_and_leaves_out_empty(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"data.height": 0})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "data.height: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_task_needs_no_dso(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"sampler.counts": {"A": 4}})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run.dso: the governor needs 2 or more tasks" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--no-dso"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 0
+
+
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+class TestMalformedConfigFile:
+    """A config whose top level or a section is not an object exits 2, naming it."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "config: {cfg}: top level must be an object"),
+        ('{"run": 5}', "run: must be a table/object"),
+    ], ids=["list", "run_not_object"])
+    @pytest.mark.parametrize("flags", [["--out", "out"], ["--seed", "1"], ["--no-dso"],
+                                       ["--no-moe"], []],
+                             ids=["out", "seed", "no_dso", "no_moe", "no_flag"])
+    def test_train(self, tmp_path, monkeypatch, capsys, text, message, flags):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg), *flags]) == 2
+        assert message.format(cfg=cfg) in capsys.readouterr().err
+        assert files_under(tmp_path) == ["cfg.json"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message, flags", [
+        ("[1, 2]", "config: {cfg}: top level must be an object", []),
+        ("[1, 2]", "config: {cfg}: top level must be an object", ["--out", "out"]),
+        ('{"run": 5}', "run: must be a table/object", []),
+        ('{"run": 5}', "run: must be a table/object", ["--out", "out"]),
+        ('{"run": {"out_dir": 5}}', "run.out_dir: expected str, got int", []),
+    ], ids=["list", "list_out_flag", "run_not_object", "run_not_object_out_flag",
+            "out_dir_not_str"])
+    def test_sweep(self, tmp_path, monkeypatch, capsys, text, message, flags):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1", *flags]) == 2
+        assert message.format(cfg=cfg) in capsys.readouterr().err
+        assert files_under(tmp_path) == ["cfg.json"]
+
+    def test_non_utf8_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"run": {"out_dir": "\xff"}}')
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"config: {cfg}: not a UTF-8 JSON file" in capsys.readouterr().err
+        assert files_under(tmp_path) == ["cfg.json"]
+
+
 class TestSweepCommand:
     def test_expert_grid_three_runs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 3,

@@ -132,8 +132,8 @@ class TestParamGroups:
             if block.has_moe:
                 assert id(block.gate.W) in backbone_ids
                 assert id(block.gate.E) in backbone_ids
-                for w in block.bank.weights:
-                    assert id(w) in backbone_ids
+                assert id(block.bank.weight) in backbone_ids
+                assert id(block.bank.bias) in backbone_ids
 
     def test_head_group_lookup(self):
         tasks = default_tasks()
@@ -149,9 +149,59 @@ class TestStateDict:
         state = model.state_dict()
         other = Model(ModelSpec(), tasks, seed=99)
         other.load_state(state)
-        for (n1, p1), (n2, p2) in zip(model.named_parameters(), other.named_parameters()):
+        for (n1, p1, i1), (n2, p2, i2) in zip(model.named_parameters(),
+                                              other.named_parameters()):
             assert n1 == n2
-            assert p1.data.tobytes() == p2.data.tobytes()
+            assert p1.data[i1].tobytes() == p2.data[i2].tobytes()
+
+    def test_moe_checkpoint_layout_and_byte_round_trip(self):
+        spec = ModelSpec(depth=2, channels=3, moe_layers=(1,), n_experts=2, top_k=1)
+        model = Model(spec, default_tasks(), seed=4)
+        bank = model.blocks[1].bank
+        rng = np.random.default_rng(4)
+        bank.weight.data = rng.normal(size=(2, 3, 3))  # experts that differ
+        bank.bias.data = rng.normal(size=(2, 3))
+        state = model.state_dict()
+        assert [(name, arr.shape) for name, arr in state.items()] == [
+            ("trunk.0.base.weight", (3, 3)), ("trunk.0.base.bias", (3,)),
+            ("trunk.1.base.weight", (3, 3)), ("trunk.1.base.bias", (3,)),
+            ("trunk.1.gate.W", (3, 3)), ("trunk.1.gate.E", (3, 2)),
+            ("trunk.1.expert.0.weight", (3, 3)), ("trunk.1.expert.0.bias", (3,)),
+            ("trunk.1.expert.1.weight", (3, 3)), ("trunk.1.expert.1.bias", (3,)),
+            ("head.A.weight", (4, 3)), ("head.A.bias", (4,)),
+            ("head.B.weight", (5, 3)), ("head.B.bias", (5,)),
+            ("head.C.weight", (5, 3)), ("head.C.bias", (5,)),
+        ]
+        for n in range(2):
+            assert state[f"trunk.1.expert.{n}.weight"].tobytes() == bank.weight.data[n].tobytes()
+            assert state[f"trunk.1.expert.{n}.bias"].tobytes() == bank.bias.data[n].tobytes()
+
+        other = Model(spec, default_tasks(), seed=5)
+        other_bank = other.blocks[1].bank
+        held = other_bank.weight.data
+        other.load_state(state)
+        assert other_bank.weight.data is not held  # fresh arrays, never written in place
+        assert other_bank.weight.data.tobytes() == bank.weight.data.tobytes()
+        assert other_bank.bias.data.tobytes() == bank.bias.data.tobytes()
+        assert {k: v.tobytes() for k, v in other.state_dict().items()} \
+            == {k: v.tobytes() for k, v in state.items()}
+
+    @pytest.mark.parametrize("edit, message", [
+        ("shape", "entry 'trunk.2.expert.1.bias' has shape (5,), expected (8,)"),
+        ("missing", "missing=['trunk.0.expert.3.weight']"),
+    ])
+    def test_bad_expert_entry_rejected_by_name(self, edit, message):
+        model = Model(ModelSpec(), default_tasks(), seed=3)
+        state = model.state_dict()
+        if edit == "shape":
+            state["trunk.2.expert.1.bias"] = np.zeros(5)
+        else:
+            del state["trunk.0.expert.3.weight"]
+        held = [p.data for p in model.param_groups()["backbone"]]
+        with pytest.raises(ShapeError) as excinfo:
+            model.load_state(state)
+        assert message in str(excinfo.value)
+        assert all(p.data is d for p, d in zip(model.param_groups()["backbone"], held))
 
     def test_shape_mismatch_rejected(self):
         tasks = default_tasks()

@@ -104,6 +104,12 @@ class TestParsing:
         with pytest.raises(ConfigError):
             load_config_file(bad)
 
+    def test_one_by_one_grid_and_one_task_without_governor_parse(self):
+        cfg = parse_config(minimal(**{"data.height": 1, "data.width": 1}))
+        assert (cfg.height, cfg.width) == (1, 1)
+        cfg = parse_config(minimal(**{"sampler.counts": {"A": 4}, "run.dso": False}))
+        assert cfg.sampler.counts == (("A", 4),) and not cfg.dso_enabled
+
 
 def dropped(dotted):
     raw = minimal()
@@ -180,6 +186,13 @@ FAULTS = [
                  "moe.gate_temperature: must be > 0, got 0.0", id="temperature_zero"),
     pytest.param(minimal(**{"dso.tau": -1.0}), "dso.tau: must be > 0, got -1.0",
                  id="tau_negative"),
+    pytest.param(minimal(**{"data.height": 0}), "data.height: must be >= 1, got 0",
+                 id="height_zero"),
+    pytest.param(minimal(**{"data.width": -3}), "data.width: must be >= 1, got -3",
+                 id="width_negative"),
+    pytest.param(minimal(**{"sampler.counts": {"A": 4}}),
+                 "run.dso: the governor needs 2 or more tasks; set it false for one",
+                 id="one_task_governor"),
     # Several faults: structure before values, values in section order,
     # types before ranges.
     pytest.param(dict(dropped("moe.top_k"), run={"iterations": 10, "foo": 1}),

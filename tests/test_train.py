@@ -128,10 +128,10 @@ class TestGovernorOffEquivalence:
                     p.data = p.data - cfg.base_lr * p.grad
                 p.grad = None
 
-        trained = dict(result.model.named_parameters()) if result.model else None
+        trained = result.model.state_dict() if result.model else None
         assert trained is not None
-        for name, p in model.named_parameters():
-            assert trained[name].data.tobytes() == p.data.tobytes(), name
+        for name, p, index in model.named_parameters():
+            assert trained[name].tobytes() == p.data[index].tobytes(), name
 
     def test_identity_multipliers_flag_reflected_in_log(self, tmp_path):
         result = train(small_config(tmp_path / "run", iterations=5, dso_enabled=False))
@@ -298,6 +298,17 @@ class TestGraphSize:
         assert sorted(set(names)) == ["grid_linear", "heads_loss", "moe_layer", "relu"]
         assert [names.count(n) for n in ("moe_layer", "grid_linear", "relu", "heads_loss")] \
             == [2, 2, 4, 1]
+
+    def test_benchmark_backbone_group_holds_12_tensors(self, tmp_path):
+        # Per MoE block the gate's W and E and the bank's stacked weight and
+        # bias; per plain block its weight and bias.
+        model, _ = benchmark_step(tmp_path)
+        backbone = model.param_groups()["backbone"]
+        assert len(backbone) == 12
+        banks = [t for block in model.blocks if block.has_moe
+                 for t in (block.bank.weight, block.bank.bias)]
+        assert [t.shape for t in banks] == [(4, 8, 8), (4, 8)] * 2
+        assert all(any(t is p for p in backbone) for t in banks)
 
     def test_backward_stores_grad_on_leaves_only(self, tmp_path):
         model, draw = benchmark_step(tmp_path)
