@@ -60,10 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare_out_dir(path: Path, force: bool) -> None:
+def _check_out_dir(path: Path, force: bool) -> None:
+    """Refuse a non-empty ``path``. Creating it is left to the first writer, so
+    an error found before any work starts leaves no directory behind."""
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError("out_dir", f"{path} is not empty (use --force to overwrite)")
-    path.mkdir(parents=True, exist_ok=True)
 
 
 def _parse_grid(spec: str) -> dict[str, list]:
@@ -113,7 +114,7 @@ def cmd_train(args) -> int:
         set_path(raw, "run.moe", False)
     cfg = parse_config(raw)
     out_dir = resolve_out_dir(cfg.out_dir)
-    _prepare_out_dir(out_dir, args.force)
+    _check_out_dir(out_dir, args.force)
     set_path(raw, "run.out_dir", str(out_dir))
     cfg = parse_config(raw)
     try:
@@ -137,7 +138,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("seeds", f"{args.seeds!r} is not a comma list of integers") from None
     base_out = resolve_out_dir(args.out if args.out is not None
                                else get_path(raw, "run.out_dir", "sweep"))
-    _prepare_out_dir(base_out, args.force)
+    _check_out_dir(base_out, args.force)
     rows = sweep_rows(raw, grid, seeds, base_out, config_path=args.config)
     sweep_csv = base_out / "sweep.csv"
     write_sweep_csv(sweep_csv, rows)
@@ -161,7 +162,7 @@ def cmd_inspect_gates(args) -> int:
         raise ConfigError("checkpoint", str(exc)) from exc
 
     out_dir = Path(args.out) if args.out else checkpoint_path.parent / "inspect"
-    _prepare_out_dir(out_dir, args.force)
+    _check_out_dir(out_dir, args.force)
     modality = args.modality
     stats = evaluate_stats(model, {modality: modalities[modality]}, {modality: tasks[modality]},
                            args.n, cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")

@@ -73,9 +73,7 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
     With ``maps_dir``, also writes each modality's top-1 maps of its first
     sample there, one CSV per MoE layer.
     """
-    stats = ExpertStats()
-    for layer in model.moe_layer_names:
-        stats.register_layer(layer, model.spec.n_experts)
+    stats = ExpertStats(dict.fromkeys(model.moe_layer_names, model.spec.n_experts))
     if maps_dir is not None:
         maps_dir.mkdir(parents=True, exist_ok=True)
     for modality in sorted(modalities):
@@ -94,138 +92,152 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
     return stats
 
 
+@dataclass
+class TrainState:
+    """Everything one training step reads and advances."""
+
+    cfg: RunConfig
+    modalities: dict
+    tasks: dict
+    model: Model
+    sampler: gdata.BatchSampler
+    groups: dict[str, list[ad.Tensor]]
+    tracker: dso.LossTracker
+    stats: ExpertStats
+    iteration: int = 0
+    # The last loss rows: a non-finite loss writes them to the diagnostic dump.
+    recent: collections.deque = field(default_factory=lambda: collections.deque(maxlen=10))
+
+
+def start_training(cfg: RunConfig) -> TrainState:
+    """The state before the first step: a fresh model, sampler and empty statistics."""
+    modalities, tasks, model, sampler = build_setup(cfg)
+    return TrainState(cfg, modalities, tasks, model, sampler, model.param_groups(),
+                      dso.LossTracker(len(model.task_order)),
+                      ExpertStats(dict.fromkeys(model.moe_layer_names, model.spec.n_experts)))
+
+
+def _loss_columns(order) -> list[str]:
+    return ["iteration", *(f"loss_{t}" for t in order), "total"]
+
+
+def _dso_columns(order) -> list[str]:
+    return ["iteration", *(f"cur_{t}" for t in order), *(f"his_{t}" for t in order),
+            *(f"w_{t}" for t in order), *(f"lambda_{t}" for t in order), "C", "gamma",
+            *(f"lr_head_{t}" for t in order), "lr_backbone"]
+
+
+def train_step(state: TrainState) -> tuple[dict, dict]:
+    """One iteration; returns its ``losses.csv`` and ``dso_log.csv`` rows.
+
+    Draws a mixed batch and runs it forward. A non-finite loss writes the last
+    loss rows to ``diagnostic_dump.csv`` and raises ``TrainingAborted``;
+    otherwise the step accumulates routing statistics, runs the governor, then
+    backward and one SGD update per parameter group at its effective rate.
+    """
+    cfg, model, tracker = state.cfg, state.model, state.tracker
+    order, iteration = model.task_order, state.iteration
+    samples = []
+    for item in state.sampler.next_batch():
+        image, target = gdata.generate_sample(
+            state.modalities[item.modality], state.tasks[item.modality],
+            item.sample_index, cfg.height, cfg.width,
+        )
+        samples.append((item.modality, item.sample_index, image, target))
+
+    total, losses, routings = model.forward_batch(samples)
+    values = np.array([losses[t] for t in order])
+    if not np.all(np.isfinite(values)):
+        dump_path = Path(cfg.out_dir) / "diagnostic_dump.csv"
+        write_csv(dump_path, _loss_columns(order), state.recent, "diagnostic_dump")
+        raise TrainingAborted(
+            f"non-finite loss at iteration {iteration}: "
+            + ", ".join(f"{t}={v}" for t, v in zip(order, values)),
+            str(dump_path),
+        )
+
+    for modality, layer, decision in routings:
+        state.stats.accumulate(decision, modality, layer)
+
+    if cfg.dso_enabled:
+        multipliers = dso.step(tracker, values, cfg.dso)
+        ratios = (dso.convergence_ratios(tracker)
+                  if tracker.cur is not None else np.ones(len(order)))
+    else:
+        multipliers = dso.LrMultipliers.identity(len(order))
+        if dso.losses_valid(values):
+            dso.update_ema(tracker, values, cfg.dso)
+        ratios = np.ones(len(order))
+
+    ad.backward(total)
+    effective = {}
+    for group_name, params in state.groups.items():
+        lr = dso.apply_multipliers(cfg.base_lr, group_name, multipliers)
+        effective[group_name] = lr
+        for param in params:
+            if param.grad is not None:
+                param.data = param.data - lr * param.grad
+            param.grad = None
+
+    loss_row = {"iteration": iteration, "total": float(values.sum())}
+    for t, v in zip(order, values):
+        loss_row[f"loss_{t}"] = float(v)
+    state.recent.append(loss_row)
+    state.iteration += 1
+
+    log_cur = tracker.cur if tracker.cur is not None else values
+    log_his = tracker.his if tracker.his is not None else values
+    dso_row = {"iteration": iteration, "C": multipliers.consistency,
+               "gamma": multipliers.backbone_gamma, "lr_backbone": effective["backbone"]}
+    for idx, t in enumerate(order):
+        dso_row[f"cur_{t}"] = float(log_cur[idx])
+        dso_row[f"his_{t}"] = float(log_his[idx])
+        dso_row[f"w_{t}"] = float(ratios[idx])
+        dso_row[f"lambda_{t}"] = float(multipliers.head_lambdas[idx])
+        dso_row[f"lr_head_{t}"] = effective[model.head_group_name(t)]
+    return loss_row, dso_row
+
+
+def _eval_entropy(state: TrainState, name: str, maps_dir: Path | None = None) -> dict[str, float]:
+    """Evaluation routing stats written to ``name``; each modality's entropy."""
+    cfg, model = state.cfg, state.model
+    if not model.moe_layer_names or cfg.stats_samples <= 0:
+        return {}
+    stats = evaluate_stats(model, state.modalities, state.tasks, cfg.stats_samples,
+                           cfg.height, cfg.width, maps_dir=maps_dir)
+    stats.to_csv(Path(cfg.out_dir) / name)
+    return {m: stats.participation_entropy(m) for m in sorted(state.modalities)}
+
+
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_snapshot(out_dir, cfg)
-
-    modalities, tasks, model, sampler = build_setup(cfg)
-    order = model.task_order
-    n_tasks = len(order)
-    groups = model.param_groups()
-
-    tracker = dso.LossTracker(n_tasks)
-    identity = dso.LrMultipliers.identity(n_tasks)
-
-    init_entropy: dict[str, float] = {}
-    if model.moe_layer_names and cfg.stats_samples > 0:
-        init_stats = evaluate_stats(model, modalities, tasks, cfg.stats_samples,
-                                    cfg.height, cfg.width)
-        init_stats.to_csv(out_dir / "expert_stats_init.csv")
-        init_entropy = {m: init_stats.participation_entropy(m) for m in sorted(modalities)}
-
-    train_stats = ExpertStats()
-    for layer in model.moe_layer_names:
-        train_stats.register_layer(layer, model.spec.n_experts)
-
-    loss_columns = ["iteration", *(f"loss_{t}" for t in order), "total"]
-    dso_columns = [
-        "iteration",
-        *(f"cur_{t}" for t in order),
-        *(f"his_{t}" for t in order),
-        *(f"w_{t}" for t in order),
-        *(f"lambda_{t}" for t in order),
-        "C",
-        "gamma",
-        *(f"lr_head_{t}" for t in order),
-        "lr_backbone",
-    ]
+    state = start_training(cfg)
+    order = state.model.task_order
+    init_entropy = _eval_entropy(state, "expert_stats_init.csv")
 
     history: dict[str, list[float]] = {t: [] for t in order}
-    gamma_min, gamma_max = float("inf"), float("-inf")
-    recent = collections.deque(maxlen=10)
-
-    with CsvLogger(out_dir / "losses.csv", loss_columns, "losses") as loss_log, \
-         CsvLogger(out_dir / "dso_log.csv", dso_columns, "dso_log") as dso_log:
-        for iteration in range(cfg.iterations):
-            batch = sampler.next_batch()
-            samples = []
-            for item in batch:
-                image, target = gdata.generate_sample(
-                    modalities[item.modality], tasks[item.modality],
-                    item.sample_index, cfg.height, cfg.width,
-                )
-                samples.append((item.modality, item.sample_index, image, target))
-
-            total, losses, routings = model.forward_batch(samples)
-            values = np.array([losses[t] for t in order])
-            if not np.all(np.isfinite(values)):
-                dump_path = out_dir / "diagnostic_dump.csv"
-                _write_dump(dump_path, loss_columns, recent)
-                raise TrainingAborted(
-                    f"non-finite loss at iteration {iteration}: "
-                    + ", ".join(f"{t}={v}" for t, v in zip(order, values)),
-                    str(dump_path),
-                )
-
-            for modality, layer, decision in routings:
-                train_stats.accumulate(decision, modality, layer)
-
-            if cfg.dso_enabled:
-                multipliers = dso.step(tracker, values, cfg.dso)
-                ratios = (dso.convergence_ratios(tracker)
-                          if tracker.cur is not None else np.ones(n_tasks))
-            else:
-                multipliers = identity
-                if dso.losses_valid(values):
-                    dso.update_ema(tracker, values, cfg.dso)
-                ratios = np.ones(n_tasks)
-
-            ad.backward(total)
-            effective = {}
-            for group_name, params in groups.items():
-                lr = dso.apply_multipliers(cfg.base_lr, group_name, multipliers)
-                effective[group_name] = lr
-                for param in params:
-                    if param.grad is not None:
-                        param.data = param.data - lr * param.grad
-                    param.grad = None
-
-            for t, v in zip(order, values):
-                history[t].append(float(v))
-            gamma_min = min(gamma_min, multipliers.backbone_gamma)
-            gamma_max = max(gamma_max, multipliers.backbone_gamma)
-
-            loss_row = {"iteration": iteration, "total": float(values.sum())}
-            for t, v in zip(order, values):
-                loss_row[f"loss_{t}"] = float(v)
+    gammas = []
+    with CsvLogger(out_dir / "losses.csv", _loss_columns(order), "losses") as loss_log, \
+         CsvLogger(out_dir / "dso_log.csv", _dso_columns(order), "dso_log") as dso_log:
+        for _ in range(cfg.iterations):
+            loss_row, dso_row = train_step(state)
             loss_log.write(loss_row)
-            recent.append(loss_row)
-
-            log_cur = tracker.cur if tracker.cur is not None else values
-            log_his = tracker.his if tracker.his is not None else values
-            dso_row = {"iteration": iteration, "C": multipliers.consistency,
-                       "gamma": multipliers.backbone_gamma,
-                       "lr_backbone": effective["backbone"]}
-            for idx, t in enumerate(order):
-                dso_row[f"cur_{t}"] = float(log_cur[idx])
-                dso_row[f"his_{t}"] = float(log_his[idx])
-                dso_row[f"w_{t}"] = float(ratios[idx])
-                dso_row[f"lambda_{t}"] = float(multipliers.head_lambdas[idx])
-                dso_row[f"lr_head_{t}"] = effective[model.head_group_name(t)]
             dso_log.write(dso_row)
+            for t in order:
+                history[t].append(loss_row[f"loss_{t}"])
+            gammas.append(dso_row["gamma"])
 
-    save_checkpoint(out_dir / "checkpoint.bin", model.state_dict())
-    train_stats.to_csv(out_dir / "expert_stats.csv")
-
-    final_entropy: dict[str, float] = {}
-    if model.moe_layer_names and cfg.stats_samples > 0:
-        final_stats = evaluate_stats(model, modalities, tasks, cfg.stats_samples,
-                                     cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")
-        final_stats.to_csv(out_dir / "expert_stats_final.csv")
-        final_entropy = {m: final_stats.participation_entropy(m) for m in sorted(modalities)}
-
+    save_checkpoint(out_dir / "checkpoint.bin", state.model.state_dict())
+    state.stats.to_csv(out_dir / "expert_stats.csv")
+    final_entropy = _eval_entropy(state, "expert_stats_final.csv", out_dir / "top1_maps")
     return TrainResult(
-        out_dir=out_dir,
-        task_order=order,
-        loss_history=history,
+        out_dir=out_dir, task_order=order, loss_history=history,
         final_losses={t: history[t][-1] for t in order},
-        gamma_min=gamma_min,
-        gamma_max=gamma_max,
-        stats=train_stats,
-        init_entropy=init_entropy,
-        final_entropy=final_entropy,
-        model=model if keep_model else None,
+        gamma_min=min(gammas), gamma_max=max(gammas), stats=state.stats,
+        init_entropy=init_entropy, final_entropy=final_entropy,
+        model=state.model if keep_model else None,
     )
 
 
@@ -256,12 +268,6 @@ def recorded_train(cfg: RunConfig, config_path: str, keep_model: bool = False,
         "config_snapshot": str(out_dir / CONFIG_SNAPSHOT_NAME),
     }, EXIT_OK)
     return result
-
-
-def _write_dump(path: Path, columns, rows) -> None:
-    with CsvLogger(path, columns, "diagnostic_dump") as log:
-        for row in rows:
-            log.write(row)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ benchmark. These tests make that show up in the unit tests too.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +66,26 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tracer.calls["runconfig.parse_config"] == 1
     assert tracer.calls["train.evaluate_stats"] == 1
     assert tracer.calls["model.features"] == len(modalities)
+
+
+def test_tracer_sees_every_step_of_a_cli_train_run(tmp_path):
+    """``train`` reaches the wrapped names through their module attributes."""
+    iterations = 5
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"moe": {"n_experts": 4, "top_k": 2},
+                                  "run": {"iterations": iterations, "stats_samples": 2}}))
+    cli = importlib.import_module("gridmoe.cli")
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    finally:
+        tracer.uninstall()
+
+    assert code == 0
+    walls, selfs = tracer.loop_accounting()
+    assert len(walls) == len(selfs) == iterations
+    assert tracer.calls["data.next_batch"] == iterations
+    assert tracer.calls["dso.step"] == iterations
+    assert tracer.calls["checkpoint.save"] == 1
+    assert tracer.calls["train.evaluate_stats"] == 2

@@ -271,6 +271,15 @@ class TestSweepCommand:
         assert not list(out.glob("cell*"))
         assert not (out / "sweep.csv").exists()
 
+    def test_bad_config_value_exits_2_without_creating_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"model.depth": "x"})
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "model.depth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_cell_matches_train_command(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 6,
                                                      "run.stats_samples": 0})

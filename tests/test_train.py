@@ -158,31 +158,48 @@ class TestSmokeRun:
             assert np.mean(series[-10:]) < np.mean(series[:10]), task
 
 
+def poisoned_run(tmp_path, monkeypatch, clean_samples):
+    """Train until a regression target turns NaN after ``clean_samples`` samples.
+
+    Returns the abort, the diagnostic dump's rows and the rows of ``losses.csv``.
+    """
+    calls = {"n": 0}
+    real_generate = gdata.generate_sample
+
+    def poisoned(spec, task, index, height=8, width=8):
+        image, target = real_generate(spec, task, index, height, width)
+        calls["n"] += 1
+        if calls["n"] > clean_samples and task.kind == gdata.REGRESSION:
+            target = target * np.nan
+        return image, target
+
+    import importlib
+    train_mod = importlib.import_module("gridmoe.train")
+    monkeypatch.setattr(train_mod.gdata, "generate_sample", poisoned)
+    cfg = small_config(tmp_path / "run", iterations=200,
+                       extra_run={"stats_samples": 0})
+    with pytest.raises(TrainingAborted) as excinfo:
+        train(cfg)
+    dump = excinfo.value.dump_path
+    assert dump is not None
+    return excinfo.value, read_csv(dump), read_csv(tmp_path / "run" / "losses.csv")
+
+
 class TestAbort:
     def test_divergence_aborts_with_dump(self, tmp_path, monkeypatch):
         # inject a NaN sample mid-stream to simulate upstream divergence
-        calls = {"n": 0}
-        real_generate = gdata.generate_sample
-
-        def poisoned(spec, task, index, height=8, width=8):
-            image, target = real_generate(spec, task, index, height, width)
-            calls["n"] += 1
-            if calls["n"] > 30 and task.kind == gdata.REGRESSION:
-                target = target * np.nan
-            return image, target
-
-        import importlib
-        train_mod = importlib.import_module("gridmoe.train")
-        monkeypatch.setattr(train_mod.gdata, "generate_sample", poisoned)
-        cfg = small_config(tmp_path / "run", iterations=200,
-                           extra_run={"stats_samples": 0})
-        with pytest.raises(TrainingAborted) as excinfo:
-            train(cfg)
-        dump = excinfo.value.dump_path
-        assert dump is not None
-        rows = read_csv(dump)
+        error, rows, logged = poisoned_run(tmp_path, monkeypatch, clean_samples=30)
         assert 0 < len(rows) <= 10
-        assert "non-finite loss" in str(excinfo.value)
+        assert "non-finite loss" in str(error)
+        # The dump holds the last (up to 10) rows logged before the failing iteration.
+        assert f"non-finite loss at iteration {len(logged)}:" in str(error)
+        assert rows == logged[-10:]
+
+    def test_dump_keeps_only_the_last_ten_rows(self, tmp_path, monkeypatch):
+        error, rows, logged = poisoned_run(tmp_path, monkeypatch, clean_samples=80)
+        assert len(logged) > 10
+        assert f"non-finite loss at iteration {len(logged)}:" in str(error)
+        assert rows == logged[-10:]
 
 
 class TestEvaluateStats:

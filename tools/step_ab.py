@@ -14,13 +14,14 @@ turns, one unit of work each, the first side alternating from pair to pair:
 - ``eval``: one ``Model.features`` call on one 16x16 sample with 8 experts
   on every block (``wide_gate_eval``).
 
-A training step is timed from one ``BatchSampler.next_batch`` call to the
-next: each side runs ``train`` in its own thread, and the thread hands control
-back at every ``next_batch``, so only one side runs at a time. Afterwards the
-two runs' ``losses.csv`` (every step's losses) and ``checkpoint.bin`` (the
-final parameters) must be byte-identical; for ``eval`` every routing decision
-must be. The script prints each side's p50 and p90 in ms and the median of the
-per-pair ratios change/parent.
+A training step is one ``train.train_step`` call on a state from
+``train.start_training``; the CSV writes that ``train`` does around it are not
+timed, and no thread is used. Every step's ``losses.csv`` and ``dso_log.csv``
+rows must render the same on both sides (``csvio.format_value``, so a
+-0.0/0.0 flip counts), and so must the final parameters' bytes; for ``eval``
+every routing decision must. A tree from before ``train_step`` is refused:
+time it with that tree's own ``tools/step_ab.py``. The script prints each
+side's p50 and p90 in ms and the median of the per-pair ratios change/parent.
 
 CPU speed on a shared host can swing by 2x within seconds. Interleaving puts
 both sides of a pair in the same few milliseconds, so a swing moves both; two
@@ -37,7 +38,6 @@ import os
 import statistics
 import sys
 import tempfile
-import threading
 import time
 import types
 from pathlib import Path
@@ -58,12 +58,16 @@ def load_tree(root: Path, name: str) -> types.SimpleNamespace:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     # ``<name>.train`` as an attribute is the re-exported train() function.
-    return types.SimpleNamespace(**{sub: importlib.import_module(f"{name}.{sub}")
-                                    for sub in ("data", "runconfig", "train")})
+    gm = types.SimpleNamespace(**{sub: importlib.import_module(f"{name}.{sub}")
+                                  for sub in ("csvio", "data", "runconfig", "train")})
+    if not hasattr(gm.train, "train_step"):
+        raise SystemExit(f"{root} has no train.train_step; time it with that tree's own "
+                         "tools/step_ab.py")
+    return gm
 
 
-def config(gm, workload: str, steps: int, out_dir: Path):
-    raw = gm.train.benchmark_config(0, steps, str(out_dir), True).snapshot()
+def config(gm, workload: str, steps: int, out_dir: str):
+    raw = gm.train.benchmark_config(0, steps, out_dir, True).snapshot()
     raw["run"]["stats_samples"] = 0
     if workload == "plain":
         raw["run"]["dso"] = raw["run"]["moe"] = False
@@ -74,76 +78,30 @@ def config(gm, workload: str, steps: int, out_dir: Path):
     return gm.runconfig.parse_config(raw)
 
 
-class SteppedTrain:
-    """One side's ``train`` run in a thread that pauses at every ``next_batch``."""
-
-    def __init__(self, gm, cfg):
-        self.go = threading.Semaphore(0)
-        self.paused = threading.Semaphore(0)
-        self.times: list[float] = []
-        self.error: BaseException | None = None
-        started = None
-        real = gm.data.BatchSampler.next_batch
-
-        def next_batch(sampler):
-            nonlocal started
-            if started is not None:
-                self.times.append(time.perf_counter() - started)
-            self.paused.release()
-            self.go.acquire()
-            started = time.perf_counter()
-            return real(sampler)
-
-        gm.data.BatchSampler.next_batch = next_batch
-        self.thread = threading.Thread(target=self._run, args=(gm, cfg), daemon=True)
-        self.thread.start()
-        self.paused.acquire()  # set-up done, waiting at the first next_batch
-
-    def _run(self, gm, cfg):
-        try:
-            gm.train.train(cfg, keep_model=False)
-        except BaseException as exc:  # reported by the main thread
-            self.error = exc
-        finally:
-            self.paused.release()
-
-    def step(self) -> float:
-        self.go.release()
-        self.paused.acquire()
-        if self.error is not None:
-            raise RuntimeError("training failed") from self.error
-        return self.times[-1]
-
-    def finish(self) -> None:
-        self.go.release()
-        self.thread.join()
-        if self.error is not None:
-            raise RuntimeError("training failed") from self.error
-
-
-def time_training(trees, workload: str, steps: int, tmp: Path):
-    runs = {}
-    for side in SIDES:
-        gm = trees[side]
-        # One more iteration than timed steps: the last one runs untimed.
-        runs[side] = SteppedTrain(gm, config(gm, workload, steps + 1, tmp / side))
+def time_training(trees, workload: str, steps: int, out_dir: str):
+    # A non-finite loss writes its diagnostic dump into out_dir.
+    states = {side: gm.train.start_training(config(gm, workload, steps, out_dir))
+              for side, gm in trees.items()}
     times = {side: [] for side in SIDES}
+    rows = {side: [] for side in SIDES}
     for i in range(steps):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            times[side].append(runs[side].step())
-    for run in runs.values():
-        run.finish()
-    same = all((tmp / "parent" / name).read_bytes() == (tmp / "change" / name).read_bytes()
-               for name in ("losses.csv", "dso_log.csv", "checkpoint.bin"))
-    return times, same
+            gm = trees[side]
+            t0 = time.perf_counter()
+            step_rows = gm.train.train_step(states[side])
+            times[side].append(time.perf_counter() - t0)
+            rows[side].append([{k: gm.csvio.format_value(v) for k, v in row.items()}
+                               for row in step_rows])
+    params = {side: {k: (v.dtype.str, v.shape, v.tobytes())
+                     for k, v in states[side].model.state_dict().items()} for side in SIDES}
+    return times, rows["parent"] == rows["change"] and params["parent"] == params["change"]
 
 
-def time_eval(trees, steps: int, tmp: Path):
+def time_eval(trees, steps: int, out_dir: str):
     setups = {}
     for side in SIDES:
         gm = trees[side]
-        cfg = config(gm, "eval", 1, tmp / side)
-        modalities, tasks, model, _ = gm.train.build_setup(cfg)
+        modalities, tasks, model, _ = gm.train.build_setup(config(gm, "eval", 1, out_dir))
         setups[side] = (gm, modalities, tasks, model)
     times = {side: [] for side in SIDES}
     same = True
@@ -184,9 +142,9 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         if args.workload == "eval":
-            times, same = time_eval(trees, args.steps, Path(tmp))
+            times, same = time_eval(trees, args.steps, tmp)
         else:
-            times, same = time_training(trees, args.workload, args.steps, Path(tmp))
+            times, same = time_training(trees, args.workload, args.steps, tmp)
 
     unit = "sample" if args.workload == "eval" else "step"
     for side in SIDES:
