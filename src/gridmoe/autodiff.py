@@ -233,7 +233,8 @@ def mul(a, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _lift(x)
-    mask = x.data > 0.0
+    # Keeps NaN (``x > 0`` would zero it), so a diverged run reaches the loss check.
+    mask = ~(x.data <= 0.0)
 
     def vjp(g):
         return (g * mask,)
@@ -576,7 +577,7 @@ def mix_experts(x: Tensor, weight: Tensor, bias: Tensor, selected: np.ndarray,
 
 
 class Routing(NamedTuple):
-    """The gate's forward at every grid position, as ``_route`` computes it."""
+    """The gate's forward at every grid position, as ``moe._route`` computes it."""
 
     u: np.ndarray             # gate projection x @ W.T
     logits: np.ndarray        # cosine logits
@@ -584,16 +585,6 @@ class Routing(NamedTuple):
     probs: np.ndarray         # full softmax
     selected: np.ndarray      # top-k expert ids
     weights: np.ndarray       # their probabilities
-
-
-def _route(x: np.ndarray, gate_w: np.ndarray, gate_e: np.ndarray, temperature: float,
-           top_k: int, select: Callable[[np.ndarray, int], np.ndarray]) -> Routing:
-    """Gate projection, cosine logits, softmax, ``select(probs, top_k)``, gather."""
-    u = _linear(x, gate_w)
-    logits, cosine = _cosine_logits(u, gate_e, temperature)
-    probs = stable_softmax(logits)
-    selected = select(probs, top_k)
-    return Routing(u, logits, cosine, probs, selected, _gather(probs, selected))
 
 
 def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: Tensor,

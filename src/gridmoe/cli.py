@@ -117,12 +117,7 @@ def cmd_train(args) -> int:
     _check_out_dir(out_dir, args.force)
     set_path(raw, "run.out_dir", str(out_dir))
     cfg = parse_config(raw)
-    try:
-        # Any other GridMoeError reaches main(), which exits 3.
-        result = recorded_train(cfg, args.config, trainer=train)
-    except TrainingAborted as exc:
-        print(f"runtime abort: {exc} (dump: {exc.dump_path})", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = recorded_train(cfg, args.config, trainer=train)
     final = ", ".join(f"{t}={result.final_losses[t]:.4f}" for t in result.task_order)
     print(f"done: {cfg.iterations} iterations, final losses {final}")
     print(f"artifacts in {out_dir}")
@@ -186,7 +181,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingAborted as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
+        print(f"runtime abort: {exc} (dump: {exc.dump_path})", file=sys.stderr)
         return EXIT_RUNTIME
     except GridMoeError as exc:
         # ShapeError and DomainError are also ValueErrors, but raised at run

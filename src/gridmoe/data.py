@@ -24,8 +24,6 @@ from .errors import ConfigError, ShapeError
 
 CLASSIFICATION = "grid-classification"
 REGRESSION = "grid-regression-with-angle"
-CROSS_ENTROPY = "cross-entropy"
-SMOOTH_L1 = "smooth-l1"
 
 
 @dataclass(frozen=True)
@@ -51,19 +49,12 @@ class TaskSpec:
 
     id: str
     kind: str
-    loss: str
     head_width: int
     label_noise: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (CLASSIFICATION, REGRESSION):
             raise ConfigError("task.kind", f"unknown target type {self.kind!r}")
-        if self.loss not in (CROSS_ENTROPY, SMOOTH_L1):
-            raise ConfigError("task.loss", f"unknown loss type {self.loss!r}")
-        if self.kind == CLASSIFICATION and self.loss != CROSS_ENTROPY:
-            raise ConfigError("task.loss", "grid classification uses cross-entropy")
-        if self.kind == REGRESSION and self.loss != SMOOTH_L1:
-            raise ConfigError("task.loss", "grid regression uses smooth-l1")
         if self.head_width < 2:
             raise ConfigError("task.head_width", "need at least 2 output channels")
         if not (0.0 <= self.label_noise <= 1.0):
@@ -120,9 +111,9 @@ def default_tasks(label_noise: dict[str, float] | None = None) -> dict[str, Task
     if label_noise:
         noise.update(label_noise)
     return {
-        "A": TaskSpec("A", CLASSIFICATION, CROSS_ENTROPY, head_width=4, label_noise=noise["A"]),
-        "B": TaskSpec("B", REGRESSION, SMOOTH_L1, head_width=5, label_noise=noise["B"]),
-        "C": TaskSpec("C", REGRESSION, SMOOTH_L1, head_width=5, label_noise=noise["C"]),
+        "A": TaskSpec("A", CLASSIFICATION, head_width=4, label_noise=noise["A"]),
+        "B": TaskSpec("B", REGRESSION, head_width=5, label_noise=noise["B"]),
+        "C": TaskSpec("C", REGRESSION, head_width=5, label_noise=noise["C"]),
     }
 
 

@@ -75,7 +75,6 @@ class LossTracker:
     n_tasks: int
     cur: np.ndarray | None = None
     his: np.ndarray | None = None
-    iteration: int = 0
     last_multipliers: LrMultipliers = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -108,7 +107,6 @@ def update_ema(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LossTra
         # but a constant stream stays a bit-exact fixed point
         tracker.his = tracker.his + cfg.alpha * (observed - tracker.his)
     tracker.cur = observed.copy()
-    tracker.iteration += 1
     return tracker
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, UsageError
-from .numerics import NORM_EPS
+from .numerics import NORM_EPS, stable_softmax
 
 GATE_INIT_STD = 0.02
 
@@ -131,11 +131,15 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
 
 
 def _route(x: np.ndarray, params: GateParams, cfg: MoEConfig) -> ad.Routing:
-    """Full softmax, top-k expert ids and their gate weights at every position of x."""
+    """Gate projection, cosine logits, full softmax, top-k expert ids and their
+    gate weights at every position of x."""
     if x.shape[-1] != cfg.in_channels:
         raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
-    return ad._route(x, params.W.data, params.E.data, cfg.gate_temperature, cfg.top_k,
-                     topk_select)
+    u = ad._linear(x, params.W.data)
+    logits, cosine = ad._cosine_logits(u, params.E.data, cfg.gate_temperature)
+    probs = stable_softmax(logits)
+    selected = topk_select(probs, cfg.top_k)
+    return ad.Routing(u, logits, cosine, probs, selected, ad._gather(probs, selected))
 
 
 def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
@@ -257,24 +261,18 @@ class _StatsCell:
 class ExpertStats:
     """Per (dataset, layer, expert) routing mass and top-1 counts.
 
-    Participation records the post-top-k gate weight mass; the full softmax
-    is retained on each decision, so pre-top-k statistics can be derived if
-    ever needed. Accumulation is additive, hence shards merge exactly.
+    ``layers`` maps each layer id to its expert count. Participation records
+    the post-top-k gate weight mass; the full softmax is retained on each
+    decision, so pre-top-k statistics can be derived if ever needed.
     """
 
     layers: dict[str, int] = field(default_factory=dict)
     cells: dict[tuple[str, str], _StatsCell] = field(default_factory=dict)
 
-    def register_layer(self, layer: str, n_experts: int) -> None:
-        known = self.layers.get(layer)
-        if known is not None and known != n_experts:
-            raise UsageError(f"layer {layer!r} already registered with {known} experts")
-        self.layers[layer] = n_experts
-
     def accumulate(self, decision: RoutingDecision, dataset: str, layer: str) -> None:
         n = self.layers.get(layer)
         if n is None:
-            raise UsageError(f"unknown layer id {layer!r}; register it first")
+            raise UsageError(f"unknown layer id {layer!r}")
         if decision.n_experts != n:
             raise UsageError(
                 f"decision for layer {layer!r} has {decision.n_experts} experts, expected {n}"
@@ -289,27 +287,6 @@ class ExpertStats:
         # first is the argmax of the full softmax.
         cell.top1 += np.bincount(sel[:, 0], minlength=n)
         cell.positions += sel.shape[0]
-
-    def merge(self, other: "ExpertStats") -> "ExpertStats":
-        merged = ExpertStats()
-        for layer, n in {**self.layers, **other.layers}.items():
-            a, b = self.layers.get(layer), other.layers.get(layer)
-            if a is not None and b is not None and a != b:
-                raise UsageError(f"layer {layer!r} registered with conflicting expert counts")
-            merged.register_layer(layer, n)
-        for source in (self, other):
-            for key, cell in source.cells.items():
-                tgt = merged.cells.get(key)
-                if tgt is None:
-                    merged.cells[key] = _StatsCell(
-                        cell.participation.copy(), cell.top1.copy(), cell.positions
-                    )
-                else:
-                    tgt.participation += cell.participation
-                    tgt.top1 += cell.top1
-                    tgt.positions += cell.positions
-
-        return merged
 
     def participation_entropy(self, dataset: str) -> float:
         """Mean (over this dataset's layers) entropy of normalized participation."""

@@ -66,8 +66,7 @@ def build_setup(cfg: RunConfig):
 
 
 def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int, width: int,
-                   index_offset: int = EVAL_INDEX_OFFSET, maps_dir: Path | None = None
-                   ) -> ExpertStats:
+                   maps_dir: Path | None = None) -> ExpertStats:
     """Routing statistics over fresh evaluation samples (no training indices).
 
     With ``maps_dir``, also writes each modality's top-1 maps of its first
@@ -79,7 +78,7 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
     for modality in sorted(modalities):
         for j in range(n_samples):
             image, _ = gdata.generate_sample(
-                modalities[modality], tasks[modality], index_offset + j, height, width
+                modalities[modality], tasks[modality], EVAL_INDEX_OFFSET + j, height, width
             )
             _, routings = model.features(image[None])
             for layer, decision in routings:
@@ -241,7 +240,7 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     )
 
 
-def recorded_train(cfg: RunConfig, config_path: str, keep_model: bool = False,
+def recorded_train(cfg: RunConfig, config_path: str,
                    trainer: Callable[..., TrainResult] | None = None) -> TrainResult:
     """``train`` with a run manifest: started before, finished after.
 
@@ -254,7 +253,7 @@ def recorded_train(cfg: RunConfig, config_path: str, keep_model: bool = False,
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.start(out_dir, cfg, config_path)
     try:
-        result = (trainer or train)(cfg, keep_model=keep_model)
+        result = (trainer or train)(cfg, keep_model=False)
     except GridMoeError as exc:
         artifacts = ({"diagnostic_dump": exc.dump_path}
                      if isinstance(exc, TrainingAborted) else {})
@@ -275,15 +274,16 @@ def recorded_train(cfg: RunConfig, config_path: str, keep_model: bool = False,
 # ---------------------------------------------------------------------------
 
 def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
-               keep_models: bool = False, config_path: str = "") -> list[dict]:
+               config_path: str = "") -> list[dict]:
     """Cross-product of grid values x seeds; one training run per cell.
 
     Every cell reuses the same seed list, so cells are comparable; the seeds
-    must be distinct, since each names its own run directory. Every cell's
-    config is parsed before the first run, so a bad value in any cell fails
-    the sweep before anything is trained. Each run writes a manifest, as
-    ``recorded_train`` does, naming ``config_path``. Returns one row per run
-    with the swept parameters and final metrics.
+    must be distinct, since each names its own run directory. The seeds and
+    ``out_root`` set each run's ``run.seed`` and ``run.out_dir``, so the grid
+    may name neither. Every cell's config is parsed before the first run, so
+    a bad value in any cell fails the sweep before anything is trained. Each
+    run writes a manifest, as ``recorded_train`` does, naming ``config_path``.
+    Returns one row per run with the swept parameters and final metrics.
     """
     from .runconfig import parse_config, set_path
     import copy
@@ -292,6 +292,9 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     keys = sorted(grid)
     if not keys or any(not grid[k] for k in keys):
         raise ValueError("sweep grid is empty")
+    for key, option in (("run.seed", "--seeds"), ("run.out_dir", "--out")):
+        if key in grid:
+            raise ConfigError(key, f"cannot be swept: every run's value comes from {option}")
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ConfigError("seeds", "need at least one seed")
@@ -309,7 +312,7 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
             runs.append((combo, seed, parse_config(raw)))
     rows: list[dict] = []
     for combo, seed, cfg in runs:
-        result = recorded_train(cfg, config_path, keep_model=keep_models)
+        result = recorded_train(cfg, config_path)
         row = {key: _render(value) for key, value in zip(keys, combo)}
         row["seed"] = seed
         for t in result.task_order:
@@ -378,19 +381,18 @@ class BenchmarkResult:
         write_csv(path, columns, rows, schema="benchmark_seeds")
 
 
-def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool,
-                     hard_task: str = "A") -> RunConfig:
-    """Three modalities, one task 4x harder via label noise, 8x8x8 inputs.
+def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool) -> RunConfig:
+    """Three modalities, task A 4x harder via label noise, 8x8x8 inputs.
 
-    The hard task's flip rate (0.4) keeps it mid-descent at 2000 iterations
+    Task A's flip rate (0.4) keeps it mid-descent at 2000 iterations
     while the clean tasks reach their floors early; the governor uses a
     sharp head softmax and a balance point of 1, so the backbone rate never
     exceeds the base and the head policy carries the balancing.
     """
     from .runconfig import parse_config
 
-    noise = {m: BENCHMARK_BASE_NOISE for m in ("A", "B", "C")}
-    noise[hard_task] = BENCHMARK_BASE_NOISE * BENCHMARK_HARD_MULTIPLIER
+    noise = {"A": BENCHMARK_BASE_NOISE * BENCHMARK_HARD_MULTIPLIER,
+             "B": BENCHMARK_BASE_NOISE, "C": BENCHMARK_BASE_NOISE}
     raw = {
         "model": {"depth": 4, "channels": 8, "moe_layers": [0, 2]},
         "moe": {"n_experts": 4, "top_k": 2, "gate_temperature": 0.3},
@@ -425,8 +427,8 @@ def normalized_loss_spread(history: dict[str, list[float]], window: int = 50) ->
     return float(np.std(ratios))
 
 
-def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000,
-                        hard_task: str = "A") -> BenchmarkResult:
+def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
+                        ) -> BenchmarkResult:
     """Paired runs (governor on/off) per seed on the scripted-imbalance setup.
 
     Every seed keeps ``data.modality_seed`` 0, so all seeds read one data
@@ -439,13 +441,11 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000,
     per_seed = []
     for seed in seeds:
         with_dso = train(
-            benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True,
-                             hard_task),
+            benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True),
             keep_model=False,
         )
         without_dso = train(
-            benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False,
-                             hard_task),
+            benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False),
             keep_model=False,
         )
         per_seed.append(

@@ -193,6 +193,13 @@ class TestElementwise:
             assert np.all(np.isfinite(op(Tensor(x)).data))
         assert np.all(np.isfinite(log(Tensor(np.abs(x) + 0.1)).data))
 
+    def test_relu_lets_nan_through_and_keeps_other_bits(self):
+        x = np.array([np.nan, -np.nan, -0.0, 0.0, -2.5, 1.5, np.inf, -np.inf])
+        out = ad.relu(Tensor(x)).data
+        assert np.isnan(out[:2]).all()
+        expected = np.where(x[2:] > 0.0, x[2:], 0.0)
+        assert out[2:].tobytes() == expected.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # backward semantics

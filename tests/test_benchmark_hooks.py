@@ -89,3 +89,7 @@ def test_tracer_sees_every_step_of_a_cli_train_run(tmp_path):
     assert tracer.calls["dso.step"] == iterations
     assert tracer.calls["checkpoint.save"] == 1
     assert tracer.calls["train.evaluate_stats"] == 2
+    # Two MoE layers, each routed once per Model.features call: 17 calls, 5 in
+    # training and 2 evaluations x 3 modalities x 2 samples. Every routing
+    # selects its experts through the name moe.topk_select.
+    assert tracer.calls["moe.topk_select"] == tracer.calls["moe.moe_forward"] == 34

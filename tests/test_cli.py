@@ -316,6 +316,20 @@ class TestSweepCommand:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, option", [("run.seed", "--seeds"),
+                                             ("run.out_dir", "--out")])
+    def test_seed_or_out_dir_in_grid_exits_2_naming_the_option(self, tmp_path, capsys,
+                                                                key, option):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", f"{key}=1,2",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}:" in err and option in err
+        assert not out.exists()
+
     def test_every_cell_has_a_verified_manifest(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
                                                      "run.stats_samples": 0})
@@ -350,6 +364,19 @@ class TestSweepCommand:
         assert json.loads((cell / "manifest.json").read_text())["exit_status"] == 3
         assert verify_manifest(cell)
         assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "moe.top_k=2"]])
+def test_divergence_exits_3_naming_the_dump(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 20, "run.base_lr": 1e50,
+                                                 "run.stats_samples": 0})
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime abort: non-finite loss" in err
+    dump = next(out.rglob("diagnostic_dump.csv"))
+    assert f"(dump: {dump})" in err
 
 
 class TestSweepValueTypes:

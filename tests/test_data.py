@@ -9,7 +9,6 @@ import pytest
 from gridmoe import data as gdata
 from gridmoe.data import (
     CLASSIFICATION,
-    REGRESSION,
     BatchSampler,
     ModalitySpec,
     SamplerConfig,
@@ -83,7 +82,7 @@ class TestGenerateSample:
             id="A", channel_means=means, channel_stds=(0.0, 0.0, 0.0),
             spatial_freq=3.0, speckle_rate=0.0, blob_density=0.0, seed=4,
         )
-        task = TaskSpec("A", CLASSIFICATION, "cross-entropy", head_width=4)
+        task = TaskSpec("A", CLASSIFICATION, head_width=4)
         image, _ = generate_sample(spec, task, 5, height=6, width=6)
         for c, mean in enumerate(means):
             np.testing.assert_array_equal(image[:, :, c], mean)
@@ -105,8 +104,7 @@ class TestGenerateSample:
     def test_classification_label_noise_flips_labels(self):
         mods = default_modalities()
         clean_task = default_tasks()["A"]
-        noisy_task = TaskSpec("A", CLASSIFICATION, "cross-entropy", head_width=4,
-                              label_noise=0.5)
+        noisy_task = TaskSpec("A", CLASSIFICATION, head_width=4, label_noise=0.5)
         flips = 0
         total = 0
         for i in range(20):
@@ -157,13 +155,9 @@ class TestGenerateSample:
 
     def test_task_spec_validation(self):
         with pytest.raises(ConfigError):
-            TaskSpec("A", "pixel-detection", "cross-entropy", head_width=4)
+            TaskSpec("A", "pixel-detection", head_width=4)
         with pytest.raises(ConfigError):
-            TaskSpec("A", CLASSIFICATION, "smooth-l1", head_width=4)
-        with pytest.raises(ConfigError):
-            TaskSpec("B", REGRESSION, "cross-entropy", head_width=4)
-        with pytest.raises(ConfigError):
-            TaskSpec("A", CLASSIFICATION, "cross-entropy", head_width=1)
+            TaskSpec("A", CLASSIFICATION, head_width=1)
 
 
 class TestModalitySeparation:

@@ -69,7 +69,6 @@ def make_tracker(cur, his) -> LossTracker:
     tracker = LossTracker(len(cur))
     tracker.cur = np.asarray(cur, dtype=float)
     tracker.his = np.asarray(his, dtype=float)
-    tracker.iteration = 1
     return tracker
 
 

@@ -408,8 +408,7 @@ class TestExpertStats:
         return gate(np.array([1.0, 2.0, 3.0]), params, cfg)
 
     def test_uniform_single_position(self):
-        stats = ExpertStats()
-        stats.register_layer("L0", 4)
+        stats = ExpertStats({"L0": 4})
         stats.accumulate(self._uniform_decision(), "dsA", "L0")
         cell = stats.cells[("dsA", "L0")]
         np.testing.assert_allclose(cell.participation, [0.25, 0.25, 0.0, 0.0], atol=1e-15)
@@ -421,36 +420,10 @@ class TestExpertStats:
         with pytest.raises(UsageError):
             stats.accumulate(self._uniform_decision(), "dsA", "L9")
 
-    def test_merge_equals_concatenation(self):
-        rng = np.random.default_rng(14)
-        cfg, params = random_instance(rng, 5, 2, 3, 3)
-        decisions = [gate(rng.normal(size=3), params, cfg) for _ in range(40)]
-
-        merged_target = ExpertStats()
-        merged_target.register_layer("L", 5)
-        for decision in decisions:
-            merged_target.accumulate(decision, "ds", "L")
-
-        a, b = ExpertStats(), ExpertStats()
-        a.register_layer("L", 5)
-        b.register_layer("L", 5)
-        for decision in decisions[:17]:
-            a.accumulate(decision, "ds", "L")
-        for decision in decisions[17:]:
-            b.accumulate(decision, "ds", "L")
-        merged = a.merge(b)
-
-        ca = merged.cells[("ds", "L")]
-        cb = merged_target.cells[("ds", "L")]
-        np.testing.assert_allclose(ca.participation, cb.participation, atol=1e-15)
-        np.testing.assert_array_equal(ca.top1, cb.top1)
-        assert ca.positions == cb.positions
-
     def test_counting_oracle_single_expert(self):
         # Route 1000 positions entirely to expert 3 by construction.
         n = 5
-        stats = ExpertStats()
-        stats.register_layer("L", n)
+        stats = ExpertStats({"L": n})
         w = 0.9
         probs = np.full(n, (1 - w) / (n - 1))
         probs[3] = w
@@ -469,8 +442,7 @@ class TestExpertStats:
         rng = np.random.default_rng(15)
         cfg, params = random_instance(rng, 6, 2, 4, 4)
         bank = build_bank(rng, cfg)
-        stats = ExpertStats()
-        stats.register_layer("L", 6)
+        stats = ExpertStats({"L": 6})
         total = 0
         for _ in range(5):
             _, decision = moe_forward(Tensor(rng.normal(size=(4, 4, 4))), bank, params, cfg)
@@ -502,8 +474,7 @@ class TestExpertStats:
                 gate(x[0, 0, 0], params, cfg),
                 gate(np.zeros(cfg.in_channels), params, cfg),
             ]
-            stats = ExpertStats()
-            stats.register_layer("L", n)
+            stats = ExpertStats({"L": n})
             expected = np.zeros(n, dtype=np.int64)
             for decision in decisions:
                 stats.accumulate(decision, "ds", "L")

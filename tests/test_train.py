@@ -195,6 +195,15 @@ class TestAbort:
         assert f"non-finite loss at iteration {len(logged)}:" in str(error)
         assert rows == logged[-10:]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_learning_rate_aborts_with_dump(self, tmp_path):
+        # NaN features must reach the loss check, not be zeroed by relu.
+        with pytest.raises(TrainingAborted) as excinfo:
+            train(small_config(tmp_path / "run", iterations=20, base_lr=1e50))
+        assert "non-finite loss" in str(excinfo.value)
+        assert excinfo.value.dump_path.endswith("diagnostic_dump.csv")
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_dump_keeps_only_the_last_ten_rows(self, tmp_path, monkeypatch):
         error, rows, logged = poisoned_run(tmp_path, monkeypatch, clean_samples=80)
         assert len(logged) > 10
