@@ -146,6 +146,8 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("data.label_noise", f"unknown modality {m!r}")
         if not isinstance(level, (int, float)) or isinstance(level, bool):
             raise ConfigError("data.label_noise", f"noise for {m!r} must be a number")
+        if not 0 <= level <= 1:
+            raise ConfigError("data.label_noise", f"noise for {m!r} must lie in [0, 1], got {level}")
     data["label_noise"] = {m: float(v) for m, v in sorted(data["label_noise"].items())}
     for dotted, low in (("data.height", 1), ("data.width", 1), ("data.modality_seed", 0),
                         ("run.seed", 0), ("run.iterations", 1)):

@@ -379,6 +379,15 @@ def test_divergence_exits_3_naming_the_dump(tmp_path, capsys, command):
     assert f"(dump: {dump})" in err
 
 
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "moe.top_k=2"]])
+def test_label_noise_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", **{"data.label_noise": {"A": 1.5}})
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "data.label_noise: noise for 'A' must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSweepValueTypes:
     """Sweep values take their key's type from ``runconfig.SCHEMA``."""
 

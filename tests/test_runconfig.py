@@ -170,6 +170,12 @@ FAULTS = [
                  "data.label_noise: unknown modality 'Z'", id="noise_modality"),
     pytest.param(minimal(**{"data.label_noise": {"A": "x"}}),
                  "data.label_noise: noise for 'A' must be a number", id="noise_str"),
+    pytest.param(minimal(**{"data.label_noise": {"A": 1.5}}),
+                 "data.label_noise: noise for 'A' must lie in [0, 1], got 1.5",
+                 id="noise_above_one"),
+    pytest.param(minimal(**{"data.label_noise": {"C": -0.1}}),
+                 "data.label_noise: noise for 'C' must lie in [0, 1], got -0.1",
+                 id="noise_negative"),
     pytest.param(minimal(**{"run.iterations": 0}), "run.iterations: must be >= 1, got 0",
                  id="iterations_zero"),
     pytest.param(minimal(**{"run.base_lr": -1.0}), "run.base_lr: must be > 0, got -1.0",
