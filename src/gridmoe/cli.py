@@ -61,8 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(path: Path, force: bool) -> None:
-    """Refuse a non-empty ``path``. Creating it is left to the first writer, so
-    an error found before any work starts leaves no directory behind."""
+    """Refuse a file or, unless ``force``, a non-empty directory. Creating it is left
+    to the first writer, so an error found before any work starts leaves nothing behind."""
+    if path.exists() and not path.is_dir():
+        raise ConfigError("out_dir", f"{path} is not a directory")
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError("out_dir", f"{path} is not empty (use --force to overwrite)")
 
@@ -150,7 +152,7 @@ def cmd_inspect_gates(args) -> int:
     _, _, model, _ = build_setup(cfg)
     # Unfiltered, so a modality the run did not train on can be inspected.
     modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
-    tasks = gdata.default_tasks(cfg.label_noise_dict())
+    tasks = gdata.default_tasks(cfg.label_noise)
     try:
         model.load_state(load_checkpoint(checkpoint_path))
     except ShapeError as exc:

@@ -105,11 +105,11 @@ def default_modalities(channels: int = 8, seed: int = 0) -> dict[str, ModalitySp
     }
 
 
-def default_tasks(label_noise: dict[str, float] | None = None) -> dict[str, TaskSpec]:
+def default_tasks(label_noise: dict[str, float] | tuple[tuple[str, float], ...] = ()
+                  ) -> dict[str, TaskSpec]:
     """One task head per modality: A classifies, B and C regress with angle."""
     noise = {"A": 0.0, "B": 0.0, "C": 0.0}
-    if label_noise:
-        noise.update(label_noise)
+    noise.update(label_noise)
     return {
         "A": TaskSpec("A", CLASSIFICATION, head_width=4, label_noise=noise["A"]),
         "B": TaskSpec("B", REGRESSION, head_width=5, label_noise=noise["B"]),
@@ -218,16 +218,10 @@ class SamplerConfig:
     """Per-modality counts for every batch (defaults mirror a 2:1:1 mix)."""
 
     counts: tuple[tuple[str, int], ...] = (("A", 2), ("B", 1), ("C", 1))
-    batch_size: int = 4
-    seed: int = 0
 
     def __post_init__(self):
-        total = sum(c for _, c in self.counts)
-        if total != self.batch_size:
-            raise ConfigError(
-                "sampler.counts",
-                f"counts sum to {total} but batch_size is {self.batch_size}",
-            )
+        if not self.counts:
+            raise ConfigError("sampler.counts", "must name at least one modality")
         if any(c < 1 for _, c in self.counts):
             raise ConfigError("sampler.counts", "every modality needs >= 1 sample per batch")
 
@@ -246,13 +240,12 @@ class BatchSampler:
     """Deterministic stream of mixed batches with exact per-batch composition.
 
     Sample indices increase monotonically per modality, so the n-th batch is
-    a pure function of the seed; the within-batch order is shuffled with the
-    sampler's own generator.
+    a pure function of the counts. A batch lists its items in ``counts``
+    order, indices ascending: the order ``Model.forward_batch`` stacks them in.
     """
 
     def __init__(self, cfg: SamplerConfig):
         self.cfg = cfg
-        self._rng = np.random.default_rng(cfg.seed)
         self._next_index = {m: 0 for m, _ in cfg.counts}
 
     def next_batch(self) -> list[BatchItem]:
@@ -261,8 +254,7 @@ class BatchSampler:
             start = self._next_index[modality]
             items.extend(BatchItem(modality, start + j) for j in range(count))
             self._next_index[modality] = start + count
-        order = self._rng.permutation(len(items))
-        return [items[i] for i in order]
+        return items
 
 
 # ---------------------------------------------------------------------------

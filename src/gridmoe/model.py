@@ -162,7 +162,7 @@ class Model:
         order: the result is exactly independent of batch order. Returns the
         ``heads_loss`` node (the task means added in task order), each task's
         mean as a float, and the routing decisions, one per (sample, MoE
-        layer) in the order of ``samples``.
+        layer) in stacked order, the order ``BatchSampler`` yields.
         """
         samples = list(samples)
         task_index = {task_id: i for i, task_id in enumerate(self.task_order)}
@@ -181,10 +181,8 @@ class Model:
             heads.append((*self.heads[task_id], np.stack([samples[i][3] for i in group]), loss))
         total, means = ad.heads_loss(features, heads)
 
-        position = {i: p for p, i in enumerate(stacked)}
-        all_routings = [(task_id, layer, decision.sample(position[i]))
-                        for i, (task_id, *_) in enumerate(samples)
-                        for layer, decision in routings]
+        all_routings = [(samples[i][0], layer, decision.sample(p))
+                        for p, i in enumerate(stacked) for layer, decision in routings]
         return total, dict(zip(task_ids, means)), all_routings
 
     # -- parameter bookkeeping -------------------------------------------

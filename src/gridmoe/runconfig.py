@@ -78,9 +78,6 @@ class RunConfig:
     # Every resolved key, as plain JSON values; the fields above hold the same.
     sections: dict = field(repr=False, compare=False)
 
-    def label_noise_dict(self) -> dict[str, float]:
-        return dict(self.label_noise)
-
     def snapshot(self) -> dict:
         """Fully resolved config as plain JSON-serializable sections."""
         return copy.deepcopy(self.sections)
@@ -139,8 +136,6 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(c, int) or isinstance(c, bool):
             raise ConfigError("sampler.counts", f"count for {m!r} must be an int")
     sampler["counts"] = dict(sorted(sampler["counts"].items()))
-    if sampler["batch_size"] is DERIVED:
-        sampler["batch_size"] = sum(sampler["counts"].values())
     for m, level in data["label_noise"].items():
         if m not in ("A", "B", "C"):
             raise ConfigError("data.label_noise", f"unknown modality {m!r}")
@@ -161,8 +156,13 @@ def parse_config(raw: dict) -> RunConfig:
 
     model_spec = ModelSpec(**dict(model, moe_layers=tuple(model["moe_layers"])), **moe)
     model_spec.moe_config()  # surfaces expert-count/top-k violations now
-    sampler_cfg = SamplerConfig(counts=tuple(sampler["counts"].items()),
-                                batch_size=sampler["batch_size"], seed=run["seed"])
+    total = sum(sampler["counts"].values())
+    if sampler["batch_size"] is DERIVED:
+        sampler["batch_size"] = total
+    if sampler["batch_size"] != total:
+        raise ConfigError("sampler.counts",
+                          f"counts sum to {total} but batch_size is {sampler['batch_size']}")
+    sampler_cfg = SamplerConfig(tuple(sampler["counts"].items()))
     dso_cfg = DsoConfig(n_tasks=len(sampler["counts"]), **dso)
     if run["dso"] and dso_cfg.n_tasks < 2:
         raise ConfigError("run.dso", "the governor needs 2 or more tasks; set it false for one")
@@ -192,6 +192,8 @@ def load_config_file(path) -> dict:
         raise ConfigError("config", f"file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError("config", f"{path}: cannot read ({exc.strerror})") from exc
     except ValueError as exc:  # invalid JSON or UTF-8
         raise ConfigError("config", f"{path}: not a UTF-8 JSON file ({exc})") from exc
     if not isinstance(raw, dict):

@@ -57,7 +57,7 @@ class TrainResult:
 
 def build_setup(cfg: RunConfig):
     modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
-    tasks = gdata.default_tasks(cfg.label_noise_dict())
+    tasks = gdata.default_tasks(cfg.label_noise)
     wanted = set(cfg.sampler.modalities)
     modalities = {m: spec for m, spec in modalities.items() if m in wanted}
     tasks = {m: spec for m, spec in tasks.items() if m in wanted}
@@ -444,7 +444,7 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
     """Paired runs (governor on/off) per seed on the scripted-imbalance setup.
 
     Every seed keeps ``data.modality_seed`` 0, so all seeds read one data
-    stream: a seed changes only the model initialization and the batch order.
+    stream in one batch order: a seed changes only the model initialization.
     Writes each seed's spreads and entropy changes to ``benchmark_seeds.csv``
     under ``out_root``, so a seed that flips the comparison shows there.
     """

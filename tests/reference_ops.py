@@ -6,6 +6,10 @@
 - ``per_sample_forward_batch``: the forward that ``Model.forward_batch``
   replaced, one graph per sample. The batched model must match it bit for
   bit.
+- ``ShuffledSampler``: the ``BatchSampler`` that shuffled each batch with a
+  generator seeded by ``run.seed``. With ``per_sample_forward_batch``, which
+  returns routing decisions in batch order, it is the training pipeline from
+  before batches came in ``forward_batch``'s order, bit for bit.
 - ``head_loss``: one task head's node as it was before ``heads_loss`` took
   all heads, scoring each sample with its own loss call
   (``PER_SAMPLE_LOSSES``).
@@ -135,6 +139,18 @@ def per_sample_forward_batch(model, samples):
     for loss in losses[1:]:
         total = ad.add(total, loss)
     return total, {task_id: mean.item() for task_id, mean in means.items()}, all_routings
+
+
+class ShuffledSampler(gdata.BatchSampler):
+    """``BatchSampler`` with each batch permuted by its own generator seeded with ``seed``."""
+
+    def __init__(self, cfg: gdata.SamplerConfig, seed: int):
+        super().__init__(cfg)
+        self._rng = np.random.default_rng(seed)
+
+    def next_batch(self) -> list[gdata.BatchItem]:
+        items = super().next_batch()
+        return [items[i] for i in self._rng.permutation(len(items))]
 
 
 def sample_sum(terms):

@@ -388,6 +388,48 @@ def test_label_noise_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["train"], ["sweep", "--grid", "moe.top_k=2"],
+    ["inspect-gates", "--checkpoint", "c.bin", "--modality", "A", "--n", "1"],
+], ids=["train", "sweep", "inspect_gates"])
+def test_config_naming_a_directory_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                               command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main([*command, "--config", "adir", "--out", "o1"]) == 2
+    assert "config: adir: cannot read" in capsys.readouterr().err
+    assert files_under(tmp_path) == [] and not (tmp_path / "o1").exists()
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["no_force", "force"])
+@pytest.mark.parametrize("command", ["train", "sweep", "inspect-gates"])
+def test_out_naming_a_file_exits_2_and_leaves_it(tmp_path, capsys, command, force):
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2})
+    run = tmp_path / "run"
+    if command == "inspect-gates":
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    argv = {"train": ["train", "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--grid", "moe.top_k=2"],
+            "inspect-gates": ["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"),
+                              "--modality", "A", "--n", "1"]}[command]
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(afile), *force]) == 2
+    assert f"out_dir: {afile} is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+    assert not (run / "inspect").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "moe.top_k=2"]])
+def test_empty_counts_exits_2_naming_sampler_counts(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", **{"sampler.counts": {}})
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sampler.counts: must name at least one modality" in capsys.readouterr().err
+    assert files_under(tmp_path) == ["cfg.json"]
+
+
 class TestSweepValueTypes:
     """Sweep values take their key's type from ``runconfig.SCHEMA``."""
 

@@ -166,6 +166,8 @@ FAULTS = [
                  "sampler.counts: counts sum to 2 but batch_size is 3", id="counts_sum"),
     pytest.param(minimal(**{"sampler.counts": {"A": 0, "B": 1}}),
                  "sampler.counts: every modality needs >= 1 sample per batch", id="counts_zero"),
+    pytest.param(minimal(**{"sampler.counts": {}}),
+                 "sampler.counts: must name at least one modality", id="empty_counts"),
     pytest.param(minimal(**{"data.label_noise": {"Z": 0.1}}),
                  "data.label_noise: unknown modality 'Z'", id="noise_modality"),
     pytest.param(minimal(**{"data.label_noise": {"A": "x"}}),

@@ -28,7 +28,7 @@ from gridmoe.train import (
     train,
     write_sweep_csv,
 )
-from reference_ops import per_sample_forward_batch
+from reference_ops import ShuffledSampler, per_sample_forward_batch
 
 
 def small_config(out_dir, iterations=40, seed=0, dso_enabled=True, moe_enabled=True,
@@ -113,7 +113,7 @@ class TestGovernorOffEquivalence:
 
         # plain loop, written out longhand
         modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
-        tasks = gdata.default_tasks(cfg.label_noise_dict())
+        tasks = gdata.default_tasks(cfg.label_noise)
         model = Model(cfg.model, tasks, seed=cfg.seed, moe_enabled=cfg.moe_enabled)
         sampler = gdata.BatchSampler(cfg.sampler)
         params = [p for group in model.param_groups().values() for p in group]
@@ -428,3 +428,30 @@ class TestSampleAxis:
         for name in ("losses.csv", "dso_log.csv", "checkpoint.bin", "expert_stats.csv"):
             assert ((tmp_path / "batched" / name).read_bytes()
                     == (tmp_path / "per_sample" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("dso_enabled", [True, False], ids=["dso", "no_dso"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batches_in_model_order_drift_only_in_routing_mass(tmp_path, monkeypatch, seed,
+                                                            dso_enabled):
+    """Against a sampler that shuffles each batch by the run seed, with routing decisions
+    in that batch order, only the order in which training routing statistics are
+    summed changes: ``participation_mass`` within 1e-12 relative, the rest equal."""
+    def run(name):
+        train(benchmark_config(seed, 300, str(tmp_path / name), dso_enabled), keep_model=False)
+        root = tmp_path / name
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    ordered = run("ordered")
+    monkeypatch.setattr(gdata, "BatchSampler", lambda cfg: ShuffledSampler(cfg, seed))
+    monkeypatch.setattr(Model, "forward_batch", per_sample_forward_batch)
+    shuffled = run("shuffled")
+    assert sorted(ordered) == sorted(shuffled)
+    for name in ordered.keys() - {"config_snapshot.json", "expert_stats.csv"}:
+        assert ordered[name] == shuffled[name], name
+    rows = [read_csv(tmp_path / name / "expert_stats.csv") for name in ("ordered", "shuffled")]
+    assert len(rows[0]) == len(rows[1]) > 0
+    for new, old in zip(*rows):
+        new_mass, old_mass = (float(row.pop("participation_mass")) for row in (new, old))
+        assert new == old
+        assert abs(new_mass - old_mass) <= 1e-12 * abs(old_mass), new
