@@ -7,7 +7,7 @@ losses. Everything is 64-bit, dense, row-major, rank <= 4. A whole MoE layer,
 from the gate projection to the expert mixing, records one node,
 ``moe_layer``, and all task heads with their losses and the total record
 one node, ``heads_loss``; both are built from the same array-level helpers
-as those ops. The trunk's ops can run a batch of samples at once, with
+as those ops. The trunk's ops take a batch of samples on axis 0, with
 every gradient bit for bit as one op per sample would give it.
 
 Execution is eager. Each operation whose inputs carry gradients appends an
@@ -262,24 +262,23 @@ def sum_all(x: Tensor) -> Tensor:
 # vjp, which record nothing. The public op is a thin wrapper that records one
 # node; ``moe_layer`` chains the same helpers into one node per MoE layer.
 #
-# A batched op takes a (B, ..., C) input whose axis 0 indexes samples. Its
-# forward and its input gradient run on the whole batch; every reduction
-# over grid positions (a weight or bias gradient) gives one term per sample
+# The trunk ops, ``grid_linear`` and ``moe_layer``, take a (B, grid..., C)
+# input whose axis 0 indexes samples. Their forward and input gradient run
+# on the whole batch; every reduction over grid positions (a weight or bias
+# gradient) gives one term per sample
 # through a stacked matmul or axis reduction, and ``.sum(axis=0)`` adds the
 # terms in sample order. That is how ``backward`` adds the contributions of
-# one op per sample, so a batched op has the bits of B single-sample ops
+# one op per sample, so a trunk op has the bits of B single-sample ops
 # replayed in sample order. numpy starts that sum from 0.0 where ``backward``
 # takes the first term as it is; the two differ only for a -0.0 first term,
 # and no term is -0.0: a matmul or numpy sum accumulates from +0.0.
 # ---------------------------------------------------------------------------
 
-def _sample_count(x: np.ndarray, batched: bool) -> int:
-    if not batched:
-        return 1
+def _sample_count(x: np.ndarray, op: str) -> int:
     # A sample without grid axes would be a matrix-vector product on its own,
     # and those bits differ from one row of a matrix product.
     if x.ndim < 3:
-        raise ShapeError(f"a batched input needs (B, grid..., C) axes, got shape {x.shape}")
+        raise ShapeError(f"{op}: an input needs (B, grid..., C) axes, got shape {x.shape}")
     return x.shape[0]
 
 
@@ -333,15 +332,15 @@ def _linear_vjp(g, x, weight, need_x: bool, need_w: bool, need_b: bool, samples:
     return dx, dw, db
 
 
-def grid_linear(x, weight: Tensor, bias: Tensor | None = None, batched: bool = False) -> Tensor:
+def grid_linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-grid linear map: out[..., :] = weight @ x[..., :] (+ bias).
 
-    Accepts any leading grid shape; the channel axis is last. This is the
-    1x1-projection building block used by the trunk, the experts, and the
-    heads. With ``batched``, axis 0 indexes samples (see above).
+    x is (B, grid..., C): samples on axis 0 (see above), then one or more grid
+    axes, channels last. This is the 1x1-projection building block used by
+    the trunk and the heads.
     """
     x = _lift(x)
-    samples = _sample_count(x.data, batched)
+    samples = _sample_count(x.data, "grid_linear")
     out = _linear(x.data, weight.data, None if bias is None else bias.data)
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
@@ -588,7 +587,7 @@ class Routing(NamedTuple):
 
 
 def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: Tensor,
-              routing: Routing, batched: bool = False) -> tuple[Tensor, int]:
+              routing: Routing) -> tuple[Tensor, int]:
     """One graph node for a whole expert-mixture layer routed by ``routing``.
 
     The forward is ``mix_experts`` of x with the routing's selection. The vjp
@@ -597,10 +596,10 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: T
     ``gate_logits`` and the gate's ``grid_linear``. So every gradient has
     the bits of the five-node graph: dx is the mixture's term plus the
     gate's, in that order, and a gradient is None where that graph has none.
-    With ``batched``, axis 0 of x indexes samples, and the gradients have the
-    bits of one such graph per sample replayed in sample order.
+    Axis 0 of x indexes samples, and the gradients have the bits of one such
+    graph per sample replayed in sample order.
     """
-    samples = _sample_count(x.data, batched)
+    samples = _sample_count(x.data, "moe_layer")
     out, dispatch = _mix(x.data, weight.data, bias.data, routing.selected, routing.weights, samples)
     need_gate = x.requires_grad or gate_w.requires_grad or gate_e.requires_grad
 
@@ -703,7 +702,7 @@ def heads_loss(x: Tensor, heads: Sequence[tuple[Tensor, Tensor, np.ndarray, str]
 
     ``heads`` lists each head's weight, bias, targets stacked on axis 0 and
     loss name, in task order; together they take the samples of x in turn.
-    Per head: project as a batched ``grid_linear``, score with one loss call,
+    Per head: project as ``grid_linear``, score with one loss call,
     add the scores in sample order, multiply by 1/n; then add the means in
     task order. These are the expressions of per-sample head and loss ops,
     ``add`` and ``mul``, so every bit is kept. Returns the node and the means.

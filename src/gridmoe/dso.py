@@ -117,18 +117,14 @@ def head_multipliers(tracker: LossTracker, cfg: DsoConfig) -> np.ndarray:
     computed with max-subtraction. A zero current loss is clamped to 1e-12
     with a warning rather than raising.
     """
-    if tracker.cur is None:
-        raise UsageError("head_multipliers requires an updated tracker")
-    cur = tracker.cur
-    if np.any(cur < CUR_LOSS_FLOOR):
+    w = convergence_ratios(tracker)
+    if np.any(tracker.cur < CUR_LOSS_FLOOR):
         log.warning("current loss at or below %g clamped for ratio computation", CUR_LOSS_FLOOR)
-        cur = np.maximum(cur, CUR_LOSS_FLOOR)
-    w = tracker.his / cur
     return cfg.n_tasks * stable_softmax(w / cfg.theta)
 
 
 def convergence_ratios(tracker: LossTracker) -> np.ndarray:
-    """his/cur with the same clamping as head_multipliers (for logging)."""
+    """w_t = his_t / cur_t, the current loss clamped to at least 1e-12."""
     if tracker.cur is None:
         raise UsageError("convergence_ratios requires an updated tracker")
     return tracker.his / np.maximum(tracker.cur, CUR_LOSS_FLOOR)

@@ -70,18 +70,15 @@ class TrunkBlock:
     def has_moe(self) -> bool:
         return self.bank is not None
 
-    def attach_moe(self, cfg: MoEConfig, seed: int, identical_embeddings: bool) -> None:
-        self.bank, self.gate = init_from_pretrained(
-            self.weight.data, self.bias.data, cfg, seed=seed,
-            identical_embeddings=identical_embeddings,
-        )
+    def attach_moe(self, cfg: MoEConfig, seed: int) -> None:
+        self.bank, self.gate = init_from_pretrained(self.weight.data, self.bias.data, cfg, seed=seed)
         self.cfg = cfg
 
     def forward(self, h: Tensor) -> tuple[Tensor, RoutingDecision | None]:
         """The block over a batch whose axis 0 indexes samples."""
         if self.has_moe:
-            return moe_forward(h, self.bank, self.gate, self.cfg, batched=True)
-        return ad.grid_linear(h, self.weight, self.bias, batched=True), None
+            return moe_forward(h, self.bank, self.gate, self.cfg)
+        return ad.grid_linear(h, self.weight, self.bias), None
 
     def parameters(self) -> list[Tensor]:
         if self.has_moe:
@@ -103,7 +100,7 @@ class Model:
     """Trunk + heads; parameters grouped as one backbone and one group per task."""
 
     def __init__(self, spec: ModelSpec, tasks: dict[str, gdata.TaskSpec], seed: int = 0,
-                 moe_enabled: bool = True, identical_embeddings: bool = False):
+                 moe_enabled: bool = True):
         self.spec = spec
         self.tasks = dict(sorted(tasks.items()))
         self.task_order = list(self.tasks)
@@ -120,8 +117,7 @@ class Model:
                 Tensor(np.zeros(c), requires_grad=True),
             )
             if moe_enabled and i in spec.moe_layers:
-                block.attach_moe(spec.moe_config(), seed=seed * 997 + i,
-                                 identical_embeddings=identical_embeddings)
+                block.attach_moe(spec.moe_config(), seed=seed * 997 + i)
             self.blocks.append(block)
 
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}
@@ -149,7 +145,7 @@ class Model:
         return h, routings
 
     def head_output(self, features: Tensor, task_id: str) -> Tensor:
-        """The task head's per-grid prediction from features."""
+        """The task head's per-grid prediction from features, samples on axis 0."""
         w, b = self.heads[task_id]
         return ad.grid_linear(features, w, b)
 

@@ -96,8 +96,8 @@ class RoutingDecision:
     probability with ties broken toward the lowest index; ``gate_weights``
     are the matching full-softmax entries (everything else is implicitly
     zero); ``full_softmax`` keeps the dense probabilities for statistics.
-    Leading axes are the grid axes (a single position has none), after the
-    sample axis when the layer ran batched.
+    The leading axes are the sample axis, then the grid axes; ``sample``
+    drops the sample axis, and ``gate`` routes one position.
     """
 
     selected_indices: np.ndarray
@@ -114,7 +114,7 @@ class RoutingDecision:
         return self.full_softmax.shape[-1]
 
     def sample(self, index: int) -> "RoutingDecision":
-        """One sample's decision out of a batched one (axis 0 indexes samples)."""
+        """One sample's decision out of a layer's (axis 0 indexes samples)."""
         selected = self.selected_indices[index]
         return RoutingDecision(selected, self.gate_weights[index], self.full_softmax[index],
                                selected.size)
@@ -154,24 +154,23 @@ def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
 
 
 def moe_forward(
-    x: Tensor, bank: ExpertBank, params: GateParams, cfg: MoEConfig, batched: bool = False
+    x: Tensor, bank: ExpertBank, params: GateParams, cfg: MoEConfig
 ) -> tuple[Tensor, RoutingDecision]:
-    """Apply the sparse expert mixture to a full grid feature map.
+    """Apply the sparse expert mixture to a batch of grid feature maps.
 
-    ``x`` has shape (..., in_channels) with the leading axes treated as grid
-    axes. Exactly k experts are evaluated per position; gradients flow to the
-    input, the gate parameters, and the selected experts' bank rows. The layer is
-    one graph node, ``moe_layer``. With ``batched``, axis 0 of x indexes
-    samples: the batch is routed and mixed at once, its gradients have the
-    bits of one layer per sample replayed in sample order, and the decision
-    keeps the sample axis (see ``RoutingDecision.sample``).
+    ``x`` has shape (B, grid..., in_channels): axis 0 indexes samples, then
+    one or more grid axes. Exactly k experts are evaluated per position;
+    gradients flow to the input, the gate parameters, and the selected
+    experts' bank rows. The layer is one graph node, ``moe_layer``: the batch
+    is routed and mixed at once, its gradients have the bits of one layer per
+    sample replayed in sample order, and the decision keeps the sample axis
+    (see ``RoutingDecision.sample``).
     """
     x = ad._lift(x)
     routing = _route(x.data, params, cfg)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out, applications = ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias, routing,
-                                     batched)
+    out, applications = ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias, routing)
     # A copy: the layer's vjp reads routing.probs.
     decision = RoutingDecision(routing.selected, routing.weights, routing.probs.copy(),
                                applications)
@@ -183,15 +182,13 @@ def init_from_pretrained(
     pretrained_bias: np.ndarray,
     cfg: MoEConfig,
     seed: int = 0,
-    identical_embeddings: bool = False,
 ) -> tuple[ExpertBank, GateParams]:
     """Duplicate one pretrained projection into every expert and seed the gate.
 
     Every expert starts bit-identical to the pretrained pair so the mixture
     output is routing-independent at step zero. W and E are drawn from a
     seeded zero-mean normal (std 0.02): ties are broken, yet routing stays
-    near uniform in expectation. ``identical_embeddings`` is a test mode that
-    repeats one embedding column so the gate is exactly uniform.
+    near uniform in expectation.
     """
     weight = np.asarray(pretrained_weight, dtype=np.float64)
     bias = np.asarray(pretrained_bias, dtype=np.float64)
@@ -204,11 +201,7 @@ def init_from_pretrained(
 
     gate_dim = cfg.effective_gate_dim
     W = _orthogonal_frame(rng, gate_dim, cfg.in_channels, GATE_INIT_STD)
-    if identical_embeddings:
-        column = _orthogonal_frame(rng, gate_dim, 1, GATE_INIT_STD)[:, 0]
-        E = np.repeat(column[:, None], cfg.n_experts, axis=1)
-    else:
-        E = _orthogonal_frame(rng, gate_dim, cfg.n_experts, GATE_INIT_STD)
+    E = _orthogonal_frame(rng, gate_dim, cfg.n_experts, GATE_INIT_STD)
     bank = ExpertBank(Tensor(np.repeat(weight[None], cfg.n_experts, axis=0), requires_grad=True),
                       Tensor(np.repeat(bias[None], cfg.n_experts, axis=0), requires_grad=True))
     gate_params = GateParams(

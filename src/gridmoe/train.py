@@ -56,6 +56,19 @@ class TrainResult:
 
 
 def build_setup(cfg: RunConfig):
+    """A config's modalities, tasks, model and sampler; sets the process's heap policy."""
+    # glibc trims more than 128 KiB of free heap top, and a training step or an
+    # evaluated sample frees more than that, so each would fault its pages back
+    # in. Any mallopt call ends glibc's dynamic mmap threshold, so that one is
+    # set to the policy's ceiling.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        pass  # libc has no mallopt (macOS, Windows)
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
     tasks = gdata.default_tasks(cfg.label_noise)
     wanted = set(cfg.sampler.modalities)
@@ -111,17 +124,6 @@ class TrainState:
 
 def start_training(cfg: RunConfig) -> TrainState:
     """The state before the first step: a fresh model, sampler and empty statistics."""
-    # glibc trims more than 128 KiB of free heap top, and a step frees more than
-    # that, so each step would fault its pages back in. Any mallopt call ends
-    # glibc's dynamic mmap threshold, so that one is set to the policy's ceiling.
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        pass  # libc has no mallopt (macOS, Windows)
-    else:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     modalities, tasks, model, sampler = build_setup(cfg)
     return TrainState(cfg, modalities, tasks, model, sampler, model.param_groups(),
                       dso.LossTracker(len(model.task_order)),

@@ -95,7 +95,7 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def per_sample_forward_batch(model, samples):
-    """``Model.forward_batch`` as one graph per sample, each (H, W, C) grid alone.
+    """``Model.forward_batch`` as one graph per sample, each a (1, H, W, C) batch alone.
 
     Every trunk block runs on one sample: ``moe_forward`` (looked up in
     ``gridmoe.model`` at call time, so a patched one is used) or the base
@@ -110,19 +110,19 @@ def per_sample_forward_batch(model, samples):
     for task_id, sample_index, image, target in samples:
         if task_id not in per_task:
             raise ShapeError(f"sample tagged with unknown task {task_id!r}")
-        h = Tensor(image)
+        h = Tensor(image[None])
         for block in model.blocks:
             if block.has_moe:
                 h, decision = model_mod.moe_forward(h, block.bank, block.gate, block.cfg)
-                all_routings.append((task_id, f"trunk.{block.index}", decision))
+                all_routings.append((task_id, f"trunk.{block.index}", decision.sample(0)))
             else:
                 h = ad.grid_linear(h, block.weight, block.bias)
             h = ad.relu(h)
         out = model.head_output(h, task_id)
         if model.tasks[task_id].kind == gdata.CLASSIFICATION:
-            loss = ad.cross_entropy_mean(out, target)
+            loss = ad.cross_entropy_mean(out, target[None])
         else:
-            loss = ad.smooth_l1_mean(out, target)
+            loss = ad.smooth_l1_mean(out, target[None])
         per_task[task_id].append((sample_index, loss))
 
     means = {}
@@ -228,7 +228,7 @@ def head_loss(x: Tensor, weight: Tensor, bias: Tensor, lo: int, targets, loss: s
     """One graph node for a task head over samples lo, lo+1, ... of a batch.
 
     x is a batch whose axis 0 indexes samples; ``targets`` has one target per
-    head sample. The node projects those samples as a batched ``grid_linear``
+    head sample. The node projects those samples as ``grid_linear``
     does, scores each with its own ``PER_SAMPLE_LOSSES[loss]`` call, adds the
     scores in order and multiplies by 1/n. The rows of x outside the head's
     samples get a -0.0 adjoint, the additive identity.

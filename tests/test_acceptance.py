@@ -186,12 +186,12 @@ def test_criterion_5_duplication_init():
         reference = outputs[0].tobytes()
         assert all(out.tobytes() == reference for out in outputs[1:])
 
-    bank, params = init_from_pretrained(pre_w, pre_b, cfg, seed=3,
-                                        identical_embeddings=True)
+    bank, params = init_from_pretrained(pre_w, pre_b, cfg, seed=3)
+    params.E.data = np.repeat(params.E.data[:, :1], cfg.n_experts, axis=1)  # identical embeddings
     x = rng.normal(size=(6, 7, 5))
-    out, _ = moe_forward(Tensor(x), bank, params, cfg)
+    out, _ = moe_forward(Tensor(x[None]), bank, params, cfg)
     expected = (cfg.top_k / cfg.n_experts) * (x @ pre_w.T + pre_b)
-    assert np.max(np.abs(out.data - expected)) <= 1e-12
+    assert np.max(np.abs(out.data[0] - expected)) <= 1e-12
 
 
 @report(6, "dense equivalence at k = N")
@@ -205,7 +205,7 @@ def test_criterion_6_k_equals_n_dense():
         _, params = random_instance(rng, n, n, c, c)
         bank = build_bank(rng, cfg)
         x = rng.normal(size=(3, 2, c))
-        out, decision = moe_forward(Tensor(x), bank, params, cfg)
+        out, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
         dense = np.zeros_like(out.data)
         for e in range(n):
             dense += decision.full_softmax[..., e : e + 1] * (
@@ -222,7 +222,7 @@ def test_criterion_7_sparsity_accounting():
                         gate_temperature=0.3)
         _, params = random_instance(rng, n, k, 4, 4)
         bank = build_bank(rng, cfg)
-        _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 4))), bank, params, cfg)
+        _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 4))[None]), bank, params, cfg)
         assert decision.expert_applications == h * w * k
 
 

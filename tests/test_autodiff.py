@@ -26,12 +26,12 @@ class TestGridLinear:
     def test_identity_weight_passes_through(self):
         x = np.zeros((1, 1, 2))
         x[0, 0] = [3.0, 4.0]
-        out = ad.grid_linear(Tensor(x), Tensor(np.eye(2)), Tensor(np.zeros(2)))
-        np.testing.assert_array_equal(out.data[0, 0], [3.0, 4.0])
+        out = ad.grid_linear(Tensor(x[None]), Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        np.testing.assert_array_equal(out.data[0][0, 0], [3.0, 4.0])
 
     def test_zero_input_broadcasts_bias(self):
         out = ad.grid_linear(
-            Tensor(np.zeros((3, 5, 2))), Tensor(np.zeros((2, 2))), Tensor([1.0, 2.0])
+            Tensor(np.zeros((3, 5, 2))[None]), Tensor(np.zeros((2, 2))), Tensor([1.0, 2.0])
         )
         assert np.all(out.data[..., 0] == 1.0)
         assert np.all(out.data[..., 1] == 2.0)
@@ -40,23 +40,23 @@ class TestGridLinear:
         # W @ [1, 1] for W = [[1,2],[3,4]] is [3, 7] by direct arithmetic.
         x = np.ones((1, 1, 2))
         out = ad.grid_linear(
-            Tensor(x), Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([0.0, 0.0])
+            Tensor(x[None]), Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([0.0, 0.0])
         )
-        np.testing.assert_allclose(out.data[0, 0], [3.0, 7.0])
+        np.testing.assert_allclose(out.data[0][0, 0], [3.0, 7.0])
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            ad.grid_linear(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((4, 2))))
+            ad.grid_linear(Tensor(np.zeros((2, 2, 3))[None]), Tensor(np.zeros((4, 2))))
 
     def test_bias_shape_rejected(self):
         with pytest.raises(ShapeError):
             ad.grid_linear(
-                Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
+                Tensor(np.zeros((2, 2, 3))[None]), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
             )
 
     def test_bias_grad_counts_grid_positions(self):
         h, w = 5, 7
-        x = Tensor(np.random.default_rng(0).normal(size=(h, w, 3)))
+        x = Tensor(np.random.default_rng(0).normal(size=(h, w, 3))[None])
         weight = Tensor(np.random.default_rng(1).normal(size=(2, 3)), requires_grad=True)
         bias = Tensor(np.zeros(2), requires_grad=True)
         backward(ad.sum_all(ad.grid_linear(x, weight, bias)))
@@ -271,7 +271,7 @@ class TestBackward:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            hidden = ad.relu(ad.grid_linear(Tensor(rng.normal(size=(2, 2, 3))), weight))
+            hidden = ad.relu(ad.grid_linear(Tensor(rng.normal(size=(2, 2, 3))[None]), weight))
             probs = ad.softmax(hidden)
             selected = np.argsort(-probs.data, axis=-1)[..., :2]
             mixed, _ = ad.mix_experts(hidden, experts, biases, selected,
@@ -341,6 +341,8 @@ class TestFiniteDiffCheck:
                 point = np.abs(point) + 0.5
             if case == "relu":
                 point = np.where(np.abs(point) < 0.05, 0.5, point)
+            if case == "grid_linear":
+                point = point[None]
             assert finite_diff_check(f, point, h=1e-5) < 1e-4, f"{case} trial {trial}"
 
 
@@ -473,20 +475,20 @@ class TestSampleAxis:
             x = rng.normal(size=(batch, *grid, c_in))
             weight = Tensor(rng.normal(size=(c_out, c_in)), requires_grad=True)
             bias = Tensor(rng.normal(size=c_out), requires_grad=True) if rng.random() < 0.7 else None
-            out = ad.grid_linear(Tensor(x, requires_grad=True), weight, bias, batched=True)
-            per = [ad.grid_linear(Tensor(x[s], requires_grad=True), weight, bias)
+            out = ad.grid_linear(Tensor(x, requires_grad=True), weight, bias)
+            per = [ad.grid_linear(Tensor(x[s][None], requires_grad=True), weight, bias)
                    for s in range(batch)]
-            assert out.data.tobytes() == np.stack([p.data for p in per]).tobytes()
+            assert out.data.tobytes() == np.stack([p.data[0] for p in per]).tobytes()
             g = rng.normal(size=out.shape)
             got = out._op.vjp(g)
-            grads = [p._op.vjp(g[s]) for s, p in enumerate(per)]
-            expected = [np.stack([gr[0] for gr in grads]),
+            grads = [p._op.vjp(g[s][None]) for s, p in enumerate(per)]
+            expected = [np.stack([gr[0][0] for gr in grads]),
                         *(_summed([gr[i] for gr in grads]) for i in range(1, len(got)))]
             assert _bytes(got) == _bytes(expected)
 
     def test_batched_input_needs_a_grid_axis(self):
         with pytest.raises(ShapeError, match="needs \\(B, grid..., C\\) axes"):
-            ad.grid_linear(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3))), batched=True)
+            ad.grid_linear(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 3))))
 
     @pytest.mark.parametrize("loss", ["cross_entropy_mean", "smooth_l1_mean"])
     def test_head_loss_matches_per_sample_heads_losses_and_mean(self, loss):
@@ -511,8 +513,8 @@ class TestSampleAxis:
             bias.zero_grad()
 
             # One head and one loss per sample, then add in order and mul by 1/n.
-            rows = [Tensor(x.data[lo + s], requires_grad=True) for s in range(n)]
-            scores = [getattr(ad, loss)(ad.grid_linear(r, weight, bias), t)
+            rows = [Tensor(x.data[lo + s][None], requires_grad=True) for s in range(n)]
+            scores = [getattr(ad, loss)(ad.grid_linear(r, weight, bias), t[None])
                       for r, t in zip(rows, targets)]
             total = scores[0]
             for score in scores[1:]:
@@ -520,7 +522,7 @@ class TestSampleAxis:
             ref = ad.mul(total, 1.0 / n)
             backward(ref)
             assert node.data.tobytes() == ref.data.tobytes()
-            assert got[0][lo:lo + n].tobytes() == np.stack([r.grad for r in rows]).tobytes()
+            assert got[0][lo:lo + n].tobytes() == np.stack([r.grad[0] for r in rows]).tobytes()
             outside = np.delete(got[0], np.s_[lo:lo + n], axis=0)
             assert np.all(outside == 0.0) and np.all(np.signbit(outside))
             assert _bytes(got[1:]) == _bytes([weight.grad, bias.grad])
@@ -624,11 +626,11 @@ class TestStackedReductions:
             bias = Tensor(rng.normal(size=c_out), requires_grad=True)
             g = _relu_adjoint(rng, (*shape[:-1], c_out))
             expected = ref.linear_param_grads(g, x, weight.data, shape[0])
-            batched = ad.grid_linear(Tensor(x), weight, bias, batched=True)
+            batched = ad.grid_linear(Tensor(x), weight, bias)
             assert _bytes(batched._op.vjp(g)[1:]) == _bytes(expected)
-            one = ad.grid_linear(Tensor(x[0]), weight, bias)
+            one = ad.grid_linear(Tensor(x[0][None]), weight, bias)
             expected_one = ref.linear_param_grads(g[0], x[0], weight.data, 1)
-            assert _bytes(one._op.vjp(g[0])[1:]) == _bytes(expected_one)
+            assert _bytes(one._op.vjp(g[0][None])[1:]) == _bytes(expected_one)
 
     def test_gate_embedding_grad_matches_per_sample_sum(self):
         rng = np.random.default_rng(36)
@@ -699,7 +701,7 @@ class TestStackedReductions:
 
 def _composite(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(3, 3, 4))[None], requires_grad=True)
     w = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
     out = ad.softmax(ad.grid_linear(x, w), temperature=0.3)
     backward(mean_all(square(out)))

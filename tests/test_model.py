@@ -58,7 +58,10 @@ class TestFixtures:
         its base 1x1 projection scaled by k/N."""
         tasks = default_tasks()
         spec = ModelSpec(depth=4, channels=8, moe_layers=(0, 2), n_experts=4, top_k=2)
-        model = Model(spec, tasks, seed=3, moe_enabled=True, identical_embeddings=True)
+        model = Model(spec, tasks, seed=3, moe_enabled=True)
+        for block in model.blocks:
+            if block.has_moe:  # identical embeddings
+                block.gate.E.data = np.repeat(block.gate.E.data[:, :1], spec.n_experts, axis=1)
         rng = np.random.default_rng(0)
         h = rng.normal(size=(5, 5, 8))
         scale = spec.top_k / spec.n_experts

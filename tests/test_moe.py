@@ -2,6 +2,8 @@
 against dense reference sums, gradients against finite differences."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,12 +209,12 @@ class TestMoEForward:
                             gate_temperature=0.07)
             pre_w = rng.normal(size=(2, 3))
             pre_b = rng.normal(size=2)
-            bank, params = init_from_pretrained(pre_w, pre_b, cfg, seed=0,
-                                                identical_embeddings=True)
+            bank, params = init_from_pretrained(pre_w, pre_b, cfg, seed=0)
+            params.E.data = np.repeat(params.E.data[:, :1], n, axis=1)  # identical embeddings
             x = rng.normal(size=(4, 5, 3))
-            out, _ = moe_forward(Tensor(x), bank, params, cfg)
+            out, _ = moe_forward(Tensor(x[None]), bank, params, cfg)
             expected = (k / n) * (x @ pre_w.T + pre_b)
-            np.testing.assert_allclose(out.data, expected, atol=1e-12)
+            np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_k_equals_n_matches_dense_mixture(self):
         rng = np.random.default_rng(4)
@@ -225,17 +227,17 @@ class TestMoEForward:
                                         gate_dim=cfg.effective_gate_dim)
             bank = build_bank(rng, cfg)
             x = rng.normal(size=(2, 3, c))
-            out, decision = moe_forward(Tensor(x), bank, params, cfg)
+            out, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
             # dense oracle: full softmax weighted sum over every expert
-            dense = np.zeros_like(out.data)
+            dense = np.zeros_like(out.data[0])
             for i in range(2):
                 for j in range(3):
-                    probs = decision.full_softmax[i, j]
+                    probs = decision.full_softmax[0, i, j]
                     for e in range(n):
                         dense[i, j] += probs[e] * (
                             bank.weight.data[e] @ x[i, j] + bank.bias.data[e]
                         )
-            np.testing.assert_allclose(out.data, dense, atol=1e-12)
+            np.testing.assert_allclose(out.data[0], dense, atol=1e-12)
 
     def test_zero_input_zero_bias_gives_zero(self):
         rng = np.random.default_rng(6)
@@ -243,8 +245,9 @@ class TestMoEForward:
         _, params = random_instance(rng, 4, 2, 3, 3)
         weight = Tensor(np.stack([rng.normal(size=(3, 3)) for _ in range(4)]), requires_grad=True)
         bias = Tensor(np.zeros((4, 3)), requires_grad=True)
-        out, _ = moe_forward(Tensor(np.zeros((2, 2, 3))), ExpertBank(weight, bias), params, cfg)
-        np.testing.assert_array_equal(out.data, np.zeros((2, 2, 3)))
+        out, _ = moe_forward(Tensor(np.zeros((2, 2, 3))[None]), ExpertBank(weight, bias), params,
+                             cfg)
+        np.testing.assert_array_equal(out.data[0], np.zeros((2, 2, 3)))
 
     def test_sparsity_counter(self):
         rng = np.random.default_rng(7)
@@ -252,7 +255,8 @@ class TestMoEForward:
             cfg = MoEConfig(n_experts=n, top_k=k, in_channels=3, out_channels=3)
             _, params = random_instance(rng, n, k, 3, 3)
             bank = build_bank(rng, cfg)
-            _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 3))), bank, params, cfg)
+            _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 3))[None]), bank, params,
+                                      cfg)
             assert decision.expert_applications == h * w * k
 
     def test_forward_routing_matches_gate(self):
@@ -260,15 +264,15 @@ class TestMoEForward:
         cfg, params = random_instance(rng, 6, 2, 4, 3)
         bank = build_bank(rng, cfg)
         x = rng.normal(size=(3, 3, 4))
-        _, decision = moe_forward(Tensor(x), bank, params, cfg)
+        _, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
         for i in range(3):
             for j in range(3):
                 single = gate(x[i, j], params, cfg)
                 np.testing.assert_array_equal(
-                    decision.selected_indices[i, j], single.selected_indices
+                    decision.selected_indices[0, i, j], single.selected_indices
                 )
                 np.testing.assert_allclose(
-                    decision.full_softmax[i, j], single.full_softmax, atol=1e-14
+                    decision.full_softmax[0, i, j], single.full_softmax, atol=1e-14
                 )
 
     def test_channel_mismatch_rejected(self):
@@ -276,7 +280,7 @@ class TestMoEForward:
         cfg, params = random_instance(rng, 4, 2, 3, 3)
         bank = build_bank(rng, cfg)
         with pytest.raises(ShapeError):
-            moe_forward(Tensor(np.zeros((2, 2, 5))), bank, params, cfg)
+            moe_forward(Tensor(np.zeros((2, 2, 5))[None]), bank, params, cfg)
 
 
 def _selection_margin(decision: RoutingDecision, k: int) -> float:
@@ -292,8 +296,8 @@ def _fd_instance(rng):
         cfg, params = random_instance(rng, n_experts=int(rng.integers(2, 5)),
                                       k=None, c_in=3, gate_dim=3)
         bank = build_bank(rng, cfg)
-        x = rng.normal(size=(2, 2, 3))
-        coef = rng.normal(size=(2, 2, cfg.out_channels))
+        x = rng.normal(size=(2, 2, 3))[None]
+        coef = rng.normal(size=(2, 2, cfg.out_channels))[None]
         out, decision = moe_forward(Tensor(x), bank, params, cfg)
         # finite differences need the top-k selection to be locally constant
         if _selection_margin(decision, cfg.top_k) > 1e-3:
@@ -445,7 +449,8 @@ class TestExpertStats:
         stats = ExpertStats({"L": 6})
         total = 0
         for _ in range(5):
-            _, decision = moe_forward(Tensor(rng.normal(size=(4, 4, 4))), bank, params, cfg)
+            _, decision = moe_forward(Tensor(rng.normal(size=(4, 4, 4))[None]), bank, params,
+                                      cfg)
             stats.accumulate(decision, "ds", "L")
             total += 16
         cell = stats.cells[("ds", "L")]
@@ -469,8 +474,8 @@ class TestExpertStats:
             x = rng.normal(size=(int(rng.integers(1, 4)), 3, 2, cfg.in_channels))
             x[rng.random(x.shape[:-1]) < 0.2] = 0.0  # uniform routing
             decisions = [
-                moe_forward(Tensor(x), bank, params, cfg, batched=True)[1],
-                moe_forward(Tensor(x[0]), bank, params, cfg)[1],
+                moe_forward(Tensor(x), bank, params, cfg)[1],
+                moe_forward(Tensor(x[0][None]), bank, params, cfg)[1],
                 gate(x[0, 0, 0], params, cfg),
                 gate(np.zeros(cfg.in_channels), params, cfg),
             ]
@@ -503,8 +508,8 @@ class TestTop1Map:
         rng = np.random.default_rng(16)
         cfg, params = random_instance(rng, 5, 2, 3, 3)
         bank = build_bank(rng, cfg)
-        _, decision = moe_forward(Tensor(rng.normal(size=(6, 7, 3))), bank, params, cfg)
-        assert export_top1_map(decision).shape == (6, 7)
+        _, decision = moe_forward(Tensor(rng.normal(size=(6, 7, 3))[None]), bank, params, cfg)
+        assert export_top1_map(decision)[0].shape == (6, 7)
 
     def test_hand_built_argmax(self):
         full = np.zeros((2, 2, 3))
@@ -716,15 +721,15 @@ class TestTakeDispatch:
 # the one-node layer against the five-node composition, byte for byte
 # ---------------------------------------------------------------------------
 
-def oracle_moe_forward(x, bank, params, cfg, batched=False):
+def oracle_moe_forward(x, bank, params, cfg):
     """The five-node composition that ``moe_forward`` records as one node.
 
     Gate ``grid_linear`` -> ``gate_logits`` -> ``softmax`` -> ``topk_select``
     -> ``gather_last`` -> ``mix_experts``, each recorded as its own node, with
-    the checks in the order the layer makes them. It routes one sample: a
-    batch may only hold one, whose grid is then the whole input.
+    the checks in the order the layer makes them. It routes one sample: the
+    batch may only hold one.
     """
-    assert not batched or x.shape[0] == 1, "the five-node oracle routes one sample per call"
+    assert x.shape[0] == 1, "the five-node oracle routes one sample per call"
     if x.shape[-1] != cfg.in_channels:
         raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
     u = ad.grid_linear(x, params.W)
@@ -764,6 +769,14 @@ def _layer_instance(rng):
     return cfg, Tensor(x, requires_grad=grads[0]), bank, params
 
 
+def _one_sample(x):
+    """An instance's input as a batch of one sample under the rank limit: no grid
+    axes become one of length 1, and a third grid axis folds into the second."""
+    lead = x.shape[:-1]
+    grid = (1,) if not lead else lead if len(lead) < 3 else (lead[0], lead[1] * lead[2])
+    return Tensor(x.data.reshape(1, *grid, x.shape[-1]), requires_grad=x.requires_grad)
+
+
 def _decision_bytes(decision):
     return (_as_bytes([decision.selected_indices, decision.gate_weights,
                        decision.full_softmax]), decision.expert_applications)
@@ -772,6 +785,7 @@ def _decision_bytes(decision):
 class TestOneNodeLayer:
     def test_one_node_named_moe_layer(self):
         cfg, x, bank, params = _layer_instance(np.random.default_rng(1))
+        x = _one_sample(x)
         x.requires_grad = True
         out, _ = moe_forward(x, bank, params, cfg)
         record = ad.ComputationRecord.trace(out)
@@ -783,6 +797,7 @@ class TestOneNodeLayer:
         seen = dict(single=0, k_is_n=0, unused=0, zero_row=0, x_frozen=0, expert_frozen=0)
         for _ in range(300):
             cfg, x, bank, params = _layer_instance(rng)
+            x = _one_sample(x)
             out, decision = moe_forward(x, bank, params, cfg)
             ref, ref_decision = oracle_moe_forward(x, bank, params, cfg)
             assert out.shape == ref.shape
@@ -795,7 +810,7 @@ class TestOneNodeLayer:
             layer_inputs = (x, params.W, params.E, bank.weight, bank.bias)
             assert _as_bytes(out._op.vjp(g)) == _as_bytes(replayed_adjoints(ref, g, layer_inputs))
 
-            seen["single"] += x.data.ndim == 1
+            seen["single"] += math.prod(x.shape[:-1]) == 1
             seen["k_is_n"] += cfg.top_k == cfg.n_experts
             seen["unused"] += len(np.unique(decision.selected_indices)) < cfg.n_experts
             seen["zero_row"] += bool(np.any(np.all(x.data == 0.0, axis=-1)))
@@ -808,9 +823,9 @@ class TestOneNodeLayer:
         rng = np.random.default_rng(2211)
         for _ in range(100):
             cfg, _, bank, params = _layer_instance(rng)
-            x0 = Tensor(rng.normal(size=(3, 2, cfg.in_channels)), requires_grad=True)
+            x0 = Tensor(rng.normal(size=(3, 2, cfg.in_channels))[None], requires_grad=True)
             W0 = Tensor(rng.normal(size=(cfg.in_channels, cfg.in_channels)), requires_grad=True)
-            coef = Tensor(rng.normal(size=(3, 2, cfg.out_channels)))
+            coef = Tensor(rng.normal(size=(3, 2, cfg.out_channels))[None])
             leaves = (x0, W0, params.W, params.E, bank.weight, bank.bias)
             grads = []
             for forward in (moe_forward, oracle_moe_forward):
@@ -828,10 +843,10 @@ class TestOneNodeLayer:
         cfg = MoEConfig(n_experts=3, top_k=2, in_channels=4, out_channels=2)
         params = GateParams(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(4, 3))))
         bank = build_bank(rng, cfg)
-        x = Tensor(rng.normal(size=(2, 2, 4)))
+        x = Tensor(rng.normal(size=(2, 2, 4))[None])
         short_bank = ExpertBank(Tensor(bank.weight.data[:2]), Tensor(bank.bias.data[:2]))
         if case == "channels_before_count":
-            x, bank = Tensor(rng.normal(size=(2, 2, 5))), short_bank
+            x, bank = Tensor(rng.normal(size=(2, 2, 5))[None]), short_bank
         elif case == "count":
             bank = short_bank
         elif case == "gate_columns":
@@ -907,19 +922,21 @@ class TestSampleAxis:
             grids = [grid] + [rng.normal(size=grid.shape) for _ in range(batch - 1)]
             xb = np.stack([grids[i] for i in rng.permutation(batch)])
             out, decision = moe_forward(Tensor(xb, requires_grad=x.requires_grad), bank,
-                                        params, cfg, batched=True)
-            per = [moe_forward(Tensor(xb[s], requires_grad=x.requires_grad), bank, params, cfg)
+                                        params, cfg)
+            per = [moe_forward(Tensor(xb[s][None], requires_grad=x.requires_grad), bank, params,
+                               cfg)
                    for s in range(batch)]
-            assert out.data.tobytes() == np.stack([o.data for o, _ in per]).tobytes()
+            assert out.data.tobytes() == np.stack([o.data[0] for o, _ in per]).tobytes()
             assert decision.expert_applications == sum(d.expert_applications for _, d in per)
             for s, (_, ref_decision) in enumerate(per):
-                assert _decision_bytes(decision.sample(s)) == _decision_bytes(ref_decision)
+                assert (_decision_bytes(decision.sample(s))
+                        == _decision_bytes(ref_decision.sample(0)))
             if out._op is None:
                 assert all(o._op is None for o, _ in per)
                 continue
             g = rng.normal(size=out.shape)
-            per_grads = [o._op.vjp(g[s]) for s, (o, _) in enumerate(per)]
-            dx = None if per_grads[0][0] is None else np.stack([p[0] for p in per_grads])
+            per_grads = [o._op.vjp(g[s][None]) for s, (o, _) in enumerate(per)]
+            dx = None if per_grads[0][0] is None else np.stack([p[0][0] for p in per_grads])
             expected = [dx, *summed_per_sample([p[1:] for p in per_grads])]
             assert _as_bytes(out._op.vjp(g)) == _as_bytes(expected)
 
@@ -931,3 +948,34 @@ class TestSampleAxis:
             seen["x_frozen"] += not x.requires_grad
             seen["expert_frozen"] += not (bank.weight.requires_grad and bank.bias.requires_grad)
         assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["no_axes", "no_grid_axis"])
+@pytest.mark.parametrize("op", ["grid_linear", "moe_layer", "moe_forward"])
+def test_trunk_op_needs_sample_and_grid_axes(op, shape):
+    rng = np.random.default_rng(5102)
+    cfg, params = random_instance(rng, 4, 2, 3, 3)
+    bank = build_bank(rng, cfg)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+        if op == "grid_linear":
+            ad.grid_linear(x, params.W)
+        elif op == "moe_layer":
+            ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias,
+                         moe_mod._route(x.data, params, cfg))
+        else:
+            moe_forward(x, bank, params, cfg)
+
+
+def test_readme_library_use_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(snippet, scope)
+    features, out, routing = scope["features"], scope["out"], scope["routing"]
+    k = scope["cfg"].top_k
+    assert len(features.shape) == 4  # samples, grid rows, grid columns, channels
+    assert out.shape == features.shape
+    # One decision per (sample, grid position): the sample axis leads.
+    assert routing.selected_indices.shape == (*features.shape[:-1], k)
+    assert routing.sample(0).selected_indices.shape == (*features.shape[1:-1], k)

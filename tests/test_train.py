@@ -171,16 +171,18 @@ def _has_mallopt():
     return True
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
-def test_start_training_keeps_freed_heap(tmp_path):
-    # A fresh process: any start_training earlier in this session has already
-    # set the allocator for the whole test process.
+def minor_faults_after(entry, tmp_path):
+    """Minor faults of allocating 2 MiB again after ``entry`` ran in a fresh process.
+
+    A fresh process: any build_setup earlier in this session has already set
+    the allocator for the whole test process.
+    """
     script = f"""
 import resource
 import numpy as np
-from gridmoe.train import benchmark_config, start_training
+from gridmoe.train import benchmark_config, {entry}
 
-start_training(benchmark_config(0, 1, {str(tmp_path)!r}, True))
+{entry}(benchmark_config(0, 1, {str(tmp_path)!r}, True))
 
 def allocate_and_free():
     arrays = [np.ones(4096) for _ in range(64)]
@@ -195,8 +197,19 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_start_training_keeps_freed_heap(tmp_path):
     # 2 MiB freed and allocated again: about 370-384 minor faults at glibc's defaults.
-    assert int(result.stdout) < 16
+    assert minor_faults_after("start_training", tmp_path) < 16
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_build_setup_keeps_freed_heap(tmp_path):
+    # Evaluation (inspect-gates, evaluate_stats) starts at build_setup, not start_training.
+    assert minor_faults_after("build_setup", tmp_path) < 16
 
 
 def poisoned_run(tmp_path, monkeypatch, clean_samples):
