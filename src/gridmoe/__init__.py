@@ -6,7 +6,6 @@ from .autodiff import (
     backward,
     finite_diff_check,
     grid_linear,
-    softmax,
 )
 from .dso import DsoConfig, LossTracker, LrMultipliers, apply_multipliers, step
 from .errors import (
@@ -65,7 +64,6 @@ __all__ = [
     "init_from_pretrained",
     "moe_forward",
     "parse_config",
-    "softmax",
     "step",
     "train",
 ]

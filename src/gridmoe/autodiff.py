@@ -76,23 +76,6 @@ class Tensor:
         req = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{req})"
 
-    # Operator sugar; scalars are lifted to constant tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_lift(other), -1.0))
-
 
 class OpRecord:
     """One executed primitive: its inputs and the adjoint rule to replay.

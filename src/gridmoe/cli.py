@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--checkpoint", required=True)
     p_inspect.add_argument("--config", default=None,
                            help="defaults to the config snapshot next to the checkpoint")
-    p_inspect.add_argument("--modality", required=True, choices=["A", "B", "C"])
+    p_inspect.add_argument("--modality", required=True, choices=gdata.MODALITIES)
     p_inspect.add_argument("--n", type=int, required=True)
     p_inspect.add_argument("--out", default=None)
     p_inspect.add_argument("--force", action="store_true")

@@ -104,7 +104,6 @@ class Model:
         self.spec = spec
         self.tasks = dict(sorted(tasks.items()))
         self.task_order = list(self.tasks)
-        self.moe_enabled = moe_enabled
         rng = np.random.default_rng(seed)
 
         c = spec.channels

@@ -159,14 +159,15 @@ def moe_forward(
     """Apply the sparse expert mixture to a batch of grid feature maps.
 
     ``x`` has shape (B, grid..., in_channels): axis 0 indexes samples, then
-    one or more grid axes. Exactly k experts are evaluated per position;
-    gradients flow to the input, the gate parameters, and the selected
-    experts' bank rows. The layer is one graph node, ``moe_layer``: the batch
-    is routed and mixed at once, its gradients have the bits of one layer per
-    sample replayed in sample order, and the decision keeps the sample axis
-    (see ``RoutingDecision.sample``).
+    one or more grid axes; fewer axes are refused before routing. Exactly k
+    experts are evaluated per position; gradients flow to the input, the gate
+    parameters, and the selected experts' bank rows. The layer is one graph
+    node, ``moe_layer``: the batch is routed and mixed at once, its gradients
+    have the bits of one layer per sample replayed in sample order, and the
+    decision keeps the sample axis (see ``RoutingDecision.sample``).
     """
     x = ad._lift(x)
+    ad._sample_count(x.data, "moe_forward")
     routing = _route(x.data, params, cfg)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .checkpoint import write_atomic
-from .data import SamplerConfig
+from .data import MODALITIES, SamplerConfig
 from .dso import DsoConfig
 from .errors import ConfigError
 from .model import ModelSpec
@@ -131,13 +131,13 @@ def parse_config(raw: dict) -> RunConfig:
     if not all(isinstance(i, int) and not isinstance(i, bool) for i in model["moe_layers"]):
         raise ConfigError("model.moe_layers", "must be a list of layer indices")
     for m, c in sampler["counts"].items():
-        if m not in ("A", "B", "C"):
+        if m not in MODALITIES:
             raise ConfigError("sampler.counts", f"unknown modality {m!r}")
         if not isinstance(c, int) or isinstance(c, bool):
             raise ConfigError("sampler.counts", f"count for {m!r} must be an int")
     sampler["counts"] = dict(sorted(sampler["counts"].items()))
     for m, level in data["label_noise"].items():
-        if m not in ("A", "B", "C"):
+        if m not in MODALITIES:
             raise ConfigError("data.label_noise", f"unknown modality {m!r}")
         if not isinstance(level, (int, float)) or isinstance(level, bool):
             raise ConfigError("data.label_noise", f"noise for {m!r} must be a number")
@@ -245,25 +245,24 @@ def write_config_snapshot(out_dir: Path, cfg: RunConfig) -> Path:
 
 @dataclass
 class RunManifest:
+    """``manifest.json``: started before a run, finished after it, when it
+    hashes the config snapshot the run wrote into ``out_dir``."""
+
     config_path: str
-    config_sha256: str
     seed: int
     started_at: str
+    config_sha256: str | None = None
     finished_at: str | None = None
     artifacts: dict | None = None
     exit_status: int | None = None
 
     @classmethod
-    def start(cls, out_dir: Path, cfg: RunConfig, config_path: str) -> "RunManifest":
-        snapshot = write_config_snapshot(out_dir, cfg)
-        return cls(
-            config_path=str(config_path),
-            config_sha256=_sha256(snapshot),
-            seed=cfg.seed,
-            started_at=datetime.now(timezone.utc).isoformat(),
-        )
+    def start(cls, cfg: RunConfig, config_path: str) -> "RunManifest":
+        return cls(config_path=str(config_path), seed=cfg.seed,
+                   started_at=datetime.now(timezone.utc).isoformat())
 
     def finish(self, out_dir: Path, artifacts: dict, exit_status: int) -> Path:
+        self.config_sha256 = _sha256(out_dir / CONFIG_SNAPSHOT_NAME)
         self.finished_at = datetime.now(timezone.utc).isoformat()
         self.artifacts = artifacts
         self.exit_status = exit_status

@@ -26,7 +26,7 @@ from .csvio import CsvLogger, write_csv
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map, write_top1_map_csv
-from .runconfig import CONFIG_SNAPSHOT_NAME, RunConfig, RunManifest, write_config_snapshot
+from .runconfig import RunConfig, RunManifest, write_config_snapshot
 
 # Evaluation samples use indices far above anything training can reach.
 EVAL_INDEX_OFFSET = 1_000_000
@@ -41,18 +41,11 @@ class TrainResult:
     gamma_min: float
     gamma_max: float
     stats: ExpertStats
+    # The run's files, keyed by their names in ``manifest.json``.
+    artifacts: dict[str, Path]
     init_entropy: dict[str, float] = field(default_factory=dict)
     final_entropy: dict[str, float] = field(default_factory=dict)
     model: Model | None = None
-
-    def loss_csv(self) -> Path:
-        return self.out_dir / "losses.csv"
-
-    def dso_csv(self) -> Path:
-        return self.out_dir / "dso_log.csv"
-
-    def checkpoint_bin(self) -> Path:
-        return self.out_dir / "checkpoint.bin"
 
 
 def build_setup(cfg: RunConfig):
@@ -225,15 +218,18 @@ def _eval_entropy(state: TrainState, name: str, maps_dir: Path | None = None) ->
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_config_snapshot(out_dir, cfg)
+    artifacts = {"config_snapshot": write_config_snapshot(out_dir, cfg),
+                 "losses": out_dir / "losses.csv", "dso_log": out_dir / "dso_log.csv",
+                 "checkpoint": out_dir / "checkpoint.bin",
+                 "expert_stats": out_dir / "expert_stats.csv"}
     state = start_training(cfg)
     order = state.model.task_order
     init_entropy = _eval_entropy(state, "expert_stats_init.csv")
 
     history: dict[str, list[float]] = {t: [] for t in order}
     gammas = []
-    with CsvLogger(out_dir / "losses.csv", _loss_columns(order), "losses") as loss_log, \
-         CsvLogger(out_dir / "dso_log.csv", _dso_columns(order), "dso_log") as dso_log:
+    with CsvLogger(artifacts["losses"], _loss_columns(order), "losses") as loss_log, \
+         CsvLogger(artifacts["dso_log"], _dso_columns(order), "dso_log") as dso_log:
         for _ in range(cfg.iterations):
             loss_row, dso_row = train_step(state)
             loss_log.write(loss_row)
@@ -242,13 +238,13 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
                 history[t].append(loss_row[f"loss_{t}"])
             gammas.append(dso_row["gamma"])
 
-    save_checkpoint(out_dir / "checkpoint.bin", state.model.state_dict())
-    state.stats.to_csv(out_dir / "expert_stats.csv")
+    save_checkpoint(artifacts["checkpoint"], state.model.state_dict())
+    state.stats.to_csv(artifacts["expert_stats"])
     final_entropy = _eval_entropy(state, "expert_stats_final.csv", out_dir / "top1_maps")
     return TrainResult(
         out_dir=out_dir, task_order=order, loss_history=history,
         final_losses={t: history[t][-1] for t in order},
-        gamma_min=min(gammas), gamma_max=max(gammas), stats=state.stats,
+        gamma_min=min(gammas), gamma_max=max(gammas), stats=state.stats, artifacts=artifacts,
         init_entropy=init_entropy, final_entropy=final_entropy,
         model=state.model if keep_model else None,
     )
@@ -258,14 +254,14 @@ def recorded_train(cfg: RunConfig, config_path: str,
                    trainer: Callable[..., TrainResult] | None = None) -> TrainResult:
     """``train`` with a run manifest: started before, finished after.
 
-    The manifest records exit status 0 and the artifacts, or 3 when training
-    raises a ``GridMoeError``, which is then re-raised. ``trainer`` stands in
-    for ``train``: the CLI passes the ``train`` it looks up itself, so a
-    wrapper installed on ``gridmoe.cli.train`` sees every CLI run.
+    The manifest records exit status 0 and the artifacts ``train`` returns,
+    or 3 when training raises a ``GridMoeError``, which is then re-raised;
+    either way it hashes the config snapshot that ``train`` writes first.
+    ``trainer`` stands in for ``train``: the CLI passes the ``train`` it looks
+    up itself, so a wrapper installed on ``gridmoe.cli.train`` sees every CLI run.
     """
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.start(out_dir, cfg, config_path)
+    manifest = RunManifest.start(cfg, config_path)
     try:
         result = (trainer or train)(cfg, keep_model=False)
     except GridMoeError as exc:
@@ -273,13 +269,8 @@ def recorded_train(cfg: RunConfig, config_path: str,
                      if isinstance(exc, TrainingAborted) else {})
         manifest.finish(out_dir, artifacts, EXIT_RUNTIME)
         raise
-    manifest.finish(out_dir, {
-        "losses": str(result.loss_csv()),
-        "dso_log": str(result.dso_csv()),
-        "expert_stats": str(out_dir / "expert_stats.csv"),
-        "checkpoint": str(result.checkpoint_bin()),
-        "config_snapshot": str(out_dir / CONFIG_SNAPSHOT_NAME),
-    }, EXIT_OK)
+    manifest.finish(out_dir, {name: str(path) for name, path in result.artifacts.items()},
+                    EXIT_OK)
     return result
 
 

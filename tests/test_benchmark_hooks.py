@@ -22,6 +22,9 @@ WORKLOAD_NAMES = {
     "csvio": ("read_csv",),
 }
 
+# The TrainResult attributes perfbench/workload.py reads from each CLI run.
+RESULT_ATTRIBUTES = ("loss_history", "task_order", "init_entropy", "final_entropy")
+
 
 def load_tracer_module():
     spec = importlib.util.spec_from_file_location(
@@ -37,6 +40,20 @@ def test_workload_names_exist():
         module = importlib.import_module(f"gridmoe.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"gridmoe.{module_name}.{name}"
+
+
+def test_train_result_attributes_workloads_read(tmp_path):
+    train_mod = importlib.import_module("gridmoe.train")
+    runconfig = importlib.import_module("gridmoe.runconfig")
+    cfg = runconfig.parse_config({"moe": {"n_experts": 2, "top_k": 1},
+                                  "run": {"iterations": 2, "stats_samples": 1,
+                                          "out_dir": str(tmp_path)}})
+    result = train_mod.train(cfg, False)  # positional, as the workloads call it
+    history, order, init, final = (getattr(result, name) for name in RESULT_ATTRIBUTES)
+    assert order == ["A", "B", "C"]
+    assert {t: len(history[t]) for t in order} == dict.fromkeys(order, 2)
+    assert set(init) == set(final) == set(order)
+    assert all(isinstance(v, float) for v in (*init.values(), *final.values()))
 
 
 def test_tracer_installs_counts_and_uninstalls():

@@ -9,7 +9,7 @@ import pytest
 
 from gridmoe.checkpoint import load_checkpoint, manifest_path_for, save_checkpoint
 from gridmoe.errors import ShapeError
-from gridmoe.runconfig import RunManifest, parse_config
+from gridmoe.runconfig import RunManifest, parse_config, write_config_snapshot
 
 
 def test_roundtrip_preserves_bits(tmp_path):
@@ -154,7 +154,8 @@ def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
 def test_failed_run_manifest_leaves_no_partial_file(tmp_path, monkeypatch):
     cfg = parse_config({"moe": {"n_experts": 4, "top_k": 2},
                         "run": {"iterations": 1, "out_dir": str(tmp_path)}})
-    manifest = RunManifest.start(tmp_path, cfg, "cfg.json")
+    write_config_snapshot(tmp_path, cfg)
+    manifest = RunManifest.start(cfg, "cfg.json")
     before = sorted(p.name for p in tmp_path.iterdir())
     _fail_halfway(monkeypatch)
     with pytest.raises(OSError):

@@ -1,9 +1,13 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism, flags."""
 
+import collections
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+from gridmoe import cli, runconfig
 from gridmoe.cli import main
 from gridmoe.csvio import read_csv
 from gridmoe.runconfig import verify_manifest
@@ -37,6 +41,25 @@ class TestTrainCommand:
         assert (out / "manifest.json").exists()
         assert verify_manifest(out)
         assert "final losses" in capsys.readouterr().out
+
+    def test_manifest_lists_the_artifacts_train_returns(self, tmp_path, monkeypatch):
+        results = []
+        real_train = cli.train
+
+        def captured_train(cfg, keep_model=True):
+            results.append(real_train(cfg, keep_model))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "train", captured_train)
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert recorded == {name: str(path) for name, path in results[0].artifacts.items()}
+        assert recorded == {name: str(out / file) for name, file in (
+            ("losses", "losses.csv"), ("dso_log", "dso_log.csv"),
+            ("expert_stats", "expert_stats.csv"), ("checkpoint", "checkpoint.bin"),
+            ("config_snapshot", "config_snapshot.json"))}
 
     def test_missing_top_k_exits_2_naming_field(self, tmp_path, capsys):
         raw = {"moe": {"n_experts": 4}, "run": {"iterations": 2}}
@@ -99,7 +122,7 @@ class TestTrainCommand:
         raw["run"].update({"out_dir": str(tmp_path / "lib"), "dso": False, "moe": False})
         library = train(parse_config(raw))
         assert ((out / "losses.csv").read_bytes()
-                == library.loss_csv().read_bytes())
+                == library.artifacts["losses"].read_bytes())
 
     def test_runtime_shape_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # ShapeError is also a ValueError; raised mid-run it is not a config error.
@@ -364,6 +387,28 @@ class TestSweepCommand:
         assert json.loads((cell / "manifest.json").read_text())["exit_status"] == 3
         assert verify_manifest(cell)
         assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command, runs", [
+    (["train"], [""]),
+    (["sweep", "--grid", "moe.top_k=1,2"], ["cell000_seed0", "cell001_seed0"]),
+], ids=["train", "sweep"])
+def test_each_run_writes_its_config_snapshot_once(tmp_path, monkeypatch, command, runs):
+    writes = collections.Counter()
+    real_write = runconfig.write_config_snapshot
+
+    def counted_write(out_dir, cfg):
+        writes[Path(out_dir)] += 1
+        return real_write(out_dir, cfg)
+
+    # ``gridmoe.train`` imports the name, so it is patched there too.
+    for module in (runconfig, importlib.import_module("gridmoe.train")):
+        monkeypatch.setattr(module, "write_config_snapshot", counted_write)
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2, "run.stats_samples": 0})
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert writes == {out / run: 1 for run in runs}
+    assert all(verify_manifest(out / run) for run in runs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

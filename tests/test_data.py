@@ -16,12 +16,9 @@ from gridmoe.data import (
     default_modalities,
     default_tasks,
     generate_sample,
-    histogram_symmetric_kl,
-    modality_separation,
-    self_test,
     target_projection,
 )
-from gridmoe.errors import ConfigError
+from gridmoe.errors import ConfigError, ShapeError
 
 
 # Reference: the per-channel and per-bump loop generator that the whole-array
@@ -158,6 +155,64 @@ class TestGenerateSample:
             TaskSpec("A", "pixel-detection", head_width=4)
         with pytest.raises(ConfigError):
             TaskSpec("A", CLASSIFICATION, head_width=1)
+
+
+# ---------------------------------------------------------------------------
+# generator self-test: modality separation
+# ---------------------------------------------------------------------------
+
+def histogram_symmetric_kl(
+    values_a: np.ndarray, values_b: np.ndarray, bins: int = 64
+) -> float:
+    """Symmetric KL between two empirical distributions on shared bins."""
+    lo = min(values_a.min(), values_b.min())
+    hi = max(values_a.max(), values_b.max())
+    edges = np.linspace(lo, hi, bins + 1)
+    pa, _ = np.histogram(values_a, bins=edges)
+    pb, _ = np.histogram(values_b, bins=edges)
+    pa = np.maximum(pa / pa.sum(), 1e-12)
+    pb = np.maximum(pb / pb.sum(), 1e-12)
+    return float(np.sum(pa * np.log(pa / pb)) + np.sum(pb * np.log(pb / pa)))
+
+
+def modality_separation(
+    mods: list[ModalitySpec],
+    tasks: dict[str, TaskSpec],
+    n_samples: int = 200,
+    height: int = 8,
+    width: int = 8,
+    bins: int = 64,
+) -> np.ndarray:
+    """Pairwise per-channel symmetric KL (averaged over channels)."""
+    channel_values = []
+    for mod in mods:
+        stack = np.stack(
+            [generate_sample(mod, tasks[mod.id], i, height, width)[0] for i in range(n_samples)]
+        )
+        channel_values.append(stack.reshape(-1, mod.channels))
+    m = len(mods)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            per_channel = [
+                histogram_symmetric_kl(channel_values[i][:, c], channel_values[j][:, c], bins)
+                for c in range(mods[i].channels)
+            ]
+            out[i, j] = out[j, i] = float(np.mean(per_channel))
+    return out
+
+
+def self_test(n_samples: int = 200, threshold: float = 0.5) -> np.ndarray:
+    """Verify the default modalities stay pairwise separated; returns the matrix."""
+    mods = default_modalities()
+    tasks = default_tasks()
+    matrix = modality_separation(list(mods.values()), tasks, n_samples=n_samples)
+    off_diag = matrix[~np.eye(len(mods), dtype=bool)]
+    if np.any(off_diag <= threshold):
+        raise ShapeError(
+            f"modality distributions are not separated: min symmetric KL {off_diag.min():.3f}"
+        )
+    return matrix
 
 
 class TestModalitySeparation:

@@ -952,18 +952,22 @@ class TestSampleAxis:
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["no_axes", "no_grid_axis"])
 @pytest.mark.parametrize("op", ["grid_linear", "moe_layer", "moe_forward"])
-def test_trunk_op_needs_sample_and_grid_axes(op, shape):
+def test_trunk_op_needs_sample_and_grid_axes(op, shape, monkeypatch):
     rng = np.random.default_rng(5102)
     cfg, params = random_instance(rng, 4, 2, 3, 3)
     bank = build_bank(rng, cfg)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
-    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+    with pytest.raises(ShapeError, match=f"^{op}: .*" + re.escape(f"got shape {shape}")):
         if op == "grid_linear":
             ad.grid_linear(x, params.W)
         elif op == "moe_layer":
             ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias,
                          moe_mod._route(x.data, params, cfg))
         else:
+            # moe_forward refuses the input before its gate runs.
+            def routed(*args):
+                raise AssertionError("moe_forward routed an input it must refuse")
+            monkeypatch.setattr(moe_mod, "topk_select", routed)
             moe_forward(x, bank, params, cfg)
 
 

@@ -270,7 +270,8 @@ class TestOutDirResolution:
 class TestManifest:
     def test_hash_verifies_and_detects_tamper(self, tmp_path):
         cfg = parse_config(minimal(**{"run.out_dir": str(tmp_path)}))
-        manifest = RunManifest.start(tmp_path, cfg, "orig.json")
+        write_config_snapshot(tmp_path, cfg)
+        manifest = RunManifest.start(cfg, "orig.json")
         manifest.finish(tmp_path, {"losses": "losses.csv"}, 0)
         assert verify_manifest(tmp_path)
 
@@ -282,7 +283,8 @@ class TestManifest:
 
     def test_manifest_records_run_metadata(self, tmp_path):
         cfg = parse_config(minimal(**{"run.out_dir": str(tmp_path), "run.seed": 7}))
-        manifest = RunManifest.start(tmp_path, cfg, "cfg.json")
+        write_config_snapshot(tmp_path, cfg)
+        manifest = RunManifest.start(cfg, "cfg.json")
         path = manifest.finish(tmp_path, {"a": "b"}, 0)
         recorded = json.loads(path.read_text())
         assert recorded["seed"] == 7

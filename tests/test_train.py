@@ -64,15 +64,15 @@ class TestTrainBasics:
 
     def test_loss_log_schema(self, tmp_path):
         result = train(small_config(tmp_path / "run", iterations=5))
-        rows = read_csv(result.loss_csv())
+        rows = read_csv(result.artifacts["losses"])
         assert len(rows) == 5
         assert set(rows[0]) == {"iteration", "loss_A", "loss_B", "loss_C", "total"}
-        first_line = result.loss_csv().read_text().splitlines()[0]
+        first_line = result.artifacts["losses"].read_text().splitlines()[0]
         assert first_line.startswith("# schema=losses.v")
 
     def test_dso_log_schema(self, tmp_path):
         result = train(small_config(tmp_path / "run", iterations=5))
-        rows = read_csv(result.dso_csv())
+        rows = read_csv(result.artifacts["dso_log"])
         expected = {
             "iteration", "C", "gamma", "lr_backbone",
             *(f"{p}_{t}" for p in ("cur", "his", "w", "lambda", "lr_head")
@@ -94,14 +94,14 @@ class TestTrainBasics:
     def test_determinism_bit_identical(self, tmp_path):
         r1 = train(small_config(tmp_path / "a", iterations=25))
         r2 = train(small_config(tmp_path / "b", iterations=25))
-        assert r1.loss_csv().read_bytes() == r2.loss_csv().read_bytes()
-        assert r1.dso_csv().read_bytes() == r2.dso_csv().read_bytes()
-        assert r1.checkpoint_bin().read_bytes() == r2.checkpoint_bin().read_bytes()
+        assert r1.artifacts["losses"].read_bytes() == r2.artifacts["losses"].read_bytes()
+        assert r1.artifacts["dso_log"].read_bytes() == r2.artifacts["dso_log"].read_bytes()
+        assert r1.artifacts["checkpoint"].read_bytes() == r2.artifacts["checkpoint"].read_bytes()
 
     def test_seed_changes_trajectory(self, tmp_path):
         r1 = train(small_config(tmp_path / "a", iterations=10, seed=0))
         r2 = train(small_config(tmp_path / "b", iterations=10, seed=1))
-        assert r1.loss_csv().read_bytes() != r2.loss_csv().read_bytes()
+        assert r1.artifacts["losses"].read_bytes() != r2.artifacts["losses"].read_bytes()
 
 
 class TestGovernorOffEquivalence:
@@ -140,7 +140,7 @@ class TestGovernorOffEquivalence:
 
     def test_identity_multipliers_flag_reflected_in_log(self, tmp_path):
         result = train(small_config(tmp_path / "run", iterations=5, dso_enabled=False))
-        for row in read_csv(result.dso_csv()):
+        for row in read_csv(result.artifacts["dso_log"]):
             assert float(row["gamma"]) == 1.0
             for t in ("A", "B", "C"):
                 assert float(row[f"lambda_{t}"]) == 1.0

@@ -29,7 +29,7 @@ sequential timings cannot tell a swing from a change. Exits 1 if the trees
 compute different bits.
 
 Both trees run in this one process, so they share one allocator, and the
-first ``train.start_training`` sets glibc's heap thresholds for both sides.
+first ``train.build_setup`` sets glibc's heap thresholds for both sides.
 So this script cannot time a change to the allocator's settings, nor any
 other change whose effect is on the allocator: time those with alternating
 ``perfbench/run.py`` pairs, one process per run.
