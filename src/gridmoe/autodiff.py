@@ -526,14 +526,14 @@ def _mix_vjp(g, d: _Dispatch, weight: Tensor, bias: Tensor, need_x: bool, need_s
 
 
 def mix_experts(x: Tensor, weight: Tensor, bias: Tensor, selected: np.ndarray,
-                selected_weights: Tensor) -> tuple[Tensor, int]:
+                selected_weights: Tensor) -> Tensor:
     """Sparse weighted sum of the per-grid linear experts stacked on axis 0.
 
     out[pos] = sum_j selected_weights[pos, j] * (weight[sel] @ x[pos] + bias[sel]),
     with ``weight`` (N, C_out, C_in) and ``bias`` (N, C_out). Only the experts
-    named in ``selected`` are applied; the second return value counts the
-    expert applications, which equals positions * k. A non-selected expert's
-    gradient rows are 0.0. A position must name k distinct experts.
+    named in ``selected`` are applied: positions * k applications. A
+    non-selected expert's gradient rows are 0.0. A position must name k
+    distinct experts.
 
     Dispatch is one stable sort of the flattened selection by expert id, so
     each expert's (position, slot) pairs form one contiguous segment with
@@ -554,8 +554,7 @@ def mix_experts(x: Tensor, weight: Tensor, bias: Tensor, selected: np.ndarray,
         dsel = None if table is None else _gather(table.reshape(*sel.shape[:-1], -1), sel)
         return dx, dsel, dw, db
 
-    result = _node("mix_experts", out, (x, selected_weights, weight, bias), vjp)
-    return result, dispatch.rows.size
+    return _node("mix_experts", out, (x, selected_weights, weight, bias), vjp)
 
 
 class Routing(NamedTuple):
@@ -570,7 +569,7 @@ class Routing(NamedTuple):
 
 
 def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: Tensor,
-              routing: Routing) -> tuple[Tensor, int]:
+              routing: Routing) -> Tensor:
     """One graph node for a whole expert-mixture layer routed by ``routing``.
 
     The forward is ``mix_experts`` of x with the routing's selection. The vjp
@@ -602,8 +601,7 @@ def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: T
                     dx = dx + dx_gate
         return (dx, dw, de, *d_bank)
 
-    result = _node("moe_layer", out, (x, gate_w, gate_e, weight, bias), vjp)
-    return result, dispatch.rows.size
+    return _node("moe_layer", out, (x, gate_w, gate_e, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,10 @@ def cmd_inspect_gates(args) -> int:
     checkpoint_path = Path(args.checkpoint)
     config_path = Path(args.config) if args.config else checkpoint_path.parent / CONFIG_SNAPSHOT_NAME
     cfg = parse_config(load_config_file(config_path))
+    if not cfg.moe_enabled:
+        raise ConfigError("run.moe", "is false: the checkpoint has no gates to inspect")
+    if not cfg.model.moe_layers:
+        raise ConfigError("model.moe_layers", "is empty: the checkpoint has no gates to inspect")
     _, _, model, _ = build_setup(cfg)
     # Unfiltered, so a modality the run did not train on can be inspected.
     modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)

@@ -25,6 +25,9 @@ CLASSIFICATION = "grid-classification"
 REGRESSION = "grid-regression-with-angle"
 # The modality names: ``default_modalities`` and ``default_tasks`` key by them.
 MODALITIES = ("A", "B", "C")
+# Held-out samples (``train.evaluate_stats``) take the indices from here up;
+# ``parse_config`` keeps every training index below it.
+EVAL_INDEX_OFFSET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -212,45 +215,19 @@ def generate_sample(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Per-modality counts for every batch (defaults mirror a 2:1:1 mix)."""
-
-    counts: tuple[tuple[str, int], ...] = (("A", 2), ("B", 1), ("C", 1))
-
-    def __post_init__(self):
-        if not self.counts:
-            raise ConfigError("sampler.counts", "must name at least one modality")
-        if any(c < 1 for _, c in self.counts):
-            raise ConfigError("sampler.counts", "every modality needs >= 1 sample per batch")
-
-    @property
-    def modalities(self) -> tuple[str, ...]:
-        return tuple(m for m, _ in self.counts)
-
-
-@dataclass(frozen=True)
-class BatchItem:
-    modality: str
-    sample_index: int
-
-
 class BatchSampler:
     """Deterministic stream of mixed batches with exact per-batch composition.
 
-    Sample indices increase monotonically per modality, so the n-th batch is
-    a pure function of the counts. A batch lists its items in ``counts``
-    order, indices ascending: the order ``Model.forward_batch`` stacks them in.
+    Its state is ``batches``, the number drawn. The next batch lists each
+    modality's indices ``batches * count + j`` as ``(modality, sample_index)``
+    pairs, in ``counts`` order, indices ascending: ``Model.forward_batch``'s order.
     """
 
-    def __init__(self, cfg: SamplerConfig):
-        self.cfg = cfg
-        self._next_index = {m: 0 for m, _ in cfg.counts}
+    def __init__(self, counts: tuple[tuple[str, int], ...]):
+        self.counts = counts
+        self.batches = 0
 
-    def next_batch(self) -> list[BatchItem]:
-        items: list[BatchItem] = []
-        for modality, count in self.cfg.counts:
-            start = self._next_index[modality]
-            items.extend(BatchItem(modality, start + j) for j in range(count))
-            self._next_index[modality] = start + count
-        return items
+    def next_batch(self) -> list[tuple[str, int]]:
+        n, self.batches = self.batches, self.batches + 1
+        return [(modality, n * count + j) for modality, count in self.counts
+                for j in range(count)]

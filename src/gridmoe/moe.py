@@ -103,7 +103,11 @@ class RoutingDecision:
     selected_indices: np.ndarray
     gate_weights: np.ndarray
     full_softmax: np.ndarray
-    expert_applications: int = 0
+
+    @property
+    def expert_applications(self) -> int:
+        """Expert evaluations the decision asks for: one per selected id."""
+        return self.selected_indices.size
 
     @property
     def top_k(self) -> int:
@@ -115,9 +119,8 @@ class RoutingDecision:
 
     def sample(self, index: int) -> "RoutingDecision":
         """One sample's decision out of a layer's (axis 0 indexes samples)."""
-        selected = self.selected_indices[index]
-        return RoutingDecision(selected, self.gate_weights[index], self.full_softmax[index],
-                               selected.size)
+        return RoutingDecision(self.selected_indices[index], self.gate_weights[index],
+                               self.full_softmax[index])
 
 
 def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
@@ -150,7 +153,7 @@ def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
     1/N each.
     """
     routing = _route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), params, cfg)
-    return RoutingDecision(routing.selected, routing.weights, routing.probs, cfg.top_k)
+    return RoutingDecision(routing.selected, routing.weights, routing.probs)
 
 
 def moe_forward(
@@ -171,11 +174,9 @@ def moe_forward(
     routing = _route(x.data, params, cfg)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out, applications = ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias, routing)
+    out = ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias, routing)
     # A copy: the layer's vjp reads routing.probs.
-    decision = RoutingDecision(routing.selected, routing.weights, routing.probs.copy(),
-                               applications)
-    return out, decision
+    return out, RoutingDecision(routing.selected, routing.weights, routing.probs.copy())
 
 
 def init_from_pretrained(
@@ -255,26 +256,22 @@ class _StatsCell:
 class ExpertStats:
     """Per (dataset, layer, expert) routing mass and top-1 counts.
 
-    ``layers`` maps each layer id to its expert count. Participation records
+    A cell's expert count is its first decision's. Participation records
     the post-top-k gate weight mass; the full softmax is retained on each
     decision, so pre-top-k statistics can be derived if ever needed.
     """
 
-    layers: dict[str, int] = field(default_factory=dict)
     cells: dict[tuple[str, str], _StatsCell] = field(default_factory=dict)
 
     def accumulate(self, decision: RoutingDecision, dataset: str, layer: str) -> None:
-        n = self.layers.get(layer)
-        if n is None:
-            raise UsageError(f"unknown layer id {layer!r}")
-        if decision.n_experts != n:
-            raise UsageError(
-                f"decision for layer {layer!r} has {decision.n_experts} experts, expected {n}"
-            )
+        n = decision.n_experts
         cell = self.cells.get((dataset, layer))
         if cell is None:
             cell = _StatsCell(np.zeros(n), np.zeros(n, dtype=np.int64))
             self.cells[(dataset, layer)] = cell
+        elif cell.top1.size != n:
+            raise UsageError(f"decision for layer {layer!r} has {n} experts, "
+                             f"expected {cell.top1.size}")
         sel = decision.selected_indices.reshape(-1, decision.top_k)
         np.add.at(cell.participation, sel.reshape(-1), decision.gate_weights.reshape(-1))
         # Ids come in descending probability, ties to the lowest id, so the
@@ -302,7 +299,7 @@ class ExpertStats:
     def rows(self) -> list[dict]:
         out = []
         for (dataset, layer), cell in sorted(self.cells.items()):
-            for expert in range(self.layers[layer]):
+            for expert in range(cell.top1.size):
                 out.append(
                     {
                         "dataset": dataset,

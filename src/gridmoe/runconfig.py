@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .checkpoint import write_atomic
-from .data import MODALITIES, SamplerConfig
+from .data import EVAL_INDEX_OFFSET, MODALITIES
 from .dso import DsoConfig
 from .errors import ConfigError
 from .model import ModelSpec
@@ -63,7 +63,7 @@ SCHEMA = {
 class RunConfig:
     model: ModelSpec
     dso: DsoConfig
-    sampler: SamplerConfig
+    counts: tuple[tuple[str, int], ...]  # sorted (modality, samples per batch)
     height: int
     width: int
     label_noise: tuple[tuple[str, float], ...]
@@ -135,6 +135,10 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("sampler.counts", f"unknown modality {m!r}")
         if not isinstance(c, int) or isinstance(c, bool):
             raise ConfigError("sampler.counts", f"count for {m!r} must be an int")
+    if not sampler["counts"]:
+        raise ConfigError("sampler.counts", "must name at least one modality")
+    if min(sampler["counts"].values()) < 1:
+        raise ConfigError("sampler.counts", "every modality needs >= 1 sample per batch")
     sampler["counts"] = dict(sorted(sampler["counts"].items()))
     for m, level in data["label_noise"].items():
         if m not in MODALITIES:
@@ -149,6 +153,12 @@ def parse_config(raw: dict) -> RunConfig:
         section, key = dotted.split(".")
         if sections[section][key] < low:
             raise ConfigError(dotted, f"must be >= {low}, got {sections[section][key]}")
+    most = max(sampler["counts"].values())
+    if run["iterations"] * most > EVAL_INDEX_OFFSET:
+        raise ConfigError("run.iterations",
+                          f"must be <= {EVAL_INDEX_OFFSET // most} with {most} samples of a "
+                          f"modality per batch: training indices must stay below the "
+                          f"held-out ones from {EVAL_INDEX_OFFSET}")
     if run["base_lr"] <= 0:
         raise ConfigError("run.base_lr", f"must be > 0, got {run['base_lr']}")
     if run["stats_samples"] < 0:
@@ -162,14 +172,13 @@ def parse_config(raw: dict) -> RunConfig:
     if sampler["batch_size"] != total:
         raise ConfigError("sampler.counts",
                           f"counts sum to {total} but batch_size is {sampler['batch_size']}")
-    sampler_cfg = SamplerConfig(tuple(sampler["counts"].items()))
     dso_cfg = DsoConfig(n_tasks=len(sampler["counts"]), **dso)
     if run["dso"] and dso_cfg.n_tasks < 2:
         raise ConfigError("run.dso", "the governor needs 2 or more tasks; set it false for one")
     return RunConfig(
         model=model_spec,
         dso=dso_cfg,
-        sampler=sampler_cfg,
+        counts=tuple(sampler["counts"].items()),
         height=data["height"],
         width=data["width"],
         label_noise=tuple(data["label_noise"].items()),

@@ -28,9 +28,6 @@ from .model import Model
 from .moe import ExpertStats, export_top1_map, write_top1_map_csv
 from .runconfig import RunConfig, RunManifest, write_config_snapshot
 
-# Evaluation samples use indices far above anything training can reach.
-EVAL_INDEX_OFFSET = 1_000_000
-
 
 @dataclass
 class TrainResult:
@@ -64,11 +61,11 @@ def build_setup(cfg: RunConfig):
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
     tasks = gdata.default_tasks(cfg.label_noise)
-    wanted = set(cfg.sampler.modalities)
+    wanted = dict(cfg.counts)
     modalities = {m: spec for m, spec in modalities.items() if m in wanted}
     tasks = {m: spec for m, spec in tasks.items() if m in wanted}
     model = Model(cfg.model, tasks, seed=cfg.seed, moe_enabled=cfg.moe_enabled)
-    sampler = gdata.BatchSampler(cfg.sampler)
+    sampler = gdata.BatchSampler(cfg.counts)
     return modalities, tasks, model, sampler
 
 
@@ -79,13 +76,13 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
     With ``maps_dir``, also writes each modality's top-1 maps of its first
     sample there, one CSV per MoE layer.
     """
-    stats = ExpertStats(dict.fromkeys(model.moe_layer_names, model.spec.n_experts))
+    stats = ExpertStats()
     if maps_dir is not None:
         maps_dir.mkdir(parents=True, exist_ok=True)
     for modality in sorted(modalities):
         for j in range(n_samples):
             image, _ = gdata.generate_sample(
-                modalities[modality], tasks[modality], EVAL_INDEX_OFFSET + j, height, width
+                modalities[modality], tasks[modality], gdata.EVAL_INDEX_OFFSET + j, height, width
             )
             _, routings = model.features(image[None])
             for layer, decision in routings:
@@ -100,7 +97,7 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
 
 @dataclass
 class TrainState:
-    """Everything one training step reads and advances."""
+    """Everything one training step reads and advances; ``sampler.batches`` numbers it."""
 
     cfg: RunConfig
     modalities: dict
@@ -110,7 +107,6 @@ class TrainState:
     groups: dict[str, list[ad.Tensor]]
     tracker: dso.LossTracker
     stats: ExpertStats
-    iteration: int = 0
     # The last loss rows: a non-finite loss writes them to the diagnostic dump.
     recent: collections.deque = field(default_factory=lambda: collections.deque(maxlen=10))
 
@@ -119,8 +115,7 @@ def start_training(cfg: RunConfig) -> TrainState:
     """The state before the first step: a fresh model, sampler and empty statistics."""
     modalities, tasks, model, sampler = build_setup(cfg)
     return TrainState(cfg, modalities, tasks, model, sampler, model.param_groups(),
-                      dso.LossTracker(len(model.task_order)),
-                      ExpertStats(dict.fromkeys(model.moe_layer_names, model.spec.n_experts)))
+                      dso.LossTracker(len(model.task_order)), ExpertStats())
 
 
 def _loss_columns(order) -> list[str]:
@@ -142,14 +137,12 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     backward and one SGD update per parameter group at its effective rate.
     """
     cfg, model, tracker = state.cfg, state.model, state.tracker
-    order, iteration = model.task_order, state.iteration
+    order, iteration = model.task_order, state.sampler.batches
     samples = []
-    for item in state.sampler.next_batch():
-        image, target = gdata.generate_sample(
-            state.modalities[item.modality], state.tasks[item.modality],
-            item.sample_index, cfg.height, cfg.width,
-        )
-        samples.append((item.modality, item.sample_index, image, target))
+    for modality, index in state.sampler.next_batch():
+        image, target = gdata.generate_sample(state.modalities[modality], state.tasks[modality],
+                                              index, cfg.height, cfg.width)
+        samples.append((modality, index, image, target))
 
     total, losses, routings = model.forward_batch(samples)
     values = np.array([losses[t] for t in order])
@@ -189,7 +182,6 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     for t, v in zip(order, values):
         loss_row[f"loss_{t}"] = float(v)
     state.recent.append(loss_row)
-    state.iteration += 1
 
     log_cur = tracker.cur if tracker.cur is not None else values
     log_his = tracker.his if tracker.his is not None else values

@@ -144,13 +144,13 @@ def per_sample_forward_batch(model, samples):
 class ShuffledSampler(gdata.BatchSampler):
     """``BatchSampler`` with each batch permuted by its own generator seeded with ``seed``."""
 
-    def __init__(self, cfg: gdata.SamplerConfig, seed: int):
-        super().__init__(cfg)
+    def __init__(self, counts: tuple[tuple[str, int], ...], seed: int):
+        super().__init__(counts)
         self._rng = np.random.default_rng(seed)
 
-    def next_batch(self) -> list[gdata.BatchItem]:
-        items = super().next_batch()
-        return [items[i] for i in self._rng.permutation(len(items))]
+    def next_batch(self) -> list[tuple[str, int]]:
+        pairs = super().next_batch()
+        return [pairs[i] for i in self._rng.permutation(len(pairs))]
 
 
 def sample_sum(terms):

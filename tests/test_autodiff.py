@@ -274,7 +274,7 @@ class TestBackward:
             hidden = ad.relu(ad.grid_linear(Tensor(rng.normal(size=(2, 2, 3))[None]), weight))
             probs = ad.softmax(hidden)
             selected = np.argsort(-probs.data, axis=-1)[..., :2]
-            mixed, _ = ad.mix_experts(hidden, experts, biases, selected,
+            mixed = ad.mix_experts(hidden, experts, biases, selected,
                                       ad.gather_last(probs, selected))
             root = ad.sum_all(square(mixed))
             backward(root)

@@ -475,6 +475,37 @@ def test_empty_counts_exits_2_naming_sampler_counts(tmp_path, capsys, command):
     assert files_under(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "moe.top_k=2"]])
+def test_iterations_reaching_held_out_indices_exit_2_and_write_nothing(tmp_path, monkeypatch,
+                                                                       capsys, command):
+    # 15,626 batches of 64 A samples would train on A's held-out index 1,000,000.
+    def refuse(cfg):
+        raise AssertionError("a run that reaches the held-out indices started training")
+
+    monkeypatch.setattr(importlib.import_module("gridmoe.train"), "start_training", refuse)
+    cfg = write_config(tmp_path / "cfg.json", **{"sampler.counts": {"A": 64}, "run.dso": False,
+                                                 "run.iterations": 15_626})
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run.iterations: must be <= 15625" in capsys.readouterr().err
+    assert files_under(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("no_moe", [{"run.moe": False}, {"model.moe_layers": []}],
+                         ids=["run_moe_false", "no_moe_layers"])
+def test_inspect_gates_without_moe_layers_exits_2_and_writes_nothing(tmp_path, capsys, no_moe):
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2}, **no_moe)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    before = files_under(tmp_path)
+    capsys.readouterr()
+    code = main(["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"),
+                 "--modality", "A", "--n", "2"])
+    assert code == 2
+    assert f"config error: {next(iter(no_moe))}: " in capsys.readouterr().err
+    assert files_under(tmp_path) == before and not (run / "inspect").exists()
+
+
 class TestSweepValueTypes:
     """Sweep values take their key's type from ``runconfig.SCHEMA``."""
 

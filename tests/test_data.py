@@ -11,7 +11,6 @@ from gridmoe.data import (
     CLASSIFICATION,
     BatchSampler,
     ModalitySpec,
-    SamplerConfig,
     TaskSpec,
     default_modalities,
     default_tasks,
@@ -19,6 +18,7 @@ from gridmoe.data import (
     target_projection,
 )
 from gridmoe.errors import ConfigError, ShapeError
+from gridmoe.runconfig import parse_config
 
 
 # Reference: the per-channel and per-bump loop generator that the whole-array
@@ -240,47 +240,50 @@ class TestModalitySeparation:
         assert matrix.shape == (3, 3)
 
 
+# The counts of a config that gives none: a 2:1:1 mix.
+DEFAULT_COUNTS = (("A", 2), ("B", 1), ("C", 1))
+
+
 class TestSampler:
     def test_exact_default_composition(self):
-        cfg = SamplerConfig()
-        batch = BatchSampler(cfg).next_batch()
-        counts = collections.Counter(item.modality for item in batch)
+        batch = BatchSampler(DEFAULT_COUNTS).next_batch()
+        counts = collections.Counter(modality for modality, _ in batch)
         assert counts == {"A": 2, "B": 1, "C": 1}
         assert len(batch) == 4
 
     def test_one_each(self):
-        cfg = SamplerConfig(counts=(("A", 1), ("B", 1), ("C", 1)))
-        batch = BatchSampler(cfg).next_batch()
-        assert collections.Counter(i.modality for i in batch) == {"A": 1, "B": 1, "C": 1}
+        batch = BatchSampler((("A", 1), ("B", 1), ("C", 1))).next_batch()
+        assert collections.Counter(m for m, _ in batch) == {"A": 1, "B": 1, "C": 1}
 
     def test_thousand_batches_exact_frequencies(self):
-        sampler = BatchSampler(SamplerConfig())
+        sampler = BatchSampler(DEFAULT_COUNTS)
         counts = collections.Counter()
         for _ in range(1000):
-            for item in sampler.next_batch():
-                counts[item.modality] += 1
+            for modality, _ in sampler.next_batch():
+                counts[modality] += 1
         total = sum(counts.values())
         assert counts["A"] / total == 0.5
         assert counts["B"] / total == 0.25
         assert counts["C"] / total == 0.25
 
     def test_sample_indices_advance_without_repeats(self):
-        sampler = BatchSampler(SamplerConfig())
+        sampler = BatchSampler(DEFAULT_COUNTS)
         seen = collections.defaultdict(set)
         for _ in range(50):
-            for item in sampler.next_batch():
-                assert item.sample_index not in seen[item.modality]
-                seen[item.modality].add(item.sample_index)
+            for modality, index in sampler.next_batch():
+                assert index not in seen[modality]
+                seen[modality].add(index)
         assert seen["A"] == set(range(100))
         assert seen["B"] == set(range(50))
 
     def test_batches_come_in_counts_order_indices_ascending(self):
-        sampler = BatchSampler(SamplerConfig(counts=(("B", 1), ("A", 2), ("C", 3))))
+        sampler = BatchSampler((("B", 1), ("A", 2), ("C", 3)))
         for start in range(3):
-            batch = [(i.modality, i.sample_index) for i in sampler.next_batch()]
+            batch = sampler.next_batch()
             assert batch == [("B", start), ("A", 2 * start), ("A", 2 * start + 1),
                              ("C", 3 * start), ("C", 3 * start + 1), ("C", 3 * start + 2)]
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
-            SamplerConfig(counts=(("A", 3), ("B", 0), ("C", 1)))
+            parse_config({"moe": {"n_experts": 4, "top_k": 2}, "run": {"iterations": 1},
+                          "sampler": {"counts": {"A": 3, "B": 0, "C": 1}}})

@@ -412,22 +412,24 @@ class TestExpertStats:
         return gate(np.array([1.0, 2.0, 3.0]), params, cfg)
 
     def test_uniform_single_position(self):
-        stats = ExpertStats({"L0": 4})
+        stats = ExpertStats()
         stats.accumulate(self._uniform_decision(), "dsA", "L0")
         cell = stats.cells[("dsA", "L0")]
         np.testing.assert_allclose(cell.participation, [0.25, 0.25, 0.0, 0.0], atol=1e-15)
         np.testing.assert_array_equal(cell.top1, [1, 0, 0, 0])
         assert cell.positions == 1
 
-    def test_unknown_layer_rejected(self):
+    def test_decision_with_another_expert_count_rejected(self):
         stats = ExpertStats()
-        with pytest.raises(UsageError):
-            stats.accumulate(self._uniform_decision(), "dsA", "L9")
+        stats.accumulate(self._uniform_decision(n=4), "dsA", "L0")
+        with pytest.raises(UsageError, match="'L0' has 5 experts, expected 4"):
+            stats.accumulate(self._uniform_decision(n=5), "dsA", "L0")
+        assert stats.cells[("dsA", "L0")].positions == 1
 
     def test_counting_oracle_single_expert(self):
         # Route 1000 positions entirely to expert 3 by construction.
         n = 5
-        stats = ExpertStats({"L": n})
+        stats = ExpertStats()
         w = 0.9
         probs = np.full(n, (1 - w) / (n - 1))
         probs[3] = w
@@ -446,7 +448,7 @@ class TestExpertStats:
         rng = np.random.default_rng(15)
         cfg, params = random_instance(rng, 6, 2, 4, 4)
         bank = build_bank(rng, cfg)
-        stats = ExpertStats({"L": 6})
+        stats = ExpertStats()
         total = 0
         for _ in range(5):
             _, decision = moe_forward(Tensor(rng.normal(size=(4, 4, 4))[None]), bank, params,
@@ -479,7 +481,7 @@ class TestExpertStats:
                 gate(x[0, 0, 0], params, cfg),
                 gate(np.zeros(cfg.in_channels), params, cfg),
             ]
-            stats = ExpertStats({"L": n})
+            stats = ExpertStats()
             expected = np.zeros(n, dtype=np.int64)
             for decision in decisions:
                 stats.accumulate(decision, "ds", "L")
@@ -621,9 +623,9 @@ class TestSortedDispatch:
             seen_k3 += selected.shape[-1] >= 3
             seen_unused += len(np.unique(selected)) < weight.shape[0]
             seen_single += x.data.ndim == 1
-            out, applications = ad.mix_experts(*args)
+            out = ad.mix_experts(*args)
             ref, ref_applications = oracle_mix_experts(*args)
-            assert applications == ref_applications == selected.size
+            assert ref_applications == selected.size
             assert out.shape == ref.shape
             assert out.data.tobytes() == ref.data.tobytes()
             if ref._op is None:
@@ -738,8 +740,8 @@ def oracle_moe_forward(x, bank, params, cfg):
     selected_w = ad.gather_last(probs, selected)
     if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
         raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out, applications = ad.mix_experts(x, bank.weight, bank.bias, selected, selected_w)
-    decision = RoutingDecision(selected, selected_w.data.copy(), probs.data.copy(), applications)
+    out = ad.mix_experts(x, bank.weight, bank.bias, selected, selected_w)
+    decision = RoutingDecision(selected, selected_w.data.copy(), probs.data.copy())
     return out, decision
 
 
@@ -883,7 +885,7 @@ class TestOneNodeLayer:
         monkeypatch.setattr(moe_mod, "moe_forward", oracle_moe_forward)
         monkeypatch.setattr(model_mod, "moe_forward", oracle_moe_forward)
         if dispatch == "mask":
-            monkeypatch.setattr(ad, "mix_experts", oracle_mix_experts)
+            monkeypatch.setattr(ad, "mix_experts", lambda *args: oracle_mix_experts(*args)[0])
         train(benchmark_config(0, 30, str(tmp_path / "five"), True), keep_model=False)
         for name in ("losses.csv", "dso_log.csv", "checkpoint.bin"):
             assert ((tmp_path / "fused" / name).read_bytes()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gridmoe.data import EVAL_INDEX_OFFSET
 from gridmoe.errors import ConfigError
 from gridmoe.runconfig import (
     REQUIRED,
@@ -43,7 +44,7 @@ class TestParsing:
         assert cfg.dso.tau == 3.0
         assert cfg.dso.bias_b == 0.4
         assert cfg.base_lr == 1e-4
-        assert cfg.sampler.counts == (("A", 2), ("B", 1), ("C", 1))
+        assert cfg.counts == (("A", 2), ("B", 1), ("C", 1))
         assert cfg.dso_enabled and cfg.moe_enabled
 
     def test_missing_top_k_names_field(self):
@@ -108,7 +109,14 @@ class TestParsing:
         cfg = parse_config(minimal(**{"data.height": 1, "data.width": 1}))
         assert (cfg.height, cfg.width) == (1, 1)
         cfg = parse_config(minimal(**{"sampler.counts": {"A": 4}, "run.dso": False}))
-        assert cfg.sampler.counts == (("A", 4),) and not cfg.dso_enabled
+        assert cfg.counts == (("A", 4),) and not cfg.dso_enabled
+
+    @pytest.mark.parametrize("counts", [{"A": 2, "B": 1, "C": 1}, {"A": 64}])
+    def test_training_may_reach_the_last_index_below_the_held_out_ones(self, counts):
+        most = max(counts.values())
+        cfg = parse_config(minimal(**{"sampler.counts": counts, "run.dso": False,
+                                      "run.iterations": EVAL_INDEX_OFFSET // most}))
+        assert cfg.iterations * most == EVAL_INDEX_OFFSET
 
 
 def dropped(dotted):
@@ -201,6 +209,15 @@ FAULTS = [
     pytest.param(minimal(**{"sampler.counts": {"A": 4}}),
                  "run.dso: the governor needs 2 or more tasks; set it false for one",
                  id="one_task_governor"),
+    pytest.param(minimal(**{"sampler.counts": {"A": 64}, "run.dso": False,
+                            "run.iterations": 20_000}),
+                 "run.iterations: must be <= 15625 with 64 samples of a modality per batch: "
+                 "training indices must stay below the held-out ones from 1000000",
+                 id="iterations_reach_held_out"),
+    pytest.param(minimal(**{"run.iterations": 500_001}),
+                 "run.iterations: must be <= 500000 with 2 samples of a modality per batch: "
+                 "training indices must stay below the held-out ones from 1000000",
+                 id="iterations_one_past_held_out"),
     # Several faults: structure before values, values in section order,
     # types before ranges.
     pytest.param(dict(dropped("moe.top_k"), run={"iterations": 10, "foo": 1}),

@@ -24,8 +24,10 @@ from gridmoe.train import (
     evaluate_stats,
     imbalance_benchmark,
     normalized_loss_spread,
+    start_training,
     sweep_rows,
     train,
+    train_step,
     write_sweep_csv,
 )
 from reference_ops import ShuffledSampler, per_sample_forward_batch
@@ -115,17 +117,16 @@ class TestGovernorOffEquivalence:
         modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
         tasks = gdata.default_tasks(cfg.label_noise)
         model = Model(cfg.model, tasks, seed=cfg.seed, moe_enabled=cfg.moe_enabled)
-        sampler = gdata.BatchSampler(cfg.sampler)
+        sampler = gdata.BatchSampler(cfg.counts)
         params = [p for group in model.param_groups().values() for p in group]
         for _ in range(cfg.iterations):
             batch = sampler.next_batch()
             samples = []
-            for item in batch:
+            for modality, index in batch:
                 image, target = gdata.generate_sample(
-                    modalities[item.modality], tasks[item.modality],
-                    item.sample_index, cfg.height, cfg.width,
+                    modalities[modality], tasks[modality], index, cfg.height, cfg.width,
                 )
-                samples.append((item.modality, item.sample_index, image, target))
+                samples.append((modality, index, image, target))
             total, _, _ = model.forward_batch(samples)
             ad.backward(total)
             for p in params:
@@ -265,6 +266,22 @@ class TestAbort:
         assert rows == logged[-10:]
 
 
+class TestStepNumber:
+    def test_the_sampler_numbers_the_steps(self, tmp_path):
+        """A sampler that has drawn N batches numbers the next step's rows N,
+        and N steps draw N batches."""
+        state = start_training(small_config(tmp_path / "run", iterations=10))
+        for _ in range(3):
+            state.sampler.next_batch()
+        for n in range(3, 6):
+            loss_row, dso_row = train_step(state)
+            assert loss_row["iteration"] == dso_row["iteration"] == n
+        fresh = start_training(small_config(tmp_path / "fresh", iterations=10))
+        for n in range(1, 5):
+            train_step(fresh)
+            assert fresh.sampler.batches == n
+
+
 class TestEvaluateStats:
     def test_counts_match_samples(self, tmp_path):
         cfg = small_config(tmp_path / "run", iterations=1)
@@ -357,10 +374,10 @@ def benchmark_step(out_dir, seed=0, moe=True):
 
     def draw():
         samples = []
-        for item in sampler.next_batch():
-            image, target = gdata.generate_sample(modalities[item.modality], tasks[item.modality],
-                                                  item.sample_index, cfg.height, cfg.width)
-            samples.append((item.modality, item.sample_index, image, target))
+        for modality, index in sampler.next_batch():
+            image, target = gdata.generate_sample(modalities[modality], tasks[modality],
+                                                  index, cfg.height, cfg.width)
+            samples.append((modality, index, image, target))
         return samples
 
     return model, draw
@@ -456,7 +473,7 @@ def test_batches_in_model_order_drift_only_in_routing_mass(tmp_path, monkeypatch
         return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
     ordered = run("ordered")
-    monkeypatch.setattr(gdata, "BatchSampler", lambda cfg: ShuffledSampler(cfg, seed))
+    monkeypatch.setattr(gdata, "BatchSampler", lambda counts: ShuffledSampler(counts, seed))
     monkeypatch.setattr(Model, "forward_batch", per_sample_forward_batch)
     shuffled = run("shuffled")
     assert sorted(ordered) == sorted(shuffled)

@@ -1,8 +1,11 @@
 """Print the SHA-256 of every artifact of short ``benchmark_config`` runs.
 
 For each seed it trains ``train.benchmark_config`` three ways (governor on,
-``--no-dso``, and ``--no-dso --no-moe``) into a temporary directory and prints
-one ``<sha256>  <variant>/seed<N>/<file>`` line per artifact, sorted.
+``--no-dso``, and ``--no-dso --no-moe``) into a temporary directory. Each
+checkpoint with gates (the first two ways) is then inspected with
+``gridmoe inspect-gates --n 8`` for modalities A, B and C, into
+``inspect_<modality>/`` beside it. The tool prints one
+``<sha256>  <variant>/seed<N>/<file>`` line per artifact, sorted.
 ``config_snapshot.json`` is left out: it records the output directory.
 
 Two checkouts that compute the same bits print the same lines, so a change
@@ -19,7 +22,9 @@ gridmoe is imported from ``--src`` (default: the ``src/`` beside this file).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +35,7 @@ VARIANTS = {
     "no-dso": {"run.dso": False},
     "no-dso-no-moe": {"run.dso": False, "run.moe": False},
 }
+INSPECT_SAMPLES = 8
 
 
 def main(argv=None) -> int:
@@ -40,6 +46,8 @@ def main(argv=None) -> int:
                         help="directory holding the gridmoe package to run")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    from gridmoe.cli import main as gridmoe_main
+    from gridmoe.data import MODALITIES
     from gridmoe.runconfig import parse_config, set_path
     from gridmoe.train import benchmark_config, train
 
@@ -53,6 +61,14 @@ def main(argv=None) -> int:
                 for dotted, value in overrides.items():
                     set_path(raw, dotted, value)
                 train(parse_config(raw), keep_model=False)
+                for modality in MODALITIES if overrides.get("run.moe", True) else ():
+                    argv = ["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                            "--modality", modality, "--n", str(INSPECT_SAMPLES),
+                            "--out", str(out / f"inspect_{modality}")]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = gridmoe_main(argv)
+                    if code != 0:
+                        raise SystemExit(f"gridmoe {' '.join(argv)} exited {code}")
                 lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
                           f"{variant}/seed{seed}/{path.relative_to(out).as_posix()}"
                           for path in sorted(out.rglob("*"))
