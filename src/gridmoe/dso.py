@@ -31,22 +31,19 @@ KL_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DsoConfig:
-    """Governor hyperparameters.
+    """Governor hyperparameters, the ``dso`` section; the tracker holds the task count.
 
     ``tau`` and ``bias_b`` shape the backbone sigmoid (gamma equals 1 exactly
     when the consistency score equals ``bias_b``); they are distinct from the
     gate temperature of the MoE layer.
     """
 
-    n_tasks: int
     alpha: float = 0.05
     theta: float = 1.0
     tau: float = 3.0
     bias_b: float = 0.4
 
     def __post_init__(self):
-        if self.n_tasks < 1:
-            raise ConfigError("dso.n_tasks", f"must be >= 1, got {self.n_tasks}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError("dso.alpha", f"must be in [0, 1], got {self.alpha}")
         if self.theta <= 0.0:
@@ -78,6 +75,8 @@ class LossTracker:
     last_multipliers: LrMultipliers = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        if self.n_tasks < 1:
+            raise ConfigError("dso.n_tasks", f"must be >= 1, got {self.n_tasks}")
         if self.last_multipliers is None:
             self.last_multipliers = LrMultipliers.identity(self.n_tasks)
 
@@ -94,10 +93,8 @@ def update_ema(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LossTra
     neutral.
     """
     observed = np.asarray(observed_losses, dtype=np.float64).reshape(-1)
-    if observed.shape[0] != cfg.n_tasks:
-        raise DomainError(
-            f"expected {cfg.n_tasks} task losses, got {observed.shape[0]}"
-        )
+    if observed.shape[0] != tracker.n_tasks:
+        raise DomainError(f"expected {tracker.n_tasks} task losses, got {observed.shape[0]}")
     if not losses_valid(observed):
         raise DomainError("task losses must be finite and > 0 (upstream divergence?)")
     if tracker.his is None or cfg.alpha == 1.0:
@@ -120,7 +117,7 @@ def head_multipliers(tracker: LossTracker, cfg: DsoConfig) -> np.ndarray:
     w = convergence_ratios(tracker)
     if np.any(tracker.cur < CUR_LOSS_FLOOR):
         log.warning("current loss at or below %g clamped for ratio computation", CUR_LOSS_FLOOR)
-    return cfg.n_tasks * stable_softmax(w / cfg.theta)
+    return tracker.n_tasks * stable_softmax(w / cfg.theta)
 
 
 def convergence_ratios(tracker: LossTracker) -> np.ndarray:
@@ -161,8 +158,8 @@ def step(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LrMultipliers
     corrupting the tracker.
     """
     observed = np.asarray(observed_losses, dtype=np.float64).reshape(-1)
-    if observed.shape[0] != cfg.n_tasks:
-        raise DomainError(f"expected {cfg.n_tasks} task losses, got {observed.shape[0]}")
+    if observed.shape[0] != tracker.n_tasks:
+        raise DomainError(f"expected {tracker.n_tasks} task losses, got {observed.shape[0]}")
     if not losses_valid(observed):
         log.warning("skipping governor update: invalid losses %s", observed)
         return tracker.last_multipliers
@@ -174,20 +171,10 @@ def step(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LrMultipliers
     return tracker.last_multipliers
 
 
-def apply_multipliers(base_lr: float, group: str, multipliers: LrMultipliers) -> float:
-    """Effective learning rate for a parameter group.
-
-    ``group`` is either "backbone" (shared trunk, including MoE gates and
-    experts) or "head_<t>" for task index t.
-    """
+def apply_multipliers(base_lr: float, multipliers: LrMultipliers) -> list[float]:
+    """Effective learning rates in ``Model.param_groups`` order: the backbone
+    (shared trunk, including MoE gates and experts), then each task head."""
     if base_lr <= 0.0:
         raise ConfigError("base_lr", f"must be > 0, got {base_lr}")
-    if group == "backbone":
-        return base_lr * multipliers.backbone_gamma
-    if group.startswith("head_"):
-        suffix = group[len("head_"):]
-        if suffix.isdigit():
-            index = int(suffix)
-            if index < len(multipliers.head_lambdas):
-                return base_lr * float(multipliers.head_lambdas[index])
-    raise UsageError(f"unknown parameter group {group!r}")
+    return [base_lr * multipliers.backbone_gamma,
+            *(base_lr * float(lam) for lam in multipliers.head_lambdas)]

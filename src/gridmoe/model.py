@@ -47,14 +47,7 @@ class ModelSpec:
             raise ConfigError("model.moe_layers", "duplicate placement indices")
 
     def moe_config(self) -> MoEConfig:
-        return MoEConfig(
-            n_experts=self.n_experts,
-            top_k=self.top_k,
-            in_channels=self.channels,
-            out_channels=self.channels,
-            gate_temperature=self.gate_temperature,
-            gate_dim=self.gate_dim,
-        )
+        return MoEConfig(self.n_experts, self.top_k, self.gate_temperature, self.gate_dim)
 
 
 class TrunkBlock:
@@ -182,17 +175,10 @@ class Model:
 
     # -- parameter bookkeeping -------------------------------------------
 
-    def param_groups(self) -> dict[str, list[Tensor]]:
-        """Backbone (trunk, gates, experts) plus one group per task head."""
-        groups = {"backbone": []}
-        for block in self.blocks:
-            groups["backbone"].extend(block.parameters())
-        for index, task_id in enumerate(self.task_order):
-            groups[f"head_{index}"] = list(self.heads[task_id])
-        return groups
-
-    def head_group_name(self, task_id: str) -> str:
-        return f"head_{self.task_order.index(task_id)}"
+    def param_groups(self) -> list[list[Tensor]]:
+        """The backbone (trunk, gates, experts), then each task head in task order."""
+        backbone = [p for block in self.blocks for p in block.parameters()]
+        return [backbone, *(list(self.heads[task_id]) for task_id in self.task_order)]
 
     def named_parameters(self) -> list[tuple[str, Tensor, tuple]]:
         """(checkpoint entry, tensor, index) triples; the entry is ``tensor.data[index]``,

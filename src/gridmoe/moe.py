@@ -29,12 +29,10 @@ GATE_INIT_STD = 0.02
 
 @dataclass(frozen=True)
 class MoEConfig:
-    """Static layer shape: expert count, sparsity, gating space, channels."""
+    """The ``moe`` section: expert count, sparsity, gating space; channels are the weight's."""
 
     n_experts: int
     top_k: int
-    in_channels: int
-    out_channels: int
     gate_temperature: float = 0.07
     gate_dim: int | None = None
 
@@ -45,18 +43,12 @@ class MoEConfig:
             raise ConfigError(
                 "moe.top_k", f"must be in [1, n_experts={self.n_experts}], got {self.top_k}"
             )
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError("moe.channels", "channel counts must be positive")
         if self.gate_temperature <= 0.0:
             raise ConfigError(
                 "moe.gate_temperature", f"must be > 0, got {self.gate_temperature}"
             )
         if self.gate_dim is not None and self.gate_dim < 1:
             raise ConfigError("moe.gate_dim", f"must be positive, got {self.gate_dim}")
-
-    @property
-    def effective_gate_dim(self) -> int:
-        return self.in_channels if self.gate_dim is None else self.gate_dim
 
 
 class GateParams:
@@ -136,8 +128,8 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
 def _route(x: np.ndarray, params: GateParams, cfg: MoEConfig) -> ad.Routing:
     """Gate projection, cosine logits, full softmax, top-k expert ids and their
     gate weights at every position of x."""
-    if x.shape[-1] != cfg.in_channels:
-        raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
+    if x.shape[-1] != params.W.shape[1]:
+        raise ShapeError(f"routing: expected {params.W.shape[1]} channels, got {x.shape[-1]}")
     u = ad._linear(x, params.W.data)
     logits, cosine = ad._cosine_logits(u, params.E.data, cfg.gate_temperature)
     probs = stable_softmax(logits)
@@ -194,15 +186,13 @@ def init_from_pretrained(
     """
     weight = np.asarray(pretrained_weight, dtype=np.float64)
     bias = np.asarray(pretrained_bias, dtype=np.float64)
-    if weight.shape != (cfg.out_channels, cfg.in_channels) or bias.shape != (cfg.out_channels,):
-        raise ShapeError(
-            f"init_from_pretrained: weight {weight.shape} / bias {bias.shape} do not match "
-            f"({cfg.out_channels}, {cfg.in_channels})"
-        )
+    if weight.ndim != 2 or bias.shape != weight.shape[:1]:
+        raise ShapeError(f"init_from_pretrained: needs a (C_out, C_in) weight and a (C_out,) "
+                         f"bias, got {weight.shape} and {bias.shape}")
     rng = np.random.default_rng(seed)
 
-    gate_dim = cfg.effective_gate_dim
-    W = _orthogonal_frame(rng, gate_dim, cfg.in_channels, GATE_INIT_STD)
+    gate_dim = weight.shape[1] if cfg.gate_dim is None else cfg.gate_dim
+    W = _orthogonal_frame(rng, gate_dim, weight.shape[1], GATE_INIT_STD)
     E = _orthogonal_frame(rng, gate_dim, cfg.n_experts, GATE_INIT_STD)
     bank = ExpertBank(Tensor(np.repeat(weight[None], cfg.n_experts, axis=0), requires_grad=True),
                       Tensor(np.repeat(bias[None], cfg.n_experts, axis=0), requires_grad=True))

@@ -172,8 +172,8 @@ def parse_config(raw: dict) -> RunConfig:
     if sampler["batch_size"] != total:
         raise ConfigError("sampler.counts",
                           f"counts sum to {total} but batch_size is {sampler['batch_size']}")
-    dso_cfg = DsoConfig(n_tasks=len(sampler["counts"]), **dso)
-    if run["dso"] and dso_cfg.n_tasks < 2:
+    dso_cfg = DsoConfig(**dso)  # its range checks come before the task-count one
+    if run["dso"] and len(sampler["counts"]) < 2:
         raise ConfigError("run.dso", "the governor needs 2 or more tasks; set it false for one")
     return RunConfig(
         model=model_spec,

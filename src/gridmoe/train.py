@@ -104,7 +104,7 @@ class TrainState:
     tasks: dict
     model: Model
     sampler: gdata.BatchSampler
-    groups: dict[str, list[ad.Tensor]]
+    groups: list[list[ad.Tensor]]  # ``Model.param_groups``: the backbone, then each head
     tracker: dso.LossTracker
     stats: ExpertStats
     # The last loss rows: a non-finite loss writes them to the diagnostic dump.
@@ -169,10 +169,8 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
         ratios = np.ones(len(order))
 
     ad.backward(total)
-    effective = {}
-    for group_name, params in state.groups.items():
-        lr = dso.apply_multipliers(cfg.base_lr, group_name, multipliers)
-        effective[group_name] = lr
+    rates = dso.apply_multipliers(cfg.base_lr, multipliers)
+    for lr, params in zip(rates, state.groups, strict=True):
         for param in params:
             if param.grad is not None:
                 param.data = param.data - lr * param.grad
@@ -186,13 +184,13 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     log_cur = tracker.cur if tracker.cur is not None else values
     log_his = tracker.his if tracker.his is not None else values
     dso_row = {"iteration": iteration, "C": multipliers.consistency,
-               "gamma": multipliers.backbone_gamma, "lr_backbone": effective["backbone"]}
+               "gamma": multipliers.backbone_gamma, "lr_backbone": rates[0]}
     for idx, t in enumerate(order):
         dso_row[f"cur_{t}"] = float(log_cur[idx])
         dso_row[f"his_{t}"] = float(log_his[idx])
         dso_row[f"w_{t}"] = float(ratios[idx])
         dso_row[f"lambda_{t}"] = float(multipliers.head_lambdas[idx])
-        dso_row[f"lr_head_{t}"] = effective[model.head_group_name(t)]
+        dso_row[f"lr_head_{t}"] = rates[1 + idx]
     return loss_row, dso_row
 
 
@@ -292,12 +290,7 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     for key, option in (("run.seed", "--seeds"), ("run.out_dir", "--out")):
         if key in grid:
             raise ConfigError(key, f"cannot be swept: every run's value comes from {option}")
-    seeds = [int(seed) for seed in seeds]
-    if not seeds:
-        raise ConfigError("seeds", "need at least one seed")
-    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
-    if repeated:
-        raise ConfigError("seeds", f"seed {repeated[0]} is given more than once")
+    seeds = _distinct_seeds(int(seed) for seed in seeds)
     runs = []
     for cell_index, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         for seed in seeds:
@@ -319,6 +312,17 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
         row["gamma_max"] = result.gamma_max
         rows.append(row)
     return rows
+
+
+def _distinct_seeds(seeds) -> list:
+    """The seeds as a list, refused when empty or repeated: each names a run directory."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("seeds", "need at least one seed")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ConfigError("seeds", f"seed {repeated[0]} is given more than once")
+    return seeds
 
 
 def _render(value):
@@ -431,20 +435,19 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
     Every seed keeps ``data.modality_seed`` 0, so all seeds read one data
     stream in one batch order: a seed changes only the model initialization.
     Writes each seed's spreads and entropy changes to ``benchmark_seeds.csv``
-    under ``out_root``, so a seed that flips the comparison shows there.
+    under ``out_root``, so a seed that flips the comparison shows there. The
+    seeds must be distinct and every run's config valid: both are checked
+    before anything is written.
     """
     out_root = Path(out_root)
+    runs = [(seed, benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True),
+             benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False))
+            for seed in _distinct_seeds(seeds)]
     out_root.mkdir(parents=True, exist_ok=True)
     per_seed = []
-    for seed in seeds:
-        with_dso = train(
-            benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True),
-            keep_model=False,
-        )
-        without_dso = train(
-            benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False),
-            keep_model=False,
-        )
+    for seed, dso_cfg, plain_cfg in runs:
+        with_dso = train(dso_cfg, keep_model=False)
+        without_dso = train(plain_cfg, keep_model=False)
         per_seed.append(
             BenchmarkSeedResult(
                 seed=seed,

@@ -68,7 +68,7 @@ def test_criterion_1_routing_oracle():
     start = time.monotonic()
     for _ in range(1000):
         cfg, params = random_instance(rng)
-        x = rng.normal(size=cfg.in_channels)
+        x = rng.normal(size=params.W.shape[1])
         decision = gate(x, params, cfg)
         want_sel, want_probs = oracle_gate(
             x, params.W.data, params.E.data, cfg.gate_temperature, cfg.top_k
@@ -85,7 +85,7 @@ def test_criterion_2_scale_invariance():
     rng = np.random.default_rng(56)
     for _ in range(200):
         cfg, params = random_instance(rng)
-        x = rng.normal(size=cfg.in_channels)
+        x = rng.normal(size=params.W.shape[1])
         base = gate(x, params, cfg)
         for c in (0.5, 3.0, 100.0):
             scaled = gate(c * x, params, cfg)
@@ -143,16 +143,16 @@ def test_criterion_4_dso_formula_suite():
     rng = np.random.default_rng(9)
     for _ in range(1000):
         t = int(rng.integers(2, 7))
-        cfg = DsoConfig(n_tasks=t, theta=float(rng.uniform(0.3, 3.0)))
+        cfg = DsoConfig(theta=float(rng.uniform(0.3, 3.0)))
         tracker = make_tracker(rng.uniform(1e-3, 10.0, size=t),
                                rng.uniform(1e-3, 10.0, size=t))
         lambdas = head_multipliers(tracker, cfg)
         assert abs(lambdas.sum() - t) < 1e-9
 
     for b in (-0.2, 0.0, 0.4, 0.9):
-        cfg = DsoConfig(n_tasks=2, tau=3.0, bias_b=b)
+        cfg = DsoConfig(tau=3.0, bias_b=b)
         assert abs(backbone_multiplier(b, cfg) - 1.0) < 1e-12
-    cfg = DsoConfig(n_tasks=2, tau=3.0, bias_b=0.4)
+    cfg = DsoConfig(tau=3.0, bias_b=0.4)
     for c in np.linspace(1.0 - math.log(1e12), 1.0, 200):
         assert 0.0 < backbone_multiplier(float(c), cfg) < 2.0
 
@@ -161,7 +161,7 @@ def test_criterion_4_dso_formula_suite():
 
     # worked examples against the independent arithmetic oracles
     lam = head_multipliers(make_tracker([2.0, 1.0], [1.0, 2.0]),
-                           DsoConfig(n_tasks=2, theta=1.0))
+                           DsoConfig(theta=1.0))
     lam_oracle = oracle_lambdas([0.5, 2.0], 1.0)
     assert abs(lam[0] - lam_oracle[0]) < 1e-5
     assert abs(lam[1] - lam_oracle[1]) < 1e-5
@@ -169,15 +169,14 @@ def test_criterion_4_dso_formula_suite():
     c_score = consistency_score(make_tracker([1.0, 2.0], [1.5, 1.5]))
     assert abs(c_score - oracle_consistency([1.0, 2.0], [1.5, 1.5])) < 1e-5
 
-    gamma = backbone_multiplier(1.0, DsoConfig(n_tasks=2, tau=3.0, bias_b=0.4))
+    gamma = backbone_multiplier(1.0, DsoConfig(tau=3.0, bias_b=0.4))
     assert abs(gamma - oracle_gamma(1.0, 0.4, 3.0)) < 1e-5
 
 
 @report(5, "duplication-init identity")
 def test_criterion_5_duplication_init():
     rng = np.random.default_rng(21)
-    cfg = MoEConfig(n_experts=6, top_k=2, in_channels=5, out_channels=4,
-                    gate_temperature=0.07)
+    cfg = MoEConfig(n_experts=6, top_k=2, gate_temperature=0.07)
     pre_w = rng.normal(size=(4, 5))
     pre_b = rng.normal(size=4)
     bank, _ = init_from_pretrained(pre_w, pre_b, cfg, seed=3)
@@ -200,10 +199,9 @@ def test_criterion_6_k_equals_n_dense():
     for _ in range(100):
         n = int(rng.integers(1, 8))
         c = int(rng.integers(2, 6))
-        cfg = MoEConfig(n_experts=n, top_k=n, in_channels=c, out_channels=c,
-                        gate_temperature=float(rng.uniform(0.1, 1.5)))
+        cfg = MoEConfig(n_experts=n, top_k=n, gate_temperature=float(rng.uniform(0.1, 1.5)))
         _, params = random_instance(rng, n, n, c, c)
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params)
         x = rng.normal(size=(3, 2, c))
         out, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
         dense = np.zeros_like(out.data)
@@ -218,10 +216,9 @@ def test_criterion_6_k_equals_n_dense():
 def test_criterion_7_sparsity_accounting():
     rng = np.random.default_rng(44)
     for h, w, n, k in [(8, 8, 8, 2), (8, 8, 4, 2), (5, 3, 6, 3), (2, 9, 10, 1)]:
-        cfg = MoEConfig(n_experts=n, top_k=k, in_channels=4, out_channels=4,
-                        gate_temperature=0.3)
+        cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=0.3)
         _, params = random_instance(rng, n, k, 4, 4)
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params)
         _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 4))[None]), bank, params, cfg)
         assert decision.expert_applications == h * w * k
 

@@ -16,7 +16,7 @@ from gridmoe.dso import (
     step,
     update_ema,
 )
-from gridmoe.errors import ConfigError, DomainError, UsageError
+from gridmoe.errors import ConfigError, DomainError
 
 
 def oracle_softmax(values):
@@ -75,32 +75,42 @@ def make_tracker(cur, his) -> LossTracker:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            DsoConfig(n_tasks=0)
+            DsoConfig(alpha=1.5)
         with pytest.raises(ConfigError):
-            DsoConfig(n_tasks=2, alpha=1.5)
+            DsoConfig(theta=0.0)
         with pytest.raises(ConfigError):
-            DsoConfig(n_tasks=2, theta=0.0)
-        with pytest.raises(ConfigError):
-            DsoConfig(n_tasks=2, tau=-1.0)
+            DsoConfig(tau=-1.0)
 
     def test_defaults_match_documented_values(self):
-        cfg = DsoConfig(n_tasks=3)
+        cfg = DsoConfig()
         assert cfg.alpha == 0.05
         assert cfg.theta == 1.0
         assert cfg.tau == 3.0
         assert cfg.bias_b == 0.4
 
 
+class TestTracker:
+    def test_needs_a_task(self):
+        # The task count is the tracker's, so it checks it.
+        with pytest.raises(ConfigError, match="dso.n_tasks"):
+            LossTracker(0)
+
+    def test_loss_count_checked_against_the_tracker(self):
+        for fn in (update_ema, step):
+            with pytest.raises(DomainError, match="expected 3 task losses, got 2"):
+                fn(LossTracker(3), [1.0, 2.0], DsoConfig())
+
+
 class TestEma:
     def test_alpha_one_tracks_exactly(self):
-        cfg = DsoConfig(n_tasks=2, alpha=1.0)
+        cfg = DsoConfig(alpha=1.0)
         tracker = LossTracker(2)
         for losses in ([1.0, 2.0], [5.0, 0.5], [0.1, 9.0]):
             update_ema(tracker, losses, cfg)
             np.testing.assert_array_equal(tracker.his, losses)
 
     def test_alpha_zero_freezes_history(self):
-        cfg = DsoConfig(n_tasks=2, alpha=0.0)
+        cfg = DsoConfig(alpha=0.0)
         tracker = LossTracker(2)
         update_ema(tracker, [1.0, 2.0], cfg)
         for losses in ([5.0, 0.5], [0.1, 9.0]):
@@ -109,21 +119,21 @@ class TestEma:
 
     def test_half_alpha_arithmetic(self):
         # 0.5 * 4 + 0.5 * 2 = 3
-        cfg = DsoConfig(n_tasks=1, alpha=0.5)
+        cfg = DsoConfig(alpha=0.5)
         tracker = LossTracker(1)
         update_ema(tracker, [2.0], cfg)
         update_ema(tracker, [4.0], cfg)
         np.testing.assert_allclose(tracker.his, [3.0])
 
     def test_bootstrap_equals_first_losses(self):
-        cfg = DsoConfig(n_tasks=3, alpha=0.05)
+        cfg = DsoConfig(alpha=0.05)
         tracker = LossTracker(3)
         update_ema(tracker, [3.0, 1.0, 7.0], cfg)
         np.testing.assert_array_equal(tracker.his, [3.0, 1.0, 7.0])
         np.testing.assert_array_equal(tracker.cur, [3.0, 1.0, 7.0])
 
     def test_rejects_invalid_losses(self):
-        cfg = DsoConfig(n_tasks=2)
+        cfg = DsoConfig()
         tracker = LossTracker(2)
         for bad in ([1.0, 0.0], [1.0, -2.0], [1.0, float("nan")], [1.0, float("inf")]):
             with pytest.raises(DomainError):
@@ -132,7 +142,7 @@ class TestEma:
 
 class TestHeadMultipliers:
     def test_all_equal_ratios_give_ones(self):
-        cfg = DsoConfig(n_tasks=4)
+        cfg = DsoConfig()
         tracker = make_tracker([2.0, 5.0, 0.3, 1.1], [2.0, 5.0, 0.3, 1.1])
         np.testing.assert_allclose(head_multipliers(tracker, cfg), np.ones(4), atol=1e-15)
 
@@ -141,7 +151,7 @@ class TestHeadMultipliers:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             t = int(rng.integers(2, 7))
-            cfg = DsoConfig(n_tasks=t, theta=float(rng.uniform(0.2, 3.0)))
+            cfg = DsoConfig(theta=float(rng.uniform(0.2, 3.0)))
             tracker = make_tracker(
                 rng.uniform(1e-3, 10.0, size=t), rng.uniform(1e-3, 10.0, size=t)
             )
@@ -155,7 +165,7 @@ class TestHeadMultipliers:
         rng = np.random.default_rng(42)
         for _ in range(500):
             t = int(rng.integers(2, 7))
-            cfg = DsoConfig(n_tasks=t, theta=float(rng.uniform(0.5, 2.0)))
+            cfg = DsoConfig(theta=float(rng.uniform(0.5, 2.0)))
             cur = rng.uniform(0.05, 10.0, size=t)
             his = cur * rng.uniform(0.25, 4.0, size=t)
             lambdas = head_multipliers(make_tracker(cur, his), cfg)
@@ -165,7 +175,7 @@ class TestHeadMultipliers:
 
     def test_worked_example_against_oracle(self):
         # w = [0.5, 2] with theta=1
-        cfg = DsoConfig(n_tasks=2, theta=1.0)
+        cfg = DsoConfig(theta=1.0)
         tracker = make_tracker([2.0, 1.0], [1.0, 2.0])
         lambdas = head_multipliers(tracker, cfg)
         expected = oracle_lambdas([0.5, 2.0], 1.0)
@@ -175,7 +185,7 @@ class TestHeadMultipliers:
         assert abs(expected[1] - 1.635135) < 2e-5
 
     def test_zero_current_loss_clamped_with_warning(self, caplog):
-        cfg = DsoConfig(n_tasks=2)
+        cfg = DsoConfig()
         tracker = make_tracker([0.0, 1.0], [1.0, 1.0])
         with caplog.at_level("WARNING", logger="gridmoe.dso"):
             lambdas = head_multipliers(tracker, cfg)
@@ -185,7 +195,7 @@ class TestHeadMultipliers:
 
     def test_common_scale_invariance(self):
         rng = np.random.default_rng(1)
-        cfg = DsoConfig(n_tasks=3, theta=0.7)
+        cfg = DsoConfig(theta=0.7)
         cur = rng.uniform(0.1, 5.0, size=3)
         his = rng.uniform(0.1, 5.0, size=3)
         base = head_multipliers(make_tracker(cur, his), cfg)
@@ -236,18 +246,18 @@ class TestConsistency:
 class TestBackboneMultiplier:
     def test_balance_point_gives_exactly_one(self):
         for b in (-0.5, 0.0, 0.4, 0.9):
-            cfg = DsoConfig(n_tasks=2, tau=3.0, bias_b=b)
+            cfg = DsoConfig(tau=3.0, bias_b=b)
             assert backbone_multiplier(b, cfg) == 1.0
 
     def test_logistic_oracle_value(self):
-        cfg = DsoConfig(n_tasks=2, tau=3.0, bias_b=0.4)
+        cfg = DsoConfig(tau=3.0, bias_b=0.4)
         got = backbone_multiplier(1.0, cfg)
         expected = oracle_gamma(1.0, 0.4, 3.0)
         assert abs(got - expected) < 1e-12
         assert abs(got - 1.716298) < 1e-6
 
     def test_strictly_increasing_and_bounded(self):
-        cfg = DsoConfig(n_tasks=2, tau=3.0, bias_b=0.4)
+        cfg = DsoConfig(tau=3.0, bias_b=0.4)
         # reachable consistency scores: C in [1 - log(1/1e-12), 1]
         grid = np.linspace(1.0 - math.log(1e12), 1.0, 500)
         values = [backbone_multiplier(float(c), cfg) for c in grid]
@@ -258,7 +268,7 @@ class TestBackboneMultiplier:
 
 class TestStep:
     def test_first_iteration_is_neutral(self):
-        cfg = DsoConfig(n_tasks=3, tau=3.0, bias_b=0.4)
+        cfg = DsoConfig(tau=3.0, bias_b=0.4)
         tracker = LossTracker(3)
         result = step(tracker, [1.0, 2.0, 3.0], cfg)
         np.testing.assert_allclose(result.head_lambdas, np.ones(3), atol=1e-15)
@@ -266,7 +276,7 @@ class TestStep:
         assert abs(result.backbone_gamma - oracle_gamma(1.0, 0.4, 3.0)) < 1e-12
 
     def test_constant_stream_is_fixed_point(self):
-        cfg = DsoConfig(n_tasks=2)
+        cfg = DsoConfig()
         tracker = LossTracker(2)
         outputs = [step(tracker, [2.0, 3.0], cfg) for _ in range(10)]
         for result in outputs[1:]:
@@ -279,7 +289,7 @@ class TestStep:
         rng = np.random.default_rng(3)
         stream = [list(rng.uniform(0.05, 4.0, size=3)) for _ in range(50)]
         alpha, theta, tau, b = 0.1, 0.8, 2.5, 0.3
-        cfg = DsoConfig(n_tasks=3, alpha=alpha, theta=theta, tau=tau, bias_b=b)
+        cfg = DsoConfig(alpha=alpha, theta=theta, tau=tau, bias_b=b)
         tracker = LossTracker(3)
         expected = simulate_stream(stream, alpha, theta, tau, b)
         for losses, (exp_lambdas, exp_c, exp_gamma) in zip(stream, expected):
@@ -295,7 +305,7 @@ class TestStep:
         exceeds 1 and its multiplier lands above task 1's; the independent
         simulation pins the same direction.
         """
-        cfg = DsoConfig(n_tasks=2, alpha=0.05, theta=1.0)
+        cfg = DsoConfig(alpha=0.05, theta=1.0)
         stream = [[8.0 / (2.0**i), 1.0] for i in range(12)]
         expected = simulate_stream(stream, 0.05, 1.0, cfg.tau, cfg.bias_b)
         tracker = LossTracker(2)
@@ -307,7 +317,7 @@ class TestStep:
                 assert result.head_lambdas[0] > 1.0 > result.head_lambdas[1]
 
     def test_invalid_losses_skip_and_return_previous(self):
-        cfg = DsoConfig(n_tasks=2)
+        cfg = DsoConfig()
         tracker = LossTracker(2)
         first = step(tracker, [1.0, 1.0], cfg)
         his_before = tracker.his.copy()
@@ -323,7 +333,7 @@ class TestStep:
     def test_replay_determinism(self):
         rng = np.random.default_rng(4)
         stream = [list(rng.uniform(0.1, 3.0, size=3)) for _ in range(30)]
-        cfg = DsoConfig(n_tasks=3)
+        cfg = DsoConfig()
 
         def run():
             tracker = LossTracker(3)
@@ -339,26 +349,22 @@ class TestStep:
 
 
 class TestApplyMultipliers:
+    """Rates come back in group order: the backbone, then head 0, head 1, ..."""
+
     def test_identity_multipliers_leave_rate(self):
-        mult = LrMultipliers.identity(3)
-        assert apply_multipliers(1e-4, "backbone", mult) == 1e-4
-        assert apply_multipliers(1e-4, "head_1", mult) == 1e-4
+        rates = apply_multipliers(1e-4, LrMultipliers.identity(3))
+        assert rates[0] == 1e-4
+        assert rates[2] == 1e-4
 
     def test_backbone_scaling(self):
         mult = LrMultipliers(np.ones(2), 1.716298, 1.0)
-        assert abs(apply_multipliers(1e-4, "backbone", mult) - 1.716298e-4) < 1e-18
+        assert abs(apply_multipliers(1e-4, mult)[0] - 1.716298e-4) < 1e-18
 
     def test_head_scaling(self):
-        mult = LrMultipliers(np.array([0.5, 1.5]), 1.0, 1.0)
-        assert apply_multipliers(2e-3, "head_0", mult) == pytest.approx(1e-3)
-        assert apply_multipliers(2e-3, "head_1", mult) == pytest.approx(3e-3)
-
-    def test_unknown_group_rejected(self):
-        mult = LrMultipliers.identity(2)
-        for bad in ("head_7", "head_x", "trunk", "head"):
-            with pytest.raises(UsageError):
-                apply_multipliers(1e-4, bad, mult)
+        rates = apply_multipliers(2e-3, LrMultipliers(np.array([0.5, 1.5]), 1.0, 1.0))
+        assert rates[1] == pytest.approx(1e-3)
+        assert rates[2] == pytest.approx(3e-3)
 
     def test_nonpositive_base_rejected(self):
         with pytest.raises(ConfigError):
-            apply_multipliers(0.0, "backbone", LrMultipliers.identity(2))
+            apply_multipliers(0.0, LrMultipliers.identity(2))

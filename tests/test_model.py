@@ -126,23 +126,17 @@ class TestParamGroups:
         tasks = default_tasks()
         model = Model(ModelSpec(), tasks, seed=2)
         groups = model.param_groups()
-        assert set(groups) == {"backbone", "head_0", "head_1", "head_2"}
-        ids = [id(p) for params in groups.values() for p in params]
+        assert len(groups) == 1 + 3  # the backbone, then one group per task head
+        ids = [id(p) for params in groups for p in params]
         assert len(ids) == len(set(ids))
         # gate and expert parameters live in the backbone group
-        backbone_ids = {id(p) for p in groups["backbone"]}
+        backbone_ids = {id(p) for p in groups[0]}
         for block in model.blocks:
             if block.has_moe:
                 assert id(block.gate.W) in backbone_ids
                 assert id(block.gate.E) in backbone_ids
                 assert id(block.bank.weight) in backbone_ids
                 assert id(block.bank.bias) in backbone_ids
-
-    def test_head_group_lookup(self):
-        tasks = default_tasks()
-        model = Model(ModelSpec(), tasks, seed=2)
-        assert model.head_group_name("A") == "head_0"
-        assert model.head_group_name("C") == "head_2"
 
 
 class TestStateDict:
@@ -200,11 +194,11 @@ class TestStateDict:
             state["trunk.2.expert.1.bias"] = np.zeros(5)
         else:
             del state["trunk.0.expert.3.weight"]
-        held = [p.data for p in model.param_groups()["backbone"]]
+        held = [p.data for p in model.param_groups()[0]]
         with pytest.raises(ShapeError) as excinfo:
             model.load_state(state)
         assert message in str(excinfo.value)
-        assert all(p.data is d for p, d in zip(model.param_groups()["backbone"], held))
+        assert all(p.data is d for p, d in zip(model.param_groups()[0], held))
 
     def test_shape_mismatch_rejected(self):
         tasks = default_tasks()

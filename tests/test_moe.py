@@ -51,10 +51,8 @@ def random_instance(rng, n_experts=None, k=None, c_in=None, gate_dim=None):
     k = int(k if k is not None else rng.integers(1, min(n, 3) + 1))
     c_in = int(c_in if c_in is not None else rng.integers(2, 7))
     gate_dim = int(gate_dim if gate_dim is not None else rng.integers(2, 7))
-    cfg = MoEConfig(
-        n_experts=n, top_k=k, in_channels=c_in, out_channels=c_in,
-        gate_temperature=float(rng.uniform(0.05, 2.0)), gate_dim=gate_dim,
-    )
+    cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=float(rng.uniform(0.05, 2.0)),
+                    gate_dim=gate_dim)
     W = rng.normal(size=(gate_dim, c_in))
     E = rng.normal(size=(gate_dim, n))
     params = GateParams(Tensor(W, requires_grad=True), Tensor(E, requires_grad=True))
@@ -65,8 +63,7 @@ class TestGate:
     def test_identical_embeddings_uniform_tiebreak(self):
         rng = np.random.default_rng(0)
         for n, k in [(4, 2), (5, 1), (3, 3), (8, 3)]:
-            cfg = MoEConfig(n_experts=n, top_k=k, in_channels=3, out_channels=3,
-                            gate_temperature=0.5)
+            cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=0.5)
             col = rng.normal(size=3)
             E = np.repeat(col[:, None], n, axis=1)
             params = GateParams(Tensor(np.eye(3)), Tensor(E))
@@ -77,8 +74,7 @@ class TestGate:
 
     def test_two_expert_worked_example(self):
         # cosines are [1, 0]; softmax gives the logistic pair.
-        cfg = MoEConfig(n_experts=2, top_k=1, in_channels=2, out_channels=2,
-                        gate_temperature=1.0, gate_dim=2)
+        cfg = MoEConfig(n_experts=2, top_k=1, gate_temperature=1.0, gate_dim=2)
         params = GateParams(
             Tensor(np.eye(2)), Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         )
@@ -92,7 +88,7 @@ class TestGate:
         rng = np.random.default_rng(1234)
         for _ in range(1000):
             cfg, params = random_instance(rng)
-            x = rng.normal(size=cfg.in_channels)
+            x = rng.normal(size=params.W.shape[1])
             decision = gate(x, params, cfg)
             sel, probs = oracle_gate(
                 x, params.W.data, params.E.data, cfg.gate_temperature, cfg.top_k
@@ -105,7 +101,7 @@ class TestGate:
         rng = np.random.default_rng(77)
         for _ in range(50):
             cfg, params = random_instance(rng)
-            x = rng.normal(size=cfg.in_channels)
+            x = rng.normal(size=params.W.shape[1])
             base = gate(x, params, cfg)
             for c in (0.5, 3.0, 100.0):
                 scaled = gate(c * x, params, cfg)
@@ -118,7 +114,7 @@ class TestGate:
 
     def test_degenerate_input_uniform_fallback(self):
         cfg, params = random_instance(np.random.default_rng(5), n_experts=6, k=2)
-        decision = gate(np.zeros(cfg.in_channels), params, cfg)
+        decision = gate(np.zeros(params.W.shape[1]), params, cfg)
         np.testing.assert_allclose(decision.full_softmax, np.full(6, 1 / 6), atol=1e-15)
         assert decision.selected_indices.tolist() == [0, 1]
 
@@ -126,7 +122,7 @@ class TestGate:
         rng = np.random.default_rng(99)
         for _ in range(200):
             cfg, params = random_instance(rng)
-            decision = gate(rng.normal(size=cfg.in_channels), params, cfg)
+            decision = gate(rng.normal(size=params.W.shape[1]), params, cfg)
             k = min(cfg.top_k, cfg.n_experts)
             assert decision.selected_indices.shape == (k,)
             assert len(set(decision.selected_indices.tolist())) == k
@@ -153,8 +149,8 @@ class TestGate:
             x = rng.normal(size=4)
             last_max = 0.0
             for temperature in (2.0, 1.0, 0.5, 0.1, 0.05):
-                cfg = MoEConfig(n_experts=n, top_k=1, in_channels=4, out_channels=4,
-                                gate_temperature=temperature, gate_dim=gate_dim)
+                cfg = MoEConfig(n_experts=n, top_k=1, gate_temperature=temperature,
+                                gate_dim=gate_dim)
                 params = GateParams(Tensor(W), Tensor(E))
                 peak = gate(x, params, cfg).full_softmax.max()
                 assert peak >= last_max - 1e-12
@@ -164,12 +160,11 @@ class TestGate:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            MoEConfig(n_experts=0, top_k=1, in_channels=2, out_channels=2)
+            MoEConfig(n_experts=0, top_k=1)
         with pytest.raises(ConfigError):
-            MoEConfig(n_experts=2, top_k=3, in_channels=2, out_channels=2)
+            MoEConfig(n_experts=2, top_k=3)
         with pytest.raises(ConfigError):
-            MoEConfig(n_experts=2, top_k=1, in_channels=2, out_channels=2,
-                      gate_temperature=0.0)
+            MoEConfig(n_experts=2, top_k=1, gate_temperature=0.0)
 
     def test_zero_embedding_rejected(self):
         E = np.ones((3, 2))
@@ -194,9 +189,12 @@ class TestExpertBank:
             ExpertBank(Tensor(np.zeros(weight)), Tensor(np.zeros(bias)))
 
 
-def build_bank(rng, cfg):
-    weights = [rng.normal(size=(cfg.out_channels, cfg.in_channels)) for _ in range(cfg.n_experts)]
-    biases = [rng.normal(size=cfg.out_channels) for _ in range(cfg.n_experts)]
+def build_bank(rng, cfg, params, c_out=None):
+    """Random experts taking the gate's input channels; square unless ``c_out``."""
+    c_in = params.W.shape[1]
+    c_out = c_in if c_out is None else c_out
+    weights = [rng.normal(size=(c_out, c_in)) for _ in range(cfg.n_experts)]
+    biases = [rng.normal(size=c_out) for _ in range(cfg.n_experts)]
     return ExpertBank(Tensor(np.stack(weights), requires_grad=True),
                       Tensor(np.stack(biases), requires_grad=True))
 
@@ -205,8 +203,7 @@ class TestMoEForward:
     def test_symmetric_init_scales_by_k_over_n(self):
         rng = np.random.default_rng(3)
         for n, k in [(4, 2), (8, 3), (5, 5)]:
-            cfg = MoEConfig(n_experts=n, top_k=k, in_channels=3, out_channels=2,
-                            gate_temperature=0.07)
+            cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=0.07)
             pre_w = rng.normal(size=(2, 3))
             pre_b = rng.normal(size=2)
             bank, params = init_from_pretrained(pre_w, pre_b, cfg, seed=0)
@@ -221,11 +218,9 @@ class TestMoEForward:
         for _ in range(100):
             n = int(rng.integers(1, 7))
             c = int(rng.integers(2, 5))
-            cfg = MoEConfig(n_experts=n, top_k=n, in_channels=c, out_channels=c,
-                            gate_temperature=float(rng.uniform(0.1, 1.0)))
-            _, params = random_instance(rng, n_experts=n, k=n, c_in=c,
-                                        gate_dim=cfg.effective_gate_dim)
-            bank = build_bank(rng, cfg)
+            cfg = MoEConfig(n_experts=n, top_k=n, gate_temperature=float(rng.uniform(0.1, 1.0)))
+            _, params = random_instance(rng, n_experts=n, k=n, c_in=c, gate_dim=c)
+            bank = build_bank(rng, cfg, params)
             x = rng.normal(size=(2, 3, c))
             out, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
             # dense oracle: full softmax weighted sum over every expert
@@ -241,7 +236,7 @@ class TestMoEForward:
 
     def test_zero_input_zero_bias_gives_zero(self):
         rng = np.random.default_rng(6)
-        cfg = MoEConfig(n_experts=4, top_k=2, in_channels=3, out_channels=3)
+        cfg = MoEConfig(n_experts=4, top_k=2)
         _, params = random_instance(rng, 4, 2, 3, 3)
         weight = Tensor(np.stack([rng.normal(size=(3, 3)) for _ in range(4)]), requires_grad=True)
         bias = Tensor(np.zeros((4, 3)), requires_grad=True)
@@ -252,9 +247,9 @@ class TestMoEForward:
     def test_sparsity_counter(self):
         rng = np.random.default_rng(7)
         for h, w, n, k in [(8, 8, 8, 2), (3, 5, 4, 3), (2, 2, 6, 1)]:
-            cfg = MoEConfig(n_experts=n, top_k=k, in_channels=3, out_channels=3)
+            cfg = MoEConfig(n_experts=n, top_k=k)
             _, params = random_instance(rng, n, k, 3, 3)
-            bank = build_bank(rng, cfg)
+            bank = build_bank(rng, cfg, params)
             _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 3))[None]), bank, params,
                                       cfg)
             assert decision.expert_applications == h * w * k
@@ -262,7 +257,7 @@ class TestMoEForward:
     def test_forward_routing_matches_gate(self):
         rng = np.random.default_rng(9)
         cfg, params = random_instance(rng, 6, 2, 4, 3)
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params)
         x = rng.normal(size=(3, 3, 4))
         _, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
         for i in range(3):
@@ -278,7 +273,7 @@ class TestMoEForward:
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         cfg, params = random_instance(rng, 4, 2, 3, 3)
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params)
         with pytest.raises(ShapeError):
             moe_forward(Tensor(np.zeros((2, 2, 5))[None]), bank, params, cfg)
 
@@ -295,9 +290,9 @@ def _fd_instance(rng):
     while True:
         cfg, params = random_instance(rng, n_experts=int(rng.integers(2, 5)),
                                       k=None, c_in=3, gate_dim=3)
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params)
         x = rng.normal(size=(2, 2, 3))[None]
-        coef = rng.normal(size=(2, 2, cfg.out_channels))[None]
+        coef = rng.normal(size=(2, 2, bank.weight.shape[1]))[None]
         out, decision = moe_forward(Tensor(x), bank, params, cfg)
         # finite differences need the top-k selection to be locally constant
         if _selection_margin(decision, cfg.top_k) > 1e-3:
@@ -368,7 +363,7 @@ class TestMoEGradients:
 class TestInitFromPretrained:
     def test_experts_bit_identical(self):
         rng = np.random.default_rng(12)
-        cfg = MoEConfig(n_experts=6, top_k=2, in_channels=4, out_channels=3)
+        cfg = MoEConfig(n_experts=6, top_k=2)
         pre_w = rng.normal(size=(3, 4))
         pre_b = rng.normal(size=3)
         bank, _ = init_from_pretrained(pre_w, pre_b, cfg, seed=1)
@@ -379,13 +374,25 @@ class TestInitFromPretrained:
                 assert out.tobytes() == reference.tobytes()
 
     def test_shape_mismatch(self):
-        cfg = MoEConfig(n_experts=2, top_k=1, in_channels=4, out_channels=3)
-        with pytest.raises(ShapeError):
-            init_from_pretrained(np.zeros((3, 5)), np.zeros(3), cfg)
+        cfg = MoEConfig(n_experts=2, top_k=1)
+        for weight, bias in (((2, 3, 5), (3,)), ((3, 5), (5,)), ((3, 5), (3, 1))):
+            with pytest.raises(ShapeError, match=re.escape(f"got {weight} and {bias}")):
+                init_from_pretrained(np.zeros(weight), np.zeros(bias), cfg)
+
+    def test_channels_come_from_the_weight(self):
+        # A non-square (C_out, C_in) = (3, 5) weight sets the bank and the gate.
+        for gate_dim in (None, 2):
+            cfg = MoEConfig(n_experts=4, top_k=2, gate_dim=gate_dim)
+            bank, params = init_from_pretrained(np.ones((3, 5)), np.ones(3), cfg, seed=0)
+            assert bank.weight.shape == (4, 3, 5) and bank.bias.shape == (4, 3)
+            assert params.W.shape == (5 if gate_dim is None else gate_dim, 5)
+            assert params.E.shape == (params.W.shape[0], 4)
+            out, _ = moe_forward(Tensor(np.ones((2, 2, 2, 5))), bank, params, cfg)
+            assert out.shape == (2, 2, 2, 3)
 
     def test_top1_frequencies_near_uniform(self):
         """Monte-Carlo over 10^4 random inputs on the seeded init."""
-        cfg = MoEConfig(n_experts=8, top_k=2, in_channels=8, out_channels=8)
+        cfg = MoEConfig(n_experts=8, top_k=2)
         _, params = init_from_pretrained(np.eye(8), np.zeros(8), cfg, seed=0)
         rng = np.random.default_rng(123)
         xs = rng.normal(size=(10_000, 8))
@@ -397,7 +404,7 @@ class TestInitFromPretrained:
         assert np.all(freq <= 1 / 8 + 0.1)
 
     def test_seeded_determinism(self):
-        cfg = MoEConfig(n_experts=3, top_k=1, in_channels=2, out_channels=2)
+        cfg = MoEConfig(n_experts=3, top_k=1)
         _, p1 = init_from_pretrained(np.zeros((2, 2)), np.zeros(2), cfg, seed=9)
         _, p2 = init_from_pretrained(np.zeros((2, 2)), np.zeros(2), cfg, seed=9)
         assert p1.W.data.tobytes() == p2.W.data.tobytes()
@@ -406,7 +413,7 @@ class TestInitFromPretrained:
 
 class TestExpertStats:
     def _uniform_decision(self, n=4, k=2):
-        cfg = MoEConfig(n_experts=n, top_k=k, in_channels=3, out_channels=3)
+        cfg = MoEConfig(n_experts=n, top_k=k)
         col = np.ones(3)
         params = GateParams(Tensor(np.eye(3)), Tensor(np.repeat(col[:, None], n, axis=1)))
         return gate(np.array([1.0, 2.0, 3.0]), params, cfg)
@@ -447,7 +454,7 @@ class TestExpertStats:
     def test_top1_counts_sum_to_positions(self):
         rng = np.random.default_rng(15)
         cfg, params = random_instance(rng, 6, 2, 4, 4)
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params)
         stats = ExpertStats()
         total = 0
         for _ in range(5):
@@ -472,14 +479,14 @@ class TestExpertStats:
                 params.E.data[:, 1:] = params.E.data[:, :1]  # every expert the same
             elif trial % 3 == 2 and n > 2:
                 params.E.data[:, -1] = params.E.data[:, 0]  # experts 0 and N-1 tie
-            bank = build_bank(rng, cfg)
-            x = rng.normal(size=(int(rng.integers(1, 4)), 3, 2, cfg.in_channels))
+            bank = build_bank(rng, cfg, params)
+            x = rng.normal(size=(int(rng.integers(1, 4)), 3, 2, params.W.shape[1]))
             x[rng.random(x.shape[:-1]) < 0.2] = 0.0  # uniform routing
             decisions = [
                 moe_forward(Tensor(x), bank, params, cfg)[1],
                 moe_forward(Tensor(x[0][None]), bank, params, cfg)[1],
                 gate(x[0, 0, 0], params, cfg),
-                gate(np.zeros(cfg.in_channels), params, cfg),
+                gate(np.zeros(params.W.shape[1]), params, cfg),
             ]
             stats = ExpertStats()
             expected = np.zeros(n, dtype=np.int64)
@@ -509,7 +516,7 @@ class TestTop1Map:
     def test_map_shape_matches_grid(self):
         rng = np.random.default_rng(16)
         cfg, params = random_instance(rng, 5, 2, 3, 3)
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params)
         _, decision = moe_forward(Tensor(rng.normal(size=(6, 7, 3))[None]), bank, params, cfg)
         assert export_top1_map(decision)[0].shape == (6, 7)
 
@@ -732,8 +739,8 @@ def oracle_moe_forward(x, bank, params, cfg):
     batch may only hold one.
     """
     assert x.shape[0] == 1, "the five-node oracle routes one sample per call"
-    if x.shape[-1] != cfg.in_channels:
-        raise ShapeError(f"routing: expected {cfg.in_channels} channels, got {x.shape[-1]}")
+    if x.shape[-1] != params.W.shape[1]:
+        raise ShapeError(f"routing: expected {params.W.shape[1]} channels, got {x.shape[-1]}")
     u = ad.grid_linear(x, params.W)
     probs = ad.softmax(ad.gate_logits(u, params.E, cfg.gate_temperature))
     selected = moe_mod.topk_select(probs.data, cfg.top_k)
@@ -751,8 +758,8 @@ def _layer_instance(rng):
     k = int(rng.integers(1, n + 1))
     c_in, c_out = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     gate_dim = int(rng.integers(1, 6))
-    cfg = MoEConfig(n_experts=n, top_k=k, in_channels=c_in, out_channels=c_out,
-                    gate_temperature=float(rng.uniform(0.05, 2.0)), gate_dim=gate_dim)
+    cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=float(rng.uniform(0.05, 2.0)),
+                    gate_dim=gate_dim)
     lead = tuple(int(v) for v in rng.integers(1, 6, size=int(rng.integers(0, 4))))
     x = rng.normal(size=(*lead, c_in))
     if lead and rng.random() < 0.5:
@@ -825,9 +832,10 @@ class TestOneNodeLayer:
         rng = np.random.default_rng(2211)
         for _ in range(100):
             cfg, _, bank, params = _layer_instance(rng)
-            x0 = Tensor(rng.normal(size=(3, 2, cfg.in_channels))[None], requires_grad=True)
-            W0 = Tensor(rng.normal(size=(cfg.in_channels, cfg.in_channels)), requires_grad=True)
-            coef = Tensor(rng.normal(size=(3, 2, cfg.out_channels))[None])
+            c_in, c_out = params.W.shape[1], bank.weight.shape[1]
+            x0 = Tensor(rng.normal(size=(3, 2, c_in))[None], requires_grad=True)
+            W0 = Tensor(rng.normal(size=(c_in, c_in)), requires_grad=True)
+            coef = Tensor(rng.normal(size=(3, 2, c_out))[None])
             leaves = (x0, W0, params.W, params.E, bank.weight, bank.bias)
             grads = []
             for forward in (moe_forward, oracle_moe_forward):
@@ -842,9 +850,9 @@ class TestOneNodeLayer:
                                       "zero_embedding", "expert_columns"])
     def test_same_errors_in_the_same_order(self, case):
         rng = np.random.default_rng(7)
-        cfg = MoEConfig(n_experts=3, top_k=2, in_channels=4, out_channels=2)
+        cfg = MoEConfig(n_experts=3, top_k=2)
         params = GateParams(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(4, 3))))
-        bank = build_bank(rng, cfg)
+        bank = build_bank(rng, cfg, params, c_out=2)
         x = Tensor(rng.normal(size=(2, 2, 4))[None])
         short_bank = ExpertBank(Tensor(bank.weight.data[:2]), Tensor(bank.bias.data[:2]))
         if case == "channels_before_count":
@@ -867,7 +875,7 @@ class TestOneNodeLayer:
         assert errors[0] == errors[1]
         expected = {"channels_before_count": "routing: expected 4 channels",
                     "count": "expert count disagrees",
-                    "gate_columns": "grid_linear: input channels 4",
+                    "gate_columns": "routing: expected 5 channels, got 4",
                     "zero_embedding": "(near-)zero norm",
                     "expert_columns": "expert parameter shapes"}[case]
         assert expected in errors[0][1]
@@ -957,7 +965,7 @@ class TestSampleAxis:
 def test_trunk_op_needs_sample_and_grid_axes(op, shape, monkeypatch):
     rng = np.random.default_rng(5102)
     cfg, params = random_instance(rng, 4, 2, 3, 3)
-    bank = build_bank(rng, cfg)
+    bank = build_bank(rng, cfg, params)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     with pytest.raises(ShapeError, match=f"^{op}: .*" + re.escape(f"got shape {shape}")):
         if op == "grid_linear":

@@ -39,5 +39,5 @@ def test_step_ab_refuses_a_tree_without_train_step(tmp_path):
 def test_artifact_digest_prints_the_same_lines_twice():
     runs = [run_tool("artifact_digest.py", "--seeds", "0", "--iterations", "3") for _ in range(2)]
     assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
-    assert len(runs[0].stdout.splitlines()) == 49
+    assert len(runs[0].stdout.splitlines()) == 52
     assert runs[1].stdout == runs[0].stdout

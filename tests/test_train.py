@@ -15,7 +15,7 @@ from gridmoe import autodiff as ad
 from gridmoe import data as gdata
 from gridmoe import dso
 from gridmoe.csvio import read_csv
-from gridmoe.errors import TrainingAborted
+from gridmoe.errors import ConfigError, TrainingAborted
 from gridmoe.model import Model
 from gridmoe.runconfig import parse_config
 from gridmoe.train import (
@@ -118,7 +118,7 @@ class TestGovernorOffEquivalence:
         tasks = gdata.default_tasks(cfg.label_noise)
         model = Model(cfg.model, tasks, seed=cfg.seed, moe_enabled=cfg.moe_enabled)
         sampler = gdata.BatchSampler(cfg.counts)
-        params = [p for group in model.param_groups().values() for p in group]
+        params = [p for group in model.param_groups() for p in group]
         for _ in range(cfg.iterations):
             batch = sampler.next_batch()
             samples = []
@@ -146,6 +146,40 @@ class TestGovernorOffEquivalence:
             for t in ("A", "B", "C"):
                 assert float(row[f"lambda_{t}"]) == 1.0
                 assert float(row[f"lr_head_{t}"]) == float(row["lr_backbone"])
+
+
+class TestGroupRates:
+    """Rates by position: the backbone first, then each head in task order."""
+
+    def test_logged_rates_are_base_lr_times_multipliers(self, tmp_path):
+        cfg = small_config(tmp_path / "run", iterations=6)
+        rows = read_csv(train(cfg).artifacts["dso_log"])
+        assert len({row["lambda_A"] for row in rows[1:]}) > 1
+        for row in rows:
+            assert float(row["lr_backbone"]) == cfg.base_lr * float(row["gamma"])
+            for t in ("A", "B", "C"):
+                assert float(row[f"lr_head_{t}"]) == cfg.base_lr * float(row[f"lambda_{t}"])
+
+    def test_each_group_steps_at_its_logged_rate(self, tmp_path, monkeypatch):
+        # Each group's SGD update uses the rate its dso_log column shows, and
+        # the heads' rates differ, so a group stepped at another's rate shows.
+        state = start_training(small_config(tmp_path / "run", iterations=6))
+        grads = {}
+        backward = ad.backward
+
+        def recording_backward(total):
+            backward(total)
+            grads.update({id(p): p.grad for group in state.groups for p in group})
+
+        monkeypatch.setattr(ad, "backward", recording_backward)
+        for _ in range(6):
+            before = [[p.data for p in group] for group in state.groups]
+            _, row = train_step(state)
+            rates = [row["lr_backbone"], *(row[f"lr_head_{t}"] for t in ("A", "B", "C"))]
+            for rate, group, old in zip(rates, state.groups, before, strict=True):
+                for p, data in zip(group, old):
+                    assert p.data.tobytes() == (data - rate * grads[id(p)]).tobytes()
+        assert len(set(rates[1:])) == 3
 
 
 class TestSmokeRun:
@@ -365,6 +399,19 @@ class TestBenchmarkPieces:
                     seed_result.final_entropy[m] - seed_result.init_entropy[m])
 
 
+    @pytest.mark.parametrize("seeds, iterations, field", [
+        ((0, 0), 2, "seeds"), ((), 2, "seeds"), ((0,), 0, "run.iterations"),
+    ], ids=["repeated_seed", "no_seed", "no_iterations"])
+    def test_refusal_writes_nothing(self, tmp_path, seeds, iterations, field):
+        # A repeated seed would train one pair twice and count it twice in
+        # the medians; no seed would leave a header-only CSV that looks done.
+        out_root = tmp_path / "bench"
+        with pytest.raises(ConfigError) as excinfo:
+            imbalance_benchmark(out_root, seeds=seeds, iterations=iterations)
+        assert excinfo.value.field == field
+        assert not out_root.exists()
+
+
 def benchmark_step(out_dir, seed=0, moe=True):
     """A model of the scripted-imbalance config and a function that draws its next batch."""
     raw = benchmark_config(seed, 1, str(out_dir), True).snapshot()
@@ -400,7 +447,7 @@ class TestGraphSize:
         # Per MoE block the gate's W and E and the bank's stacked weight and
         # bias; per plain block its weight and bias.
         model, _ = benchmark_step(tmp_path)
-        backbone = model.param_groups()["backbone"]
+        backbone = model.param_groups()[0]
         assert len(backbone) == 12
         banks = [t for block in model.blocks if block.has_moe
                  for t in (block.bank.weight, block.bank.bias)]
@@ -413,7 +460,7 @@ class TestGraphSize:
         ad.backward(total)
         outputs = [op.output for op in ad.ComputationRecord.trace(total).ops]
         assert len(outputs) == 9 and all(t.grad is None for t in outputs)
-        params = [p for group in model.param_groups().values() for p in group]
+        params = [p for group in model.param_groups() for p in group]
         assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
 
 
@@ -423,7 +470,7 @@ class TestSampleAxis:
     @pytest.mark.parametrize("moe", [True, False], ids=["moe", "plain"])
     def test_losses_and_gradients_match_per_sample(self, tmp_path, moe):
         model, draw = benchmark_step(tmp_path, seed=3, moe=moe)
-        params = [p for group in model.param_groups().values() for p in group]
+        params = [p for group in model.param_groups() for p in group]
         for _ in range(4):
             samples = draw()
             runs = []

@@ -6,7 +6,8 @@ checkpoint with gates (the first two ways) is then inspected with
 ``gridmoe inspect-gates --n 8`` for modalities A, B and C, into
 ``inspect_<modality>/`` beside it. The tool prints one
 ``<sha256>  <variant>/seed<N>/<file>`` line per artifact, sorted.
-``config_snapshot.json`` is left out: it records the output directory.
+``config_snapshot.json`` records the output directory, a temporary one, so
+its JSON-encoded path is replaced by a fixed placeholder before hashing.
 
 Two checkouts that compute the same bits print the same lines, so a change
 that must stay bit for bit is checked by diffing its output with the
@@ -25,11 +26,13 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
-SKIPPED = {"config_snapshot.json"}
+SNAPSHOT = "config_snapshot.json"
+OUT_PLACEHOLDER = "<out_dir>"
 VARIANTS = {
     "dso": {"run.dso": True},
     "no-dso": {"run.dso": False},
@@ -69,12 +72,18 @@ def main(argv=None) -> int:
                         code = gridmoe_main(argv)
                     if code != 0:
                         raise SystemExit(f"gridmoe {' '.join(argv)} exited {code}")
-                lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                lines += [f"{_sha256(path, out)}  "
                           f"{variant}/seed{seed}/{path.relative_to(out).as_posix()}"
-                          for path in sorted(out.rglob("*"))
-                          if path.is_file() and path.name not in SKIPPED]
+                          for path in sorted(out.rglob("*")) if path.is_file()]
     print("\n".join(lines))
     return 0
+
+
+def _sha256(path: Path, out: Path) -> str:
+    data = path.read_bytes()
+    if path.name == SNAPSHOT:
+        data = data.replace(json.dumps(str(out)).encode(), json.dumps(OUT_PLACEHOLDER).encode())
+    return hashlib.sha256(data).hexdigest()
 
 
 if __name__ == "__main__":
