@@ -23,7 +23,6 @@ from .moe import (
     MoEConfig,
     RoutingDecision,
     export_top1_map,
-    gate,
     init_from_pretrained,
     moe_forward,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "backward",
     "export_top1_map",
     "finite_diff_check",
-    "gate",
     "grid_linear",
     "imbalance_benchmark",
     "init_from_pretrained",

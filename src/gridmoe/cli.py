@@ -1,6 +1,6 @@
 """Command line entry point: train runs, parameter sweeps, gate inspection.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime abort.
+Exit codes: 0 success, 2 configuration error, 3 runtime abort or I/O failure.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, get_path, load_config_file, parse_config,
-                        resolve_out_dir, set_path)
+from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, get_path, load_config_file, make_out_dir,
+                        parse_config, resolve_out_dir, set_path)
 from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train, write_sweep_csv
 
 
@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out_dir(path: Path, force: bool) -> None:
-    """Refuse a file or, unless ``force``, a non-empty directory. Creating it is left
-    to the first writer, so an error found before any work starts leaves nothing behind."""
+    """Refuse a file or, unless ``force``, a non-empty directory. It is created only as
+    the work that writes into it starts, so an error found before that leaves nothing behind."""
     if path.exists() and not path.is_dir():
         raise ConfigError("out_dir", f"{path} is not a directory")
     if path.exists() and any(path.iterdir()) and not force:
@@ -164,6 +164,7 @@ def cmd_inspect_gates(args) -> int:
 
     out_dir = Path(args.out) if args.out else checkpoint_path.parent / "inspect"
     _check_out_dir(out_dir, args.force)
+    make_out_dir(out_dir)
     modality = args.modality
     stats = evaluate_stats(model, {modality: modalities[modality]}, {modality: tasks[modality]},
                            args.n, cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")
@@ -197,6 +198,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)  # names exc.filename when it is set
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

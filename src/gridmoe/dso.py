@@ -54,15 +54,16 @@ class DsoConfig:
 
 @dataclass(frozen=True)
 class LrMultipliers:
-    """Per-head multipliers, the backbone multiplier, and the score behind it."""
+    """Per-head and backbone multipliers, and the ratios and score behind them."""
 
     head_lambdas: np.ndarray
     backbone_gamma: float
     consistency: float
+    ratios: np.ndarray
 
     @classmethod
     def identity(cls, n_tasks: int) -> "LrMultipliers":
-        return cls(np.ones(n_tasks), 1.0, 1.0)
+        return cls(np.ones(n_tasks), 1.0, 1.0, np.ones(n_tasks))
 
 
 @dataclass
@@ -76,7 +77,7 @@ class LossTracker:
 
     def __post_init__(self):
         if self.n_tasks < 1:
-            raise ConfigError("dso.n_tasks", f"must be >= 1, got {self.n_tasks}")
+            raise ConfigError("n_tasks", f"must be >= 1, got {self.n_tasks}")
         if self.last_multipliers is None:
             self.last_multipliers = LrMultipliers.identity(self.n_tasks)
 
@@ -107,23 +108,21 @@ def update_ema(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LossTra
     return tracker
 
 
-def head_multipliers(tracker: LossTracker, cfg: DsoConfig) -> np.ndarray:
-    """Convergence-ratio softmax, scaled so the multipliers sum to n_tasks.
+def head_multipliers(ratios: np.ndarray, cfg: DsoConfig) -> np.ndarray:
+    """Convergence-ratio softmax, scaled so the multipliers sum to the task count.
 
-    w_t = his_t / cur_t, lambda_t = T * exp(w_t / theta) / sum_k exp(w_k / theta),
-    computed with max-subtraction. A zero current loss is clamped to 1e-12
-    with a warning rather than raising.
+    lambda_t = T * exp(w_t / theta) / sum_k exp(w_k / theta) over the ratios
+    w_t = his_t / cur_t, computed with max-subtraction.
     """
-    w = convergence_ratios(tracker)
-    if np.any(tracker.cur < CUR_LOSS_FLOOR):
-        log.warning("current loss at or below %g clamped for ratio computation", CUR_LOSS_FLOOR)
-    return tracker.n_tasks * stable_softmax(w / cfg.theta)
+    return ratios.size * stable_softmax(ratios / cfg.theta)
 
 
 def convergence_ratios(tracker: LossTracker) -> np.ndarray:
-    """w_t = his_t / cur_t, the current loss clamped to at least 1e-12."""
+    """w_t = his_t / cur_t; a current loss below 1e-12 is clamped to it, with a warning."""
     if tracker.cur is None:
         raise UsageError("convergence_ratios requires an updated tracker")
+    if np.any(tracker.cur < CUR_LOSS_FLOOR):
+        log.warning("current loss at or below %g clamped for ratio computation", CUR_LOSS_FLOOR)
     return tracker.his / np.maximum(tracker.cur, CUR_LOSS_FLOOR)
 
 
@@ -136,7 +135,7 @@ def consistency_score(tracker: LossTracker) -> float:
     if tracker.cur is None:
         raise UsageError("consistency_score requires an updated tracker")
     if tracker.n_tasks < 2:
-        raise ConfigError("dso.n_tasks", "consistency score requires at least 2 tasks")
+        raise ConfigError("tracker", f"consistency score needs >= 2 tasks, got {tracker.n_tasks}")
     p_cur = stable_softmax(tracker.cur)
     p_his = stable_softmax(tracker.his)
     kl = float(
@@ -151,7 +150,7 @@ def backbone_multiplier(consistency: float, cfg: DsoConfig) -> float:
 
 
 def step(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LrMultipliers:
-    """One governor update: EMA, head multipliers, consistency, backbone.
+    """One governor update: EMA, ratios, head multipliers, consistency, backbone.
 
     Invalid losses (non-finite or <= 0) skip the whole update and return the
     previous multipliers unchanged, signalling upstream divergence without
@@ -164,10 +163,11 @@ def step(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LrMultipliers
         log.warning("skipping governor update: invalid losses %s", observed)
         return tracker.last_multipliers
     update_ema(tracker, observed, cfg)
-    lambdas = head_multipliers(tracker, cfg)
+    ratios = convergence_ratios(tracker)
+    lambdas = head_multipliers(ratios, cfg)
     consistency = consistency_score(tracker)
     gamma = backbone_multiplier(consistency, cfg)
-    tracker.last_multipliers = LrMultipliers(lambdas, gamma, consistency)
+    tracker.last_multipliers = LrMultipliers(lambdas, gamma, consistency, ratios)
     return tracker.last_multipliers
 
 

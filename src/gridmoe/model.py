@@ -23,15 +23,12 @@ from .moe import ExpertBank, GateParams, MoEConfig, RoutingDecision, init_from_p
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Trunk geometry and expert placement."""
+    """Trunk geometry, expert placement, and the mixture each placed block gets."""
 
     depth: int = 4
     channels: int = 8
     moe_layers: tuple[int, ...] = (0, 2)
-    n_experts: int = 4
-    top_k: int = 2
-    gate_temperature: float = 0.07
-    gate_dim: int | None = None
+    moe: MoEConfig = MoEConfig(4, 2)
 
     def __post_init__(self):
         if self.depth < 1:
@@ -45,9 +42,6 @@ class ModelSpec:
             )
         if len(set(self.moe_layers)) != len(self.moe_layers):
             raise ConfigError("model.moe_layers", "duplicate placement indices")
-
-    def moe_config(self) -> MoEConfig:
-        return MoEConfig(self.n_experts, self.top_k, self.gate_temperature, self.gate_dim)
 
 
 class TrunkBlock:
@@ -109,7 +103,7 @@ class Model:
                 Tensor(np.zeros(c), requires_grad=True),
             )
             if moe_enabled and i in spec.moe_layers:
-                block.attach_moe(spec.moe_config(), seed=seed * 997 + i)
+                block.attach_moe(spec.moe, seed=seed * 997 + i)
             self.blocks.append(block)
 
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}

@@ -89,7 +89,7 @@ class RoutingDecision:
     are the matching full-softmax entries (everything else is implicitly
     zero); ``full_softmax`` keeps the dense probabilities for statistics.
     The leading axes are the sample axis, then the grid axes; ``sample``
-    drops the sample axis, and ``gate`` routes one position.
+    drops the sample axis.
     """
 
     selected_indices: np.ndarray
@@ -135,17 +135,6 @@ def _route(x: np.ndarray, params: GateParams, cfg: MoEConfig) -> ad.Routing:
     probs = stable_softmax(logits)
     selected = topk_select(probs, cfg.top_k)
     return ad.Routing(u, logits, cosine, probs, selected, ad._gather(probs, selected))
-
-
-def gate(x_grid, params: GateParams, cfg: MoEConfig) -> RoutingDecision:
-    """Route a single grid position.
-
-    A degenerate projection (|W x| < 1e-12, e.g. a zero input) falls back to
-    the uniform distribution, so the first k experts are selected with weight
-    1/N each.
-    """
-    routing = _route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), params, cfg)
-    return RoutingDecision(routing.selected, routing.weights, routing.probs)
 
 
 def moe_forward(

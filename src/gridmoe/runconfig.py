@@ -23,6 +23,7 @@ from .data import EVAL_INDEX_OFFSET, MODALITIES
 from .dso import DsoConfig
 from .errors import ConfigError
 from .model import ModelSpec
+from .moe import MoEConfig
 
 CONFIG_SNAPSHOT_NAME = "config_snapshot.json"
 MANIFEST_NAME = "manifest.json"
@@ -164,8 +165,8 @@ def parse_config(raw: dict) -> RunConfig:
     if run["stats_samples"] < 0:
         raise ConfigError("run.stats_samples", "must be >= 0")
 
-    model_spec = ModelSpec(**dict(model, moe_layers=tuple(model["moe_layers"])), **moe)
-    model_spec.moe_config()  # surfaces expert-count/top-k violations now
+    model_spec = ModelSpec(**dict(model, moe_layers=tuple(model["moe_layers"])),
+                           moe=MoEConfig(**moe))
     total = sum(sampler["counts"].values())
     if sampler["batch_size"] is DERIVED:
         sampler["batch_size"] = total
@@ -236,6 +237,14 @@ def resolve_out_dir(out_dir: str) -> Path:
         return path
     root = os.environ.get("GRIDMOE_OUT")
     return (Path(root) / path) if root else path
+
+
+def make_out_dir(path: Path) -> None:
+    """Create an output directory; one that cannot be is a configuration error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir", f"{path}: cannot create ({exc.strerror})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ bit-for-bit under a fixed seed.
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import statistics
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .csvio import CsvLogger, write_csv
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map, write_top1_map_csv
-from .runconfig import RunConfig, RunManifest, write_config_snapshot
+from .runconfig import RunConfig, RunManifest, make_out_dir, write_config_snapshot
 
 
 @dataclass
@@ -160,13 +161,10 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
 
     if cfg.dso_enabled:
         multipliers = dso.step(tracker, values, cfg.dso)
-        ratios = (dso.convergence_ratios(tracker)
-                  if tracker.cur is not None else np.ones(len(order)))
     else:
         multipliers = dso.LrMultipliers.identity(len(order))
         if dso.losses_valid(values):
             dso.update_ema(tracker, values, cfg.dso)
-        ratios = np.ones(len(order))
 
     ad.backward(total)
     rates = dso.apply_multipliers(cfg.base_lr, multipliers)
@@ -188,7 +186,7 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     for idx, t in enumerate(order):
         dso_row[f"cur_{t}"] = float(log_cur[idx])
         dso_row[f"his_{t}"] = float(log_his[idx])
-        dso_row[f"w_{t}"] = float(ratios[idx])
+        dso_row[f"w_{t}"] = float(multipliers.ratios[idx])
         dso_row[f"lambda_{t}"] = float(multipliers.head_lambdas[idx])
         dso_row[f"lr_head_{t}"] = rates[1 + idx]
     return loss_row, dso_row
@@ -207,7 +205,7 @@ def _eval_entropy(state: TrainState, name: str, maps_dir: Path | None = None) ->
 
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out_dir)
     artifacts = {"config_snapshot": write_config_snapshot(out_dir, cfg),
                  "losses": out_dir / "losses.csv", "dso_log": out_dir / "dso_log.csv",
                  "checkpoint": out_dir / "checkpoint.bin",
@@ -245,8 +243,9 @@ def recorded_train(cfg: RunConfig, config_path: str,
     """``train`` with a run manifest: started before, finished after.
 
     The manifest records exit status 0 and the artifacts ``train`` returns,
-    or 3 when training raises a ``GridMoeError``, which is then re-raised;
-    either way it hashes the config snapshot that ``train`` writes first.
+    or 3 when training raises a ``GridMoeError`` or an ``OSError``, which is
+    then re-raised; either way it hashes the config snapshot that ``train``
+    writes first, and a failed run whose manifest cannot be written has none.
     ``trainer`` stands in for ``train``: the CLI passes the ``train`` it looks
     up itself, so a wrapper installed on ``gridmoe.cli.train`` sees every CLI run.
     """
@@ -254,10 +253,11 @@ def recorded_train(cfg: RunConfig, config_path: str,
     manifest = RunManifest.start(cfg, config_path)
     try:
         result = (trainer or train)(cfg, keep_model=False)
-    except GridMoeError as exc:
+    except (GridMoeError, OSError) as exc:
         artifacts = ({"diagnostic_dump": exc.dump_path}
                      if isinstance(exc, TrainingAborted) else {})
-        manifest.finish(out_dir, artifacts, EXIT_RUNTIME)
+        with contextlib.suppress(OSError):
+            manifest.finish(out_dir, artifacts, EXIT_RUNTIME)
         raise
     manifest.finish(out_dir, {name: str(path) for name, path in result.artifacts.items()},
                     EXIT_OK)
@@ -443,7 +443,7 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
     runs = [(seed, benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True),
              benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False))
             for seed in _distinct_seeds(seeds)]
-    out_root.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out_root)
     per_seed = []
     for seed, dso_cfg, plain_cfg in runs:
         with_dso = train(dso_cfg, keep_model=False)

@@ -25,6 +25,8 @@
   loop the stacked reductions in ``autodiff`` replaced.
 - ``cross_entropy_recompute``: the cross-entropy whose vjp builds the
   softmax again.
+- ``gate``: the router of one grid position, the single-position case of
+  ``moe._route``, which the routing oracles and properties are checked on.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from gridmoe import autodiff as ad
 from gridmoe import data as gdata
 from gridmoe import model as model_mod
+from gridmoe import moe as moe_mod
 from gridmoe.autodiff import Tensor
 from gridmoe.errors import DomainError, ShapeError
 
@@ -92,6 +95,17 @@ def mean_all(x: Tensor) -> Tensor:
         return (np.full(x.shape, float(g) / n),)
 
     return ad._node("mean_all", np.array(np.mean(x.data)), (x,), vjp)
+
+
+def gate(x_grid, params: moe_mod.GateParams, cfg: moe_mod.MoEConfig) -> moe_mod.RoutingDecision:
+    """Route a single grid position.
+
+    A degenerate projection (|W x| < 1e-12, e.g. a zero input) falls back to
+    the uniform distribution, so the first k experts are selected with weight
+    1/N each.
+    """
+    routing = moe_mod._route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), params, cfg)
+    return moe_mod.RoutingDecision(routing.selected, routing.weights, routing.probs)
 
 
 def per_sample_forward_batch(model, samples):

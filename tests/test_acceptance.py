@@ -20,18 +20,19 @@ from gridmoe.dso import (
     DsoConfig,
     backbone_multiplier,
     consistency_score,
+    convergence_ratios,
     head_multipliers,
 )
 from gridmoe.moe import (
     ExpertBank,
     GateParams,
     MoEConfig,
-    gate,
     init_from_pretrained,
     moe_forward,
 )
 from gridmoe.train import imbalance_benchmark
 
+from reference_ops import gate
 from test_dso import make_tracker, oracle_consistency, oracle_gamma, oracle_lambdas
 from test_moe import _fd_instance, build_bank, oracle_gate, random_instance
 
@@ -146,7 +147,7 @@ def test_criterion_4_dso_formula_suite():
         cfg = DsoConfig(theta=float(rng.uniform(0.3, 3.0)))
         tracker = make_tracker(rng.uniform(1e-3, 10.0, size=t),
                                rng.uniform(1e-3, 10.0, size=t))
-        lambdas = head_multipliers(tracker, cfg)
+        lambdas = head_multipliers(convergence_ratios(tracker), cfg)
         assert abs(lambdas.sum() - t) < 1e-9
 
     for b in (-0.2, 0.0, 0.4, 0.9):
@@ -160,7 +161,7 @@ def test_criterion_4_dso_formula_suite():
     assert consistency_score(tracker) == 1.0
 
     # worked examples against the independent arithmetic oracles
-    lam = head_multipliers(make_tracker([2.0, 1.0], [1.0, 2.0]),
+    lam = head_multipliers(convergence_ratios(make_tracker([2.0, 1.0], [1.0, 2.0])),
                            DsoConfig(theta=1.0))
     lam_oracle = oracle_lambdas([0.5, 2.0], 1.0)
     assert abs(lam[0] - lam_oracle[0]) < 1e-5

@@ -1,13 +1,14 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism, flags."""
 
 import collections
+import errno
 import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from gridmoe import cli, runconfig
+from gridmoe import cli, csvio, runconfig
 from gridmoe.cli import main
 from gridmoe.csvio import read_csv
 from gridmoe.runconfig import verify_manifest
@@ -422,6 +423,62 @@ def test_divergence_exits_3_naming_the_dump(tmp_path, capsys, command):
     assert "runtime abort: non-finite loss" in err
     dump = next(out.rglob("diagnostic_dump.csv"))
     assert f"(dump: {dump})" in err
+
+
+@pytest.mark.parametrize("command, run", [
+    (["train"], "."), (["sweep", "--grid", "moe.top_k=1,2"], "cell000_seed0"),
+], ids=["train", "sweep"])
+def test_io_error_mid_run_exits_3_and_records_it(tmp_path, monkeypatch, capsys, command, run):
+    # The third losses.csv row fails as a full disk would.
+    real = csvio.CsvLogger.write
+    rows = collections.Counter()
+
+    def write(logger, row):
+        if logger.path.name == "losses.csv":
+            rows[logger.path] += 1
+            if rows[logger.path] == 3:
+                raise OSError(errno.ENOSPC, "No space left on device", str(logger.path))
+        real(logger, row)
+
+    monkeypatch.setattr(csvio.CsvLogger, "write", write)
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 5, "run.stats_samples": 0})
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 3
+    losses = out / run / "losses.csv"
+    assert capsys.readouterr().err == f"I/O error: [Errno 28] No space left on device: '{losses}'\n"
+    assert json.loads((out / run / "manifest.json").read_text())["exit_status"] == 3
+    assert verify_manifest(out / run)
+    assert len(read_csv(losses)) == 2
+    assert not (out / "cell001_seed0").exists() and not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "inspect-gates"])
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2, "run.stats_samples": 0})
+    run = tmp_path / "run"
+    if command == "inspect-gates":
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    argv = {"train": ["train", "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--grid", "moe.top_k=2"],
+            "inspect-gates": ["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"),
+                              "--modality", "A", "--n", "1"]}[command]
+    before = files_under(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    real = Path.mkdir
+
+    def refuse(path, *args, **kwargs):
+        if path == out:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # A sweep names the cell directory it could not create under ``out``.
+    assert err.startswith(f"config error: out_dir: {out}")
+    assert err.endswith(": cannot create (Permission denied)\n") and err.count("\n") == 1
+    assert files_under(tmp_path) == before
 
 
 @pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "moe.top_k=2"]])

@@ -12,6 +12,7 @@ from gridmoe.dso import (
     apply_multipliers,
     backbone_multiplier,
     consistency_score,
+    convergence_ratios,
     head_multipliers,
     step,
     update_ema,
@@ -92,7 +93,7 @@ class TestConfig:
 class TestTracker:
     def test_needs_a_task(self):
         # The task count is the tracker's, so it checks it.
-        with pytest.raises(ConfigError, match="dso.n_tasks"):
+        with pytest.raises(ConfigError, match=r"^n_tasks: must be >= 1, got 0$"):
             LossTracker(0)
 
     def test_loss_count_checked_against_the_tracker(self):
@@ -144,7 +145,8 @@ class TestHeadMultipliers:
     def test_all_equal_ratios_give_ones(self):
         cfg = DsoConfig()
         tracker = make_tracker([2.0, 5.0, 0.3, 1.1], [2.0, 5.0, 0.3, 1.1])
-        np.testing.assert_allclose(head_multipliers(tracker, cfg), np.ones(4), atol=1e-15)
+        np.testing.assert_allclose(head_multipliers(convergence_ratios(tracker), cfg), np.ones(4),
+                                   atol=1e-15)
 
     def test_sum_is_task_count_random(self):
         # the sum property holds for arbitrary positive loss vectors
@@ -155,7 +157,7 @@ class TestHeadMultipliers:
             tracker = make_tracker(
                 rng.uniform(1e-3, 10.0, size=t), rng.uniform(1e-3, 10.0, size=t)
             )
-            lambdas = head_multipliers(tracker, cfg)
+            lambdas = head_multipliers(convergence_ratios(tracker), cfg)
             assert abs(lambdas.sum() - t) < 1e-9
             assert np.all(lambdas >= 0.0)
 
@@ -168,7 +170,7 @@ class TestHeadMultipliers:
             cfg = DsoConfig(theta=float(rng.uniform(0.5, 2.0)))
             cur = rng.uniform(0.05, 10.0, size=t)
             his = cur * rng.uniform(0.25, 4.0, size=t)
-            lambdas = head_multipliers(make_tracker(cur, his), cfg)
+            lambdas = head_multipliers(convergence_ratios(make_tracker(cur, his)), cfg)
             assert abs(lambdas.sum() - t) < 1e-9
             assert np.all(lambdas > 0.0)
             assert np.all(lambdas < t)
@@ -177,7 +179,7 @@ class TestHeadMultipliers:
         # w = [0.5, 2] with theta=1
         cfg = DsoConfig(theta=1.0)
         tracker = make_tracker([2.0, 1.0], [1.0, 2.0])
-        lambdas = head_multipliers(tracker, cfg)
+        lambdas = head_multipliers(convergence_ratios(tracker), cfg)
         expected = oracle_lambdas([0.5, 2.0], 1.0)
         np.testing.assert_allclose(lambdas, expected, atol=1e-12)
         # the oracle values themselves (printed in docs as 0.364865/1.635135)
@@ -188,7 +190,7 @@ class TestHeadMultipliers:
         cfg = DsoConfig()
         tracker = make_tracker([0.0, 1.0], [1.0, 1.0])
         with caplog.at_level("WARNING", logger="gridmoe.dso"):
-            lambdas = head_multipliers(tracker, cfg)
+            lambdas = head_multipliers(convergence_ratios(tracker), cfg)
         assert "clamped" in caplog.text
         assert np.all(np.isfinite(lambdas))
         assert abs(lambdas.sum() - 2.0) < 1e-9
@@ -198,9 +200,9 @@ class TestHeadMultipliers:
         cfg = DsoConfig(theta=0.7)
         cur = rng.uniform(0.1, 5.0, size=3)
         his = rng.uniform(0.1, 5.0, size=3)
-        base = head_multipliers(make_tracker(cur, his), cfg)
+        base = head_multipliers(convergence_ratios(make_tracker(cur, his)), cfg)
         for c in (0.01, 3.0, 250.0):
-            scaled = head_multipliers(make_tracker(c * cur, c * his), cfg)
+            scaled = head_multipliers(convergence_ratios(make_tracker(c * cur, c * his)), cfg)
             np.testing.assert_allclose(scaled, base, atol=1e-12)
 
 
@@ -239,7 +241,8 @@ class TestConsistency:
 
     def test_single_task_rejected(self):
         tracker = make_tracker([1.0], [1.0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^tracker: consistency score needs >= 2 tasks, "
+                                              r"got 1$"):
             consistency_score(tracker)
 
 
@@ -330,6 +333,20 @@ class TestStep:
         np.testing.assert_array_equal(result.head_lambdas, [1.0, 1.0])
         assert result.backbone_gamma == 1.0
 
+    def test_record_carries_the_ratios_it_used(self):
+        # A skipped step hands back the record of the unchanged tracker, so its
+        # ratios are still the tracker's.
+        rng = np.random.default_rng(5)
+        cfg = DsoConfig(theta=0.3)
+        tracker = LossTracker(3)
+        for _ in range(20):
+            result = step(tracker, rng.uniform(0.1, 3.0, size=3), cfg)
+            assert result.ratios.tobytes() == convergence_ratios(tracker).tobytes()
+            assert result.head_lambdas.tobytes() == head_multipliers(result.ratios, cfg).tobytes()
+        skipped = step(tracker, [0.0, 1.0, 1.0], cfg)
+        assert skipped is result
+        assert skipped.ratios.tobytes() == convergence_ratios(tracker).tobytes()
+
     def test_replay_determinism(self):
         rng = np.random.default_rng(4)
         stream = [list(rng.uniform(0.1, 3.0, size=3)) for _ in range(30)]
@@ -357,13 +374,20 @@ class TestApplyMultipliers:
         assert rates[2] == 1e-4
 
     def test_backbone_scaling(self):
-        mult = LrMultipliers(np.ones(2), 1.716298, 1.0)
+        mult = LrMultipliers(np.ones(2), 1.716298, 1.0, np.ones(2))
         assert abs(apply_multipliers(1e-4, mult)[0] - 1.716298e-4) < 1e-18
 
     def test_head_scaling(self):
-        rates = apply_multipliers(2e-3, LrMultipliers(np.array([0.5, 1.5]), 1.0, 1.0))
+        rates = apply_multipliers(2e-3,
+                                  LrMultipliers(np.array([0.5, 1.5]), 1.0, 1.0, np.ones(2)))
         assert rates[1] == pytest.approx(1e-3)
         assert rates[2] == pytest.approx(3e-3)
+
+    def test_identity_ratios_are_ones(self):
+        for n in (1, 3):
+            ratios = LrMultipliers.identity(n).ratios
+            assert ratios.dtype == np.float64
+            np.testing.assert_array_equal(ratios, np.ones(n))
 
     def test_nonpositive_base_rejected(self):
         with pytest.raises(ConfigError):

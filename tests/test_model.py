@@ -10,6 +10,7 @@ from gridmoe.autodiff import Tensor
 from gridmoe.data import default_modalities, default_tasks, generate_sample
 from gridmoe.errors import ShapeError
 from gridmoe.model import Model, ModelSpec
+from gridmoe.moe import MoEConfig
 from gridmoe.errors import ConfigError
 
 
@@ -57,14 +58,15 @@ class TestFixtures:
         """Duplicated experts + identical embeddings: each MoE block equals
         its base 1x1 projection scaled by k/N."""
         tasks = default_tasks()
-        spec = ModelSpec(depth=4, channels=8, moe_layers=(0, 2), n_experts=4, top_k=2)
+        spec = ModelSpec(depth=4, channels=8, moe_layers=(0, 2),
+                         moe=MoEConfig(n_experts=4, top_k=2))
         model = Model(spec, tasks, seed=3, moe_enabled=True)
         for block in model.blocks:
             if block.has_moe:  # identical embeddings
-                block.gate.E.data = np.repeat(block.gate.E.data[:, :1], spec.n_experts, axis=1)
+                block.gate.E.data = np.repeat(block.gate.E.data[:, :1], spec.moe.n_experts, axis=1)
         rng = np.random.default_rng(0)
         h = rng.normal(size=(5, 5, 8))
-        scale = spec.top_k / spec.n_experts
+        scale = spec.moe.top_k / spec.moe.n_experts
         for block in model.blocks:
             if not block.has_moe:
                 continue
@@ -152,7 +154,7 @@ class TestStateDict:
             assert p1.data[i1].tobytes() == p2.data[i2].tobytes()
 
     def test_moe_checkpoint_layout_and_byte_round_trip(self):
-        spec = ModelSpec(depth=2, channels=3, moe_layers=(1,), n_experts=2, top_k=1)
+        spec = ModelSpec(depth=2, channels=3, moe_layers=(1,), moe=MoEConfig(n_experts=2, top_k=1))
         model = Model(spec, default_tasks(), seed=4)
         bank = model.blocks[1].bank
         rng = np.random.default_rng(4)

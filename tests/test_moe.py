@@ -19,12 +19,11 @@ from gridmoe.moe import (
     MoEConfig,
     RoutingDecision,
     export_top1_map,
-    gate,
     init_from_pretrained,
     moe_forward,
 )
 import reference_ops
-from reference_ops import per_sample_forward_batch, replayed_adjoints
+from reference_ops import gate, per_sample_forward_batch, replayed_adjoints
 
 
 def oracle_gate(x, W, E, temperature, k):

@@ -39,7 +39,7 @@ class TestParsing:
         assert cfg.model.depth == 4
         assert cfg.model.channels == 8
         assert cfg.model.moe_layers == (0, 2)
-        assert cfg.model.gate_temperature == 0.07
+        assert cfg.model.moe.gate_temperature == 0.07
         assert cfg.dso.alpha == 0.05
         assert cfg.dso.tau == 3.0
         assert cfg.dso.bias_b == 0.4

@@ -182,6 +182,28 @@ class TestGroupRates:
         assert len(set(rates[1:])) == 3
 
 
+class TestGovernorRecord:
+    """``dso_log.csv``'s ``w_<t>`` columns read the ratios on the governor's record."""
+
+    @pytest.mark.parametrize("dso_enabled, calls", [(True, 10), (False, 0)],
+                             ids=["governor_on", "governor_off"])
+    def test_ratios_computed_once_per_step(self, tmp_path, monkeypatch, dso_enabled, calls):
+        seen = []
+        real = dso.convergence_ratios
+
+        def counted(tracker):
+            seen.append(real(tracker))
+            return seen[-1]
+
+        monkeypatch.setattr(dso, "convergence_ratios", counted)
+        state = start_training(benchmark_config(0, 10, str(tmp_path / "run"), dso_enabled))
+        rows = [train_step(state)[1] for _ in range(10)]
+        assert len(seen) == calls
+        for i, row in enumerate(rows):
+            logged = [row[f"w_{t}"] for t in ("A", "B", "C")]
+            assert logged == (list(seen[i]) if dso_enabled else [1.0, 1.0, 1.0])
+
+
 class TestSmokeRun:
     def test_500_iterations_under_budget_and_losses_decrease(self, tmp_path):
         start = time.monotonic()
