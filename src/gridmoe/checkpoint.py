@@ -8,30 +8,14 @@ diffable.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_atomic
 from .errors import ShapeError
 
 MANIFEST_SCHEMA = "checkpoint.v1"
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
-
-    A write that fails or is killed partway leaves ``path`` as it was (absent
-    or the previous complete file), never half written; a killed process may
-    leave the hidden temporary file behind.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def manifest_path_for(bin_path) -> Path:

@@ -14,13 +14,13 @@ k/N; that scaling is a documented consequence of not renormalizing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .csvio import write_csv
 from .errors import ConfigError, ShapeError, UsageError
 from .numerics import NORM_EPS, stable_softmax
 
@@ -292,8 +292,6 @@ class ExpertStats:
         return out
 
     def to_csv(self, path) -> None:
-        from .csvio import write_csv
-
         write_csv(path, STATS_CSV_COLUMNS, self.rows(), schema="expert_stats")
 
 
@@ -301,11 +299,3 @@ def export_top1_map(decision: RoutingDecision) -> np.ndarray:
     """Grid of winning expert indices (argmax of the full softmax, ties low)."""
     return np.argmax(decision.full_softmax, axis=-1)
 
-
-def write_top1_map_csv(path, top1_map: np.ndarray) -> None:
-    grid = np.atleast_2d(np.asarray(top1_map))
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema=top1_map.v1\n")
-        writer = csv.writer(fh)
-        for row in grid:
-            writer.writerow([int(v) for v in row])

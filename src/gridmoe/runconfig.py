@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .checkpoint import write_atomic
+from .csvio import write_atomic
 from .data import EVAL_INDEX_OFFSET, MODALITIES
 from .dso import DsoConfig
 from .errors import ConfigError
@@ -256,9 +256,9 @@ def _sha256(path: Path) -> str:
 
 
 def write_config_snapshot(out_dir: Path, cfg: RunConfig) -> Path:
-    snapshot_path = out_dir / CONFIG_SNAPSHOT_NAME
-    snapshot_path.write_text(json.dumps(cfg.snapshot(), indent=2, sort_keys=True) + "\n")
-    return snapshot_path
+    path = out_dir / CONFIG_SNAPSHOT_NAME
+    write_atomic(path, (json.dumps(cfg.snapshot(), indent=2, sort_keys=True) + "\n").encode())
+    return path
 
 
 @dataclass

@@ -23,10 +23,10 @@ from . import autodiff as ad
 from . import data as gdata
 from . import dso
 from .checkpoint import save_checkpoint
-from .csvio import CsvLogger, write_csv
+from .csvio import CsvLogger, write_csv, write_rows
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
-from .moe import ExpertStats, export_top1_map, write_top1_map_csv
+from .moe import ExpertStats, export_top1_map
 from .runconfig import RunConfig, RunManifest, make_out_dir, write_config_snapshot
 
 
@@ -89,10 +89,8 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
             for layer, decision in routings:
                 stats.accumulate(decision, modality, layer)
                 if j == 0 and maps_dir is not None:
-                    write_top1_map_csv(
-                        maps_dir / f"{modality}_{layer.replace('.', '_')}.csv",
-                        export_top1_map(decision)[0],
-                    )
+                    write_rows(maps_dir / f"{modality}_{layer.replace('.', '_')}.csv",
+                               "top1_map", export_top1_map(decision)[0].tolist())
     return stats
 
 
@@ -332,8 +330,7 @@ def _render(value):
 
 
 def write_sweep_csv(path, rows: list[dict]) -> None:
-    columns = list(rows[0].keys())
-    write_csv(path, columns, rows, schema="sweep")
+    write_csv(path, list(rows[0]), rows, schema="sweep")
 
 
 # ---------------------------------------------------------------------------
