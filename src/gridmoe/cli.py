@@ -20,8 +20,8 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, get_path, load_config_file, make_out_dir,
-                        parse_config, resolve_out_dir, set_path)
+from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, SWEEP_CSV_NAME, claim_out_dir, get_path,
+                        load_config_file, make_out_dir, parse_config, set_path)
 from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train, write_sweep_csv
 
 
@@ -58,15 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--out", default=None)
     p_inspect.add_argument("--force", action="store_true")
     return parser
-
-
-def _check_out_dir(path: Path, force: bool) -> None:
-    """Refuse a file or, unless ``force``, a non-empty directory. It is created only as
-    the work that writes into it starts, so an error found before that leaves nothing behind."""
-    if path.exists() and not path.is_dir():
-        raise ConfigError("out_dir", f"{path} is not a directory")
-    if path.exists() and any(path.iterdir()) and not force:
-        raise ConfigError("out_dir", f"{path} is not empty (use --force to overwrite)")
 
 
 def _parse_grid(spec: str) -> dict[str, list]:
@@ -106,18 +97,15 @@ def _parse_value(key: str, kind: type, default, token: str):
 
 def cmd_train(args) -> int:
     raw = load_config_file(args.config)
+    out_dir = claim_out_dir(args.out if args.out is not None else
+                            get_path(raw, "run.out_dir", SCHEMA["run"]["out_dir"][1]), args.force)
+    set_path(raw, "run.out_dir", str(out_dir))
     if args.seed is not None:
         set_path(raw, "run.seed", args.seed)
-    if args.out is not None:
-        set_path(raw, "run.out_dir", args.out)
     if args.no_dso:
         set_path(raw, "run.dso", False)
     if args.no_moe:
         set_path(raw, "run.moe", False)
-    cfg = parse_config(raw)
-    out_dir = resolve_out_dir(cfg.out_dir)
-    _check_out_dir(out_dir, args.force)
-    set_path(raw, "run.out_dir", str(out_dir))
     cfg = parse_config(raw)
     result = recorded_train(cfg, args.config, trainer=train)
     final = ", ".join(f"{t}={result.final_losses[t]:.4f}" for t in result.task_order)
@@ -133,11 +121,10 @@ def cmd_sweep(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     except ValueError:
         raise ConfigError("seeds", f"{args.seeds!r} is not a comma list of integers") from None
-    base_out = resolve_out_dir(args.out if args.out is not None
-                               else get_path(raw, "run.out_dir", "sweep"))
-    _check_out_dir(base_out, args.force)
+    base_out = claim_out_dir(args.out if args.out is not None
+                             else get_path(raw, "run.out_dir", "sweep"), args.force)
     rows = sweep_rows(raw, grid, seeds, base_out, config_path=args.config)
-    sweep_csv = base_out / "sweep.csv"
+    sweep_csv = base_out / SWEEP_CSV_NAME
     write_sweep_csv(sweep_csv, rows)
     print(f"{len(rows)} runs -> {sweep_csv}")
     return EXIT_OK
@@ -162,9 +149,10 @@ def cmd_inspect_gates(args) -> int:
     except ShapeError as exc:
         raise ConfigError("checkpoint", str(exc)) from exc
 
-    out_dir = Path(args.out) if args.out else checkpoint_path.parent / "inspect"
-    _check_out_dir(out_dir, args.force)
+    # Absolute, so the default stays beside the checkpoint whatever $GRIDMOE_OUT says.
+    out_dir = claim_out_dir(args.out or checkpoint_path.parent.absolute() / "inspect", args.force)
     make_out_dir(out_dir)
+    (out_dir / "participation.csv").unlink(missing_ok=True)  # no rerun sits under the old mark
     modality = args.modality
     stats = evaluate_stats(model, {modality: modalities[modality]}, {modality: tasks[modality]},
                            args.n, cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")

@@ -27,6 +27,7 @@ from .moe import MoEConfig
 
 CONFIG_SNAPSHOT_NAME = "config_snapshot.json"
 MANIFEST_NAME = "manifest.json"
+SWEEP_CSV_NAME = "sweep.csv"
 
 REQUIRED = object()  # default of a key every config must give
 DERIVED = object()   # default computed from other keys after parsing
@@ -230,13 +231,19 @@ def get_path(raw: dict, dotted: str, default):
     return _value(section, section_name, key) if key in section else default
 
 
-def resolve_out_dir(out_dir: str) -> Path:
-    """Resolve a run directory against $GRIDMOE_OUT when it is relative."""
-    path = Path(out_dir)
-    if path.is_absolute():
-        return path
-    root = os.environ.get("GRIDMOE_OUT")
-    return (Path(root) / path) if root else path
+def claim_out_dir(out_dir, force: bool) -> Path:
+    """A command's output directory, resolved against $GRIDMOE_OUT when relative.
+
+    Refuses a file or, unless ``force``, a non-empty directory. It creates
+    nothing: the directory is made only as the work that writes into it
+    starts, so an error found before that leaves nothing behind.
+    """
+    path = Path(os.environ.get("GRIDMOE_OUT", ""), out_dir)
+    if path.exists() and not path.is_dir():
+        raise ConfigError("out_dir", f"{path} is not a directory")
+    if path.exists() and any(path.iterdir()) and not force:
+        raise ConfigError("out_dir", f"{path} is not empty (use --force to overwrite)")
+    return path
 
 
 def make_out_dir(path: Path) -> None:

@@ -27,7 +27,8 @@ from .csvio import CsvLogger, write_csv, write_rows
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map
-from .runconfig import RunConfig, RunManifest, make_out_dir, write_config_snapshot
+from .runconfig import (MANIFEST_NAME, SWEEP_CSV_NAME, RunConfig, RunManifest, make_out_dir,
+                        write_config_snapshot)
 
 
 @dataclass
@@ -204,6 +205,7 @@ def _eval_entropy(state: TrainState, name: str, maps_dir: Path | None = None) ->
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     out_dir = Path(cfg.out_dir)
     make_out_dir(out_dir)
+    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)  # no rerun sits under the old mark
     artifacts = {"config_snapshot": write_config_snapshot(out_dir, cfg),
                  "losses": out_dir / "losses.csv", "dso_log": out_dir / "dso_log.csv",
                  "checkpoint": out_dir / "checkpoint.bin",
@@ -278,7 +280,7 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     run writes a manifest, as ``recorded_train`` does, naming ``config_path``.
     Returns one row per run with the swept parameters and final metrics.
     """
-    from .runconfig import parse_config, set_path
+    from .runconfig import parse_config, set_path  # at call time: a wrapped parse_config sees it
     import copy
     import itertools
 
@@ -298,6 +300,7 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
             set_path(raw, "run.seed", seed)
             set_path(raw, "run.out_dir", str(out_root / f"cell{cell_index:03d}_seed{seed}"))
             runs.append((combo, seed, parse_config(raw)))
+    (out_root / SWEEP_CSV_NAME).unlink(missing_ok=True)  # all cells parsed: drop the old mark
     rows: list[dict] = []
     for combo, seed, cfg in runs:
         result = recorded_train(cfg, config_path)
@@ -387,7 +390,7 @@ def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool
     sharp head softmax and a balance point of 1, so the backbone rate never
     exceeds the base and the head policy carries the balancing.
     """
-    from .runconfig import parse_config
+    from .runconfig import parse_config  # at call time: a wrapped parse_config sees it
 
     noise = {"A": BENCHMARK_BASE_NOISE * BENCHMARK_HARD_MULTIPLIER,
              "B": BENCHMARK_BASE_NOISE, "C": BENCHMARK_BASE_NOISE}
@@ -441,6 +444,7 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
              benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False))
             for seed in _distinct_seeds(seeds)]
     make_out_dir(out_root)
+    (out_root / BENCHMARK_SEEDS_CSV).unlink(missing_ok=True)  # no rerun sits under the old mark
     per_seed = []
     for seed, dso_cfg, plain_cfg in runs:
         with_dso = train(dso_cfg, keep_model=False)

@@ -100,6 +100,7 @@ def test_tracer_sees_every_step_of_a_cli_train_run(tmp_path):
         tracer.uninstall()
 
     assert code == 0
+    assert tracer.calls["runconfig.parse_config"] == 1
     walls, selfs = tracer.loop_accounting()
     assert len(walls) == len(selfs) == iterations
     assert tracer.calls["data.next_batch"] == iterations

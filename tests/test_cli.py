@@ -87,14 +87,6 @@ class TestTrainCommand:
         assert ((tmp_path / "r1" / "losses.csv").read_bytes()
                 != (tmp_path / "r2" / "losses.csv").read_bytes())
 
-    def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json")
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "--force" in capsys.readouterr().err
-        assert main(["train", "--config", str(cfg), "--out", str(out), "--force"]) == 0
-
     def test_no_dso_no_moe_flags_recorded_and_applied(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "run"
@@ -166,12 +158,6 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
         assert "run.seed" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_env_out_root(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
-        cfg = write_config(tmp_path / "cfg.json", **{"run.out_dir": "nested/run"})
-        assert main(["train", "--config", str(cfg)]) == 0
-        assert (tmp_path / "root" / "nested" / "run" / "losses.csv").exists()
 
 
     def test_nan_in_config_file_exits_2_naming_field(self, tmp_path, capsys):
@@ -452,16 +438,57 @@ def test_io_error_mid_run_exits_3_and_records_it(tmp_path, monkeypatch, capsys, 
     assert not (out / "cell001_seed0").exists() and not (out / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "sweep", "inspect-gates"])
-def test_out_dir_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys, command):
-    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2, "run.stats_samples": 0})
-    run = tmp_path / "run"
+COMMANDS = ["train", "sweep", "inspect-gates"]
+
+
+def command_argv(command, tmp_path, **overrides):
+    """``command``'s arguments but ``--out``, on a 2-iteration config in ``tmp_path``.
+    For ``inspect-gates`` the config first trains the checkpoint it reads, into ``run``."""
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2, **overrides})
     if command == "inspect-gates":
+        run = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    argv = {"train": ["train", "--config", str(cfg)],
-            "sweep": ["sweep", "--config", str(cfg), "--grid", "moe.top_k=2"],
-            "inspect-gates": ["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"),
-                              "--modality", "A", "--n", "1"]}[command]
+        return ["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"),
+                "--modality", "A", "--n", "1"]
+    return {"train": ["train", "--config", str(cfg)],
+            "sweep": ["sweep", "--config", str(cfg), "--grid", "moe.top_k=2"]}[command]
+
+
+@pytest.mark.parametrize("command, written", [
+    ("train", "nested/run/losses.csv"),
+    ("sweep", "nested/run/sweep.csv"),
+    ("inspect-gates", "nested/insp/participation.csv"),
+], ids=COMMANDS)
+def test_env_out_root(tmp_path, monkeypatch, command, written):
+    """A relative output directory, from the config or ``--out``, resolves against
+    $GRIDMOE_OUT for every command."""
+    monkeypatch.chdir(tmp_path)
+    argv = command_argv(command, tmp_path, **{"run.out_dir": "nested/run"})
+    if command == "inspect-gates":
+        argv += ["--out", "nested/insp"]
+    monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
+    assert main(argv) == 0
+    assert (tmp_path / "root" / written).exists()
+    assert not (tmp_path / "nested").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_refuses_nonempty_out_without_force(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [*command_argv(command, tmp_path), "--out", str(out)]
+    assert main(argv) == 0
+    written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"config error: out_dir: {out} is not empty "
+                                       "(use --force to overwrite)\n")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+    assert main([*argv, "--force"]) == 0
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys, command):
+    argv = command_argv(command, tmp_path, **{"run.stats_samples": 0})
     before = files_under(tmp_path)
     capsys.readouterr()
     out = tmp_path / "out"
@@ -504,16 +531,10 @@ def test_config_naming_a_directory_exits_2_and_writes_nothing(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["no_force", "force"])
-@pytest.mark.parametrize("command", ["train", "sweep", "inspect-gates"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_out_naming_a_file_exits_2_and_leaves_it(tmp_path, capsys, command, force):
-    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2})
+    argv = command_argv(command, tmp_path)
     run = tmp_path / "run"
-    if command == "inspect-gates":
-        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    argv = {"train": ["train", "--config", str(cfg)],
-            "sweep": ["sweep", "--config", str(cfg), "--grid", "moe.top_k=2"],
-            "inspect-gates": ["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"),
-                              "--modality", "A", "--n", "1"]}[command]
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     capsys.readouterr()
@@ -633,6 +654,16 @@ class TestInspectCommand:
         assert set(per_layer) == {"trunk.0", "trunk.2"}
         for layer, total in per_layer.items():
             assert total == n * 8 * 8, layer
+
+    def test_default_out_stays_beside_the_checkpoint(self, tmp_path, monkeypatch):
+        """$GRIDMOE_OUT roots a relative ``--out``, not the default ``inspect/`` directory."""
+        self._trained_run(tmp_path, iterations=2)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
+        assert main(["inspect-gates", "--checkpoint", "run/checkpoint.bin",
+                     "--modality", "A", "--n", "1"]) == 0
+        assert (tmp_path / "run" / "inspect" / "participation.csv").exists()
+        assert not (tmp_path / "root").exists()
 
     def test_n_zero_empty_stats(self, tmp_path):
         out = self._trained_run(tmp_path)

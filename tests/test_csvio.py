@@ -1,13 +1,17 @@
-"""Run files: the CSV formats, and no file left half written under its final name.
+"""Run files: the CSV formats, no file left half written under its final name,
+and no rerun left under the previous run's completion mark.
 
 Every whole file is rendered in memory and renamed into place; only
 ``losses.csv`` and ``dso_log.csv`` stream. The failure tests raise an
 ``OSError`` at the Nth ``csvio.format_value`` call, one per CSV cell written,
 and check that the file being written is absent and every other file whole.
+Each command writes one file last, which marks its output complete; a rerun
+into the same directory removes it before it writes anything else.
 """
 
 import contextlib
 import errno
+import importlib
 import json
 import os
 import shutil
@@ -149,13 +153,15 @@ def published(root):
             if p.is_file() and p.name != "manifest.json"}
 
 
-def fail_late(out, run, back):
+def fail_late(out, run, back, fresh=True):
     """Run ``run()`` once cleanly into ``out``, then again with the cell ``back`` from the
-    last one failing. Returns the clean run's files."""
+    last one failing: into a fresh ``out``, or over the first run unless ``fresh``.
+    Returns the clean run's files."""
     with cells_failing_at() as calls:
         run()
     whole = published(out)
-    shutil.rmtree(out)
+    if fresh:
+        shutil.rmtree(out)
     with cells_failing_at(calls[0] - back):
         run()
     return whole
@@ -181,14 +187,18 @@ CLI_CASES = {
 }
 
 
+def case_argv(case, trained_run, tmp_path):
+    argv = CLI_CASES[case][0]
+    if argv[0] == "inspect-gates":
+        return [*argv, "--checkpoint", str(trained_run / "checkpoint.bin")]
+    return [*argv, "--config", str(tmp_path / "cfg.json")]
+
+
 @pytest.mark.parametrize("case", CLI_CASES)
 def test_command_failing_mid_file_exits_3_and_leaves_no_partial_file(trained_run, tmp_path,
                                                                      capsys, case):
-    argv, failed, back, failed_runs = CLI_CASES[case]
-    if argv[0] == "inspect-gates":
-        argv = [*argv, "--checkpoint", str(trained_run / "checkpoint.bin")]
-    else:
-        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    _, failed, back, failed_runs = CLI_CASES[case]
+    argv = case_argv(case, trained_run, tmp_path)
     out = tmp_path / "out"
     codes = []
     whole = fail_late(out, lambda: codes.append(main([*argv, "--out", str(out)])), back)
@@ -201,8 +211,9 @@ def test_command_failing_mid_file_exits_3_and_leaves_no_partial_file(trained_run
         assert verify_manifest(out / run)
 
 
-def test_benchmark_failing_mid_seeds_csv_raises_and_leaves_no_partial_file(tmp_path):
-    out = tmp_path / "bench"
+def benchmark_failing_mid_seeds_csv(out, fresh):
+    """``fail_late`` on a one-seed benchmark whose rerun raises in ``benchmark_seeds.csv``;
+    returns the clean run's files."""
     outcome = []
 
     def run():
@@ -212,7 +223,72 @@ def test_benchmark_failing_mid_seeds_csv_raises_and_leaves_no_partial_file(tmp_p
             outcome.append(exc)
 
     # benchmark_seeds.csv is one row of 6 cells: the failure falls in it.
-    whole = fail_late(out, run, 4)
+    whole = fail_late(out, run, 4, fresh)
     assert not isinstance(outcome[0], OSError)
     assert isinstance(outcome[1], OSError) and outcome[1].errno == errno.ENOSPC
+    return whole
+
+
+def test_benchmark_failing_mid_seeds_csv_raises_and_leaves_no_partial_file(tmp_path):
+    out = tmp_path / "bench"
+    whole = benchmark_failing_mid_seeds_csv(out, fresh=True)
     assert_absent_or_whole(out, "benchmark_seeds.csv", whole)
+
+
+# The file that marks a command's output complete, for the CLI_CASES that fail before
+# writing it. A failed train run rewrites its manifest with exit 3 (see the test below).
+COMPLETION_MARKS = {"inspect_gates": "participation.csv", "sweep_cell": "sweep.csv",
+                    "sweep_csv": "sweep.csv"}
+
+
+@pytest.mark.parametrize("case", COMPLETION_MARKS)
+def test_failed_rerun_leaves_no_previous_completion_mark(trained_run, tmp_path, case):
+    out = tmp_path / "out"
+    argv = [*case_argv(case, trained_run, tmp_path), "--out", str(out), "--force"]
+    codes = []
+    whole = fail_late(out, lambda: codes.append(main(argv)), CLI_CASES[case][2], fresh=False)
+    assert codes == [0, 3]
+    mark = COMPLETION_MARKS[case]
+    assert mark in whole and mark not in published(out)
+
+
+def test_failed_benchmark_rerun_leaves_no_previous_seeds_csv(tmp_path):
+    out = tmp_path / "bench"
+    whole = benchmark_failing_mid_seeds_csv(out, fresh=False)
+    assert "benchmark_seeds.csv" in whole and "benchmark_seeds.csv" not in published(out)
+
+
+def test_interrupted_train_rerun_leaves_no_previous_manifest(trained_run, tmp_path,
+                                                              monkeypatch):
+    """An interrupt records no exit status, so the first run's manifest must not stay
+    to vouch for the rerun's partial logs."""
+    train_mod = importlib.import_module("gridmoe.train")
+    real, steps = train_mod.train_step, [0]
+
+    def interrupted(state):
+        steps[0] += 1
+        if steps[0] == 3:
+            raise KeyboardInterrupt
+        return real(state)
+
+    monkeypatch.setattr(train_mod, "train_step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(trained_run),
+              "--force"])
+    assert not (trained_run / "manifest.json").exists()
+    assert len(read_csv(trained_run / "losses.csv")) == 2
+
+
+def test_sweep_rerun_with_a_bad_cell_keeps_the_previous_sweep_csv(tmp_path, monkeypatch,
+                                                                   capsys):
+    """Every cell's config parses before the previous ``sweep.csv`` is removed."""
+    monkeypatch.delenv("GRIDMOE_OUT", raising=False)
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(write_config(tmp_path / "cfg.json")), "--out", str(out),
+            "--force", "--grid"]
+    assert main([*argv, "moe.top_k=1,2"]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main([*argv, "moe.top_k=1,9"]) == 2
+    assert "config error: moe.top_k" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert (out / "sweep.csv") in before

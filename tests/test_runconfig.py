@@ -12,9 +12,9 @@ from gridmoe.runconfig import (
     REQUIRED,
     SCHEMA,
     RunManifest,
+    claim_out_dir,
     load_config_file,
     parse_config,
-    resolve_out_dir,
     set_path,
     verify_manifest,
     write_config_snapshot,
@@ -272,16 +272,17 @@ class TestSchemaTable:
 class TestOutDirResolution:
     def test_relative_uses_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
-        assert resolve_out_dir("runs/x") == tmp_path / "root" / "runs" / "x"
+        assert claim_out_dir("runs/x", False) == tmp_path / "root" / "runs" / "x"
 
     def test_absolute_ignores_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRIDMOE_OUT", str(tmp_path / "root"))
         absolute = tmp_path / "elsewhere"
-        assert resolve_out_dir(str(absolute)) == absolute
+        assert claim_out_dir(str(absolute), False) == absolute
 
-    def test_no_env_keeps_relative(self, monkeypatch):
+    def test_no_env_keeps_relative(self, tmp_path, monkeypatch):
         monkeypatch.delenv("GRIDMOE_OUT", raising=False)
-        assert str(resolve_out_dir("runs/x")) == "runs/x"
+        monkeypatch.chdir(tmp_path)
+        assert str(claim_out_dir("runs/x", False)) == "runs/x"
 
 
 class TestManifest:
