@@ -22,7 +22,7 @@ from .errors import (
 )
 from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, SWEEP_CSV_NAME, claim_out_dir, get_path,
                         load_config_file, make_out_dir, parse_config, set_path)
-from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train, write_sweep_csv
+from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,9 +124,7 @@ def cmd_sweep(args) -> int:
     base_out = claim_out_dir(args.out if args.out is not None
                              else get_path(raw, "run.out_dir", "sweep"), args.force)
     rows = sweep_rows(raw, grid, seeds, base_out, config_path=args.config)
-    sweep_csv = base_out / SWEEP_CSV_NAME
-    write_sweep_csv(sweep_csv, rows)
-    print(f"{len(rows)} runs -> {sweep_csv}")
+    print(f"{len(rows)} runs -> {base_out / SWEEP_CSV_NAME}")
     return EXIT_OK
 
 
@@ -153,6 +151,10 @@ def cmd_inspect_gates(args) -> int:
     out_dir = claim_out_dir(args.out or checkpoint_path.parent.absolute() / "inspect", args.force)
     make_out_dir(out_dir)
     (out_dir / "participation.csv").unlink(missing_ok=True)  # no rerun sits under the old mark
+    for old_map in (out_dir / "top1_maps").glob("*_trunk_*.csv"):  # nor beside the old maps
+        owner, _, block = old_map.stem.partition("_trunk_")
+        if owner in gdata.MODALITIES and block.isascii() and block.isdecimal():
+            old_map.unlink()
     modality = args.modality
     stats = evaluate_stats(model, {modality: modalities[modality]}, {modality: tasks[modality]},
                            args.n, cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")

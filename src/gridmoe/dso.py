@@ -149,12 +149,13 @@ def backbone_multiplier(consistency: float, cfg: DsoConfig) -> float:
     return 2.0 * sigmoid((consistency - cfg.bias_b) * cfg.tau)
 
 
-def step(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LrMultipliers:
+def step(tracker: LossTracker, observed_losses, cfg: DsoConfig, governed=True) -> LrMultipliers:
     """One governor update: EMA, ratios, head multipliers, consistency, backbone.
 
     Invalid losses (non-finite or <= 0) skip the whole update and return the
     previous multipliers unchanged, signalling upstream divergence without
-    corrupting the tracker.
+    corrupting the tracker. Ungoverned, the step only advances the EMA and
+    returns the identity record, which such a tracker never replaces.
     """
     observed = np.asarray(observed_losses, dtype=np.float64).reshape(-1)
     if observed.shape[0] != tracker.n_tasks:
@@ -163,6 +164,8 @@ def step(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LrMultipliers
         log.warning("skipping governor update: invalid losses %s", observed)
         return tracker.last_multipliers
     update_ema(tracker, observed, cfg)
+    if not governed:
+        return tracker.last_multipliers
     ratios = convergence_ratios(tracker)
     lambdas = head_multipliers(ratios, cfg)
     consistency = consistency_score(tracker)

@@ -158,13 +158,7 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     for modality, layer, decision in routings:
         state.stats.accumulate(decision, modality, layer)
 
-    if cfg.dso_enabled:
-        multipliers = dso.step(tracker, values, cfg.dso)
-    else:
-        multipliers = dso.LrMultipliers.identity(len(order))
-        if dso.losses_valid(values):
-            dso.update_ema(tracker, values, cfg.dso)
-
+    multipliers = dso.step(tracker, values, cfg.dso, governed=cfg.dso_enabled)
     ad.backward(total)
     rates = dso.apply_multipliers(cfg.base_lr, multipliers)
     for lr, params in zip(rates, state.groups, strict=True):
@@ -278,7 +272,8 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     may name neither. Every cell's config is parsed before the first run, so
     a bad value in any cell fails the sweep before anything is trained. Each
     run writes a manifest, as ``recorded_train`` does, naming ``config_path``.
-    Returns one row per run with the swept parameters and final metrics.
+    Returns one row per run with the swept parameters and final metrics, and
+    writes them to ``sweep.csv`` under ``out_root`` after the last run.
     """
     from .runconfig import parse_config, set_path  # at call time: a wrapped parse_config sees it
     import copy
@@ -312,6 +307,7 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
         row["gamma_min"] = result.gamma_min
         row["gamma_max"] = result.gamma_max
         rows.append(row)
+    write_csv(out_root / SWEEP_CSV_NAME, list(rows[0]), rows, schema="sweep")
     return rows
 
 
@@ -330,10 +326,6 @@ def _render(value):
     if isinstance(value, (list, tuple)):
         return "|".join(str(v) for v in value)
     return value
-
-
-def write_sweep_csv(path, rows: list[dict]) -> None:
-    write_csv(path, list(rows[0]), rows, schema="sweep")
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,23 @@ def test_tracer_sees_every_step_of_a_cli_train_run(tmp_path):
     # training and 2 evaluations x 3 modalities x 2 samples. Every routing
     # selects its experts through the name moe.topk_select.
     assert tracer.calls["moe.topk_select"] == tracer.calls["moe.moe_forward"] == 34
+
+
+def test_no_dso_run_steps_the_governor_every_iteration(tmp_path):
+    """With the governor off, ``train_step`` still calls ``dso.step``, which holds the
+    governor's off switch, so ``dso.step.ms`` times every step of a ``--no-dso`` run."""
+    iterations = 4
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"moe": {"n_experts": 2, "top_k": 1},
+                                  "run": {"iterations": iterations, "stats_samples": 0}}))
+    cli = importlib.import_module("gridmoe.cli")
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
+                         "--no-dso"])
+    finally:
+        tracer.uninstall()
+
+    assert code == 0
+    assert tracer.calls["dso.step"] == tracer.calls["dso.update_ema"] == iterations

@@ -665,6 +665,24 @@ class TestInspectCommand:
         assert (tmp_path / "run" / "inspect" / "participation.csv").exists()
         assert not (tmp_path / "root").exists()
 
+    def test_force_rerun_keeps_only_its_own_maps(self, tmp_path):
+        """A ``--force`` rerun removes every modality's old ``<modality>_trunk_<i>.csv``
+        map and no other file."""
+        out = self._trained_run(tmp_path, iterations=2)
+        insp = tmp_path / "insp"
+        argv = ["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"), "--n", "1",
+                "--out", str(insp)]
+        assert main([*argv, "--modality", "A"]) == 0
+        maps = insp / "top1_maps"
+        assert sorted(p.name for p in maps.iterdir()) == ["A_trunk_0.csv", "A_trunk_2.csv"]
+        kept = ["A_trunk_0.txt", "A_trunk_x.csv", "D_trunk_0.csv", "notes.csv"]
+        for name in kept:
+            (maps / name).write_text("keep\n")
+        assert main([*argv, "--modality", "B", "--force"]) == 0
+        assert sorted(p.name for p in maps.iterdir()) == sorted(
+            ["B_trunk_0.csv", "B_trunk_2.csv", *kept])
+        assert {row["dataset"] for row in read_csv(insp / "participation.csv")} == {"B"}
+
     def test_n_zero_empty_stats(self, tmp_path):
         out = self._trained_run(tmp_path)
         code = main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),

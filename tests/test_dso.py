@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gridmoe import dso
 from gridmoe.dso import (
     DsoConfig,
     LossTracker,
@@ -346,6 +347,39 @@ class TestStep:
         skipped = step(tracker, [0.0, 1.0, 1.0], cfg)
         assert skipped is result
         assert skipped.ratios.tobytes() == convergence_ratios(tracker).tobytes()
+
+    def test_ungoverned_step_only_advances_the_ema(self, monkeypatch):
+        """``governed=False`` is the governor with every rate held at one."""
+        def refused(tracker):
+            raise AssertionError("an ungoverned step computed convergence ratios")
+
+        monkeypatch.setattr(dso, "convergence_ratios", refused)
+        rng = np.random.default_rng(6)
+        cfg = DsoConfig(alpha=0.1)
+        tracker, ema_only = LossTracker(3), LossTracker(3)
+        identity = tracker.last_multipliers
+        for _ in range(5):
+            losses = rng.uniform(0.1, 3.0, size=3)
+            result = step(tracker, losses, cfg, governed=False)
+            update_ema(ema_only, losses, cfg)
+            assert result is identity
+            assert apply_multipliers(0.05, result) == [0.05] * 4
+            assert tracker.cur.tobytes() == ema_only.cur.tobytes()
+            assert tracker.his.tobytes() == ema_only.his.tobytes()
+
+    def test_ungoverned_step_skips_invalid_losses(self, caplog):
+        cfg = DsoConfig()
+        tracker = LossTracker(2)
+        step(tracker, [1.0, 2.0], cfg, governed=False)
+        cur, his = tracker.cur.copy(), tracker.his.copy()
+        with caplog.at_level("WARNING", logger="gridmoe.dso"):
+            result = step(tracker, [0.0, 2.0], cfg, governed=False)
+        assert result is tracker.last_multipliers
+        assert tracker.cur.tobytes() == cur.tobytes() and tracker.his.tobytes() == his.tobytes()
+        assert "skipping governor update" in caplog.text
+        fresh = LossTracker(2)
+        step(fresh, [0.0, 1.0], cfg, governed=False)
+        assert fresh.cur is None and fresh.his is None
 
     def test_replay_determinism(self):
         rng = np.random.default_rng(4)

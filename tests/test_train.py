@@ -14,7 +14,7 @@ import pytest
 from gridmoe import autodiff as ad
 from gridmoe import data as gdata
 from gridmoe import dso
-from gridmoe.csvio import read_csv
+from gridmoe.csvio import format_value, read_csv
 from gridmoe.errors import ConfigError, TrainingAborted
 from gridmoe.model import Model
 from gridmoe.runconfig import parse_config
@@ -28,7 +28,6 @@ from gridmoe.train import (
     sweep_rows,
     train,
     train_step,
-    write_sweep_csv,
 )
 from reference_ops import ShuffledSampler, per_sample_forward_batch
 
@@ -360,10 +359,17 @@ class TestSweep:
         rows = sweep_rows(base, {"moe.n_experts": [2, 4, 8]}, seeds=[0, 1, 2],
                           out_root=tmp_path)
         assert len(rows) == 9
-        write_sweep_csv(tmp_path / "sweep.csv", rows)
         parsed = read_csv(tmp_path / "sweep.csv")
         assert len(parsed) == 9
         assert {r["moe.n_experts"] for r in parsed} == {"2", "4", "8"}
+
+    def test_sweep_rows_writes_the_rows_it_returns(self, tmp_path):
+        base = {"moe": {"n_experts": 2, "top_k": 1},
+                "run": {"iterations": 2, "base_lr": 0.01, "stats_samples": 0}}
+        rows = sweep_rows(base, {"moe.top_k": [1, 2]}, seeds=[0], out_root=tmp_path / "sw")
+        assert (tmp_path / "sw" / "sweep.csv").read_text().startswith("# schema=sweep.v1\n")
+        assert read_csv(tmp_path / "sw" / "sweep.csv") == [
+            {key: format_value(value) for key, value in row.items()} for row in rows]
 
     def test_gamma_stays_in_open_interval(self, tmp_path):
         base = {
