@@ -8,6 +8,7 @@ diffable.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ def load_checkpoint(bin_path) -> dict[str, np.ndarray]:
         if entry["name"] in state:
             raise ShapeError(f"{manifest}: entry name {entry['name']!r} appears more than once")
         shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)
         if offset + size > flat.size:
             raise ShapeError(f"{bin_path}: shorter than its manifest declares")
         state[entry["name"]] = flat[offset : offset + size].reshape(shape).copy()

@@ -20,9 +20,9 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, SWEEP_CSV_NAME, claim_out_dir, get_path,
-                        load_config_file, make_out_dir, parse_config, set_path)
-from .train import build_setup, evaluate_stats, recorded_train, sweep_rows, train
+from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, claim_out_dir, get_path, load_config_file,
+                        make_out_dir, parse_config, set_path)
+from .train import SWEEP_CSV_NAME, build_setup, evaluate_stats, recorded_train, sweep_rows, train
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,6 +73,8 @@ def _parse_grid(spec: str) -> dict[str, list]:
         parsed = [_parse_value(key, *entry, v) for v in values.split(",") if v != ""]
         if not parsed:
             raise ConfigError("grid", f"no values for {key!r}")
+        if key in grid:
+            raise ConfigError(key, "is given more than once in --grid")
         grid[key] = parsed
     if not grid:
         raise ConfigError("grid", "empty sweep grid")
@@ -149,12 +151,7 @@ def cmd_inspect_gates(args) -> int:
 
     # Absolute, so the default stays beside the checkpoint whatever $GRIDMOE_OUT says.
     out_dir = claim_out_dir(args.out or checkpoint_path.parent.absolute() / "inspect", args.force)
-    make_out_dir(out_dir)
-    (out_dir / "participation.csv").unlink(missing_ok=True)  # no rerun sits under the old mark
-    for old_map in (out_dir / "top1_maps").glob("*_trunk_*.csv"):  # nor beside the old maps
-        owner, _, block = old_map.stem.partition("_trunk_")
-        if owner in gdata.MODALITIES and block.isascii() and block.isdecimal():
-            old_map.unlink()
+    make_out_dir(out_dir, "participation.csv")
     modality = args.modality
     stats = evaluate_stats(model, {modality: modalities[modality]}, {modality: tasks[modality]},
                            args.n, cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")

@@ -27,7 +27,6 @@ from .moe import MoEConfig
 
 CONFIG_SNAPSHOT_NAME = "config_snapshot.json"
 MANIFEST_NAME = "manifest.json"
-SWEEP_CSV_NAME = "sweep.csv"
 
 REQUIRED = object()  # default of a key every config must give
 DERIVED = object()   # default computed from other keys after parsing
@@ -246,12 +245,14 @@ def claim_out_dir(out_dir, force: bool) -> Path:
     return path
 
 
-def make_out_dir(path: Path) -> None:
-    """Create an output directory; one that cannot be is a configuration error."""
+def make_out_dir(path: Path, mark: str) -> None:
+    """Create an output directory, then remove its completion mark ``mark``, so no
+    rerun sits under the old one; one that cannot be created is a configuration error."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"{path}: cannot create ({exc.strerror})") from exc
+    (path / mark).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ from .csvio import CsvLogger, write_csv, write_rows
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map
-from .runconfig import (MANIFEST_NAME, SWEEP_CSV_NAME, RunConfig, RunManifest, make_out_dir,
-                        write_config_snapshot)
+from .runconfig import MANIFEST_NAME, RunConfig, RunManifest, make_out_dir, write_config_snapshot
 
 
 @dataclass
@@ -76,11 +75,16 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
     """Routing statistics over fresh evaluation samples (no training indices).
 
     With ``maps_dir``, also writes each modality's top-1 maps of its first
-    sample there, one CSV per MoE layer.
+    sample there, one CSV per MoE layer, after removing every
+    ``<modality>_trunk_<i>.csv`` an earlier run left there.
     """
     stats = ExpertStats()
     if maps_dir is not None:
         maps_dir.mkdir(parents=True, exist_ok=True)
+        for old_map in maps_dir.glob("*_trunk_*.csv"):  # no rerun sits beside the old maps
+            owner, _, block = old_map.stem.partition("_trunk_")
+            if owner in gdata.MODALITIES and block.isascii() and block.isdecimal():
+                old_map.unlink()
     for modality in sorted(modalities):
         for j in range(n_samples):
             image, _ = gdata.generate_sample(
@@ -198,8 +202,7 @@ def _eval_entropy(state: TrainState, name: str, maps_dir: Path | None = None) ->
 
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     out_dir = Path(cfg.out_dir)
-    make_out_dir(out_dir)
-    (out_dir / MANIFEST_NAME).unlink(missing_ok=True)  # no rerun sits under the old mark
+    make_out_dir(out_dir, MANIFEST_NAME)
     artifacts = {"config_snapshot": write_config_snapshot(out_dir, cfg),
                  "losses": out_dir / "losses.csv", "dso_log": out_dir / "dso_log.csv",
                  "checkpoint": out_dir / "checkpoint.bin",
@@ -223,6 +226,10 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     save_checkpoint(artifacts["checkpoint"], state.model.state_dict())
     state.stats.to_csv(artifacts["expert_stats"])
     final_entropy = _eval_entropy(state, "expert_stats_final.csv", out_dir / "top1_maps")
+    if final_entropy:  # the evaluation ran
+        artifacts.update(expert_stats_init=out_dir / "expert_stats_init.csv",
+                         expert_stats_final=out_dir / "expert_stats_final.csv",
+                         top1_maps=out_dir / "top1_maps")
     return TrainResult(
         out_dir=out_dir, task_order=order, loss_history=history,
         final_losses={t: history[t][-1] for t in order},
@@ -295,7 +302,7 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
             set_path(raw, "run.seed", seed)
             set_path(raw, "run.out_dir", str(out_root / f"cell{cell_index:03d}_seed{seed}"))
             runs.append((combo, seed, parse_config(raw)))
-    (out_root / SWEEP_CSV_NAME).unlink(missing_ok=True)  # all cells parsed: drop the old mark
+    make_out_dir(out_root, SWEEP_CSV_NAME)
     rows: list[dict] = []
     for combo, seed, cfg in runs:
         result = recorded_train(cfg, config_path)
@@ -333,6 +340,7 @@ def _render(value):
 # ---------------------------------------------------------------------------
 
 BENCHMARK_BASE_NOISE = 0.1
+SWEEP_CSV_NAME = "sweep.csv"
 BENCHMARK_SEEDS_CSV = "benchmark_seeds.csv"
 BENCHMARK_HARD_MULTIPLIER = 4.0
 
@@ -435,8 +443,7 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
     runs = [(seed, benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True),
              benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False))
             for seed in _distinct_seeds(seeds)]
-    make_out_dir(out_root)
-    (out_root / BENCHMARK_SEEDS_CSV).unlink(missing_ok=True)  # no rerun sits under the old mark
+    make_out_dir(out_root, BENCHMARK_SEEDS_CSV)
     per_seed = []
     for seed, dso_cfg, plain_cfg in runs:
         with_dso = train(dso_cfg, keep_model=False)

@@ -99,8 +99,10 @@ def test_manifest_path_for_non_bin_suffix(tmp_path):
     lambda meta: meta["entries"][0].update(shape=[2, 3.0]),
     lambda meta: meta["entries"][0].update(shape=[True, 3]),
     lambda meta: meta["entries"].append("b"),
+    lambda meta: meta["entries"][0].update(shape=[2**32, 2**32]),  # 2**64 values, 0 in int64
 ], ids=["no_entries", "schema_v9", "no_schema", "entries_not_list", "no_name", "name_not_str",
-        "shape_not_list", "negative_dim", "float_dim", "bool_dim", "entry_not_dict"])
+        "shape_not_list", "negative_dim", "float_dim", "bool_dim", "entry_not_dict",
+        "size_past_int64"])
 def test_malformed_manifest_rejected(tmp_path, edit):
     bin_path, manifest = save_checkpoint(tmp_path / "checkpoint.bin", {"a": np.zeros((2, 3))})
     meta = json.loads(manifest.read_text())

@@ -52,15 +52,22 @@ class TestTrainCommand:
             return results[-1]
 
         monkeypatch.setattr(cli, "train", captured_train)
-        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2})
         out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
-        assert recorded == {name: str(path) for name, path in results[0].artifacts.items()}
-        assert recorded == {name: str(out / file) for name, file in (
-            ("losses", "losses.csv"), ("dso_log", "dso_log.csv"),
-            ("expert_stats", "expert_stats.csv"), ("checkpoint", "checkpoint.bin"),
-            ("config_snapshot", "config_snapshot.json"))}
+        always = (("losses", "losses.csv"), ("dso_log", "dso_log.csv"),
+                  ("expert_stats", "expert_stats.csv"), ("checkpoint", "checkpoint.bin"),
+                  ("config_snapshot", "config_snapshot.json"))
+        evaluation = (("expert_stats_init", "expert_stats_init.csv"),
+                      ("expert_stats_final", "expert_stats_final.csv"), ("top1_maps", "top1_maps"))
+        # The evaluation files are listed only by a run that wrote them, over a rerun too.
+        for stats_samples, flags, files in ((4, [], always + evaluation),
+                                            (0, ["--force"], always),
+                                            (1, ["--force"], always + evaluation)):
+            cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                         "run.stats_samples": stats_samples})
+            assert main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 0
+            recorded = json.loads((out / "manifest.json").read_text())["artifacts"]
+            assert recorded == {name: str(path) for name, path in results[-1].artifacts.items()}
+            assert recorded == {name: str(out / file) for name, file in files}
 
     def test_missing_top_k_exits_2_naming_field(self, tmp_path, capsys):
         raw = {"moe": {"n_experts": 4}, "run": {"iterations": 2}}
@@ -269,6 +276,18 @@ class TestSweepCommand:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["sweep", "--config", str(cfg), "--grid", "tau",
                      "--out", str(tmp_path / "s")]) == 2
+
+    def test_repeated_grid_key_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        before = files_under(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=1 moe.top_k=2",
+                     "--out", str(out)])
+        assert code == 2
+        assert "config error: moe.top_k: is given more than once in --grid" \
+            in capsys.readouterr().err
+        assert not out.exists() and files_under(tmp_path) == before
 
     def test_bad_later_cell_exits_2_before_any_training(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
@@ -502,7 +521,7 @@ def test_out_dir_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys, c
     monkeypatch.setattr(Path, "mkdir", refuse)
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    # A sweep names the cell directory it could not create under ``out``.
+    # A sweep names ``out`` itself: ``sweep_rows`` creates it before any cell runs.
     assert err.startswith(f"config error: out_dir: {out}")
     assert err.endswith(": cannot create (Permission denied)\n") and err.count("\n") == 1
     assert files_under(tmp_path) == before
@@ -683,6 +702,27 @@ class TestInspectCommand:
             ["B_trunk_0.csv", "B_trunk_2.csv", *kept])
         assert {row["dataset"] for row in read_csv(insp / "participation.csv")} == {"B"}
 
+    def test_train_force_rerun_keeps_only_its_own_maps(self, tmp_path):
+        """A ``train --force`` rerun's final evaluation removes the old maps, as
+        ``inspect-gates`` does, and no other file."""
+        out, maps = tmp_path / "run", tmp_path / "run" / "top1_maps"
+
+        def train_on(layers, *flags):
+            cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                         "run.stats_samples": 1,
+                                                         "model.moe_layers": layers})
+            assert main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 0
+
+        train_on([0, 2])
+        assert sorted(p.name for p in maps.iterdir()) == [
+            f"{m}_trunk_{i}.csv" for m in "ABC" for i in (0, 2)]
+        kept = ["A_trunk_0.txt", "A_trunk_x.csv", "D_trunk_0.csv", "notes.csv"]
+        for name in kept:
+            (maps / name).write_text("keep\n")
+        train_on([1], "--force")
+        assert sorted(p.name for p in maps.iterdir()) == sorted(
+            ["A_trunk_1.csv", "B_trunk_1.csv", "C_trunk_1.csv", *kept])
+
     def test_n_zero_empty_stats(self, tmp_path):
         out = self._trained_run(tmp_path)
         code = main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
@@ -738,9 +778,11 @@ class TestInspectCommand:
             assert 0.5 < sum(shares) <= 1.0 + 1e-9, layer
             assert sum(s > 0.05 for s in shares) >= 2, layer
 
-    @pytest.mark.parametrize("edit", [lambda meta: meta.pop("entries"),
-                                      lambda meta: meta.update(schema="checkpoint.v9")],
-                             ids=["no_entries", "schema_v9"])
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("entries"),
+        lambda meta: meta.update(schema="checkpoint.v9"),
+        lambda meta: meta["entries"][0].update(shape=[2**32, 2**32]),
+    ], ids=["no_entries", "schema_v9", "size_past_int64"])
     def test_malformed_checkpoint_manifest_exits_2(self, tmp_path, capsys, edit):
         out = self._trained_run(tmp_path, iterations=2)
         manifest = out / "checkpoint.manifest.json"
