@@ -12,7 +12,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import ctypes
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -81,10 +80,7 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
     stats = ExpertStats()
     if maps_dir is not None:
         maps_dir.mkdir(parents=True, exist_ok=True)
-        for old_map in maps_dir.glob("*_trunk_*.csv"):  # no rerun sits beside the old maps
-            owner, _, block = old_map.stem.partition("_trunk_")
-            if owner in gdata.MODALITIES and block.isascii() and block.isdecimal():
-                old_map.unlink()
+        _remove_top1_maps(maps_dir)  # no rerun sits beside the old maps
     for modality in sorted(modalities):
         for j in range(n_samples):
             image, _ = gdata.generate_sample(
@@ -97,6 +93,14 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
                     write_rows(maps_dir / f"{modality}_{layer.replace('.', '_')}.csv",
                                "top1_map", export_top1_map(decision)[0].tolist())
     return stats
+
+
+def _remove_top1_maps(maps_dir: Path) -> None:
+    """Remove each ``<modality>_trunk_<i>.csv`` in ``maps_dir``, and no other file."""
+    for old_map in maps_dir.glob("*_trunk_*.csv"):
+        owner, _, block = old_map.stem.partition("_trunk_")
+        if owner in gdata.MODALITIES and block.isascii() and block.isdecimal():
+            old_map.unlink()
 
 
 @dataclass
@@ -190,9 +194,13 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
 
 
 def _eval_entropy(state: TrainState, name: str, maps_dir: Path | None = None) -> dict[str, float]:
-    """Evaluation routing stats written to ``name``; each modality's entropy."""
+    """Evaluation routing stats written to ``name``; each modality's entropy. A run
+    that does not evaluate removes an earlier run's ``name`` and maps in ``maps_dir``."""
     cfg, model = state.cfg, state.model
     if not model.moe_layer_names or cfg.stats_samples <= 0:
+        (Path(cfg.out_dir) / name).unlink(missing_ok=True)
+        if maps_dir is not None:
+            _remove_top1_maps(maps_dir)
         return {}
     stats = evaluate_stats(model, state.modalities, state.tasks, cfg.stats_samples,
                            cfg.height, cfg.width, maps_dir=maps_dir)
@@ -345,43 +353,6 @@ BENCHMARK_SEEDS_CSV = "benchmark_seeds.csv"
 BENCHMARK_HARD_MULTIPLIER = 4.0
 
 
-@dataclass
-class BenchmarkSeedResult:
-    seed: int
-    spread_with_dso: float
-    spread_without_dso: float
-    init_entropy: dict[str, float]
-    final_entropy: dict[str, float]
-
-
-@dataclass
-class BenchmarkResult:
-    per_seed: list[BenchmarkSeedResult]
-
-    def median_spread_with(self) -> float:
-        return statistics.median(r.spread_with_dso for r in self.per_seed)
-
-    def median_spread_without(self) -> float:
-        return statistics.median(r.spread_without_dso for r in self.per_seed)
-
-    def median_entropy_drop(self, modality: str) -> float:
-        return statistics.median(
-            r.final_entropy[modality] - r.init_entropy[modality] for r in self.per_seed
-        )
-
-    def to_csv(self, path) -> None:
-        """One row per seed: both spreads and each modality's entropy change."""
-        modalities = sorted(self.per_seed[0].init_entropy) if self.per_seed else []
-        columns = ["seed", "spread_with_dso", "spread_without_dso",
-                   *(f"entropy_change_{m}" for m in modalities)]
-        rows = [{"seed": r.seed, "spread_with_dso": r.spread_with_dso,
-                 "spread_without_dso": r.spread_without_dso,
-                 **{f"entropy_change_{m}": r.final_entropy[m] - r.init_entropy[m]
-                    for m in modalities}}
-                for r in self.per_seed]
-        write_csv(path, columns, rows, schema="benchmark_seeds")
-
-
 def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool) -> RunConfig:
     """Three modalities, task A 4x harder via label noise, 8x8x8 inputs.
 
@@ -429,34 +400,29 @@ def normalized_loss_spread(history: dict[str, list[float]], window: int = 50) ->
 
 
 def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
-                        ) -> BenchmarkResult:
+                        ) -> list[dict]:
     """Paired runs (governor on/off) per seed on the scripted-imbalance setup.
 
     Every seed keeps ``data.modality_seed`` 0, so all seeds read one data
     stream in one batch order: a seed changes only the model initialization.
-    Writes each seed's spreads and entropy changes to ``benchmark_seeds.csv``
-    under ``out_root``, so a seed that flips the comparison shows there. The
-    seeds must be distinct and every run's config valid: both are checked
-    before anything is written.
+    Returns one row per seed, its spreads and each modality's entropy change
+    under the governor, and writes them to ``benchmark_seeds.csv`` under
+    ``out_root``, so a seed that flips the comparison shows there. The seeds
+    must be distinct and every run's config valid: both are checked before
+    anything is written.
     """
     out_root = Path(out_root)
     runs = [(seed, benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True),
              benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False))
             for seed in _distinct_seeds(seeds)]
     make_out_dir(out_root, BENCHMARK_SEEDS_CSV)
-    per_seed = []
+    rows = []
     for seed, dso_cfg, plain_cfg in runs:
         with_dso = train(dso_cfg, keep_model=False)
         without_dso = train(plain_cfg, keep_model=False)
-        per_seed.append(
-            BenchmarkSeedResult(
-                seed=seed,
-                spread_with_dso=normalized_loss_spread(with_dso.loss_history),
-                spread_without_dso=normalized_loss_spread(without_dso.loss_history),
-                init_entropy=with_dso.init_entropy,
-                final_entropy=with_dso.final_entropy,
-            )
-        )
-    result = BenchmarkResult(per_seed)
-    result.to_csv(out_root / BENCHMARK_SEEDS_CSV)
-    return result
+        rows.append({"seed": seed, "spread_with_dso": normalized_loss_spread(with_dso.loss_history),
+                     "spread_without_dso": normalized_loss_spread(without_dso.loss_history),
+                     **{f"entropy_change_{m}": with_dso.final_entropy[m] - with_dso.init_entropy[m]
+                        for m in sorted(with_dso.init_entropy)}})
+    write_csv(out_root / BENCHMARK_SEEDS_CSV, list(rows[0]), rows, schema="benchmark_seeds")
+    return rows

@@ -8,6 +8,7 @@ runs of 2000 iterations); everything else is self-contained. Run with
 import functools
 import json
 import math
+import statistics
 import time
 
 import numpy as np
@@ -58,9 +59,9 @@ def benchmark_runs(tmp_path_factory):
     """Criteria 8 and 9 share these five paired 2000-iteration runs."""
     out = tmp_path_factory.mktemp("imbalance_benchmark")
     start = time.monotonic()
-    result = imbalance_benchmark(out, seeds=(0, 1, 2, 3, 4), iterations=2000)
+    rows = imbalance_benchmark(out, seeds=(0, 1, 2, 3, 4), iterations=2000)
     elapsed = time.monotonic() - start
-    return result, elapsed
+    return rows, elapsed
 
 
 @report(1, "routing oracle")
@@ -226,10 +227,10 @@ def test_criterion_7_sparsity_accounting():
 
 @report(8, "directional balancing")
 def test_criterion_8_directional_balancing(benchmark_runs):
-    result, elapsed = benchmark_runs
+    rows, elapsed = benchmark_runs
     assert elapsed < 300.0, f"benchmark took {elapsed:.0f}s"
-    with_dso = result.median_spread_with()
-    without_dso = result.median_spread_without()
+    with_dso = statistics.median(row["spread_with_dso"] for row in rows)
+    without_dso = statistics.median(row["spread_without_dso"] for row in rows)
     print(f"\n  median normalized-loss spread: dso={with_dso:.4f} "
           f"plain={without_dso:.4f} ({elapsed:.0f}s)")
     assert with_dso <= without_dso
@@ -237,9 +238,9 @@ def test_criterion_8_directional_balancing(benchmark_runs):
 
 @report(9, "directional specialization")
 def test_criterion_9_directional_specialization(benchmark_runs):
-    result, _ = benchmark_runs
+    rows, _ = benchmark_runs
     for modality in ("A", "B", "C"):
-        drop = result.median_entropy_drop(modality)
+        drop = statistics.median(row[f"entropy_change_{modality}"] for row in rows)
         print(f"\n  modality {modality}: median participation-entropy change {drop:+.4f}")
         assert drop < 0.0, modality
 

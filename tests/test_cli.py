@@ -289,6 +289,22 @@ class TestSweepCommand:
             in capsys.readouterr().err
         assert not out.exists() and files_under(tmp_path) == before
 
+    @pytest.mark.parametrize("key, values", [
+        ("moe.top_k", "1,1"), ("run.dso", "true,True"), ("run.base_lr", "0.5,0.50"),
+        ("model.moe_layers", "0|2,0|2"),
+    ])
+    def test_repeated_grid_value_exits_2_and_writes_nothing(self, tmp_path, capsys, key, values):
+        # Compared as parsed: each spelling here would train one cell twice.
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        before = files_under(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", f"{key}={values}",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"config error: {key}: repeats a value in --grid" in capsys.readouterr().err
+        assert not out.exists() and files_under(tmp_path) == before
+
     def test_bad_later_cell_exits_2_before_any_training(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
                                                      "run.stats_samples": 0})
@@ -722,6 +738,37 @@ class TestInspectCommand:
         train_on([1], "--force")
         assert sorted(p.name for p in maps.iterdir()) == sorted(
             ["A_trunk_1.csv", "B_trunk_1.csv", "C_trunk_1.csv", *kept])
+
+    @pytest.mark.parametrize("samples, flags", [(0, []), (1, ["--no-moe"])],
+                             ids=["no_samples", "no_moe"])
+    def test_train_rerun_without_evaluation_clears_the_old_one(self, tmp_path, samples, flags):
+        """A ``train --force`` rerun that does not evaluate removes the evaluation
+        CSVs and maps an earlier run left, and no other file; a fresh one makes none."""
+        out, maps = tmp_path / "run", tmp_path / "run" / "top1_maps"
+
+        def train_on(stats_samples, *flags):
+            cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                         "run.stats_samples": stats_samples})
+            assert main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 0
+
+        train_on(1)
+        evaluation = ["expert_stats_init.csv", "expert_stats_final.csv"]
+        assert all((out / name).is_file() for name in evaluation)
+        kept = ["A_trunk_0.txt", "A_trunk_x.csv", "D_trunk_0.csv", "notes.csv"]
+        for name in kept:
+            (maps / name).write_text("keep\n")
+        train_on(samples, "--force", *flags)
+        assert not any((out / name).exists() for name in evaluation)
+        assert sorted(p.name for p in maps.iterdir()) == sorted(kept)
+        listed = json.loads((out / "manifest.json").read_text())["artifacts"]
+        assert not {"expert_stats_init", "expert_stats_final", "top1_maps"} & set(listed)
+
+        fresh = tmp_path / "fresh"
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": samples})
+        assert main(["train", "--config", str(cfg), "--out", str(fresh), *flags]) == 0
+        assert not (fresh / "top1_maps").exists()
+        assert not any((fresh / name).exists() for name in evaluation)
 
     def test_n_zero_empty_stats(self, tmp_path):
         out = self._trained_run(tmp_path)

@@ -405,27 +405,33 @@ class TestBenchmarkPieces:
         assert normalized_loss_spread(history) == 0.0
 
     def test_benchmark_single_seed_short(self, tmp_path):
-        result = imbalance_benchmark(tmp_path, seeds=(0,), iterations=60)
-        assert len(result.per_seed) == 1
-        seed_result = result.per_seed[0]
-        assert seed_result.spread_with_dso >= 0.0
-        assert set(seed_result.init_entropy) == {"A", "B", "C"}
+        rows = imbalance_benchmark(tmp_path, seeds=(0,), iterations=60)
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["spread_with_dso"] >= 0.0
+        assert {k for k in row if k.startswith("entropy_change_")} == {
+            "entropy_change_A", "entropy_change_B", "entropy_change_C"}
 
     def test_per_seed_csv_equals_per_seed_results(self, tmp_path):
-        result = imbalance_benchmark(tmp_path, seeds=(0, 2), iterations=12)
-        assert (tmp_path / "benchmark_seeds.csv").read_text().startswith(
-            "# schema=benchmark_seeds.v1\n")
-        rows = read_csv(tmp_path / "benchmark_seeds.csv")
-        assert [r["seed"] for r in rows] == ["0", "2"]
-        for row, seed_result in zip(rows, result.per_seed):
-            assert float(row["spread_with_dso"]) == seed_result.spread_with_dso
-            assert float(row["spread_without_dso"]) == seed_result.spread_without_dso
+        rows = imbalance_benchmark(tmp_path / "bench", seeds=(0, 2), iterations=12)
+        seeds_csv = tmp_path / "bench" / "benchmark_seeds.csv"
+        assert seeds_csv.read_text().startswith("# schema=benchmark_seeds.v1\n")
+        assert read_csv(seeds_csv) == [{k: format_value(v) for k, v in row.items()}
+                                       for row in rows]
+        assert [row["seed"] for row in rows] == [0, 2]
+        for row in rows:
+            # Each row is what two lone runs of its seed give, governor on and off.
+            with_dso, without_dso = (
+                train(benchmark_config(row["seed"], 12, str(tmp_path / f"lone{row['seed']}_{on}"),
+                                       on), keep_model=False)
+                for on in (True, False))
+            assert row["spread_with_dso"] == normalized_loss_spread(with_dso.loss_history)
+            assert row["spread_without_dso"] == normalized_loss_spread(without_dso.loss_history)
             assert {k for k in row if k.startswith("entropy_change_")} == {
                 "entropy_change_A", "entropy_change_B", "entropy_change_C"}
             for m in ("A", "B", "C"):
-                assert float(row[f"entropy_change_{m}"]) == (
-                    seed_result.final_entropy[m] - seed_result.init_entropy[m])
-
+                assert row[f"entropy_change_{m}"] == (
+                    with_dso.final_entropy[m] - with_dso.init_entropy[m])
 
     @pytest.mark.parametrize("seeds, iterations, field", [
         ((0, 0), 2, "seeds"), ((), 2, "seeds"), ((0,), 0, "run.iterations"),

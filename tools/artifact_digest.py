@@ -5,7 +5,10 @@ For each seed it trains ``train.benchmark_config`` three ways (governor on,
 checkpoint with gates (the first two ways) is then inspected with
 ``gridmoe inspect-gates --n 8`` for modalities A, B and C, into
 ``inspect_<modality>/`` beside it. The tool prints one
-``<sha256>  <variant>/seed<N>/<file>`` line per artifact, sorted.
+``<sha256>  <variant>/seed<N>/<file>`` line per artifact, sorted. Then
+``train.imbalance_benchmark`` runs that seed alone, and the tool prints
+``<sha256>  benchmark/seed<N>/benchmark_seeds.csv``; its run directories
+repeat the ``dso`` and ``no-dso`` variants, so they are not printed.
 ``config_snapshot.json`` records the output directory, a temporary one, so
 its JSON-encoded path is replaced by a fixed placeholder before hashing.
 
@@ -52,7 +55,7 @@ def main(argv=None) -> int:
     from gridmoe.cli import main as gridmoe_main
     from gridmoe.data import MODALITIES
     from gridmoe.runconfig import parse_config, set_path
-    from gridmoe.train import benchmark_config, train
+    from gridmoe.train import benchmark_config, imbalance_benchmark, train
 
     seeds = [int(s) for s in args.seeds.split(",")]
     lines = []
@@ -75,6 +78,10 @@ def main(argv=None) -> int:
                 lines += [f"{_sha256(path, out)}  "
                           f"{variant}/seed{seed}/{path.relative_to(out).as_posix()}"
                           for path in sorted(out.rglob("*")) if path.is_file()]
+            out = Path(tmp) / "benchmark" / f"seed{seed}"
+            imbalance_benchmark(out, seeds=(seed,), iterations=args.iterations)
+            lines.append(f"{_sha256(out / 'benchmark_seeds.csv', out)}  "
+                         f"benchmark/seed{seed}/benchmark_seeds.csv")
     print("\n".join(lines))
     return 0
 
