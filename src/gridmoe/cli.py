@@ -20,9 +20,11 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, claim_out_dir, get_path, load_config_file,
-                        make_out_dir, parse_config, set_path)
+from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, TOP1_MAPS_DIR, claim_out_dir, get_path,
+                        load_config_file, make_out_dir, parse_config, set_path)
 from .train import SWEEP_CSV_NAME, build_setup, evaluate_stats, recorded_train, sweep_rows, train
+
+INSPECT_FILES = ("participation.csv", TOP1_MAPS_DIR)  # the files inspect-gates writes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,11 +155,12 @@ def cmd_inspect_gates(args) -> int:
 
     # Absolute, so the default stays beside the checkpoint whatever $GRIDMOE_OUT says.
     out_dir = claim_out_dir(args.out or checkpoint_path.parent.absolute() / "inspect", args.force)
-    make_out_dir(out_dir, "participation.csv")
+    make_out_dir(out_dir, INSPECT_FILES)
+    participation, maps_dir = (out_dir / name for name in INSPECT_FILES)
     modality = args.modality
     stats = evaluate_stats(model, {modality: modalities[modality]}, {modality: tasks[modality]},
-                           args.n, cfg.height, cfg.width, maps_dir=out_dir / "top1_maps")
-    stats.to_csv(out_dir / "participation.csv")
+                           args.n, cfg.height, cfg.width, maps_dir=maps_dir)
+    stats.to_csv(participation)
     print(f"modality {args.modality}, {args.n} samples")
     for row in stats.rows():
         share = row["participation_mass"] / max(row["grid_positions"], 1)

@@ -27,6 +27,7 @@ from .moe import MoEConfig
 
 CONFIG_SNAPSHOT_NAME = "config_snapshot.json"
 MANIFEST_NAME = "manifest.json"
+TOP1_MAPS_DIR = "top1_maps"
 
 REQUIRED = object()  # default of a key every config must give
 DERIVED = object()   # default computed from other keys after parsing
@@ -198,11 +199,9 @@ def parse_config(raw: dict) -> RunConfig:
 
 def load_config_file(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("config", f"file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:  # a directory, or not readable
+    except OSError as exc:  # missing, a directory, or not readable
         raise ConfigError("config", f"{path}: cannot read ({exc.strerror})") from exc
     except ValueError as exc:  # invalid JSON or UTF-8
         raise ConfigError("config", f"{path}: not a UTF-8 JSON file ({exc})") from exc
@@ -213,10 +212,7 @@ def load_config_file(path) -> dict:
 
 def set_path(raw: dict, dotted: str, value) -> None:
     """Set ``section.key`` in a raw config dict (used by CLI overrides/sweeps)."""
-    parts = dotted.split(".")
-    if len(parts) != 2:
-        raise ConfigError(dotted, "override keys look like section.key")
-    section, key = parts
+    section, _, key = dotted.partition(".")  # a malformed key fails in parse_config, named
     target = raw.setdefault(section, {})
     if not isinstance(target, dict):
         raise ConfigError(section, "must be a table/object")
@@ -245,14 +241,25 @@ def claim_out_dir(out_dir, force: bool) -> Path:
     return path
 
 
-def make_out_dir(path: Path, mark: str) -> None:
-    """Create an output directory, then remove its completion mark ``mark``, so no
-    rerun sits under the old one; one that cannot be created is a configuration error."""
+def make_out_dir(path: Path, owned) -> None:
+    """Make a command's output directory and remove from it what an earlier run left of
+    ``owned``, the files the command writes, and nothing else. In ``TOP1_MAPS_DIR`` that is
+    the ``<modality>_trunk_<i>.csv`` maps, then the directory if it is left empty. A
+    directory that cannot be made is a configuration error."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("out_dir", f"{path}: cannot create ({exc.strerror})") from exc
-    (path / mark).unlink(missing_ok=True)
+    for name in owned:
+        if name != TOP1_MAPS_DIR:
+            (path / name).unlink(missing_ok=True)
+            continue
+        for old_map in (path / name).glob("*_trunk_*.csv"):
+            owner, _, block = old_map.stem.partition("_trunk_")
+            if owner in MODALITIES and block.isascii() and block.isdecimal():
+                old_map.unlink()
+        if (path / name).is_dir() and not any((path / name).iterdir()):
+            (path / name).rmdir()
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,22 @@ import numpy as np
 from . import autodiff as ad
 from . import data as gdata
 from . import dso
-from .checkpoint import save_checkpoint
+from .checkpoint import manifest_path_for, save_checkpoint
 from .csvio import CsvLogger, write_csv, write_rows
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map
-from .runconfig import MANIFEST_NAME, RunConfig, RunManifest, make_out_dir, write_config_snapshot
+from .runconfig import (CONFIG_SNAPSHOT_NAME, MANIFEST_NAME, TOP1_MAPS_DIR, RunConfig, RunManifest,
+                        make_out_dir, write_config_snapshot)
+
+# Every file a train run writes, keyed by its name under the manifest's ``artifacts``,
+# which list the evaluation's files only when it ran and the dump only on an abort.
+RUN_FILES = {"config_snapshot": CONFIG_SNAPSHOT_NAME, "losses": "losses.csv",
+             "dso_log": "dso_log.csv", "checkpoint": "checkpoint.bin",
+             "expert_stats": "expert_stats.csv", "expert_stats_init": "expert_stats_init.csv",
+             "expert_stats_final": "expert_stats_final.csv", "top1_maps": TOP1_MAPS_DIR,
+             "diagnostic_dump": "diagnostic_dump.csv"}
+TRAIN_FILES = (MANIFEST_NAME, manifest_path_for(RUN_FILES["checkpoint"]).name, *RUN_FILES.values())
 
 
 @dataclass
@@ -74,13 +84,12 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
     """Routing statistics over fresh evaluation samples (no training indices).
 
     With ``maps_dir``, also writes each modality's top-1 maps of its first
-    sample there, one CSV per MoE layer, after removing every
-    ``<modality>_trunk_<i>.csv`` an earlier run left there.
+    sample there, one CSV per MoE layer; the command that owns ``maps_dir``
+    removed an earlier run's maps as it made its directory (``make_out_dir``).
     """
     stats = ExpertStats()
     if maps_dir is not None:
         maps_dir.mkdir(parents=True, exist_ok=True)
-        _remove_top1_maps(maps_dir)  # no rerun sits beside the old maps
     for modality in sorted(modalities):
         for j in range(n_samples):
             image, _ = gdata.generate_sample(
@@ -93,14 +102,6 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
                     write_rows(maps_dir / f"{modality}_{layer.replace('.', '_')}.csv",
                                "top1_map", export_top1_map(decision)[0].tolist())
     return stats
-
-
-def _remove_top1_maps(maps_dir: Path) -> None:
-    """Remove each ``<modality>_trunk_<i>.csv`` in ``maps_dir``, and no other file."""
-    for old_map in maps_dir.glob("*_trunk_*.csv"):
-        owner, _, block = old_map.stem.partition("_trunk_")
-        if owner in gdata.MODALITIES and block.isascii() and block.isdecimal():
-            old_map.unlink()
 
 
 @dataclass
@@ -155,7 +156,7 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     total, losses, routings = model.forward_batch(samples)
     values = np.array([losses[t] for t in order])
     if not np.all(np.isfinite(values)):
-        dump_path = Path(cfg.out_dir) / "diagnostic_dump.csv"
+        dump_path = Path(cfg.out_dir) / RUN_FILES["diagnostic_dump"]
         write_csv(dump_path, _loss_columns(order), state.recent, "diagnostic_dump")
         raise TrainingAborted(
             f"non-finite loss at iteration {iteration}: "
@@ -193,31 +194,27 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     return loss_row, dso_row
 
 
-def _eval_entropy(state: TrainState, name: str, maps_dir: Path | None = None) -> dict[str, float]:
-    """Evaluation routing stats written to ``name``; each modality's entropy. A run
-    that does not evaluate removes an earlier run's ``name`` and maps in ``maps_dir``."""
+def _eval_entropy(state: TrainState, path: Path, maps_dir: Path | None = None) -> dict[str, float]:
+    """Evaluation routing stats written to ``path``; each modality's entropy. A run
+    with no MoE layer or no ``run.stats_samples`` evaluates nothing, writes nothing
+    and returns no entropy."""
     cfg, model = state.cfg, state.model
     if not model.moe_layer_names or cfg.stats_samples <= 0:
-        (Path(cfg.out_dir) / name).unlink(missing_ok=True)
-        if maps_dir is not None:
-            _remove_top1_maps(maps_dir)
         return {}
     stats = evaluate_stats(model, state.modalities, state.tasks, cfg.stats_samples,
                            cfg.height, cfg.width, maps_dir=maps_dir)
-    stats.to_csv(Path(cfg.out_dir) / name)
+    stats.to_csv(path)
     return {m: stats.participation_entropy(m) for m in sorted(state.modalities)}
 
 
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     out_dir = Path(cfg.out_dir)
-    make_out_dir(out_dir, MANIFEST_NAME)
-    artifacts = {"config_snapshot": write_config_snapshot(out_dir, cfg),
-                 "losses": out_dir / "losses.csv", "dso_log": out_dir / "dso_log.csv",
-                 "checkpoint": out_dir / "checkpoint.bin",
-                 "expert_stats": out_dir / "expert_stats.csv"}
+    make_out_dir(out_dir, TRAIN_FILES)
+    artifacts = {name: out_dir / file for name, file in RUN_FILES.items()}
+    write_config_snapshot(out_dir, cfg)
     state = start_training(cfg)
     order = state.model.task_order
-    init_entropy = _eval_entropy(state, "expert_stats_init.csv")
+    init_entropy = _eval_entropy(state, artifacts["expert_stats_init"])
 
     history: dict[str, list[float]] = {t: [] for t in order}
     gammas = []
@@ -233,18 +230,15 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
 
     save_checkpoint(artifacts["checkpoint"], state.model.state_dict())
     state.stats.to_csv(artifacts["expert_stats"])
-    final_entropy = _eval_entropy(state, "expert_stats_final.csv", out_dir / "top1_maps")
-    if final_entropy:  # the evaluation ran
-        artifacts.update(expert_stats_init=out_dir / "expert_stats_init.csv",
-                         expert_stats_final=out_dir / "expert_stats_final.csv",
-                         top1_maps=out_dir / "top1_maps")
-    return TrainResult(
-        out_dir=out_dir, task_order=order, loss_history=history,
-        final_losses={t: history[t][-1] for t in order},
-        gamma_min=min(gammas), gamma_max=max(gammas), stats=state.stats, artifacts=artifacts,
-        init_entropy=init_entropy, final_entropy=final_entropy,
-        model=state.model if keep_model else None,
-    )
+    final_entropy = _eval_entropy(state, artifacts["expert_stats_final"], artifacts["top1_maps"])
+    for name in ("diagnostic_dump",) if final_entropy else (
+            "diagnostic_dump", "expert_stats_init", "expert_stats_final", "top1_maps"):
+        del artifacts[name]  # not written
+    return TrainResult(out_dir=out_dir, task_order=order, loss_history=history,
+                       final_losses={t: history[t][-1] for t in order}, gamma_min=min(gammas),
+                       gamma_max=max(gammas), stats=state.stats, artifacts=artifacts,
+                       init_entropy=init_entropy, final_entropy=final_entropy,
+                       model=state.model if keep_model else None)
 
 
 def recorded_train(cfg: RunConfig, config_path: str,
@@ -263,8 +257,7 @@ def recorded_train(cfg: RunConfig, config_path: str,
     try:
         result = (trainer or train)(cfg, keep_model=False)
     except (GridMoeError, OSError) as exc:
-        artifacts = ({"diagnostic_dump": exc.dump_path}
-                     if isinstance(exc, TrainingAborted) else {})
+        artifacts = {"diagnostic_dump": exc.dump_path} if isinstance(exc, TrainingAborted) else {}
         with contextlib.suppress(OSError):
             manifest.finish(out_dir, artifacts, EXIT_RUNTIME)
         raise
@@ -310,18 +303,14 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
             set_path(raw, "run.seed", seed)
             set_path(raw, "run.out_dir", str(out_root / f"cell{cell_index:03d}_seed{seed}"))
             runs.append((combo, seed, parse_config(raw)))
-    make_out_dir(out_root, SWEEP_CSV_NAME)
+    make_out_dir(out_root, (SWEEP_CSV_NAME,))
     rows: list[dict] = []
     for combo, seed, cfg in runs:
         result = recorded_train(cfg, config_path)
-        row = {key: _render(value) for key, value in zip(keys, combo)}
-        row["seed"] = seed
-        for t in result.task_order:
-            row[f"final_loss_{t}"] = result.final_losses[t]
-        row["final_total"] = float(sum(result.final_losses.values()))
-        row["gamma_min"] = result.gamma_min
-        row["gamma_max"] = result.gamma_max
-        rows.append(row)
+        rows.append({**{key: _render(value) for key, value in zip(keys, combo)}, "seed": seed,
+                     **{f"final_loss_{t}": result.final_losses[t] for t in result.task_order},
+                     "final_total": float(sum(result.final_losses.values())),
+                     "gamma_min": result.gamma_min, "gamma_max": result.gamma_max})
     write_csv(out_root / SWEEP_CSV_NAME, list(rows[0]), rows, schema="sweep")
     return rows
 
@@ -415,7 +404,7 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
     runs = [(seed, benchmark_config(seed, iterations, str(out_root / f"seed{seed}_dso"), True),
              benchmark_config(seed, iterations, str(out_root / f"seed{seed}_plain"), False))
             for seed in _distinct_seeds(seeds)]
-    make_out_dir(out_root, BENCHMARK_SEEDS_CSV)
+    make_out_dir(out_root, (BENCHMARK_SEEDS_CSV,))
     rows = []
     for seed, dso_cfg, plain_cfg in runs:
         with_dso = train(dso_cfg, keep_model=False)

@@ -69,6 +69,16 @@ class TestTrainCommand:
             assert recorded == {name: str(path) for name, path in results[-1].artifacts.items()}
             assert recorded == {name: str(out / file) for name, file in files}
 
+    def test_readme_quick_start_config_trains(self, tmp_path):
+        """``configs/example.json``, the config README's CLI lines use, with 2 iterations."""
+        raw = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+        raw["run"]["iterations"] = 2
+        cfg = tmp_path / "example.json"
+        cfg.write_text(json.dumps(raw))
+        assert runconfig.parse_config(runconfig.load_config_file(cfg)).iterations == 2
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "demo")]) == 0
+        assert verify_manifest(tmp_path / "demo")
+
     def test_missing_top_k_exits_2_naming_field(self, tmp_path, capsys):
         raw = {"moe": {"n_experts": 4}, "run": {"iterations": 2}}
         cfg = tmp_path / "cfg.json"
@@ -446,6 +456,43 @@ def test_divergence_exits_3_naming_the_dump(tmp_path, capsys, command):
     assert f"(dump: {dump})" in err
 
 
+def diverging_config(path):
+    return write_config(path, **{"run.iterations": 20, "run.base_lr": 1e50,
+                                 "run.stats_samples": 1})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_successful_rerun_after_an_abort_keeps_no_dump(tmp_path):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(diverging_config(tmp_path / "bad.json")),
+                 "--out", str(out)]) == 3
+    assert (out / "diagnostic_dump.csv").is_file()
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2})
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--force"]) == 0
+    assert not (out / "diagnostic_dump.csv").exists()
+    assert "diagnostic_dump" not in json.loads((out / "manifest.json").read_text())["artifacts"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_aborted_rerun_keeps_no_file_of_the_previous_run(tmp_path, capsys):
+    """A ``--force`` rerun that aborts leaves only its own files, so no checkpoint
+    of the earlier run sits beside the rerun's config snapshot."""
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2, "run.stats_samples": 1})
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "checkpoint.bin").is_file() and any((out / "top1_maps").iterdir())
+    assert main(["train", "--config", str(diverging_config(tmp_path / "bad.json")),
+                 "--out", str(out), "--force"]) == 3
+    assert files_under(out) == ["config_snapshot.json", "diagnostic_dump.csv", "dso_log.csv",
+                                "expert_stats_init.csv", "losses.csv", "manifest.json"]
+    assert not (out / "top1_maps").exists()
+    capsys.readouterr()
+    assert main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                 "--modality", "A", "--n", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: checkpoint: ")
+    assert not (out / "inspect").exists()
+
+
 @pytest.mark.parametrize("command, run", [
     (["train"], "."), (["sweep", "--grid", "moe.top_k=1,2"], "cell000_seed0"),
 ], ids=["train", "sweep"])
@@ -552,16 +599,29 @@ def test_label_noise_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
+EVERY_COMMAND_READING_A_CONFIG = pytest.mark.parametrize("command", [
     ["train"], ["sweep", "--grid", "moe.top_k=2"],
     ["inspect-gates", "--checkpoint", "c.bin", "--modality", "A", "--n", "1"],
 ], ids=["train", "sweep", "inspect_gates"])
+
+
+@EVERY_COMMAND_READING_A_CONFIG
 def test_config_naming_a_directory_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
                                                                command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "adir").mkdir()
     assert main([*command, "--config", "adir", "--out", "o1"]) == 2
     assert "config: adir: cannot read" in capsys.readouterr().err
+    assert files_under(tmp_path) == [] and not (tmp_path / "o1").exists()
+
+
+@EVERY_COMMAND_READING_A_CONFIG
+def test_missing_config_exits_2_naming_it_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                              command):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--config", "absent.json", "--out", "o1"]) == 2
+    assert "config: absent.json: cannot read (No such file or directory)" in (
+        capsys.readouterr().err)
     assert files_under(tmp_path) == [] and not (tmp_path / "o1").exists()
 
 
@@ -743,7 +803,8 @@ class TestInspectCommand:
                              ids=["no_samples", "no_moe"])
     def test_train_rerun_without_evaluation_clears_the_old_one(self, tmp_path, samples, flags):
         """A ``train --force`` rerun that does not evaluate removes the evaluation
-        CSVs and maps an earlier run left, and no other file; a fresh one makes none."""
+        CSVs and maps an earlier run left, and no other file, then ``top1_maps/``
+        if the maps were all it held; a fresh one makes none."""
         out, maps = tmp_path / "run", tmp_path / "run" / "top1_maps"
 
         def train_on(stats_samples, *flags):
@@ -762,6 +823,13 @@ class TestInspectCommand:
         assert sorted(p.name for p in maps.iterdir()) == sorted(kept)
         listed = json.loads((out / "manifest.json").read_text())["artifacts"]
         assert not {"expert_stats_init", "expert_stats_final", "top1_maps"} & set(listed)
+
+        for name in kept:
+            (maps / name).unlink()
+        train_on(1, "--force")
+        assert any(maps.iterdir())
+        train_on(samples, "--force", *flags)
+        assert not maps.exists()
 
         fresh = tmp_path / "fresh"
         cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,

@@ -261,7 +261,7 @@ def test_failed_benchmark_rerun_leaves_no_previous_seeds_csv(tmp_path):
 def test_interrupted_train_rerun_leaves_no_previous_manifest(trained_run, tmp_path,
                                                               monkeypatch):
     """An interrupt records no exit status, so the first run's manifest must not stay
-    to vouch for the rerun's partial logs."""
+    to vouch for the rerun's partial logs, nor its checkpoint to stand for the rerun's."""
     train_mod = importlib.import_module("gridmoe.train")
     real, steps = train_mod.train_step, [0]
 
@@ -276,6 +276,8 @@ def test_interrupted_train_rerun_leaves_no_previous_manifest(trained_run, tmp_pa
         main(["train", "--config", str(tmp_path / "cfg.json"), "--out", str(trained_run),
               "--force"])
     assert not (trained_run / "manifest.json").exists()
+    assert not (trained_run / "checkpoint.bin").exists()
+    assert not (trained_run / "checkpoint.manifest.json").exists()
     assert len(read_csv(trained_run / "losses.csv")) == 2
 
 
