@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import data as gdata
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .moe import ExpertBank, GateParams, MoEConfig, RoutingDecision, init_from_pretrained, moe_forward
+from .moe import MoEConfig, RoutingDecision, init_from_pretrained, moe_forward
 
 
 @dataclass(frozen=True)
@@ -45,21 +45,21 @@ class ModelSpec:
 
 
 class TrunkBlock:
-    def __init__(self, index: int, weight: Tensor, bias: Tensor):
+    """One trunk block: its base projection, and with ``cfg`` the expert mixture
+    ``init_from_pretrained`` duplicates from it at ``seed``; without, ``bank``,
+    ``gate`` and ``cfg`` are None and the block is the base projection."""
+
+    def __init__(self, index: int, weight: Tensor, bias: Tensor, cfg: MoEConfig | None, seed: int):
         self.index = index
         self.weight = weight
         self.bias = bias
-        self.bank: ExpertBank | None = None
-        self.gate: GateParams | None = None
-        self.cfg: MoEConfig | None = None
+        self.cfg = cfg
+        self.bank, self.gate = (None, None) if cfg is None else init_from_pretrained(
+            weight.data, bias.data, cfg, seed=seed)
 
     @property
     def has_moe(self) -> bool:
         return self.bank is not None
-
-    def attach_moe(self, cfg: MoEConfig, seed: int) -> None:
-        self.bank, self.gate = init_from_pretrained(self.weight.data, self.bias.data, cfg, seed=seed)
-        self.cfg = cfg
 
     def forward(self, h: Tensor) -> tuple[Tensor, RoutingDecision | None]:
         """The block over a batch whose axis 0 indexes samples."""
@@ -97,14 +97,9 @@ class Model:
         self.blocks: list[TrunkBlock] = []
         for i in range(spec.depth):
             weight = rng.normal(0.0, np.sqrt(2.0 / c), size=(c, c))
-            block = TrunkBlock(
-                i,
-                Tensor(weight, requires_grad=True),
-                Tensor(np.zeros(c), requires_grad=True),
-            )
-            if moe_enabled and i in spec.moe_layers:
-                block.attach_moe(spec.moe, seed=seed * 997 + i)
-            self.blocks.append(block)
+            self.blocks.append(TrunkBlock(
+                i, Tensor(weight, requires_grad=True), Tensor(np.zeros(c), requires_grad=True),
+                spec.moe if moe_enabled and i in spec.moe_layers else None, seed * 997 + i))
 
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}
         for task_id, task in self.tasks.items():

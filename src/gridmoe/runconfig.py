@@ -1,4 +1,5 @@
-"""Run configuration: JSON sections -> validated dataclasses, plus manifests.
+"""Run configuration: JSON sections -> validated dataclasses; a run's directory,
+config snapshot and manifest (``write_manifest``, one call once the run ends).
 
 A config file has sections model, moe, dso, sampler, data, and run. ``SCHEMA``
 declares every key once, with its type and default; it drives parsing,
@@ -276,32 +277,18 @@ def write_config_snapshot(out_dir: Path, cfg: RunConfig) -> Path:
     return path
 
 
-@dataclass
-class RunManifest:
-    """``manifest.json``: started before a run, finished after it, when it
-    hashes the config snapshot the run wrote into ``out_dir``."""
-
-    config_path: str
-    seed: int
-    started_at: str
-    config_sha256: str | None = None
-    finished_at: str | None = None
-    artifacts: dict | None = None
-    exit_status: int | None = None
-
-    @classmethod
-    def start(cls, cfg: RunConfig, config_path: str) -> "RunManifest":
-        return cls(config_path=str(config_path), seed=cfg.seed,
-                   started_at=datetime.now(timezone.utc).isoformat())
-
-    def finish(self, out_dir: Path, artifacts: dict, exit_status: int) -> Path:
-        self.config_sha256 = _sha256(out_dir / CONFIG_SNAPSHOT_NAME)
-        self.finished_at = datetime.now(timezone.utc).isoformat()
-        self.artifacts = artifacts
-        self.exit_status = exit_status
-        path = out_dir / MANIFEST_NAME
-        write_atomic(path, (json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n").encode())
-        return path
+def write_manifest(out_dir: Path, cfg: RunConfig, config_path, started_at: str,
+                   artifacts: dict, exit_status: int) -> Path:
+    """``manifest.json``: the run's config path and seed, when it started and finished,
+    the hash of the config snapshot it wrote into ``out_dir``, its artifacts and exit
+    status."""
+    manifest = {"config_path": str(config_path), "seed": cfg.seed, "started_at": started_at,
+                "config_sha256": _sha256(out_dir / CONFIG_SNAPSHOT_NAME),
+                "finished_at": datetime.now(timezone.utc).isoformat(),
+                "artifacts": artifacts, "exit_status": exit_status}
+    path = out_dir / MANIFEST_NAME
+    write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    return path
 
 
 def verify_manifest(out_dir) -> bool:

@@ -13,6 +13,7 @@ import collections
 import contextlib
 import ctypes
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
@@ -26,8 +27,8 @@ from .csvio import CsvLogger, write_csv, write_rows
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map
-from .runconfig import (CONFIG_SNAPSHOT_NAME, MANIFEST_NAME, TOP1_MAPS_DIR, RunConfig, RunManifest,
-                        make_out_dir, write_config_snapshot)
+from .runconfig import (CONFIG_SNAPSHOT_NAME, MANIFEST_NAME, TOP1_MAPS_DIR, RunConfig, make_out_dir,
+                        write_config_snapshot, write_manifest)
 
 # Every file a train run writes, keyed by its name under the manifest's ``artifacts``,
 # which list the evaluation's files only when it ran and the dump only on an abort.
@@ -83,12 +84,12 @@ def evaluate_stats(model: Model, modalities, tasks, n_samples: int, height: int,
                    maps_dir: Path | None = None) -> ExpertStats:
     """Routing statistics over fresh evaluation samples (no training indices).
 
-    With ``maps_dir``, also writes each modality's top-1 maps of its first
-    sample there, one CSV per MoE layer; the command that owns ``maps_dir``
+    With ``maps_dir`` and a sample, also writes each modality's first-sample
+    top-1 maps there, one CSV per MoE layer; the command that owns ``maps_dir``
     removed an earlier run's maps as it made its directory (``make_out_dir``).
     """
     stats = ExpertStats()
-    if maps_dir is not None:
+    if maps_dir is not None and n_samples > 0:
         maps_dir.mkdir(parents=True, exist_ok=True)
     for modality in sorted(modalities):
         for j in range(n_samples):
@@ -243,7 +244,7 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
 
 def recorded_train(cfg: RunConfig, config_path: str,
                    trainer: Callable[..., TrainResult] | None = None) -> TrainResult:
-    """``train`` with a run manifest: started before, finished after.
+    """``train``, then its manifest (``write_manifest``), timed from before training.
 
     The manifest records exit status 0 and the artifacts ``train`` returns,
     or 3 when training raises a ``GridMoeError`` or an ``OSError``, which is
@@ -253,16 +254,16 @@ def recorded_train(cfg: RunConfig, config_path: str,
     up itself, so a wrapper installed on ``gridmoe.cli.train`` sees every CLI run.
     """
     out_dir = Path(cfg.out_dir)
-    manifest = RunManifest.start(cfg, config_path)
+    started_at = datetime.now(timezone.utc).isoformat()
     try:
         result = (trainer or train)(cfg, keep_model=False)
     except (GridMoeError, OSError) as exc:
         artifacts = {"diagnostic_dump": exc.dump_path} if isinstance(exc, TrainingAborted) else {}
         with contextlib.suppress(OSError):
-            manifest.finish(out_dir, artifacts, EXIT_RUNTIME)
+            write_manifest(out_dir, cfg, config_path, started_at, artifacts, EXIT_RUNTIME)
         raise
-    manifest.finish(out_dir, {name: str(path) for name, path in result.artifacts.items()},
-                    EXIT_OK)
+    write_manifest(out_dir, cfg, config_path, started_at,
+                   {name: str(path) for name, path in result.artifacts.items()}, EXIT_OK)
     return result
 
 

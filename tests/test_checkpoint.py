@@ -2,6 +2,7 @@
 
 import errno
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from gridmoe.checkpoint import load_checkpoint, manifest_path_for, save_checkpoint
 from gridmoe.errors import ShapeError
-from gridmoe.runconfig import RunManifest, parse_config, write_config_snapshot
+from gridmoe.runconfig import parse_config, write_config_snapshot, write_manifest
 
 
 def test_roundtrip_preserves_bits(tmp_path):
@@ -157,10 +158,10 @@ def test_failed_run_manifest_leaves_no_partial_file(tmp_path, monkeypatch):
     cfg = parse_config({"moe": {"n_experts": 4, "top_k": 2},
                         "run": {"iterations": 1, "out_dir": str(tmp_path)}})
     write_config_snapshot(tmp_path, cfg)
-    manifest = RunManifest.start(cfg, "cfg.json")
+    started_at = datetime.now(timezone.utc).isoformat()
     before = sorted(p.name for p in tmp_path.iterdir())
     _fail_halfway(monkeypatch)
     with pytest.raises(OSError):
-        manifest.finish(tmp_path, {"a": "b"}, 0)
+        write_manifest(tmp_path, cfg, "cfg.json", started_at, {"a": "b"}, 0)
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert "manifest.json" not in before

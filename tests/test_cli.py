@@ -69,6 +69,21 @@ class TestTrainCommand:
             assert recorded == {name: str(path) for name, path in results[-1].artifacts.items()}
             assert recorded == {name: str(out / file) for name, file in files}
 
+    def test_manifest_is_one_canonical_record_of_seven_keys(self, tmp_path):
+        """``manifest.json`` is one sorted, indented JSON object of exactly the seven
+        keys, and the run started no later than it finished."""
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2, "run.seed": 5})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        recorded = json.loads(text)
+        assert sorted(recorded) == ["artifacts", "config_path", "config_sha256", "exit_status",
+                                    "finished_at", "seed", "started_at"]
+        assert text == json.dumps(recorded, indent=2, sort_keys=True) + "\n"
+        assert recorded["started_at"] <= recorded["finished_at"]
+        assert (recorded["config_path"], recorded["seed"], recorded["exit_status"]) \
+            == (str(cfg), 5, 0)
+
     def test_readme_quick_start_config_trains(self, tmp_path):
         """``configs/example.json``, the config README's CLI lines use, with 2 iterations."""
         raw = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
@@ -844,6 +859,14 @@ class TestInspectCommand:
                      "--modality", "A", "--n", "0"])
         assert code == 0
         assert read_csv(out / "inspect" / "participation.csv") == []
+
+    def test_n_zero_makes_no_maps_directory(self, tmp_path):
+        """With no sample there is no map to write, so ``top1_maps/`` is not made."""
+        out = self._trained_run(tmp_path, iterations=2)
+        insp = tmp_path / "insp"
+        assert main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--modality", "A", "--n", "0", "--out", str(insp)]) == 0
+        assert sorted(p.name for p in insp.iterdir()) == ["participation.csv"]
 
     def test_negative_n_exits_2_and_writes_nothing(self, tmp_path, capsys):
         out = self._trained_run(tmp_path, iterations=2)

@@ -10,7 +10,7 @@ from gridmoe.autodiff import Tensor
 from gridmoe.data import default_modalities, default_tasks, generate_sample
 from gridmoe.errors import ShapeError
 from gridmoe.model import Model, ModelSpec
-from gridmoe.moe import MoEConfig
+from gridmoe.moe import MoEConfig, init_from_pretrained
 from gridmoe.errors import ConfigError
 
 
@@ -85,6 +85,36 @@ class TestFixtures:
         )
         assert with_moe.blocks[0].has_moe
         assert not without.blocks[0].has_moe
+
+
+class TestBlockMixture:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_moe_block_is_the_duplication_of_its_base_projection(self, seed):
+        """Each placed block's gate and experts are ``init_from_pretrained`` of its
+        own base weights at seed ``seed * 997 + index``, bit for bit."""
+        spec = ModelSpec(depth=4, channels=8, moe_layers=(2, 0),
+                         moe=MoEConfig(n_experts=4, top_k=2, gate_dim=5))
+        model = Model(spec, default_tasks(), seed=seed, moe_enabled=True)
+        assert [block.index for block in model.blocks if block.has_moe] == [0, 2]
+        for i in spec.moe_layers:
+            block = model.blocks[i]
+            bank, gate = init_from_pretrained(block.weight.data, block.bias.data, spec.moe,
+                                              seed=seed * 997 + i)
+            assert block.cfg is spec.moe
+            for got, want in ((block.gate.W, gate.W), (block.gate.E, gate.E),
+                              (block.bank.weight, bank.weight), (block.bank.bias, bank.bias)):
+                assert got.data.tobytes() == want.data.tobytes()
+                assert got.shape == want.shape
+
+    @pytest.mark.parametrize("moe_enabled", [True, False])
+    def test_block_without_mixture_has_none(self, moe_enabled):
+        spec = ModelSpec(depth=4, moe_layers=(1,))
+        model = Model(spec, default_tasks(), seed=2, moe_enabled=moe_enabled)
+        plain = [b for b in model.blocks if not (moe_enabled and b.index in spec.moe_layers)]
+        assert len(plain) == (3 if moe_enabled else 4)
+        for block in plain:
+            assert (block.bank, block.gate, block.cfg) == (None, None, None)
+            assert not block.has_moe
 
 
 class TestForwardBatch:

@@ -2,6 +2,7 @@
 
 import json
 import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,13 @@ from gridmoe.errors import ConfigError
 from gridmoe.runconfig import (
     REQUIRED,
     SCHEMA,
-    RunManifest,
     claim_out_dir,
     load_config_file,
     parse_config,
     set_path,
     verify_manifest,
     write_config_snapshot,
+    write_manifest,
 )
 
 MINIMAL = {
@@ -289,8 +290,8 @@ class TestManifest:
     def test_hash_verifies_and_detects_tamper(self, tmp_path):
         cfg = parse_config(minimal(**{"run.out_dir": str(tmp_path)}))
         write_config_snapshot(tmp_path, cfg)
-        manifest = RunManifest.start(cfg, "orig.json")
-        manifest.finish(tmp_path, {"losses": "losses.csv"}, 0)
+        started_at = datetime.now(timezone.utc).isoformat()
+        write_manifest(tmp_path, cfg, "orig.json", started_at, {"losses": "losses.csv"}, 0)
         assert verify_manifest(tmp_path)
 
         snapshot = tmp_path / "config_snapshot.json"
@@ -302,8 +303,8 @@ class TestManifest:
     def test_manifest_records_run_metadata(self, tmp_path):
         cfg = parse_config(minimal(**{"run.out_dir": str(tmp_path), "run.seed": 7}))
         write_config_snapshot(tmp_path, cfg)
-        manifest = RunManifest.start(cfg, "cfg.json")
-        path = manifest.finish(tmp_path, {"a": "b"}, 0)
+        started_at = datetime.now(timezone.utc).isoformat()
+        path = write_manifest(tmp_path, cfg, "cfg.json", started_at, {"a": "b"}, 0)
         recorded = json.loads(path.read_text())
         assert recorded["seed"] == 7
         assert recorded["exit_status"] == 0
