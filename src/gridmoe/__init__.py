@@ -17,9 +17,8 @@ from .errors import (
     UsageError,
 )
 from .moe import (
-    ExpertBank,
+    ExpertMixture,
     ExpertStats,
-    GateParams,
     MoEConfig,
     RoutingDecision,
     export_top1_map,
@@ -37,9 +36,8 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "DsoConfig",
-    "ExpertBank",
+    "ExpertMixture",
     "ExpertStats",
-    "GateParams",
     "GridMoeError",
     "LossTracker",
     "LrMultipliers",

@@ -1,6 +1,6 @@
 """Command line entry point: train runs, parameter sweeps, gate inspection.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime abort or I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 runtime abort, I/O failure or out of memory.
 """
 
 from __future__ import annotations
@@ -192,6 +192,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)  # names exc.filename when it is set
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -45,41 +45,35 @@ class ModelSpec:
 
 
 class TrunkBlock:
-    """One trunk block: its base projection, and with ``cfg`` the expert mixture
-    ``init_from_pretrained`` duplicates from it at ``seed``; without, ``bank``,
-    ``gate`` and ``cfg`` are None and the block is the base projection."""
+    """One trunk block: its base projection, and with ``cfg`` the ``mixture`` that
+    ``init_from_pretrained`` duplicates from it at ``seed``; without, ``mixture`` is
+    None and the block is the base projection."""
 
     def __init__(self, index: int, weight: Tensor, bias: Tensor, cfg: MoEConfig | None, seed: int):
         self.index = index
         self.weight = weight
         self.bias = bias
-        self.cfg = cfg
-        self.bank, self.gate = (None, None) if cfg is None else init_from_pretrained(
+        self.mixture = None if cfg is None else init_from_pretrained(
             weight.data, bias.data, cfg, seed=seed)
-
-    @property
-    def has_moe(self) -> bool:
-        return self.bank is not None
 
     def forward(self, h: Tensor) -> tuple[Tensor, RoutingDecision | None]:
         """The block over a batch whose axis 0 indexes samples."""
-        if self.has_moe:
-            return moe_forward(h, self.bank, self.gate, self.cfg)
-        return ad.grid_linear(h, self.weight, self.bias), None
+        if self.mixture is None:
+            return ad.grid_linear(h, self.weight, self.bias), None
+        return moe_forward(h, self.mixture)
 
     def parameters(self) -> list[Tensor]:
-        if self.has_moe:
-            return [self.gate.W, self.gate.E, self.bank.weight, self.bank.bias]
-        return [self.weight, self.bias]
+        m = self.mixture
+        return [self.weight, self.bias] if m is None else [m.W, m.E, m.weight, m.bias]
 
     def named_parameters(self) -> list[tuple[str, Tensor, tuple]]:
-        prefix = f"trunk.{self.index}"
+        prefix, m = f"trunk.{self.index}", self.mixture
         named = [(f"{prefix}.base.weight", self.weight, ()), (f"{prefix}.base.bias", self.bias, ())]
-        if self.has_moe:
-            named += [(f"{prefix}.gate.W", self.gate.W, ()), (f"{prefix}.gate.E", self.gate.E, ())]
-            for n in range(self.bank.n_experts):
-                named += [(f"{prefix}.expert.{n}.weight", self.bank.weight, (n,)),
-                          (f"{prefix}.expert.{n}.bias", self.bank.bias, (n,))]
+        if m is not None:
+            named += [(f"{prefix}.{name}", t, ()) for name, t in (("gate.W", m.W), ("gate.E", m.E))]
+            for n in range(m.cfg.n_experts):
+                named += [(f"{prefix}.expert.{n}.weight", m.weight, (n,)),
+                          (f"{prefix}.expert.{n}.bias", m.bias, (n,))]
         return named
 
 
@@ -109,7 +103,7 @@ class Model:
 
     @property
     def moe_layer_names(self) -> list[str]:
-        return [f"trunk.{b.index}" for b in self.blocks if b.has_moe]
+        return [f"trunk.{b.index}" for b in self.blocks if b.mixture is not None]
 
     def features(self, images: np.ndarray) -> tuple[Tensor, list[tuple[str, RoutingDecision]]]:
         """Trunk features of a (B, H, W, C) batch; decisions keep the sample axis."""

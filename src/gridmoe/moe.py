@@ -5,7 +5,8 @@ into gating space, compared against every expert embedding by temperature-
 scaled cosine similarity, softmaxed into a full probability vector, and
 sparsified by keeping the top-k probabilities as-is while zeroing the rest
 (no renormalization). The layer output is the probability-weighted sum of the
-selected 1x1-projection experts only.
+selected 1x1-projection experts only. One ``ExpertMixture`` is a whole layer:
+its gate, its stacked experts and its ``MoEConfig``.
 
 With all experts initialized as copies of one pretrained projection and all
 embeddings identical, the layer reproduces the pretrained output scaled by
@@ -51,33 +52,29 @@ class MoEConfig:
             raise ConfigError("moe.gate_dim", f"must be positive, got {self.gate_dim}")
 
 
-class GateParams:
-    """Gating transform W (gate_dim x in_channels) and embeddings E (gate_dim x N)."""
+@dataclass(frozen=True)
+class ExpertMixture:
+    """One MoE layer: the gate's transform W (gate_dim x C_in) and embeddings E
+    (gate_dim x N), N per-grid linear experts stacked on axis 0 (expert n is
+    ``weight.data[n]`` (C_out, C_in) and ``bias.data[n]`` (C_out,)), and its config."""
 
-    def __init__(self, W: Tensor, E: Tensor):
+    W: Tensor
+    E: Tensor
+    weight: Tensor
+    bias: Tensor
+    cfg: MoEConfig
+
+    def __post_init__(self):
+        W, E, weight, bias = self.W, self.E, self.weight, self.bias
         if W.data.ndim != 2 or E.data.ndim != 2 or W.shape[0] != E.shape[0]:
             raise ShapeError(f"gate parameter shapes are inconsistent: W {W.shape}, E {E.shape}")
-        norms = np.linalg.norm(E.data, axis=0)
-        if np.any(norms <= NORM_EPS):
+        if np.any(np.linalg.norm(E.data, axis=0) <= NORM_EPS):
             raise ShapeError("every expert embedding column must have norm > 1e-12")
-        self.W = W
-        self.E = E
-
-
-class ExpertBank:
-    """N per-grid linear experts stacked on axis 0: expert n is ``weight.data[n]``
-    (C_out, C_in) and ``bias.data[n]`` (C_out,)."""
-
-    def __init__(self, weight: Tensor, bias: Tensor):
         if weight.data.ndim != 3 or weight.shape[0] < 1 or bias.shape != weight.shape[:2]:
             raise ShapeError(f"expert bank needs an (N >= 1, C_out, C_in) weight and an "
                              f"(N, C_out) bias, got {weight.shape} and {bias.shape}")
-        self.weight = weight
-        self.bias = bias
-
-    @property
-    def n_experts(self) -> int:
-        return self.weight.shape[0]
+        if weight.shape[0] != self.cfg.n_experts or E.shape[1] != self.cfg.n_experts:
+            raise ShapeError("expert mixture: expert count disagrees with the configuration")
 
 
 @dataclass
@@ -125,21 +122,19 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
-def _route(x: np.ndarray, params: GateParams, cfg: MoEConfig) -> ad.Routing:
+def _route(x: np.ndarray, W: Tensor, E: Tensor, cfg: MoEConfig) -> ad.Routing:
     """Gate projection, cosine logits, full softmax, top-k expert ids and their
     gate weights at every position of x."""
-    if x.shape[-1] != params.W.shape[1]:
-        raise ShapeError(f"routing: expected {params.W.shape[1]} channels, got {x.shape[-1]}")
-    u = ad._linear(x, params.W.data)
-    logits, cosine = ad._cosine_logits(u, params.E.data, cfg.gate_temperature)
+    if x.shape[-1] != W.shape[1]:
+        raise ShapeError(f"routing: expected {W.shape[1]} channels, got {x.shape[-1]}")
+    u = ad._linear(x, W.data)
+    logits, cosine = ad._cosine_logits(u, E.data, cfg.gate_temperature)
     probs = stable_softmax(logits)
     selected = topk_select(probs, cfg.top_k)
     return ad.Routing(u, logits, cosine, probs, selected, ad._gather(probs, selected))
 
 
-def moe_forward(
-    x: Tensor, bank: ExpertBank, params: GateParams, cfg: MoEConfig
-) -> tuple[Tensor, RoutingDecision]:
+def moe_forward(x: Tensor, mixture: ExpertMixture) -> tuple[Tensor, RoutingDecision]:
     """Apply the sparse expert mixture to a batch of grid feature maps.
 
     ``x`` has shape (B, grid..., in_channels): axis 0 indexes samples, then
@@ -152,10 +147,8 @@ def moe_forward(
     """
     x = ad._lift(x)
     ad._sample_count(x.data, "moe_forward")
-    routing = _route(x.data, params, cfg)
-    if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
-        raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out = ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias, routing)
+    routing = _route(x.data, mixture.W, mixture.E, mixture.cfg)
+    out = ad.moe_layer(x, mixture.W, mixture.E, mixture.weight, mixture.bias, routing)
     # A copy: the layer's vjp reads routing.probs.
     return out, RoutingDecision(routing.selected, routing.weights, routing.probs.copy())
 
@@ -165,11 +158,11 @@ def init_from_pretrained(
     pretrained_bias: np.ndarray,
     cfg: MoEConfig,
     seed: int = 0,
-) -> tuple[ExpertBank, GateParams]:
-    """Duplicate one pretrained projection into every expert and seed the gate.
+) -> ExpertMixture:
+    """Duplicate one pretrained projection into every expert of ``cfg`` and seed the gate.
 
     Every expert starts bit-identical to the pretrained pair so the mixture
-    output is routing-independent at step zero. W and E are drawn from a
+    output is routing-independent at step zero. W and then E are drawn from a
     seeded zero-mean normal (std 0.02): ties are broken, yet routing stays
     near uniform in expectation.
     """
@@ -183,12 +176,10 @@ def init_from_pretrained(
     gate_dim = weight.shape[1] if cfg.gate_dim is None else cfg.gate_dim
     W = _orthogonal_frame(rng, gate_dim, weight.shape[1], GATE_INIT_STD)
     E = _orthogonal_frame(rng, gate_dim, cfg.n_experts, GATE_INIT_STD)
-    bank = ExpertBank(Tensor(np.repeat(weight[None], cfg.n_experts, axis=0), requires_grad=True),
-                      Tensor(np.repeat(bias[None], cfg.n_experts, axis=0), requires_grad=True))
-    gate_params = GateParams(
-        Tensor(W, requires_grad=True), Tensor(E, requires_grad=True)
-    )
-    return bank, gate_params
+    return ExpertMixture(
+        Tensor(W, requires_grad=True), Tensor(E, requires_grad=True),
+        Tensor(np.repeat(weight[None], cfg.n_experts, axis=0), requires_grad=True),
+        Tensor(np.repeat(bias[None], cfg.n_experts, axis=0), requires_grad=True), cfg)
 
 
 def _orthogonal_frame(rng: np.random.Generator, dim: int, count: int, std: float) -> np.ndarray:

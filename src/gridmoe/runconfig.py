@@ -246,21 +246,22 @@ def make_out_dir(path: Path, owned) -> None:
     """Make a command's output directory and remove from it what an earlier run left of
     ``owned``, the files the command writes, and nothing else. In ``TOP1_MAPS_DIR`` that is
     the ``<modality>_trunk_<i>.csv`` maps, then the directory if it is left empty. A
-    directory that cannot be made is a configuration error."""
+    directory that cannot be made or cleared is a configuration error."""
     try:
         path.mkdir(parents=True, exist_ok=True)
+        for name in owned:
+            if name != TOP1_MAPS_DIR:
+                (path / name).unlink(missing_ok=True)
+                continue
+            for old_map in (path / name).glob("*_trunk_*.csv"):
+                owner, _, block = old_map.stem.partition("_trunk_")
+                if owner in MODALITIES and block.isascii() and block.isdecimal():
+                    old_map.unlink()
+            if (path / name).is_dir() and not any((path / name).iterdir()):
+                (path / name).rmdir()
     except OSError as exc:
-        raise ConfigError("out_dir", f"{path}: cannot create ({exc.strerror})") from exc
-    for name in owned:
-        if name != TOP1_MAPS_DIR:
-            (path / name).unlink(missing_ok=True)
-            continue
-        for old_map in (path / name).glob("*_trunk_*.csv"):
-            owner, _, block = old_map.stem.partition("_trunk_")
-            if owner in MODALITIES and block.isascii() and block.isdecimal():
-                old_map.unlink()
-        if (path / name).is_dir() and not any((path / name).iterdir()):
-            (path / name).rmdir()
+        verb = "clear" if path.is_dir() else "create"
+        raise ConfigError("out_dir", f"{exc.filename}: cannot {verb} ({exc.strerror})") from exc
 
 
 # ---------------------------------------------------------------------------

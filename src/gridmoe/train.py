@@ -246,10 +246,11 @@ def recorded_train(cfg: RunConfig, config_path: str,
                    trainer: Callable[..., TrainResult] | None = None) -> TrainResult:
     """``train``, then its manifest (``write_manifest``), timed from before training.
 
-    The manifest records exit status 0 and the artifacts ``train`` returns,
-    or 3 when training raises a ``GridMoeError`` or an ``OSError``, which is
-    then re-raised; either way it hashes the config snapshot that ``train``
-    writes first, and a failed run whose manifest cannot be written has none.
+    The manifest records exit status 0 and the artifacts ``train`` returns, or
+    3 when training raises an ``OSError``, a ``MemoryError`` or a ``GridMoeError``,
+    which is then re-raised; either way it hashes the config snapshot that ``train``
+    writes first. A ``ConfigError`` (nothing ran) or a failed run whose manifest
+    cannot be written leaves none.
     ``trainer`` stands in for ``train``: the CLI passes the ``train`` it looks
     up itself, so a wrapper installed on ``gridmoe.cli.train`` sees every CLI run.
     """
@@ -257,10 +258,11 @@ def recorded_train(cfg: RunConfig, config_path: str,
     started_at = datetime.now(timezone.utc).isoformat()
     try:
         result = (trainer or train)(cfg, keep_model=False)
-    except (GridMoeError, OSError) as exc:
+    except (GridMoeError, OSError, MemoryError) as exc:
         artifacts = {"diagnostic_dump": exc.dump_path} if isinstance(exc, TrainingAborted) else {}
         with contextlib.suppress(OSError):
-            write_manifest(out_dir, cfg, config_path, started_at, artifacts, EXIT_RUNTIME)
+            if not isinstance(exc, ConfigError):
+                write_manifest(out_dir, cfg, config_path, started_at, artifacts, EXIT_RUNTIME)
         raise
     write_manifest(out_dir, cfg, config_path, started_at,
                    {name: str(path) for name, path in result.artifacts.items()}, EXIT_OK)

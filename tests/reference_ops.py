@@ -97,14 +97,14 @@ def mean_all(x: Tensor) -> Tensor:
     return ad._node("mean_all", np.array(np.mean(x.data)), (x,), vjp)
 
 
-def gate(x_grid, params: moe_mod.GateParams, cfg: moe_mod.MoEConfig) -> moe_mod.RoutingDecision:
-    """Route a single grid position.
+def gate(x_grid, W, E, cfg: moe_mod.MoEConfig) -> moe_mod.RoutingDecision:
+    """Route a single grid position with the gate's transform W and embeddings E.
 
     A degenerate projection (|W x| < 1e-12, e.g. a zero input) falls back to
     the uniform distribution, so the first k experts are selected with weight
     1/N each.
     """
-    routing = moe_mod._route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), params, cfg)
+    routing = moe_mod._route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), W, E, cfg)
     return moe_mod.RoutingDecision(routing.selected, routing.weights, routing.probs)
 
 
@@ -126,8 +126,8 @@ def per_sample_forward_batch(model, samples):
             raise ShapeError(f"sample tagged with unknown task {task_id!r}")
         h = Tensor(image[None])
         for block in model.blocks:
-            if block.has_moe:
-                h, decision = model_mod.moe_forward(h, block.bank, block.gate, block.cfg)
+            if block.mixture is not None:
+                h, decision = model_mod.moe_forward(h, block.mixture)
                 all_routings.append((task_id, f"trunk.{block.index}", decision.sample(0)))
             else:
                 h = ad.grid_linear(h, block.weight, block.bias)

@@ -10,6 +10,7 @@ import json
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,6 @@ from gridmoe.dso import (
     head_multipliers,
 )
 from gridmoe.moe import (
-    ExpertBank,
-    GateParams,
     MoEConfig,
     init_from_pretrained,
     moe_forward,
@@ -35,7 +34,7 @@ from gridmoe.train import imbalance_benchmark
 
 from reference_ops import gate
 from test_dso import make_tracker, oracle_consistency, oracle_gamma, oracle_lambdas
-from test_moe import _fd_instance, build_bank, oracle_gate, random_instance
+from test_moe import _fd_instance, build_mixture, oracle_gate, random_instance
 
 
 def report(number: int, name: str):
@@ -69,11 +68,11 @@ def test_criterion_1_routing_oracle():
     rng = np.random.default_rng(1234)
     start = time.monotonic()
     for _ in range(1000):
-        cfg, params = random_instance(rng)
-        x = rng.normal(size=params.W.shape[1])
-        decision = gate(x, params, cfg)
+        cfg, W, E = random_instance(rng)
+        x = rng.normal(size=W.shape[1])
+        decision = gate(x, W, E, cfg)
         want_sel, want_probs = oracle_gate(
-            x, params.W.data, params.E.data, cfg.gate_temperature, cfg.top_k
+            x, W.data, E.data, cfg.gate_temperature, cfg.top_k
         )
         assert np.array_equal(decision.selected_indices, want_sel)
         assert np.max(np.abs(decision.full_softmax - want_probs)) <= 1e-12
@@ -86,11 +85,11 @@ def test_criterion_1_routing_oracle():
 def test_criterion_2_scale_invariance():
     rng = np.random.default_rng(56)
     for _ in range(200):
-        cfg, params = random_instance(rng)
-        x = rng.normal(size=params.W.shape[1])
-        base = gate(x, params, cfg)
+        cfg, W, E = random_instance(rng)
+        x = rng.normal(size=W.shape[1])
+        base = gate(x, W, E, cfg)
         for c in (0.5, 3.0, 100.0):
-            scaled = gate(c * x, params, cfg)
+            scaled = gate(c * x, W, E, cfg)
             assert np.array_equal(scaled.selected_indices, base.selected_indices)
             assert np.max(np.abs(scaled.full_softmax - base.full_softmax)) <= 1e-12
             assert np.max(np.abs(scaled.gate_weights - base.gate_weights)) <= 1e-12
@@ -101,41 +100,41 @@ def test_criterion_3_gradient_correctness():
     rng = np.random.default_rng(777)
     start = time.monotonic()
     for _ in range(100):
-        cfg, params, bank, x, coef, decision = _fd_instance(rng)
+        mixture, x, coef, decision = _fd_instance(rng)
         coef_t = Tensor(coef)
 
         def through_x(t):
-            out, _ = moe_forward(t, bank, params, cfg)
+            out, _ = moe_forward(t, mixture)
             return ad.sum_all(ad.mul(out, coef_t))
 
         def through_w(t):
-            out, _ = moe_forward(Tensor(x), bank, GateParams(t, params.E), cfg)
+            out, _ = moe_forward(Tensor(x), replace(mixture, W=t))
             return ad.sum_all(ad.mul(out, coef_t))
 
         def through_e(t):
-            out, _ = moe_forward(Tensor(x), bank, GateParams(params.W, t), cfg)
+            out, _ = moe_forward(Tensor(x), replace(mixture, E=t))
             return ad.sum_all(ad.mul(out, coef_t))
 
         assert finite_diff_check(through_x, x, h=1e-5) < 1e-4
-        assert finite_diff_check(through_w, params.W.data, h=1e-5) < 1e-4
-        assert finite_diff_check(through_e, params.E.data, h=1e-5) < 1e-4
+        assert finite_diff_check(through_w, mixture.W.data, h=1e-5) < 1e-4
+        assert finite_diff_check(through_e, mixture.E.data, h=1e-5) < 1e-4
 
         selected = set(decision.selected_indices.reshape(-1).tolist())
 
         def through_experts(t):
-            out, _ = moe_forward(Tensor(x), ExpertBank(t, bank.bias), params, cfg)
+            out, _ = moe_forward(Tensor(x), replace(mixture, weight=t))
             return ad.sum_all(ad.mul(out, coef_t))
 
-        assert finite_diff_check(through_experts, bank.weight.data, h=1e-5) < 1e-4
+        assert finite_diff_check(through_experts, mixture.weight.data, h=1e-5) < 1e-4
 
-        for p in (bank.weight, bank.bias):
+        for p in (mixture.weight, mixture.bias):
             p.zero_grad()
-        out, decision = moe_forward(Tensor(x), bank, params, cfg)
+        out, decision = moe_forward(Tensor(x), mixture)
         backward(ad.sum_all(ad.mul(out, coef_t)))
-        for n in range(cfg.n_experts):
+        for n in range(mixture.cfg.n_experts):
             if n not in selected:
-                assert np.all(bank.weight.grad[n] == 0.0)
-                assert np.all(bank.bias.grad[n] == 0.0)
+                assert np.all(mixture.weight.grad[n] == 0.0)
+                assert np.all(mixture.bias.grad[n] == 0.0)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"gradient checks took {elapsed:.2f}s"
 
@@ -181,16 +180,16 @@ def test_criterion_5_duplication_init():
     cfg = MoEConfig(n_experts=6, top_k=2, gate_temperature=0.07)
     pre_w = rng.normal(size=(4, 5))
     pre_b = rng.normal(size=4)
-    bank, _ = init_from_pretrained(pre_w, pre_b, cfg, seed=3)
+    mixture = init_from_pretrained(pre_w, pre_b, cfg, seed=3)
     for x in rng.normal(size=(100, 5)):
-        outputs = [w @ x + b for w, b in zip(bank.weight.data, bank.bias.data)]
+        outputs = [w @ x + b for w, b in zip(mixture.weight.data, mixture.bias.data)]
         reference = outputs[0].tobytes()
         assert all(out.tobytes() == reference for out in outputs[1:])
 
-    bank, params = init_from_pretrained(pre_w, pre_b, cfg, seed=3)
-    params.E.data = np.repeat(params.E.data[:, :1], cfg.n_experts, axis=1)  # identical embeddings
+    mixture = init_from_pretrained(pre_w, pre_b, cfg, seed=3)
+    mixture.E.data = np.repeat(mixture.E.data[:, :1], cfg.n_experts, axis=1)  # identical embeddings
     x = rng.normal(size=(6, 7, 5))
-    out, _ = moe_forward(Tensor(x[None]), bank, params, cfg)
+    out, _ = moe_forward(Tensor(x[None]), mixture)
     expected = (cfg.top_k / cfg.n_experts) * (x @ pre_w.T + pre_b)
     assert np.max(np.abs(out.data[0] - expected)) <= 1e-12
 
@@ -202,14 +201,14 @@ def test_criterion_6_k_equals_n_dense():
         n = int(rng.integers(1, 8))
         c = int(rng.integers(2, 6))
         cfg = MoEConfig(n_experts=n, top_k=n, gate_temperature=float(rng.uniform(0.1, 1.5)))
-        _, params = random_instance(rng, n, n, c, c)
-        bank = build_bank(rng, cfg, params)
+        _, W, E = random_instance(rng, n, n, c, c)
+        mixture = build_mixture(rng, cfg, W, E)
         x = rng.normal(size=(3, 2, c))
-        out, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
+        out, decision = moe_forward(Tensor(x[None]), mixture)
         dense = np.zeros_like(out.data)
         for e in range(n):
             dense += decision.full_softmax[..., e : e + 1] * (
-                x @ bank.weight.data[e].T + bank.bias.data[e]
+                x @ mixture.weight.data[e].T + mixture.bias.data[e]
             )
         assert np.max(np.abs(out.data - dense)) <= 1e-12
 
@@ -219,9 +218,9 @@ def test_criterion_7_sparsity_accounting():
     rng = np.random.default_rng(44)
     for h, w, n, k in [(8, 8, 8, 2), (8, 8, 4, 2), (5, 3, 6, 3), (2, 9, 10, 1)]:
         cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=0.3)
-        _, params = random_instance(rng, n, k, 4, 4)
-        bank = build_bank(rng, cfg, params)
-        _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 4))[None]), bank, params, cfg)
+        _, W, E = random_instance(rng, n, k, 4, 4)
+        mixture = build_mixture(rng, cfg, W, E)
+        _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 4))[None]), mixture)
         assert decision.expert_applications == h * w * k
 
 

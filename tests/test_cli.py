@@ -605,6 +605,53 @@ def test_out_dir_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys, c
     assert files_under(tmp_path) == before
 
 
+@pytest.mark.parametrize("planted, earlier_run", [
+    ("losses.csv", False), ("checkpoint.manifest.json", True),
+], ids=["losses", "checkpoint_manifest_over_a_run"])
+def test_force_rerun_that_cannot_clear_its_files_exits_2(tmp_path, capsys, planted,
+                                                         earlier_run):
+    """A directory standing where a run file goes cannot be cleared: ``train --force``
+    exits 2 naming it, trains nothing and writes no manifest, so nothing of an earlier
+    run is left under a manifest of its own."""
+    out = tmp_path / "run"
+    argv = [*command_argv("train", tmp_path), "--out", str(out)]
+    if earlier_run:
+        assert main(argv) == 0
+        (out / planted).unlink()
+    (out / planted).mkdir(parents=True)
+    left = [name for name in files_under(out) if name != "manifest.json"]
+    capsys.readouterr()
+    assert main([*argv, "--force"]) == 2
+    assert capsys.readouterr().err == (f"config error: out_dir: {out / planted}: "
+                                       "cannot clear (Is a directory)\n")
+    assert files_under(out) == left and (out / planted).is_dir()
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "inspect-gates"])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, monkeypatch, capsys, command):
+    """A ``MemoryError`` (numpy's ``_ArrayMemoryError`` is one) while a command runs
+    exits 3 with one stderr line and no traceback; ``train`` records the exit status,
+    and ``inspect-gates`` writes no ``participation.csv``."""
+    from gridmoe import data as gdata
+
+    out = tmp_path / "out"
+    argv = [*command_argv(command, tmp_path), "--out", str(out)]
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 TiB for an array")
+
+    monkeypatch.setattr(gdata, "generate_sample", out_of_memory)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 7.45 TiB for an array\n"
+    if command == "train":
+        assert json.loads((out / "manifest.json").read_text())["exit_status"] == 3
+        assert verify_manifest(out)
+    else:
+        assert not (out / "participation.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["train"], ["sweep", "--grid", "moe.top_k=2"]])
 def test_label_noise_out_of_range_exits_2_and_writes_nothing(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "cfg.json", **{"data.label_noise": {"A": 1.5}})

@@ -62,13 +62,14 @@ class TestFixtures:
                          moe=MoEConfig(n_experts=4, top_k=2))
         model = Model(spec, tasks, seed=3, moe_enabled=True)
         for block in model.blocks:
-            if block.has_moe:  # identical embeddings
-                block.gate.E.data = np.repeat(block.gate.E.data[:, :1], spec.moe.n_experts, axis=1)
+            if block.mixture is not None:  # identical embeddings
+                block.mixture.E.data = np.repeat(block.mixture.E.data[:, :1], spec.moe.n_experts,
+                                                 axis=1)
         rng = np.random.default_rng(0)
         h = rng.normal(size=(5, 5, 8))
         scale = spec.moe.top_k / spec.moe.n_experts
         for block in model.blocks:
-            if not block.has_moe:
+            if block.mixture is None:
                 continue
             out, _ = block.forward(Tensor(h))
             base = h @ block.weight.data.T + block.bias.data
@@ -83,8 +84,8 @@ class TestFixtures:
         np.testing.assert_array_equal(
             with_moe.blocks[0].weight.data, without.blocks[0].weight.data
         )
-        assert with_moe.blocks[0].has_moe
-        assert not without.blocks[0].has_moe
+        assert with_moe.blocks[0].mixture is not None
+        assert without.blocks[0].mixture is None
 
 
 class TestBlockMixture:
@@ -95,14 +96,14 @@ class TestBlockMixture:
         spec = ModelSpec(depth=4, channels=8, moe_layers=(2, 0),
                          moe=MoEConfig(n_experts=4, top_k=2, gate_dim=5))
         model = Model(spec, default_tasks(), seed=seed, moe_enabled=True)
-        assert [block.index for block in model.blocks if block.has_moe] == [0, 2]
+        assert [block.index for block in model.blocks if block.mixture is not None] == [0, 2]
         for i in spec.moe_layers:
             block = model.blocks[i]
-            bank, gate = init_from_pretrained(block.weight.data, block.bias.data, spec.moe,
-                                              seed=seed * 997 + i)
-            assert block.cfg is spec.moe
-            for got, want in ((block.gate.W, gate.W), (block.gate.E, gate.E),
-                              (block.bank.weight, bank.weight), (block.bank.bias, bank.bias)):
+            mixture = init_from_pretrained(block.weight.data, block.bias.data, spec.moe,
+                                           seed=seed * 997 + i)
+            assert block.mixture.cfg is spec.moe
+            for name in ("W", "E", "weight", "bias"):
+                got, want = getattr(block.mixture, name), getattr(mixture, name)
                 assert got.data.tobytes() == want.data.tobytes()
                 assert got.shape == want.shape
 
@@ -113,8 +114,7 @@ class TestBlockMixture:
         plain = [b for b in model.blocks if not (moe_enabled and b.index in spec.moe_layers)]
         assert len(plain) == (3 if moe_enabled else 4)
         for block in plain:
-            assert (block.bank, block.gate, block.cfg) == (None, None, None)
-            assert not block.has_moe
+            assert block.mixture is None
 
 
 class TestForwardBatch:
@@ -164,11 +164,11 @@ class TestParamGroups:
         # gate and expert parameters live in the backbone group
         backbone_ids = {id(p) for p in groups[0]}
         for block in model.blocks:
-            if block.has_moe:
-                assert id(block.gate.W) in backbone_ids
-                assert id(block.gate.E) in backbone_ids
-                assert id(block.bank.weight) in backbone_ids
-                assert id(block.bank.bias) in backbone_ids
+            if block.mixture is not None:
+                assert id(block.mixture.W) in backbone_ids
+                assert id(block.mixture.E) in backbone_ids
+                assert id(block.mixture.weight) in backbone_ids
+                assert id(block.mixture.bias) in backbone_ids
 
 
 class TestStateDict:
@@ -186,7 +186,7 @@ class TestStateDict:
     def test_moe_checkpoint_layout_and_byte_round_trip(self):
         spec = ModelSpec(depth=2, channels=3, moe_layers=(1,), moe=MoEConfig(n_experts=2, top_k=1))
         model = Model(spec, default_tasks(), seed=4)
-        bank = model.blocks[1].bank
+        bank = model.blocks[1].mixture
         rng = np.random.default_rng(4)
         bank.weight.data = rng.normal(size=(2, 3, 3))  # experts that differ
         bank.bias.data = rng.normal(size=(2, 3))
@@ -206,7 +206,7 @@ class TestStateDict:
             assert state[f"trunk.1.expert.{n}.bias"].tobytes() == bank.bias.data[n].tobytes()
 
         other = Model(spec, default_tasks(), seed=5)
-        other_bank = other.blocks[1].bank
+        other_bank = other.blocks[1].mixture
         held = other_bank.weight.data
         other.load_state(state)
         assert other_bank.weight.data is not held  # fresh arrays, never written in place

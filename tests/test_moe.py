@@ -3,6 +3,7 @@ against dense reference sums, gradients against finite differences."""
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,8 @@ from gridmoe import moe as moe_mod
 from gridmoe.autodiff import Tensor, backward, finite_diff_check
 from gridmoe.errors import ConfigError, DomainError, ShapeError, UsageError
 from gridmoe.moe import (
-    ExpertBank,
+    ExpertMixture,
     ExpertStats,
-    GateParams,
     MoEConfig,
     RoutingDecision,
     export_top1_map,
@@ -54,8 +54,7 @@ def random_instance(rng, n_experts=None, k=None, c_in=None, gate_dim=None):
                     gate_dim=gate_dim)
     W = rng.normal(size=(gate_dim, c_in))
     E = rng.normal(size=(gate_dim, n))
-    params = GateParams(Tensor(W, requires_grad=True), Tensor(E, requires_grad=True))
-    return cfg, params
+    return cfg, Tensor(W, requires_grad=True), Tensor(E, requires_grad=True)
 
 
 class TestGate:
@@ -65,8 +64,7 @@ class TestGate:
             cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=0.5)
             col = rng.normal(size=3)
             E = np.repeat(col[:, None], n, axis=1)
-            params = GateParams(Tensor(np.eye(3)), Tensor(E))
-            decision = gate(rng.normal(size=3), params, cfg)
+            decision = gate(rng.normal(size=3), Tensor(np.eye(3)), Tensor(E), cfg)
             np.testing.assert_allclose(decision.full_softmax, np.full(n, 1.0 / n), atol=1e-15)
             np.testing.assert_array_equal(decision.selected_indices, np.arange(k))
             np.testing.assert_allclose(decision.gate_weights, np.full(k, 1.0 / n), atol=1e-15)
@@ -74,10 +72,8 @@ class TestGate:
     def test_two_expert_worked_example(self):
         # cosines are [1, 0]; softmax gives the logistic pair.
         cfg = MoEConfig(n_experts=2, top_k=1, gate_temperature=1.0, gate_dim=2)
-        params = GateParams(
-            Tensor(np.eye(2)), Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        )
-        decision = gate(np.array([1.0, 0.0]), params, cfg)
+        W, E = Tensor(np.eye(2)), Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        decision = gate(np.array([1.0, 0.0]), W, E, cfg)
         expected = 1.0 / (1.0 + math.exp(-1.0))
         np.testing.assert_allclose(decision.full_softmax, [expected, 1 - expected], atol=1e-12)
         assert decision.selected_indices.tolist() == [0]
@@ -86,11 +82,11 @@ class TestGate:
     def test_matches_bruteforce_oracle_1000(self):
         rng = np.random.default_rng(1234)
         for _ in range(1000):
-            cfg, params = random_instance(rng)
-            x = rng.normal(size=params.W.shape[1])
-            decision = gate(x, params, cfg)
+            cfg, W, E = random_instance(rng)
+            x = rng.normal(size=W.shape[1])
+            decision = gate(x, W, E, cfg)
             sel, probs = oracle_gate(
-                x, params.W.data, params.E.data, cfg.gate_temperature, cfg.top_k
+                x, W.data, E.data, cfg.gate_temperature, cfg.top_k
             )
             np.testing.assert_array_equal(decision.selected_indices, sel)
             np.testing.assert_allclose(decision.full_softmax, probs, atol=1e-12)
@@ -99,11 +95,11 @@ class TestGate:
     def test_scale_invariance(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
-            cfg, params = random_instance(rng)
-            x = rng.normal(size=params.W.shape[1])
-            base = gate(x, params, cfg)
+            cfg, W, E = random_instance(rng)
+            x = rng.normal(size=W.shape[1])
+            base = gate(x, W, E, cfg)
             for c in (0.5, 3.0, 100.0):
-                scaled = gate(c * x, params, cfg)
+                scaled = gate(c * x, W, E, cfg)
                 np.testing.assert_array_equal(
                     scaled.selected_indices, base.selected_indices
                 )
@@ -112,16 +108,16 @@ class TestGate:
                 )
 
     def test_degenerate_input_uniform_fallback(self):
-        cfg, params = random_instance(np.random.default_rng(5), n_experts=6, k=2)
-        decision = gate(np.zeros(params.W.shape[1]), params, cfg)
+        cfg, W, E = random_instance(np.random.default_rng(5), n_experts=6, k=2)
+        decision = gate(np.zeros(W.shape[1]), W, E, cfg)
         np.testing.assert_allclose(decision.full_softmax, np.full(6, 1 / 6), atol=1e-15)
         assert decision.selected_indices.tolist() == [0, 1]
 
     def test_decision_invariants_random(self):
         rng = np.random.default_rng(99)
         for _ in range(200):
-            cfg, params = random_instance(rng)
-            decision = gate(rng.normal(size=params.W.shape[1]), params, cfg)
+            cfg, W, E = random_instance(rng)
+            decision = gate(rng.normal(size=W.shape[1]), W, E, cfg)
             k = min(cfg.top_k, cfg.n_experts)
             assert decision.selected_indices.shape == (k,)
             assert len(set(decision.selected_indices.tolist())) == k
@@ -134,9 +130,9 @@ class TestGate:
             )
 
     def test_channel_mismatch(self):
-        cfg, params = random_instance(np.random.default_rng(8), c_in=4)
+        cfg, W, E = random_instance(np.random.default_rng(8), c_in=4)
         with pytest.raises(ShapeError):
-            gate(np.zeros(5), params, cfg)
+            gate(np.zeros(5), W, E, cfg)
 
     def test_temperature_monotonicity(self):
         # lowering the gate temperature weakly raises the winning probability
@@ -150,8 +146,7 @@ class TestGate:
             for temperature in (2.0, 1.0, 0.5, 0.1, 0.05):
                 cfg = MoEConfig(n_experts=n, top_k=1, gate_temperature=temperature,
                                 gate_dim=gate_dim)
-                params = GateParams(Tensor(W), Tensor(E))
-                peak = gate(x, params, cfg).full_softmax.max()
+                peak = gate(x, Tensor(W), Tensor(E), cfg).full_softmax.max()
                 assert peak >= last_max - 1e-12
                 last_max = peak
 
@@ -168,14 +163,24 @@ class TestConfig:
     def test_zero_embedding_rejected(self):
         E = np.ones((3, 2))
         E[:, 1] = 0.0
-        with pytest.raises(ShapeError):
-            GateParams(Tensor(np.eye(3)), Tensor(E))
+        with pytest.raises(ShapeError, match="norm > 1e-12"):
+            ExpertMixture(Tensor(np.eye(3)), Tensor(E), Tensor(np.zeros((2, 3, 3))),
+                          Tensor(np.zeros((2, 3))), MoEConfig(n_experts=2, top_k=1))
 
 
 class TestExpertBank:
+    """The stacked experts an ``ExpertMixture`` is built with, and their count."""
+
+    @staticmethod
+    def build(weight, bias, columns=3):
+        """A mixture of a 3-expert config with a (2, 4) W and a (2, ``columns``) E."""
+        return ExpertMixture(Tensor(np.ones((2, 4))), Tensor(np.ones((2, columns))),
+                             Tensor(np.zeros(weight)), Tensor(np.zeros(bias)),
+                             MoEConfig(n_experts=3, top_k=1))
+
     def test_stacked_shapes(self):
-        bank = ExpertBank(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((3, 2))))
-        assert bank.n_experts == 3
+        mixture = self.build((3, 2, 4), (3, 2))
+        assert mixture.weight.shape[0] == mixture.cfg.n_experts == 3
 
     @pytest.mark.parametrize("weight, bias", [
         ((2, 4), (2,)),
@@ -185,17 +190,23 @@ class TestExpertBank:
     ], ids=["rank_2_weight", "bias_of_c_in", "bias_of_other_n", "no_expert"])
     def test_rejected(self, weight, bias):
         with pytest.raises(ShapeError, match="expert bank needs an"):
-            ExpertBank(Tensor(np.zeros(weight)), Tensor(np.zeros(bias)))
+            self.build(weight, bias)
+
+    @pytest.mark.parametrize("experts, columns", [(2, 3), (3, 2)], ids=["bank", "gate"])
+    def test_expert_count_disagreeing_with_the_config_rejected(self, experts, columns):
+        with pytest.raises(ShapeError, match="expert count disagrees with the configuration"):
+            self.build((experts, 2, 4), (experts, 2), columns=columns)
 
 
-def build_bank(rng, cfg, params, c_out=None):
-    """Random experts taking the gate's input channels; square unless ``c_out``."""
-    c_in = params.W.shape[1]
+def build_mixture(rng, cfg, W, E, c_out=None):
+    """The gate W, E with random experts taking its input channels; square unless
+    ``c_out``."""
+    c_in = W.shape[1]
     c_out = c_in if c_out is None else c_out
     weights = [rng.normal(size=(c_out, c_in)) for _ in range(cfg.n_experts)]
     biases = [rng.normal(size=c_out) for _ in range(cfg.n_experts)]
-    return ExpertBank(Tensor(np.stack(weights), requires_grad=True),
-                      Tensor(np.stack(biases), requires_grad=True))
+    return ExpertMixture(W, E, Tensor(np.stack(weights), requires_grad=True),
+                         Tensor(np.stack(biases), requires_grad=True), cfg)
 
 
 class TestMoEForward:
@@ -205,10 +216,10 @@ class TestMoEForward:
             cfg = MoEConfig(n_experts=n, top_k=k, gate_temperature=0.07)
             pre_w = rng.normal(size=(2, 3))
             pre_b = rng.normal(size=2)
-            bank, params = init_from_pretrained(pre_w, pre_b, cfg, seed=0)
-            params.E.data = np.repeat(params.E.data[:, :1], n, axis=1)  # identical embeddings
+            mixture = init_from_pretrained(pre_w, pre_b, cfg, seed=0)
+            mixture.E.data = np.repeat(mixture.E.data[:, :1], n, axis=1)  # identical embeddings
             x = rng.normal(size=(4, 5, 3))
-            out, _ = moe_forward(Tensor(x[None]), bank, params, cfg)
+            out, _ = moe_forward(Tensor(x[None]), mixture)
             expected = (k / n) * (x @ pre_w.T + pre_b)
             np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
@@ -218,10 +229,10 @@ class TestMoEForward:
             n = int(rng.integers(1, 7))
             c = int(rng.integers(2, 5))
             cfg = MoEConfig(n_experts=n, top_k=n, gate_temperature=float(rng.uniform(0.1, 1.0)))
-            _, params = random_instance(rng, n_experts=n, k=n, c_in=c, gate_dim=c)
-            bank = build_bank(rng, cfg, params)
+            _, W, E = random_instance(rng, n_experts=n, k=n, c_in=c, gate_dim=c)
+            mixture = build_mixture(rng, cfg, W, E)
             x = rng.normal(size=(2, 3, c))
-            out, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
+            out, decision = moe_forward(Tensor(x[None]), mixture)
             # dense oracle: full softmax weighted sum over every expert
             dense = np.zeros_like(out.data[0])
             for i in range(2):
@@ -229,39 +240,38 @@ class TestMoEForward:
                     probs = decision.full_softmax[0, i, j]
                     for e in range(n):
                         dense[i, j] += probs[e] * (
-                            bank.weight.data[e] @ x[i, j] + bank.bias.data[e]
+                            mixture.weight.data[e] @ x[i, j] + mixture.bias.data[e]
                         )
             np.testing.assert_allclose(out.data[0], dense, atol=1e-12)
 
     def test_zero_input_zero_bias_gives_zero(self):
         rng = np.random.default_rng(6)
         cfg = MoEConfig(n_experts=4, top_k=2)
-        _, params = random_instance(rng, 4, 2, 3, 3)
+        _, W, E = random_instance(rng, 4, 2, 3, 3)
         weight = Tensor(np.stack([rng.normal(size=(3, 3)) for _ in range(4)]), requires_grad=True)
         bias = Tensor(np.zeros((4, 3)), requires_grad=True)
-        out, _ = moe_forward(Tensor(np.zeros((2, 2, 3))[None]), ExpertBank(weight, bias), params,
-                             cfg)
+        out, _ = moe_forward(Tensor(np.zeros((2, 2, 3))[None]),
+                             ExpertMixture(W, E, weight, bias, cfg))
         np.testing.assert_array_equal(out.data[0], np.zeros((2, 2, 3)))
 
     def test_sparsity_counter(self):
         rng = np.random.default_rng(7)
         for h, w, n, k in [(8, 8, 8, 2), (3, 5, 4, 3), (2, 2, 6, 1)]:
             cfg = MoEConfig(n_experts=n, top_k=k)
-            _, params = random_instance(rng, n, k, 3, 3)
-            bank = build_bank(rng, cfg, params)
-            _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 3))[None]), bank, params,
-                                      cfg)
+            _, W, E = random_instance(rng, n, k, 3, 3)
+            mixture = build_mixture(rng, cfg, W, E)
+            _, decision = moe_forward(Tensor(rng.normal(size=(h, w, 3))[None]), mixture)
             assert decision.expert_applications == h * w * k
 
     def test_forward_routing_matches_gate(self):
         rng = np.random.default_rng(9)
-        cfg, params = random_instance(rng, 6, 2, 4, 3)
-        bank = build_bank(rng, cfg, params)
+        cfg, W, E = random_instance(rng, 6, 2, 4, 3)
+        mixture = build_mixture(rng, cfg, W, E)
         x = rng.normal(size=(3, 3, 4))
-        _, decision = moe_forward(Tensor(x[None]), bank, params, cfg)
+        _, decision = moe_forward(Tensor(x[None]), mixture)
         for i in range(3):
             for j in range(3):
-                single = gate(x[i, j], params, cfg)
+                single = gate(x[i, j], W, E, cfg)
                 np.testing.assert_array_equal(
                     decision.selected_indices[0, i, j], single.selected_indices
                 )
@@ -271,10 +281,10 @@ class TestMoEForward:
 
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(10)
-        cfg, params = random_instance(rng, 4, 2, 3, 3)
-        bank = build_bank(rng, cfg, params)
+        cfg, W, E = random_instance(rng, 4, 2, 3, 3)
+        mixture = build_mixture(rng, cfg, W, E)
         with pytest.raises(ShapeError):
-            moe_forward(Tensor(np.zeros((2, 2, 5))[None]), bank, params, cfg)
+            moe_forward(Tensor(np.zeros((2, 2, 5))[None]), mixture)
 
 
 def _selection_margin(decision: RoutingDecision, k: int) -> float:
@@ -287,15 +297,15 @@ def _selection_margin(decision: RoutingDecision, k: int) -> float:
 def _fd_instance(rng):
     """One routing-stable random instance for derivative checks."""
     while True:
-        cfg, params = random_instance(rng, n_experts=int(rng.integers(2, 5)),
+        cfg, W, E = random_instance(rng, n_experts=int(rng.integers(2, 5)),
                                       k=None, c_in=3, gate_dim=3)
-        bank = build_bank(rng, cfg, params)
+        mixture = build_mixture(rng, cfg, W, E)
         x = rng.normal(size=(2, 2, 3))[None]
-        coef = rng.normal(size=(2, 2, bank.weight.shape[1]))[None]
-        out, decision = moe_forward(Tensor(x), bank, params, cfg)
+        coef = rng.normal(size=(2, 2, mixture.weight.shape[1]))[None]
+        out, decision = moe_forward(Tensor(x), mixture)
         # finite differences need the top-k selection to be locally constant
         if _selection_margin(decision, cfg.top_k) > 1e-3:
-            return cfg, params, bank, x, coef, decision
+            return mixture, x, coef, decision
 
 
 class TestMoEGradients:
@@ -303,57 +313,57 @@ class TestMoEGradients:
         """x, W, E and the stacked expert weights all pass FD."""
         rng = np.random.default_rng(2024)
         for _ in range(25):
-            cfg, params, bank, x, coef, decision = _fd_instance(rng)
+            mixture, x, coef, decision = _fd_instance(rng)
             coef_t = Tensor(coef)
 
             def with_x(t):
-                out, _ = moe_forward(t, bank, params, cfg)
+                out, _ = moe_forward(t, mixture)
                 return ad.sum_all(ad.mul(out, coef_t))
 
             def with_w(t):
-                out, _ = moe_forward(Tensor(x), bank, GateParams(t, params.E), cfg)
+                out, _ = moe_forward(Tensor(x), replace(mixture, W=t))
                 return ad.sum_all(ad.mul(out, coef_t))
 
             def with_e(t):
-                out, _ = moe_forward(Tensor(x), bank, GateParams(params.W, t), cfg)
+                out, _ = moe_forward(Tensor(x), replace(mixture, E=t))
                 return ad.sum_all(ad.mul(out, coef_t))
 
             assert finite_diff_check(with_x, x, h=1e-5) < 1e-4
-            assert finite_diff_check(with_w, params.W.data, h=1e-5) < 1e-4
-            assert finite_diff_check(with_e, params.E.data, h=1e-5) < 1e-4
+            assert finite_diff_check(with_w, mixture.W.data, h=1e-5) < 1e-4
+            assert finite_diff_check(with_e, mixture.E.data, h=1e-5) < 1e-4
 
             def with_experts(t):
-                out, _ = moe_forward(Tensor(x), ExpertBank(t, bank.bias), params, cfg)
+                out, _ = moe_forward(Tensor(x), replace(mixture, weight=t))
                 return ad.sum_all(ad.mul(out, coef_t))
 
-            assert finite_diff_check(with_experts, bank.weight.data, h=1e-5) < 1e-4
+            assert finite_diff_check(with_experts, mixture.weight.data, h=1e-5) < 1e-4
 
     def test_non_selected_expert_grads_exactly_zero(self):
         rng = np.random.default_rng(31)
         found_unselected = 0
         while found_unselected < 10:
-            cfg, params, bank, x, coef, decision = _fd_instance(rng)
-            for p in (bank.weight, bank.bias, params.W, params.E):
+            mixture, x, coef, decision = _fd_instance(rng)
+            for p in (mixture.weight, mixture.bias, mixture.W, mixture.E):
                 p.zero_grad()
-            out, decision = moe_forward(Tensor(x), bank, params, cfg)
+            out, decision = moe_forward(Tensor(x), mixture)
             backward(ad.sum_all(ad.mul(out, Tensor(coef))))
             selected = set(decision.selected_indices.reshape(-1).tolist())
-            for n in range(cfg.n_experts):
+            for n in range(mixture.cfg.n_experts):
                 if n in selected:
-                    assert np.any(bank.weight.grad[n] != 0.0)
+                    assert np.any(mixture.weight.grad[n] != 0.0)
                 else:
                     found_unselected += 1
-                    np.testing.assert_array_equal(bank.weight.grad[n], 0.0)
-                    np.testing.assert_array_equal(bank.bias.grad[n], 0.0)
+                    np.testing.assert_array_equal(mixture.weight.grad[n], 0.0)
+                    np.testing.assert_array_equal(mixture.bias.grad[n], 0.0)
 
     def test_small_grid_composite(self):
         # 2x2x3 grid through the expert mixture, checked against FD on x
         rng = np.random.default_rng(55)
-        cfg, params, bank, x, coef, _ = _fd_instance(rng)
+        mixture, x, coef, _ = _fd_instance(rng)
         coef_t = Tensor(coef)
 
         def f(t):
-            out, _ = moe_forward(t, bank, params, cfg)
+            out, _ = moe_forward(t, mixture)
             return ad.sum_all(ad.mul(out, coef_t))
 
         assert finite_diff_check(f, x, h=1e-5) < 1e-4
@@ -365,11 +375,11 @@ class TestInitFromPretrained:
         cfg = MoEConfig(n_experts=6, top_k=2)
         pre_w = rng.normal(size=(3, 4))
         pre_b = rng.normal(size=3)
-        bank, _ = init_from_pretrained(pre_w, pre_b, cfg, seed=1)
+        mixture = init_from_pretrained(pre_w, pre_b, cfg, seed=1)
         for x in rng.normal(size=(100, 4)):
-            reference = bank.weight.data[0] @ x + bank.bias.data[0]
+            reference = mixture.weight.data[0] @ x + mixture.bias.data[0]
             for n in range(1, 6):
-                out = bank.weight.data[n] @ x + bank.bias.data[n]
+                out = mixture.weight.data[n] @ x + mixture.bias.data[n]
                 assert out.tobytes() == reference.tobytes()
 
     def test_shape_mismatch(self):
@@ -382,30 +392,30 @@ class TestInitFromPretrained:
         # A non-square (C_out, C_in) = (3, 5) weight sets the bank and the gate.
         for gate_dim in (None, 2):
             cfg = MoEConfig(n_experts=4, top_k=2, gate_dim=gate_dim)
-            bank, params = init_from_pretrained(np.ones((3, 5)), np.ones(3), cfg, seed=0)
-            assert bank.weight.shape == (4, 3, 5) and bank.bias.shape == (4, 3)
-            assert params.W.shape == (5 if gate_dim is None else gate_dim, 5)
-            assert params.E.shape == (params.W.shape[0], 4)
-            out, _ = moe_forward(Tensor(np.ones((2, 2, 2, 5))), bank, params, cfg)
+            mixture = init_from_pretrained(np.ones((3, 5)), np.ones(3), cfg, seed=0)
+            assert mixture.weight.shape == (4, 3, 5) and mixture.bias.shape == (4, 3)
+            assert mixture.W.shape == (5 if gate_dim is None else gate_dim, 5)
+            assert mixture.E.shape == (mixture.W.shape[0], 4)
+            out, _ = moe_forward(Tensor(np.ones((2, 2, 2, 5))), mixture)
             assert out.shape == (2, 2, 2, 3)
 
     def test_top1_frequencies_near_uniform(self):
         """Monte-Carlo over 10^4 random inputs on the seeded init."""
         cfg = MoEConfig(n_experts=8, top_k=2)
-        _, params = init_from_pretrained(np.eye(8), np.zeros(8), cfg, seed=0)
+        mixture = init_from_pretrained(np.eye(8), np.zeros(8), cfg, seed=0)
         rng = np.random.default_rng(123)
         xs = rng.normal(size=(10_000, 8))
         hits = np.zeros(8, dtype=int)
         for x in xs:
-            hits[gate(x, params, cfg).selected_indices[0]] += 1
+            hits[gate(x, mixture.W, mixture.E, cfg).selected_indices[0]] += 1
         freq = hits / xs.shape[0]
         assert np.all(freq >= 1 / 8 - 0.1)
         assert np.all(freq <= 1 / 8 + 0.1)
 
     def test_seeded_determinism(self):
         cfg = MoEConfig(n_experts=3, top_k=1)
-        _, p1 = init_from_pretrained(np.zeros((2, 2)), np.zeros(2), cfg, seed=9)
-        _, p2 = init_from_pretrained(np.zeros((2, 2)), np.zeros(2), cfg, seed=9)
+        p1 = init_from_pretrained(np.zeros((2, 2)), np.zeros(2), cfg, seed=9)
+        p2 = init_from_pretrained(np.zeros((2, 2)), np.zeros(2), cfg, seed=9)
         assert p1.W.data.tobytes() == p2.W.data.tobytes()
         assert p1.E.data.tobytes() == p2.E.data.tobytes()
 
@@ -414,8 +424,8 @@ class TestExpertStats:
     def _uniform_decision(self, n=4, k=2):
         cfg = MoEConfig(n_experts=n, top_k=k)
         col = np.ones(3)
-        params = GateParams(Tensor(np.eye(3)), Tensor(np.repeat(col[:, None], n, axis=1)))
-        return gate(np.array([1.0, 2.0, 3.0]), params, cfg)
+        return gate(np.array([1.0, 2.0, 3.0]), Tensor(np.eye(3)),
+                    Tensor(np.repeat(col[:, None], n, axis=1)), cfg)
 
     def test_uniform_single_position(self):
         stats = ExpertStats()
@@ -452,13 +462,12 @@ class TestExpertStats:
 
     def test_top1_counts_sum_to_positions(self):
         rng = np.random.default_rng(15)
-        cfg, params = random_instance(rng, 6, 2, 4, 4)
-        bank = build_bank(rng, cfg, params)
+        cfg, W, E = random_instance(rng, 6, 2, 4, 4)
+        mixture = build_mixture(rng, cfg, W, E)
         stats = ExpertStats()
         total = 0
         for _ in range(5):
-            _, decision = moe_forward(Tensor(rng.normal(size=(4, 4, 4))[None]), bank, params,
-                                      cfg)
+            _, decision = moe_forward(Tensor(rng.normal(size=(4, 4, 4))[None]), mixture)
             stats.accumulate(decision, "ds", "L")
             total += 16
         cell = stats.cells[("ds", "L")]
@@ -472,20 +481,20 @@ class TestExpertStats:
         rng = np.random.default_rng(17)
         tied_positions = 0
         for trial in range(60):
-            cfg, params = random_instance(rng)
+            cfg, W, E = random_instance(rng)
             n = cfg.n_experts
             if trial % 3 == 1 and n > 1:
-                params.E.data[:, 1:] = params.E.data[:, :1]  # every expert the same
+                E.data[:, 1:] = E.data[:, :1]  # every expert the same
             elif trial % 3 == 2 and n > 2:
-                params.E.data[:, -1] = params.E.data[:, 0]  # experts 0 and N-1 tie
-            bank = build_bank(rng, cfg, params)
-            x = rng.normal(size=(int(rng.integers(1, 4)), 3, 2, params.W.shape[1]))
+                E.data[:, -1] = E.data[:, 0]  # experts 0 and N-1 tie
+            mixture = build_mixture(rng, cfg, W, E)
+            x = rng.normal(size=(int(rng.integers(1, 4)), 3, 2, W.shape[1]))
             x[rng.random(x.shape[:-1]) < 0.2] = 0.0  # uniform routing
             decisions = [
-                moe_forward(Tensor(x), bank, params, cfg)[1],
-                moe_forward(Tensor(x[0][None]), bank, params, cfg)[1],
-                gate(x[0, 0, 0], params, cfg),
-                gate(np.zeros(params.W.shape[1]), params, cfg),
+                moe_forward(Tensor(x), mixture)[1],
+                moe_forward(Tensor(x[0][None]), mixture)[1],
+                gate(x[0, 0, 0], W, E, cfg),
+                gate(np.zeros(W.shape[1]), W, E, cfg),
             ]
             stats = ExpertStats()
             expected = np.zeros(n, dtype=np.int64)
@@ -514,9 +523,9 @@ class TestTop1Map:
 
     def test_map_shape_matches_grid(self):
         rng = np.random.default_rng(16)
-        cfg, params = random_instance(rng, 5, 2, 3, 3)
-        bank = build_bank(rng, cfg, params)
-        _, decision = moe_forward(Tensor(rng.normal(size=(6, 7, 3))[None]), bank, params, cfg)
+        cfg, W, E = random_instance(rng, 5, 2, 3, 3)
+        mixture = build_mixture(rng, cfg, W, E)
+        _, decision = moe_forward(Tensor(rng.normal(size=(6, 7, 3))[None]), mixture)
         assert export_top1_map(decision)[0].shape == (6, 7)
 
     def test_hand_built_argmax(self):
@@ -729,7 +738,7 @@ class TestTakeDispatch:
 # the one-node layer against the five-node composition, byte for byte
 # ---------------------------------------------------------------------------
 
-def oracle_moe_forward(x, bank, params, cfg):
+def oracle_moe_forward(x, mixture):
     """The five-node composition that ``moe_forward`` records as one node.
 
     Gate ``grid_linear`` -> ``gate_logits`` -> ``softmax`` -> ``topk_select``
@@ -738,15 +747,14 @@ def oracle_moe_forward(x, bank, params, cfg):
     batch may only hold one.
     """
     assert x.shape[0] == 1, "the five-node oracle routes one sample per call"
-    if x.shape[-1] != params.W.shape[1]:
-        raise ShapeError(f"routing: expected {params.W.shape[1]} channels, got {x.shape[-1]}")
-    u = ad.grid_linear(x, params.W)
-    probs = ad.softmax(ad.gate_logits(u, params.E, cfg.gate_temperature))
+    W, E, cfg = mixture.W, mixture.E, mixture.cfg
+    if x.shape[-1] != W.shape[1]:
+        raise ShapeError(f"routing: expected {W.shape[1]} channels, got {x.shape[-1]}")
+    u = ad.grid_linear(x, W)
+    probs = ad.softmax(ad.gate_logits(u, E, cfg.gate_temperature))
     selected = moe_mod.topk_select(probs.data, cfg.top_k)
     selected_w = ad.gather_last(probs, selected)
-    if bank.n_experts != cfg.n_experts or params.E.shape[1] != cfg.n_experts:
-        raise ShapeError("moe_forward: expert count disagrees with the configuration")
-    out = ad.mix_experts(x, bank.weight, bank.bias, selected, selected_w)
+    out = ad.mix_experts(x, mixture.weight, mixture.bias, selected, selected_w)
     decision = RoutingDecision(selected, selected_w.data.copy(), probs.data.copy())
     return out, decision
 
@@ -765,16 +773,16 @@ def _layer_instance(rng):
         x.reshape(-1, c_in)[rng.random(int(np.prod(lead))) < 0.3] = 0.0
     # Mostly trainable; some x, W, E and the bank's weight or bias frozen.
     grads = rng.random(3) < 0.75
-    params = GateParams(Tensor(rng.normal(size=(gate_dim, c_in)), requires_grad=grads[1]),
-                        Tensor(rng.normal(size=(gate_dim, n)), requires_grad=grads[2]))
-    bank = ExpertBank(
+    mixture = ExpertMixture(
+        Tensor(rng.normal(size=(gate_dim, c_in)), requires_grad=grads[1]),
+        Tensor(rng.normal(size=(gate_dim, n)), requires_grad=grads[2]),
         Tensor(np.stack([rng.normal(size=(c_out, c_in)) for _ in range(n)]), requires_grad=True),
-        Tensor(np.stack([rng.normal(size=c_out) for _ in range(n)]), requires_grad=True))
+        Tensor(np.stack([rng.normal(size=c_out) for _ in range(n)]), requires_grad=True), cfg)
     if rng.random() < 0.5:
         rng.integers(n)  # an expert id: drawn so that every instance keeps its values
-        for t in (bank.weight, bank.bias)[: int(rng.integers(1, 3))]:
+        for t in (mixture.weight, mixture.bias)[: int(rng.integers(1, 3))]:
             t.requires_grad = False
-    return cfg, Tensor(x, requires_grad=grads[0]), bank, params
+    return Tensor(x, requires_grad=grads[0]), mixture
 
 
 def _one_sample(x):
@@ -792,22 +800,22 @@ def _decision_bytes(decision):
 
 class TestOneNodeLayer:
     def test_one_node_named_moe_layer(self):
-        cfg, x, bank, params = _layer_instance(np.random.default_rng(1))
+        x, mixture = _layer_instance(np.random.default_rng(1))
         x = _one_sample(x)
         x.requires_grad = True
-        out, _ = moe_forward(x, bank, params, cfg)
+        out, _ = moe_forward(x, mixture)
         record = ad.ComputationRecord.trace(out)
         assert [op.name for op in record.ops] == ["moe_layer"]
-        assert record.ops[0].inputs == (x, params.W, params.E, bank.weight, bank.bias)
+        assert record.ops[0].inputs == (x, mixture.W, mixture.E, mixture.weight, mixture.bias)
 
     def test_matches_five_node_composition_bit_for_bit(self):
         rng = np.random.default_rng(2403)
         seen = dict(single=0, k_is_n=0, unused=0, zero_row=0, x_frozen=0, expert_frozen=0)
         for _ in range(300):
-            cfg, x, bank, params = _layer_instance(rng)
-            x = _one_sample(x)
-            out, decision = moe_forward(x, bank, params, cfg)
-            ref, ref_decision = oracle_moe_forward(x, bank, params, cfg)
+            x, mixture = _layer_instance(rng)
+            cfg, x = mixture.cfg, _one_sample(x)
+            out, decision = moe_forward(x, mixture)
+            ref, ref_decision = oracle_moe_forward(x, mixture)
             assert out.shape == ref.shape
             assert out.data.tobytes() == ref.data.tobytes()
             assert _decision_bytes(decision) == _decision_bytes(ref_decision)
@@ -815,7 +823,7 @@ class TestOneNodeLayer:
                 assert out._op is None
                 continue
             g = rng.normal(size=out.shape)
-            layer_inputs = (x, params.W, params.E, bank.weight, bank.bias)
+            layer_inputs = (x, mixture.W, mixture.E, mixture.weight, mixture.bias)
             assert _as_bytes(out._op.vjp(g)) == _as_bytes(replayed_adjoints(ref, g, layer_inputs))
 
             seen["single"] += math.prod(x.shape[:-1]) == 1
@@ -823,58 +831,57 @@ class TestOneNodeLayer:
             seen["unused"] += len(np.unique(decision.selected_indices)) < cfg.n_experts
             seen["zero_row"] += bool(np.any(np.all(x.data == 0.0, axis=-1)))
             seen["x_frozen"] += not x.requires_grad
-            seen["expert_frozen"] += not (bank.weight.requires_grad and bank.bias.requires_grad)
+            seen["expert_frozen"] += not (mixture.weight.requires_grad
+                                          and mixture.bias.requires_grad)
         assert min(seen.values()) > 20, seen
 
     def test_backward_through_a_preceding_op_bit_for_bit(self):
         # x is an intermediate here, so its adjoint flows on into W0 and x0.
         rng = np.random.default_rng(2211)
         for _ in range(100):
-            cfg, _, bank, params = _layer_instance(rng)
-            c_in, c_out = params.W.shape[1], bank.weight.shape[1]
+            _, mixture = _layer_instance(rng)
+            c_in, c_out = mixture.W.shape[1], mixture.weight.shape[1]
             x0 = Tensor(rng.normal(size=(3, 2, c_in))[None], requires_grad=True)
             W0 = Tensor(rng.normal(size=(c_in, c_in)), requires_grad=True)
             coef = Tensor(rng.normal(size=(3, 2, c_out))[None])
-            leaves = (x0, W0, params.W, params.E, bank.weight, bank.bias)
+            leaves = (x0, W0, mixture.W, mixture.E, mixture.weight, mixture.bias)
             grads = []
             for forward in (moe_forward, oracle_moe_forward):
                 for t in leaves:
                     t.zero_grad()
-                out, _ = forward(ad.relu(ad.grid_linear(x0, W0)), bank, params, cfg)
+                out, _ = forward(ad.relu(ad.grid_linear(x0, W0)), mixture)
                 backward(ad.sum_all(ad.mul(out, coef)))
                 grads.append(_as_bytes([t.grad for t in leaves]))
             assert grads[0] == grads[1]
 
-    @pytest.mark.parametrize("case", ["channels_before_count", "count", "gate_columns",
-                                      "zero_embedding", "expert_columns"])
+    @pytest.mark.parametrize("case", ["count", "gate_columns", "zero_embedding",
+                                      "expert_columns"])
     def test_same_errors_in_the_same_order(self, case):
         rng = np.random.default_rng(7)
         cfg = MoEConfig(n_experts=3, top_k=2)
-        params = GateParams(Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=(4, 3))))
-        bank = build_bank(rng, cfg, params, c_out=2)
+        mixture = build_mixture(rng, cfg, Tensor(rng.normal(size=(4, 4))),
+                                Tensor(rng.normal(size=(4, 3))), c_out=2)
         x = Tensor(rng.normal(size=(2, 2, 4))[None])
-        short_bank = ExpertBank(Tensor(bank.weight.data[:2]), Tensor(bank.bias.data[:2]))
-        if case == "channels_before_count":
-            x, bank = Tensor(rng.normal(size=(2, 2, 5))[None]), short_bank
-        elif case == "count":
-            bank = short_bank
-        elif case == "gate_columns":
-            params, bank = GateParams(Tensor(rng.normal(size=(4, 5))), params.E), short_bank
+        if case == "count":  # refused as the mixture is built, so no forward call sees it
+            with pytest.raises(ShapeError, match="expert count disagrees"):
+                replace(mixture, weight=Tensor(mixture.weight.data[:2]),
+                        bias=Tensor(mixture.bias.data[:2]))
+            return
+        if case == "gate_columns":
+            mixture = replace(mixture, W=Tensor(rng.normal(size=(4, 5))))
         elif case == "zero_embedding":
-            params.E.data[:, 1] = 0.0
-            bank = short_bank
+            mixture.E.data[:, 1] = 0.0
         else:
-            bank = ExpertBank(Tensor(np.stack([rng.normal(size=(2, 3)) for _ in range(3)])),
-                              Tensor(np.stack([rng.normal(size=2) for _ in range(3)])))
+            mixture = replace(
+                mixture, weight=Tensor(np.stack([rng.normal(size=(2, 3)) for _ in range(3)])),
+                bias=Tensor(np.stack([rng.normal(size=2) for _ in range(3)])))
         errors = []
         for forward in (moe_forward, oracle_moe_forward):
             with pytest.raises((ShapeError, DomainError)) as excinfo:
-                forward(x, bank, params, cfg)
+                forward(x, mixture)
             errors.append((type(excinfo.value), str(excinfo.value)))
         assert errors[0] == errors[1]
-        expected = {"channels_before_count": "routing: expected 4 channels",
-                    "count": "expert count disagrees",
-                    "gate_columns": "routing: expected 5 channels, got 4",
+        expected = {"gate_columns": "routing: expected 5 channels, got 4",
                     "zero_embedding": "(near-)zero norm",
                     "expert_columns": "expert parameter shapes"}[case]
         assert expected in errors[0][1]
@@ -924,16 +931,15 @@ class TestSampleAxis:
         rng = np.random.default_rng(5101)
         seen = dict(batch=0, k3=0, absent=0, zero_row=0, x_frozen=0, expert_frozen=0)
         for _ in range(300):
-            cfg, x, bank, params = _layer_instance(rng)
+            x, mixture = _layer_instance(rng)
+            cfg = mixture.cfg
             # One to two grid axes: room for the sample axis under the rank limit.
             grid = np.atleast_2d(x.data[(0,) * max(0, x.data.ndim - 3)])
             batch = int(rng.integers(1, 5))
             grids = [grid] + [rng.normal(size=grid.shape) for _ in range(batch - 1)]
             xb = np.stack([grids[i] for i in rng.permutation(batch)])
-            out, decision = moe_forward(Tensor(xb, requires_grad=x.requires_grad), bank,
-                                        params, cfg)
-            per = [moe_forward(Tensor(xb[s][None], requires_grad=x.requires_grad), bank, params,
-                               cfg)
+            out, decision = moe_forward(Tensor(xb, requires_grad=x.requires_grad), mixture)
+            per = [moe_forward(Tensor(xb[s][None], requires_grad=x.requires_grad), mixture)
                    for s in range(batch)]
             assert out.data.tobytes() == np.stack([o.data[0] for o, _ in per]).tobytes()
             assert decision.expert_applications == sum(d.expert_applications for _, d in per)
@@ -955,7 +961,8 @@ class TestSampleAxis:
                                   for _, d in per)
             seen["zero_row"] += bool(np.any(np.all(xb == 0.0, axis=-1)))
             seen["x_frozen"] += not x.requires_grad
-            seen["expert_frozen"] += not (bank.weight.requires_grad and bank.bias.requires_grad)
+            seen["expert_frozen"] += not (mixture.weight.requires_grad
+                                          and mixture.bias.requires_grad)
         assert min(seen.values()) > 20, seen
 
 
@@ -963,21 +970,20 @@ class TestSampleAxis:
 @pytest.mark.parametrize("op", ["grid_linear", "moe_layer", "moe_forward"])
 def test_trunk_op_needs_sample_and_grid_axes(op, shape, monkeypatch):
     rng = np.random.default_rng(5102)
-    cfg, params = random_instance(rng, 4, 2, 3, 3)
-    bank = build_bank(rng, cfg, params)
+    cfg, W, E = random_instance(rng, 4, 2, 3, 3)
+    mixture = build_mixture(rng, cfg, W, E)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     with pytest.raises(ShapeError, match=f"^{op}: .*" + re.escape(f"got shape {shape}")):
         if op == "grid_linear":
-            ad.grid_linear(x, params.W)
+            ad.grid_linear(x, W)
         elif op == "moe_layer":
-            ad.moe_layer(x, params.W, params.E, bank.weight, bank.bias,
-                         moe_mod._route(x.data, params, cfg))
+            ad.moe_layer(x, W, E, mixture.weight, mixture.bias, moe_mod._route(x.data, W, E, cfg))
         else:
             # moe_forward refuses the input before its gate runs.
             def routed(*args):
                 raise AssertionError("moe_forward routed an input it must refuse")
             monkeypatch.setattr(moe_mod, "topk_select", routed)
-            moe_forward(x, bank, params, cfg)
+            moe_forward(x, mixture)
 
 
 def test_readme_library_use_runs_as_written():

@@ -483,8 +483,8 @@ class TestGraphSize:
         model, _ = benchmark_step(tmp_path)
         backbone = model.param_groups()[0]
         assert len(backbone) == 12
-        banks = [t for block in model.blocks if block.has_moe
-                 for t in (block.bank.weight, block.bank.bias)]
+        banks = [t for block in model.blocks if block.mixture is not None
+                 for t in (block.mixture.weight, block.mixture.bias)]
         assert [t.shape for t in banks] == [(4, 8, 8), (4, 8)] * 2
         assert all(any(t is p for p in backbone) for t in banks)
 
