@@ -20,11 +20,11 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .runconfig import (CONFIG_SNAPSHOT_NAME, SCHEMA, TOP1_MAPS_DIR, claim_out_dir, get_path,
-                        load_config_file, make_out_dir, parse_config, set_path)
+from .runconfig import (CONFIG_SNAPSHOT_NAME, MARKS, SCHEMA, TOP1_MAPS_DIR, claim_out_dir,
+                        get_path, load_config_file, make_out_dir, parse_config, set_path)
 from .train import SWEEP_CSV_NAME, build_setup, evaluate_stats, recorded_train, sweep_rows, train
 
-INSPECT_FILES = ("participation.csv", TOP1_MAPS_DIR)  # the files inspect-gates writes
+INSPECT_FILES = (MARKS["inspect-gates"], TOP1_MAPS_DIR)  # the files inspect-gates writes
 
 
 def build_parser() -> argparse.ArgumentParser:

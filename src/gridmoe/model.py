@@ -78,10 +78,10 @@ class TrunkBlock:
 
 
 class Model:
-    """Trunk + heads; parameters grouped as one backbone and one group per task."""
+    """Trunk + heads; parameters grouped as one backbone and one group per task. A block
+    has a mixture iff ``spec.moe_layers`` names it; its base weights do not depend on that."""
 
-    def __init__(self, spec: ModelSpec, tasks: dict[str, gdata.TaskSpec], seed: int = 0,
-                 moe_enabled: bool = True):
+    def __init__(self, spec: ModelSpec, tasks: dict[str, gdata.TaskSpec], seed: int = 0):
         self.spec = spec
         self.tasks = dict(sorted(tasks.items()))
         self.task_order = list(self.tasks)
@@ -93,7 +93,7 @@ class Model:
             weight = rng.normal(0.0, np.sqrt(2.0 / c), size=(c, c))
             self.blocks.append(TrunkBlock(
                 i, Tensor(weight, requires_grad=True), Tensor(np.zeros(c), requires_grad=True),
-                spec.moe if moe_enabled and i in spec.moe_layers else None, seed * 997 + i))
+                spec.moe if i in spec.moe_layers else None, seed * 997 + i))
 
         self.heads: dict[str, tuple[Tensor, Tensor]] = {}
         for task_id, task in self.tasks.items():

@@ -267,20 +267,11 @@ class ExpertStats:
         return float(np.mean(entropies))
 
     def rows(self) -> list[dict]:
-        out = []
-        for (dataset, layer), cell in sorted(self.cells.items()):
-            for expert in range(cell.top1.size):
-                out.append(
-                    {
-                        "dataset": dataset,
-                        "layer": layer,
-                        "expert": expert,
-                        "participation_mass": float(cell.participation[expert]),
-                        "top1_count": int(cell.top1[expert]),
-                        "grid_positions": cell.positions,
-                    }
-                )
-        return out
+        """One row per (dataset, layer, expert), keyed by ``STATS_CSV_COLUMNS`` in order."""
+        return [dict(zip(STATS_CSV_COLUMNS, (dataset, layer, expert, float(mass), int(top1),
+                                             cell.positions), strict=True))
+                for (dataset, layer), cell in sorted(self.cells.items())
+                for expert, (mass, top1) in enumerate(zip(cell.participation, cell.top1))]
 
     def to_csv(self, path) -> None:
         write_csv(path, STATS_CSV_COLUMNS, self.rows(), schema="expert_stats")

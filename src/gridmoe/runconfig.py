@@ -28,7 +28,10 @@ from .moe import MoEConfig
 
 CONFIG_SNAPSHOT_NAME = "config_snapshot.json"
 MANIFEST_NAME = "manifest.json"
+SWEEP_CSV_NAME = "sweep.csv"
 TOP1_MAPS_DIR = "top1_maps"
+# Each command's completion mark: no command clears a directory holding another's.
+MARKS = {"train": MANIFEST_NAME, "sweep": SWEEP_CSV_NAME, "inspect-gates": "participation.csv"}
 
 REQUIRED = object()  # default of a key every config must give
 DERIVED = object()   # default computed from other keys after parsing
@@ -245,8 +248,11 @@ def claim_out_dir(out_dir, force: bool) -> Path:
 def make_out_dir(path: Path, owned) -> None:
     """Make a command's output directory and remove from it what an earlier run left of
     ``owned``, the files the command writes, and nothing else. In ``TOP1_MAPS_DIR`` that is
-    the ``<modality>_trunk_<i>.csv`` maps, then the directory if it is left empty. A
-    directory that cannot be made or cleared is a configuration error."""
+    the ``<modality>_trunk_<i>.csv`` maps, then the directory if it is left empty. A directory
+    holding another command's mark, or that cannot be made or cleared, is a ConfigError."""
+    for command, mark in MARKS.items():
+        if mark not in owned and (path / mark).exists():
+            raise ConfigError("out_dir", f"{path} holds {mark}, the mark of the {command} command")
     try:
         path.mkdir(parents=True, exist_ok=True)
         for name in owned:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -27,8 +27,8 @@ from .csvio import CsvLogger, write_csv, write_rows
 from .errors import EXIT_OK, EXIT_RUNTIME, ConfigError, GridMoeError, TrainingAborted
 from .model import Model
 from .moe import ExpertStats, export_top1_map
-from .runconfig import (CONFIG_SNAPSHOT_NAME, MANIFEST_NAME, TOP1_MAPS_DIR, RunConfig, make_out_dir,
-                        write_config_snapshot, write_manifest)
+from .runconfig import (CONFIG_SNAPSHOT_NAME, MANIFEST_NAME, SWEEP_CSV_NAME, TOP1_MAPS_DIR,
+                        RunConfig, make_out_dir, write_config_snapshot, write_manifest)
 
 # Every file a train run writes, keyed by its name under the manifest's ``artifacts``,
 # which list the evaluation's files only when it ran and the dump only on an abort.
@@ -75,7 +75,8 @@ def build_setup(cfg: RunConfig):
     wanted = dict(cfg.counts)
     modalities = {m: spec for m, spec in modalities.items() if m in wanted}
     tasks = {m: spec for m, spec in tasks.items() if m in wanted}
-    model = Model(cfg.model, tasks, seed=cfg.seed, moe_enabled=cfg.moe_enabled)
+    spec = cfg.model if cfg.moe_enabled else replace(cfg.model, moe_layers=())
+    model = Model(spec, tasks, seed=cfg.seed)
     sampler = gdata.BatchSampler(cfg.counts)
     return modalities, tasks, model, sampler
 
@@ -139,7 +140,8 @@ def _dso_columns(order) -> list[str]:
 
 
 def train_step(state: TrainState) -> tuple[dict, dict]:
-    """One iteration; returns its ``losses.csv`` and ``dso_log.csv`` rows.
+    """One iteration; returns its ``losses.csv`` and ``dso_log.csv`` rows, each keyed by
+    its file's columns (``_loss_columns``, ``_dso_columns``) in order.
 
     Draws a mixed batch and runs it forward. A non-finite loss writes the last
     loss rows to ``diagnostic_dump.csv`` and raises ``TrainingAborted``;
@@ -177,21 +179,16 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
                 param.data = param.data - lr * param.grad
             param.grad = None
 
-    loss_row = {"iteration": iteration, "total": float(values.sum())}
-    for t, v in zip(order, values):
-        loss_row[f"loss_{t}"] = float(v)
+    loss_row = dict(zip(_loss_columns(order), [iteration, *values.tolist(), float(values.sum())],
+                        strict=True))
     state.recent.append(loss_row)
 
-    log_cur = tracker.cur if tracker.cur is not None else values
-    log_his = tracker.his if tracker.his is not None else values
-    dso_row = {"iteration": iteration, "C": multipliers.consistency,
-               "gamma": multipliers.backbone_gamma, "lr_backbone": rates[0]}
-    for idx, t in enumerate(order):
-        dso_row[f"cur_{t}"] = float(log_cur[idx])
-        dso_row[f"his_{t}"] = float(log_his[idx])
-        dso_row[f"w_{t}"] = float(multipliers.ratios[idx])
-        dso_row[f"lambda_{t}"] = float(multipliers.head_lambdas[idx])
-        dso_row[f"lr_head_{t}"] = rates[1 + idx]
+    cur = tracker.cur if tracker.cur is not None else values
+    his = tracker.his if tracker.his is not None else values
+    dso_row = dict(zip(_dso_columns(order), [
+        iteration, *cur.tolist(), *his.tolist(), *multipliers.ratios.tolist(),
+        *multipliers.head_lambdas.tolist(), multipliers.consistency, multipliers.backbone_gamma,
+        *rates[1:], rates[0]], strict=True))
     return loss_row, dso_row
 
 
@@ -340,7 +337,6 @@ def _render(value):
 # ---------------------------------------------------------------------------
 
 BENCHMARK_BASE_NOISE = 0.1
-SWEEP_CSV_NAME = "sweep.csv"
 BENCHMARK_SEEDS_CSV = "benchmark_seeds.csv"
 BENCHMARK_HARD_MULTIPLIER = 4.0
 

@@ -628,6 +628,41 @@ def test_force_rerun_that_cannot_clear_its_files_exits_2(tmp_path, capsys, plant
     assert not (out / "manifest.json").exists()
 
 
+def snapshot(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_inspect_force_into_a_train_run_exits_2_and_leaves_it(tmp_path, capsys):
+    """``inspect-gates --force`` refuses a train run's directory, found by its
+    ``manifest.json``, before it removes any of the run's maps."""
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2, "run.stats_samples": 1})
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    written = snapshot(run)
+    capsys.readouterr()
+    assert main(["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"), "--modality",
+                 "A", "--n", "1", "--out", str(run), "--force"]) == 2
+    assert capsys.readouterr().err == (f"config error: out_dir: {run} holds manifest.json, "
+                                       "the mark of the train command\n")
+    assert snapshot(run) == written and verify_manifest(run)
+
+
+def test_train_force_into_an_inspection_exits_2_and_leaves_it(tmp_path, capsys):
+    """``train --force`` refuses an inspection's directory, found by its
+    ``participation.csv``: it removes no map and writes no manifest."""
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2})
+    run, insp = tmp_path / "run", tmp_path / "ins"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["inspect-gates", "--checkpoint", str(run / "checkpoint.bin"), "--modality",
+                 "B", "--n", "1", "--out", str(insp)]) == 0
+    written = snapshot(insp)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(insp), "--force", "--no-moe"]) == 2
+    assert capsys.readouterr().err == (f"config error: out_dir: {insp} holds participation.csv, "
+                                       "the mark of the inspect-gates command\n")
+    assert snapshot(insp) == written and not (insp / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "inspect-gates"])
 def test_out_of_memory_exits_3_with_one_line(tmp_path, monkeypatch, capsys, command):
     """A ``MemoryError`` (numpy's ``_ArrayMemoryError`` is one) while a command runs

@@ -1,6 +1,7 @@
 """Trunk/head model tests: fixtures with hand-computed losses, MoE symmetry
 lifted to the model, parameter grouping, checkpoint roundtrips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ class TestFixtures:
         equals the hand-computed huber mean of the raw targets."""
         mods = default_modalities()
         tasks = default_tasks()
-        model = Model(ModelSpec(moe_layers=()), tasks, seed=0, moe_enabled=False)
+        model = Model(ModelSpec(moe_layers=()), tasks, seed=0)
         eye = np.eye(model.spec.channels)
         for block in model.blocks:
             block.weight.data = eye.copy()
@@ -60,7 +61,7 @@ class TestFixtures:
         tasks = default_tasks()
         spec = ModelSpec(depth=4, channels=8, moe_layers=(0, 2),
                          moe=MoEConfig(n_experts=4, top_k=2))
-        model = Model(spec, tasks, seed=3, moe_enabled=True)
+        model = Model(spec, tasks, seed=3)
         for block in model.blocks:
             if block.mixture is not None:  # identical embeddings
                 block.mixture.E.data = np.repeat(block.mixture.E.data[:, :1], spec.moe.n_experts,
@@ -78,9 +79,9 @@ class TestFixtures:
     def test_moe_disabled_uses_base_projection(self):
         tasks = default_tasks()
         spec = ModelSpec(depth=2, moe_layers=(0,))
-        with_moe = Model(spec, tasks, seed=5, moe_enabled=True)
-        without = Model(spec, tasks, seed=5, moe_enabled=False)
-        # same seeded base weights regardless of the mixture flag
+        with_moe = Model(spec, tasks, seed=5)
+        without = Model(dataclasses.replace(spec, moe_layers=()), tasks, seed=5)
+        # same seeded base weights with or without the mixture
         np.testing.assert_array_equal(
             with_moe.blocks[0].weight.data, without.blocks[0].weight.data
         )
@@ -95,7 +96,7 @@ class TestBlockMixture:
         own base weights at seed ``seed * 997 + index``, bit for bit."""
         spec = ModelSpec(depth=4, channels=8, moe_layers=(2, 0),
                          moe=MoEConfig(n_experts=4, top_k=2, gate_dim=5))
-        model = Model(spec, default_tasks(), seed=seed, moe_enabled=True)
+        model = Model(spec, default_tasks(), seed=seed)
         assert [block.index for block in model.blocks if block.mixture is not None] == [0, 2]
         for i in spec.moe_layers:
             block = model.blocks[i]
@@ -110,7 +111,8 @@ class TestBlockMixture:
     @pytest.mark.parametrize("moe_enabled", [True, False])
     def test_block_without_mixture_has_none(self, moe_enabled):
         spec = ModelSpec(depth=4, moe_layers=(1,))
-        model = Model(spec, default_tasks(), seed=2, moe_enabled=moe_enabled)
+        model = Model(spec if moe_enabled else dataclasses.replace(spec, moe_layers=()),
+                      default_tasks(), seed=2)
         plain = [b for b in model.blocks if not (moe_enabled and b.index in spec.moe_layers)]
         assert len(plain) == (3 if moe_enabled else 4)
         for block in plain:

@@ -17,8 +17,11 @@ from gridmoe import dso
 from gridmoe.csvio import format_value, read_csv
 from gridmoe.errors import ConfigError, TrainingAborted
 from gridmoe.model import Model
+from gridmoe.moe import STATS_CSV_COLUMNS
 from gridmoe.runconfig import parse_config
 from gridmoe.train import (
+    _dso_columns,
+    _loss_columns,
     benchmark_config,
     build_setup,
     evaluate_stats,
@@ -115,7 +118,7 @@ class TestGovernorOffEquivalence:
         # plain loop, written out longhand
         modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
         tasks = gdata.default_tasks(cfg.label_noise)
-        model = Model(cfg.model, tasks, seed=cfg.seed, moe_enabled=cfg.moe_enabled)
+        model = Model(cfg.model, tasks, seed=cfg.seed)
         sampler = gdata.BatchSampler(cfg.counts)
         params = [p for group in model.param_groups() for p in group]
         for _ in range(cfg.iterations):
@@ -293,6 +296,21 @@ def poisoned_run(tmp_path, monkeypatch, clean_samples):
     dump = excinfo.value.dump_path
     assert dump is not None
     return excinfo.value, read_csv(dump), read_csv(tmp_path / "run" / "losses.csv")
+
+
+@pytest.mark.parametrize("dso_enabled", [True, False], ids=["governed", "plain"])
+def test_rows_are_keyed_by_their_files_columns_in_order(tmp_path, dso_enabled):
+    """Each ``losses.csv``, ``dso_log.csv`` and ``expert_stats`` row has exactly its
+    file's columns as keys, in column order."""
+    state = start_training(small_config(tmp_path / "run", dso_enabled=dso_enabled))
+    order = state.model.task_order
+    for _ in range(2):
+        loss_row, dso_row = train_step(state)
+        assert list(loss_row) == _loss_columns(order)
+        assert list(dso_row) == _dso_columns(order)
+    rows = state.stats.rows()
+    assert len(rows) == 3 * 2 * 4  # modalities x MoE layers x experts
+    assert all(tuple(row) == STATS_CSV_COLUMNS for row in rows)
 
 
 class TestAbort:
