@@ -114,7 +114,7 @@ def cmd_train(args) -> int:
         set_path(raw, "run.moe", False)
     cfg = parse_config(raw)
     result = recorded_train(cfg, args.config, trainer=train)
-    final = ", ".join(f"{t}={result.final_losses[t]:.4f}" for t in result.task_order)
+    final = ", ".join(f"{t}={result.loss_history[t][-1]:.4f}" for t in result.task_order)
     print(f"done: {cfg.iterations} iterations, final losses {final}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK
@@ -162,10 +162,10 @@ def cmd_inspect_gates(args) -> int:
                            args.n, cfg.height, cfg.width, maps_dir=maps_dir)
     stats.to_csv(participation)
     print(f"modality {args.modality}, {args.n} samples")
-    for row in stats.rows():
-        share = row["participation_mass"] / max(row["grid_positions"], 1)
-        print(f"  {row['layer']} expert {row['expert']}: mass/position {share:.4f} "
-              f"top1 {row['top1_count']}")
+    for (_, layer), cell in sorted(stats.cells.items()):
+        for expert, (mass, top1) in enumerate(zip(cell.participation, cell.top1)):
+            print(f"  {layer} expert {expert}: mass/position "
+                  f"{mass / max(cell.positions, 1):.4f} top1 {top1}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK
 

@@ -132,8 +132,8 @@ class Model:
         task's samples are adjacent and its losses are added in sample-index
         order: the result is exactly independent of batch order. Returns the
         ``heads_loss`` node (the task means added in task order), each task's
-        mean as a float, and the routing decisions, one per (sample, MoE
-        layer) in stacked order, the order ``BatchSampler`` yields.
+        mean as a float, and (task, layer, decision) per (task, MoE layer) in
+        that order, the decision holding the task's rows of the layer's.
         """
         samples = list(samples)
         task_index = {task_id: i for i, task_id in enumerate(self.task_order)}
@@ -152,9 +152,12 @@ class Model:
             heads.append((*self.heads[task_id], np.stack([samples[i][3] for i in group]), loss))
         total, means = ad.heads_loss(features, heads)
 
-        all_routings = [(samples[i][0], layer, decision.sample(p))
-                        for p, i in enumerate(stacked) for layer, decision in routings]
-        return total, dict(zip(task_ids, means)), all_routings
+        bounds = list(itertools.accumulate((len(targets) for *_, targets, _ in heads), initial=0))
+        slices = [(task_id, layer, RoutingDecision(d.selected_indices[lo:hi],
+                                                   d.gate_weights[lo:hi], d.full_softmax[lo:hi]))
+                  for task_id, lo, hi in zip(task_ids, bounds, bounds[1:])
+                  for layer, d in routings]
+        return total, dict(zip(task_ids, means)), slices
 
     # -- parameter bookkeeping -------------------------------------------
 

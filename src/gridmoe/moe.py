@@ -85,8 +85,7 @@ class RoutingDecision:
     probability with ties broken toward the lowest index; ``gate_weights``
     are the matching full-softmax entries (everything else is implicitly
     zero); ``full_softmax`` keeps the dense probabilities for statistics.
-    The leading axes are the sample axis, then the grid axes; ``sample``
-    drops the sample axis.
+    The leading axes are the sample axis, then the grid axes.
     """
 
     selected_indices: np.ndarray
@@ -105,11 +104,6 @@ class RoutingDecision:
     @property
     def n_experts(self) -> int:
         return self.full_softmax.shape[-1]
-
-    def sample(self, index: int) -> "RoutingDecision":
-        """One sample's decision out of a layer's (axis 0 indexes samples)."""
-        return RoutingDecision(self.selected_indices[index], self.gate_weights[index],
-                               self.full_softmax[index])
 
 
 def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
@@ -143,7 +137,7 @@ def moe_forward(x: Tensor, mixture: ExpertMixture) -> tuple[Tensor, RoutingDecis
     parameters, and the selected experts' bank rows. The layer is one graph
     node, ``moe_layer``: the batch is routed and mixed at once, its gradients
     have the bits of one layer per sample replayed in sample order, and the
-    decision keeps the sample axis (see ``RoutingDecision.sample``).
+    decision keeps the sample axis.
     """
     x = ad._lift(x)
     ad._sample_count(x.data, "moe_forward")

@@ -45,7 +45,6 @@ class TrainResult:
     out_dir: Path
     task_order: list[str]
     loss_history: dict[str, list[float]]
-    final_losses: dict[str, float]
     gamma_min: float
     gamma_max: float
     stats: ExpertStats
@@ -216,15 +215,17 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
 
     history: dict[str, list[float]] = {t: [] for t in order}
     gammas = []
-    with CsvLogger(artifacts["losses"], _loss_columns(order), "losses") as loss_log, \
+    loss_columns = _loss_columns(order)
+    with CsvLogger(artifacts["losses"], loss_columns, "losses") as loss_log, \
          CsvLogger(artifacts["dso_log"], _dso_columns(order), "dso_log") as dso_log:
         for _ in range(cfg.iterations):
             loss_row, dso_row = train_step(state)
             loss_log.write(loss_row)
             dso_log.write(dso_row)
-            for t in order:
-                history[t].append(loss_row[f"loss_{t}"])
-            gammas.append(dso_row["gamma"])
+            for t, column in zip(order, loss_columns[1:]):
+                history[t].append(loss_row[column])
+            # The record dso.step returned, on every path: its gamma is the row's.
+            gammas.append(state.tracker.last_multipliers.backbone_gamma)
 
     save_checkpoint(artifacts["checkpoint"], state.model.state_dict())
     state.stats.to_csv(artifacts["expert_stats"])
@@ -233,9 +234,8 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
             "diagnostic_dump", "expert_stats_init", "expert_stats_final", "top1_maps"):
         del artifacts[name]  # not written
     return TrainResult(out_dir=out_dir, task_order=order, loss_history=history,
-                       final_losses={t: history[t][-1] for t in order}, gamma_min=min(gammas),
-                       gamma_max=max(gammas), stats=state.stats, artifacts=artifacts,
-                       init_entropy=init_entropy, final_entropy=final_entropy,
+                       gamma_min=min(gammas), gamma_max=max(gammas), stats=state.stats,
+                       artifacts=artifacts, init_entropy=init_entropy, final_entropy=final_entropy,
                        model=state.model if keep_model else None)
 
 
@@ -307,9 +307,10 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     rows: list[dict] = []
     for combo, seed, cfg in runs:
         result = recorded_train(cfg, config_path)
+        final = {t: result.loss_history[t][-1] for t in result.task_order}
         rows.append({**{key: _render(value) for key, value in zip(keys, combo)}, "seed": seed,
-                     **{f"final_loss_{t}": result.final_losses[t] for t in result.task_order},
-                     "final_total": float(sum(result.final_losses.values())),
+                     **{f"final_loss_{t}": loss for t, loss in final.items()},
+                     "final_total": float(sum(final.values())),
                      "gamma_min": result.gamma_min, "gamma_max": result.gamma_max})
     write_csv(out_root / SWEEP_CSV_NAME, list(rows[0]), rows, schema="sweep")
     return rows

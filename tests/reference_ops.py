@@ -27,6 +27,8 @@
   softmax again.
 - ``gate``: the router of one grid position, the single-position case of
   ``moe._route``, which the routing oracles and properties are checked on.
+- ``sample_decision``: one sample's routing decision out of a layer's, the
+  per-sample decisions that ``per_sample_forward_batch`` returns.
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ def gate(x_grid, W, E, cfg: moe_mod.MoEConfig) -> moe_mod.RoutingDecision:
     return moe_mod.RoutingDecision(routing.selected, routing.weights, routing.probs)
 
 
+def sample_decision(decision: moe_mod.RoutingDecision, index: int) -> moe_mod.RoutingDecision:
+    """Sample ``index``'s decision out of a layer's (axis 0 indexes samples), that axis dropped."""
+    return moe_mod.RoutingDecision(decision.selected_indices[index], decision.gate_weights[index],
+                                   decision.full_softmax[index])
+
+
 def per_sample_forward_batch(model, samples):
     """``Model.forward_batch`` as one graph per sample, each a (1, H, W, C) batch alone.
 
@@ -128,7 +136,8 @@ def per_sample_forward_batch(model, samples):
         for block in model.blocks:
             if block.mixture is not None:
                 h, decision = model_mod.moe_forward(h, block.mixture)
-                all_routings.append((task_id, f"trunk.{block.index}", decision.sample(0)))
+                all_routings.append((task_id, f"trunk.{block.index}",
+                                     sample_decision(decision, 0)))
             else:
                 h = ad.grid_linear(h, block.weight, block.bias)
             h = ad.relu(h)

@@ -1050,3 +1050,32 @@ class TestInspectCommand:
                      "--config", str(other_cfg), "--modality", "A", "--n", "1"])
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+def test_renamed_log_columns_are_written_and_never_read_back(tmp_path, monkeypatch, capsys):
+    """Each log's columns are named only in their list: with every column of
+    ``_loss_columns``, ``_dso_columns`` and ``STATS_CSV_COLUMNS`` renamed, ``train``
+    and ``inspect-gates`` still run, write the new headers and print the same."""
+    def run(name):
+        out = tmp_path / name
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 3})
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
+                     "--modality", "A", "--n", "2"]) == 0
+        return out, capsys.readouterr().out.replace(str(out), "<out>")
+
+    plain_out, plain_printed = run("plain")
+    train_mod, moe_mod = (importlib.import_module(f"gridmoe.{m}") for m in ("train", "moe"))
+    for name in ("_loss_columns", "_dso_columns"):
+        monkeypatch.setattr(train_mod, name, lambda order, listed=getattr(train_mod, name): [
+            f"renamed_{c}" for c in listed(order)])
+    monkeypatch.setattr(moe_mod, "STATS_CSV_COLUMNS",
+                        tuple(f"renamed_{c}" for c in moe_mod.STATS_CSV_COLUMNS))
+    renamed_out, renamed_printed = run("renamed")
+    assert renamed_printed == plain_printed
+    for file in ("losses.csv", "dso_log.csv", "expert_stats.csv", "expert_stats_final.csv",
+                 "inspect/participation.csv"):
+        plain, renamed = ((out / file).read_text().splitlines()
+                          for out in (plain_out, renamed_out))
+        assert renamed[1] == ",".join(f"renamed_{c}" for c in plain[1].split(",")), file
+        assert renamed[2:] == plain[2:], file

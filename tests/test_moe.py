@@ -23,7 +23,7 @@ from gridmoe.moe import (
     moe_forward,
 )
 import reference_ops
-from reference_ops import gate, per_sample_forward_batch, replayed_adjoints
+from reference_ops import gate, per_sample_forward_batch, replayed_adjoints, sample_decision
 
 
 def oracle_gate(x, W, E, temperature, k):
@@ -944,8 +944,8 @@ class TestSampleAxis:
             assert out.data.tobytes() == np.stack([o.data[0] for o, _ in per]).tobytes()
             assert decision.expert_applications == sum(d.expert_applications for _, d in per)
             for s, (_, ref_decision) in enumerate(per):
-                assert (_decision_bytes(decision.sample(s))
-                        == _decision_bytes(ref_decision.sample(0)))
+                assert (_decision_bytes(sample_decision(decision, s))
+                        == _decision_bytes(sample_decision(ref_decision, 0)))
             if out._op is None:
                 assert all(o._op is None for o, _ in per)
                 continue
@@ -997,4 +997,4 @@ def test_readme_library_use_runs_as_written():
     assert out.shape == features.shape
     # One decision per (sample, grid position): the sample axis leads.
     assert routing.selected_indices.shape == (*features.shape[:-1], k)
-    assert routing.sample(0).selected_indices.shape == (*features.shape[1:-1], k)
+    assert sample_decision(routing, 0).selected_indices.shape == (*features.shape[1:-1], k)

@@ -17,7 +17,7 @@ from gridmoe import dso
 from gridmoe.csvio import format_value, read_csv
 from gridmoe.errors import ConfigError, TrainingAborted
 from gridmoe.model import Model
-from gridmoe.moe import STATS_CSV_COLUMNS
+from gridmoe.moe import STATS_CSV_COLUMNS, ExpertStats, RoutingDecision
 from gridmoe.runconfig import parse_config
 from gridmoe.train import (
     _dso_columns,
@@ -409,7 +409,7 @@ class TestSweep:
                                     base_lr=0.05))
         # same seeds, same config -> same final losses
         for t in ("A", "B", "C"):
-            assert rows[0][f"final_loss_{t}"] == single.final_losses[t]
+            assert rows[0][f"final_loss_{t}"] == single.loss_history[t][-1]
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -516,18 +516,34 @@ class TestGraphSize:
         assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
 
 
+def joined_per_sample(routings):
+    """Per-sample (task, layer, decision) triples as one per (task, layer), in the order
+    each pair first comes, every array its samples' stacked along a new axis 0."""
+    groups = {}
+    for task, layer, decision in routings:
+        groups.setdefault((task, layer), []).append(decision)
+    return [(task, layer, RoutingDecision(*(np.stack([getattr(d, name) for d in decisions])
+                                            for name in ("selected_indices", "gate_weights",
+                                                         "full_softmax"))))
+            for (task, layer), decisions in groups.items()]
+
+
 class TestSampleAxis:
     """One (B, H, W, C) batch against one graph per sample, byte for byte."""
 
     @pytest.mark.parametrize("moe", [True, False], ids=["moe", "plain"])
     def test_losses_and_gradients_match_per_sample(self, tmp_path, moe):
+        # forward_batch's decisions are one per (task, layer); the oracle's, one per
+        # (sample, layer), are joined along axis 0 to match.
         model, draw = benchmark_step(tmp_path, seed=3, moe=moe)
         params = [p for group in model.param_groups() for p in group]
         for _ in range(4):
             samples = draw()
             runs = []
-            for forward in (Model.forward_batch, per_sample_forward_batch):
+            for forward, joined in ((Model.forward_batch, list),
+                                    (per_sample_forward_batch, joined_per_sample)):
                 total, losses, routings = forward(model, samples)
+                routings = joined(routings)
                 ad.backward(total)
                 grads = [p.grad for p in params]
                 runs.append(([total.data.tobytes(),
@@ -541,6 +557,21 @@ class TestSampleAxis:
             assert runs[0] == runs[1]
             for p, g in zip(params, grads):
                 p.data = p.data - 0.05 * g
+
+    def test_benchmark_step_accumulates_stats_once_per_task_and_layer(self, tmp_path,
+                                                                      monkeypatch):
+        # 3 tasks x 2 MoE layers, each call over all of its task's samples.
+        state = start_training(benchmark_config(0, 1, str(tmp_path), True))
+        calls, accumulate = [], ExpertStats.accumulate
+
+        def counted(stats, decision, dataset, layer):
+            calls.append((dataset, layer, decision.selected_indices.shape))
+            accumulate(stats, decision, dataset, layer)
+
+        monkeypatch.setattr(ExpertStats, "accumulate", counted)
+        train_step(state)
+        assert calls == [(task, layer, (n, 8, 8, 2)) for task, n in (("A", 2), ("B", 1), ("C", 1))
+                         for layer in ("trunk.0", "trunk.2")]
 
     @pytest.mark.parametrize("top_k", [2, 3])
     def test_training_artifacts_identical_to_per_sample(self, tmp_path, monkeypatch, top_k):

@@ -18,8 +18,9 @@ A training step is one ``train.train_step`` call on a state from
 ``train.start_training``; the CSV writes that ``train`` does around it are not
 timed, and no thread is used. Every step's ``losses.csv`` and ``dso_log.csv``
 rows must render the same on both sides (``csvio.format_value``, so a
--0.0/0.0 flip counts), and so must the final parameters' bytes; for ``eval``
-every routing decision must. A tree from before ``train_step`` is refused:
+-0.0/0.0 flip counts), and so must the final routing statistics'
+``stats.rows()`` and the final parameters' bytes; for ``eval`` every routing
+decision must. A tree from before ``train_step`` is refused:
 time it with that tree's own ``tools/step_ab.py``. The script prints each
 side's p50 and p90 in ms and the median of the per-pair ratios change/parent.
 
@@ -98,9 +99,11 @@ def time_training(trees, workload: str, steps: int, out_dir: str):
             times[side].append(time.perf_counter() - t0)
             rows[side].append([{k: gm.csvio.format_value(v) for k, v in row.items()}
                                for row in step_rows])
-    params = {side: {k: (v.dtype.str, v.shape, v.tobytes())
-                     for k, v in states[side].model.state_dict().items()} for side in SIDES}
-    return times, rows["parent"] == rows["change"] and params["parent"] == params["change"]
+    final = {side: ([{k: trees[side].csvio.format_value(v) for k, v in row.items()}
+                     for row in states[side].stats.rows()],
+                    {k: (v.dtype.str, v.shape, v.tobytes())
+                     for k, v in states[side].model.state_dict().items()}) for side in SIDES}
+    return times, rows["parent"] == rows["change"] and final["parent"] == final["change"]
 
 
 def time_eval(trees, steps: int, out_dir: str):
