@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--no-dso", action="store_true",
                          help="force all learning-rate multipliers to 1")
     p_train.add_argument("--no-moe", action="store_true",
-                         help="replace expert mixtures with their base projection")
+                         help="set model.moe_layers to []: every block is its base projection")
     p_train.add_argument("--force", action="store_true",
                          help="allow writing into a non-empty output directory")
 
@@ -111,7 +111,7 @@ def cmd_train(args) -> int:
     if args.no_dso:
         set_path(raw, "run.dso", False)
     if args.no_moe:
-        set_path(raw, "run.moe", False)
+        set_path(raw, "model.moe_layers", [])
     cfg = parse_config(raw)
     result = recorded_train(cfg, args.config, trainer=train)
     final = ", ".join(f"{t}={result.loss_history[t][-1]:.4f}" for t in result.task_order)
@@ -140,14 +140,10 @@ def cmd_inspect_gates(args) -> int:
     checkpoint_path = Path(args.checkpoint)
     config_path = Path(args.config) if args.config else checkpoint_path.parent / CONFIG_SNAPSHOT_NAME
     cfg = parse_config(load_config_file(config_path))
-    if not cfg.moe_enabled:
-        raise ConfigError("run.moe", "is false: the checkpoint has no gates to inspect")
     if not cfg.model.moe_layers:
         raise ConfigError("model.moe_layers", "is empty: the checkpoint has no gates to inspect")
-    _, _, model, _ = build_setup(cfg)
-    # Unfiltered, so a modality the run did not train on can be inspected.
-    modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
-    tasks = gdata.default_tasks(cfg.label_noise)
+    # Every modality, so one the run did not train on can be inspected too.
+    modalities, tasks, model, _ = build_setup(cfg)
     try:
         model.load_state(load_checkpoint(checkpoint_path))
     except ShapeError as exc:

@@ -59,7 +59,6 @@ SCHEMA = {
         "out_dir": (str, "run"),
         "base_lr": (float, 1e-4),
         "dso": (bool, True),
-        "moe": (bool, True),
         "stats_samples": (int, 8),
     },
 }
@@ -79,7 +78,6 @@ class RunConfig:
     out_dir: str
     base_lr: float
     dso_enabled: bool
-    moe_enabled: bool
     stats_samples: int
     # Every resolved key, as plain JSON values; the fields above hold the same.
     sections: dict = field(repr=False, compare=False)
@@ -194,7 +192,6 @@ def parse_config(raw: dict) -> RunConfig:
         out_dir=run["out_dir"],
         base_lr=run["base_lr"],
         dso_enabled=run["dso"],
-        moe_enabled=run["moe"],
         stats_samples=run["stats_samples"],
         # Copied, so no config shares a list or dict with SCHEMA or the caller.
         sections=copy.deepcopy(sections),

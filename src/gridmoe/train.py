@@ -12,7 +12,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import ctypes
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -56,7 +56,8 @@ class TrainResult:
 
 
 def build_setup(cfg: RunConfig):
-    """A config's modalities, tasks, model and sampler; sets the process's heap policy."""
+    """Every modality and task of the config's data, a model whose heads are the trained
+    ones (``cfg.counts``), and the sampler; sets the process's heap policy."""
     # glibc trims more than 128 KiB of free heap top, and a training step or an
     # evaluated sample frees more than that, so each would fault its pages back
     # in. Any mallopt call ends glibc's dynamic mmap threshold, so that one is
@@ -71,11 +72,7 @@ def build_setup(cfg: RunConfig):
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
     modalities = gdata.default_modalities(cfg.model.channels, cfg.modality_seed)
     tasks = gdata.default_tasks(cfg.label_noise)
-    wanted = dict(cfg.counts)
-    modalities = {m: spec for m, spec in modalities.items() if m in wanted}
-    tasks = {m: spec for m, spec in tasks.items() if m in wanted}
-    spec = cfg.model if cfg.moe_enabled else replace(cfg.model, moe_layers=())
-    model = Model(spec, tasks, seed=cfg.seed)
+    model = Model(cfg.model, {m: tasks[m] for m, _ in cfg.counts}, seed=cfg.seed)
     sampler = gdata.BatchSampler(cfg.counts)
     return modalities, tasks, model, sampler
 
@@ -192,16 +189,16 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
 
 
 def _eval_entropy(state: TrainState, path: Path, maps_dir: Path | None = None) -> dict[str, float]:
-    """Evaluation routing stats written to ``path``; each modality's entropy. A run
+    """Evaluation routing stats written to ``path``; each trained modality's entropy. A run
     with no MoE layer or no ``run.stats_samples`` evaluates nothing, writes nothing
     and returns no entropy."""
     cfg, model = state.cfg, state.model
     if not model.moe_layer_names or cfg.stats_samples <= 0:
         return {}
-    stats = evaluate_stats(model, state.modalities, state.tasks, cfg.stats_samples,
-                           cfg.height, cfg.width, maps_dir=maps_dir)
+    stats = evaluate_stats(model, {m: state.modalities[m] for m in model.task_order}, state.tasks,
+                           cfg.stats_samples, cfg.height, cfg.width, maps_dir=maps_dir)
     stats.to_csv(path)
-    return {m: stats.participation_entropy(m) for m in sorted(state.modalities)}
+    return {m: stats.participation_entropy(m) for m in model.task_order}
 
 
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
@@ -340,6 +337,7 @@ def _render(value):
 BENCHMARK_BASE_NOISE = 0.1
 BENCHMARK_SEEDS_CSV = "benchmark_seeds.csv"
 BENCHMARK_HARD_MULTIPLIER = 4.0
+SPREAD_WINDOW = 50  # iterations averaged at each end by normalized_loss_spread
 
 
 def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool) -> RunConfig:
@@ -366,22 +364,21 @@ def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool
             "out_dir": out_dir,
             "base_lr": 0.05,
             "dso": dso_enabled,
-            "moe": True,
             "stats_samples": 8,
         },
     }
     return parse_config(raw)
 
 
-def normalized_loss_spread(history: dict[str, list[float]], window: int = 50) -> float:
+def normalized_loss_spread(history: dict[str, list[float]]) -> float:
     """Cross-task standard deviation of (final loss / initial loss).
 
-    Initial and final levels are means over the first and last ``window``
+    Initial and final levels are means over the first and last ``SPREAD_WINDOW``
     iterations to suppress single-batch noise.
     """
     ratios = []
     for series in history.values():
-        w = min(window, max(1, len(series) // 4))
+        w = min(SPREAD_WINDOW, max(1, len(series) // 4))
         initial = float(np.mean(series[:w]))
         final = float(np.mean(series[-w:]))
         ratios.append(final / initial)

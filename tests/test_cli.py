@@ -127,7 +127,7 @@ class TestTrainCommand:
         assert code == 0
         snapshot = json.loads((out / "config_snapshot.json").read_text())
         assert snapshot["run"]["dso"] is False
-        assert snapshot["run"]["moe"] is False
+        assert snapshot["model"]["moe_layers"] == []
         # governor forced to identity in the log
         for row in read_csv(out / "dso_log.csv"):
             assert float(row["gamma"]) == 1.0
@@ -144,7 +144,8 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path), "--out", str(out),
                      "--no-dso", "--no-moe"]) == 0
         raw = json.loads(cfg_path.read_text())
-        raw["run"].update({"out_dir": str(tmp_path / "lib"), "dso": False, "moe": False})
+        raw["run"].update({"out_dir": str(tmp_path / "lib"), "dso": False})
+        raw.setdefault("model", {})["moe_layers"] = []
         library = train(parse_config(raw))
         assert ((out / "losses.csv").read_bytes()
                 == library.artifacts["losses"].read_bytes())
@@ -761,8 +762,7 @@ def test_iterations_reaching_held_out_indices_exit_2_and_write_nothing(tmp_path,
     assert files_under(tmp_path) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("no_moe", [{"run.moe": False}, {"model.moe_layers": []}],
-                         ids=["run_moe_false", "no_moe_layers"])
+@pytest.mark.parametrize("no_moe", [{"model.moe_layers": []}], ids=["no_moe_layers"])
 def test_inspect_gates_without_moe_layers_exits_2_and_writes_nothing(tmp_path, capsys, no_moe):
     cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2}, **no_moe)
     run = tmp_path / "run"
@@ -774,6 +774,20 @@ def test_inspect_gates_without_moe_layers_exits_2_and_writes_nothing(tmp_path, c
     assert code == 2
     assert f"config error: {next(iter(no_moe))}: " in capsys.readouterr().err
     assert files_under(tmp_path) == before and not (run / "inspect").exists()
+
+
+@pytest.mark.parametrize("overrides, command", [
+    ({"run.moe": True}, ["train"]), ({}, ["sweep", "--grid", "run.moe=true,false"]),
+], ids=["train", "sweep"])
+def test_removed_run_moe_key_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                        overrides, command):
+    """``run.moe`` is no key: ``model.moe_layers: []`` is the one way to run without
+    experts, so a config or a grid that names it is refused before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2}, **overrides)
+    assert main([*command, "--config", str(cfg), "--out", "out"]) == 2
+    assert capsys.readouterr().err == "config error: run.moe: unknown key\n"
+    assert files_under(tmp_path) == ["cfg.json"] and not (tmp_path / "out").exists()
 
 
 class TestSweepValueTypes:

@@ -46,7 +46,7 @@ class TestParsing:
         assert cfg.dso.bias_b == 0.4
         assert cfg.base_lr == 1e-4
         assert cfg.counts == (("A", 2), ("B", 1), ("C", 1))
-        assert cfg.dso_enabled and cfg.moe_enabled
+        assert cfg.dso_enabled and cfg.model.moe_layers
 
     def test_missing_top_k_names_field(self):
         raw = minimal()
@@ -135,7 +135,7 @@ DEFAULT_SNAPSHOT = {
     "sampler": {"counts": {"A": 2, "B": 1, "C": 1}, "batch_size": 4},
     "data": {"height": 8, "width": 8, "label_noise": {}, "modality_seed": 0},
     "run": {"seed": 0, "iterations": 10, "out_dir": "run", "base_lr": 1e-4,
-            "dso": True, "moe": True, "stats_samples": 8},
+            "dso": True, "stats_samples": 8},
 }
 
 FAULTS = [

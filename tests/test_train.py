@@ -35,9 +35,10 @@ from gridmoe.train import (
 from reference_ops import ShuffledSampler, per_sample_forward_batch
 
 
-def small_config(out_dir, iterations=40, seed=0, dso_enabled=True, moe_enabled=True,
+def small_config(out_dir, iterations=40, seed=0, dso_enabled=True, moe_layers=(0, 2),
                  base_lr=0.05, extra_run=None):
     raw = {
+        "model": {"moe_layers": list(moe_layers)},
         "moe": {"n_experts": 4, "top_k": 2, "gate_temperature": 0.5},
         "run": {
             "seed": seed,
@@ -45,7 +46,6 @@ def small_config(out_dir, iterations=40, seed=0, dso_enabled=True, moe_enabled=T
             "out_dir": str(out_dir),
             "base_lr": base_lr,
             "dso": dso_enabled,
-            "moe": moe_enabled,
             "stats_samples": 4,
         },
     }
@@ -65,6 +65,23 @@ class TestTrainBasics:
             assert (out / name).exists(), name
         maps = list((out / "top1_maps").glob("*.csv"))
         assert len(maps) == 3 * 2  # three modalities, two MoE blocks
+
+    def test_run_on_two_modalities_evaluates_those_two(self, tmp_path):
+        """``build_setup`` builds every modality and task, and a model with heads for
+        the trained ones; the run's evaluations cover only those."""
+        raw = small_config(tmp_path / "run", iterations=2).snapshot()
+        raw["sampler"] = {"counts": {"A": 2, "B": 2}}
+        cfg = parse_config(raw)
+        modalities, tasks, model, _ = build_setup(cfg)
+        assert sorted(modalities) == sorted(tasks) == ["A", "B", "C"]
+        assert model.task_order == sorted(model.heads) == ["A", "B"]
+
+        result = train(cfg)
+        for name in ("expert_stats_init", "expert_stats_final"):
+            assert {row["dataset"] for row in read_csv(result.artifacts[name])} == {"A", "B"}
+        assert sorted(p.name for p in result.artifacts["top1_maps"].iterdir()) == [
+            f"{m}_trunk_{i}.csv" for m in "AB" for i in (0, 2)]
+        assert set(result.init_entropy) == set(result.final_entropy) == {"A", "B"}
 
     def test_loss_log_schema(self, tmp_path):
         result = train(small_config(tmp_path / "run", iterations=5))
@@ -217,7 +234,7 @@ class TestSmokeRun:
 
     def test_no_dso_no_moe_also_converges(self, tmp_path):
         result = train(small_config(tmp_path / "run", iterations=300,
-                                    dso_enabled=False, moe_enabled=False))
+                                    dso_enabled=False, moe_layers=()))
         for task, series in result.loss_history.items():
             assert np.mean(series[-10:]) < np.mean(series[:10]), task
 
@@ -467,7 +484,8 @@ class TestBenchmarkPieces:
 def benchmark_step(out_dir, seed=0, moe=True):
     """A model of the scripted-imbalance config and a function that draws its next batch."""
     raw = benchmark_config(seed, 1, str(out_dir), True).snapshot()
-    raw["run"]["moe"] = moe
+    if not moe:
+        raw["model"]["moe_layers"] = []
     cfg = parse_config(raw)
     modalities, tasks, model, sampler = build_setup(cfg)
 

@@ -39,7 +39,7 @@ OUT_PLACEHOLDER = "<out_dir>"
 VARIANTS = {
     "dso": {"run.dso": True},
     "no-dso": {"run.dso": False},
-    "no-dso-no-moe": {"run.dso": False, "run.moe": False},
+    "no-dso-no-moe": {"run.dso": False, "model.moe_layers": []},
 }
 INSPECT_SAMPLES = 8
 
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
                 for dotted, value in overrides.items():
                     set_path(raw, dotted, value)
                 train(parse_config(raw), keep_model=False)
-                for modality in MODALITIES if overrides.get("run.moe", True) else ():
+                for modality in MODALITIES if overrides.get("model.moe_layers", True) else ():
                     argv = ["inspect-gates", "--checkpoint", str(out / "checkpoint.bin"),
                             "--modality", modality, "--n", str(INSPECT_SAMPLES),
                             "--out", str(out / f"inspect_{modality}")]

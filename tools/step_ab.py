@@ -77,7 +77,8 @@ def config(gm, workload: str, steps: int, out_dir: str):
     raw = gm.train.benchmark_config(0, steps, out_dir, True).snapshot()
     raw["run"]["stats_samples"] = 0
     if workload == "plain":
-        raw["run"]["dso"] = raw["run"]["moe"] = False
+        raw["run"]["dso"] = False
+        raw["model"]["moe_layers"] = []
     if workload == "eval":
         raw["moe"]["n_experts"] = EVAL_EXPERTS
         raw["model"]["moe_layers"] = list(range(raw["model"]["depth"]))
