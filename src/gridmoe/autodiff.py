@@ -30,7 +30,7 @@ import weakref
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class Tensor:
         if self.data.size != 1:
             raise UsageError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -557,41 +554,35 @@ def mix_experts(x: Tensor, weight: Tensor, bias: Tensor, selected: np.ndarray,
     return _node("mix_experts", out, (x, selected_weights, weight, bias), vjp)
 
 
-class Routing(NamedTuple):
-    """The gate's forward at every grid position, as ``moe._route`` computes it."""
-
-    u: np.ndarray             # gate projection x @ W.T
-    logits: np.ndarray        # cosine logits
-    cosine: tuple             # what the cosine-logit vjp reuses
-    probs: np.ndarray         # full softmax
-    selected: np.ndarray      # top-k expert ids
-    weights: np.ndarray       # their probabilities
-
-
 def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: Tensor,
-              routing: Routing) -> Tensor:
-    """One graph node for a whole expert-mixture layer routed by ``routing``.
+              decision, gate: tuple) -> Tensor:
+    """One graph node for a whole expert-mixture layer routed by ``decision``.
 
-    The forward is ``mix_experts`` of x with the routing's selection. The vjp
-    replays, in reverse and with the same expressions, the vjps of the five
-    ops this node stands for: ``mix_experts``, ``gather_last``, ``softmax``,
-    ``gate_logits`` and the gate's ``grid_linear``. So every gradient has
-    the bits of the five-node graph: dx is the mixture's term plus the
-    gate's, in that order, and a gradient is None where that graph has none.
-    Axis 0 of x indexes samples, and the gradients have the bits of one such
-    graph per sample replayed in sample order.
+    ``decision`` is a ``moe.RoutingDecision`` and ``gate`` the gate's (u,
+    logits, cosine), both as ``moe._route`` returns them. The forward is
+    ``mix_experts`` of x with the decision's selection. The vjp replays, in
+    reverse and with the same expressions, the vjps of the five ops this node
+    stands for: ``mix_experts``, ``gather_last``, ``softmax``, ``gate_logits``
+    and the gate's ``grid_linear``. So every gradient has the bits of the
+    five-node graph: dx is the mixture's term plus the gate's, in that order,
+    and a gradient is None where that graph has none. Axis 0 of x indexes
+    samples, and the gradients have the bits of one such graph per sample
+    replayed in sample order.
     """
     samples = _sample_count(x.data, "moe_layer")
-    out, dispatch = _mix(x.data, weight.data, bias.data, routing.selected, routing.weights, samples)
+    out, dispatch = _mix(x.data, weight.data, bias.data, decision.selected_indices,
+                         decision.gate_weights, samples)
     need_gate = x.requires_grad or gate_w.requires_grad or gate_e.requires_grad
+    probs = decision.full_softmax
+    u, logits, cosine = gate
 
     def vjp(g):
         dx, table, *d_bank = _mix_vjp(g, dispatch, weight, bias, x.requires_grad, need_gate)
         dw = de = None
         if table is not None:
             # The table is the gradient gather_last's vjp scatters into zeros.
-            dlogits = _softmax_vjp(table.reshape(routing.probs.shape), routing.probs)
-            du, de = _cosine_logits_vjp(dlogits, routing.u, routing.logits, routing.cosine,
+            dlogits = _softmax_vjp(table.reshape(probs.shape), probs)
+            du, de = _cosine_logits_vjp(dlogits, u, logits, cosine,
                                         x.requires_grad or gate_w.requires_grad,
                                         gate_e.requires_grad, samples)
             if du is not None:

@@ -101,10 +101,6 @@ class Model:
             b = Tensor(np.zeros(task.head_width), requires_grad=True)
             self.heads[task_id] = (w, b)
 
-    @property
-    def moe_layer_names(self) -> list[str]:
-        return [f"trunk.{b.index}" for b in self.blocks if b.mixture is not None]
-
     def features(self, images: np.ndarray) -> tuple[Tensor, list[tuple[str, RoutingDecision]]]:
         """Trunk features of a (B, H, W, C) batch; decisions keep the sample axis."""
         if images.ndim != 4 or images.shape[-1] != self.spec.channels:

@@ -77,15 +77,15 @@ class ExpertMixture:
             raise ShapeError("expert mixture: expert count disagrees with the configuration")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingDecision:
-    """Routing outcome per grid position.
+    """Routing outcome per grid position, the one record of a routing.
 
     ``selected_indices`` holds k distinct expert ids ordered by descending
     probability with ties broken toward the lowest index; ``gate_weights``
     are the matching full-softmax entries (everything else is implicitly
-    zero); ``full_softmax`` keeps the dense probabilities for statistics.
-    The leading axes are the sample axis, then the grid axes.
+    zero); ``full_softmax``, read-only, holds the dense probabilities for
+    statistics and the ``moe_layer`` vjp. Leading axes: samples, then grid.
     """
 
     selected_indices: np.ndarray
@@ -116,16 +116,18 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
-def _route(x: np.ndarray, W: Tensor, E: Tensor, cfg: MoEConfig) -> ad.Routing:
-    """Gate projection, cosine logits, full softmax, top-k expert ids and their
-    gate weights at every position of x."""
+def _route(x: np.ndarray, W: Tensor, E: Tensor, cfg: MoEConfig) -> tuple[RoutingDecision, tuple]:
+    """The gate's decision at every position of x, and the (u, logits, cosine) its vjp reuses:
+    ``moe_layer``'s vjp reads only the decision's softmax, made read-only here, and ``_mix``
+    copies the ids and the gate weights into its dispatch."""
     if x.shape[-1] != W.shape[1]:
         raise ShapeError(f"routing: expected {W.shape[1]} channels, got {x.shape[-1]}")
     u = ad._linear(x, W.data)
     logits, cosine = ad._cosine_logits(u, E.data, cfg.gate_temperature)
     probs = stable_softmax(logits)
+    probs.flags.writeable = False
     selected = topk_select(probs, cfg.top_k)
-    return ad.Routing(u, logits, cosine, probs, selected, ad._gather(probs, selected))
+    return RoutingDecision(selected, ad._gather(probs, selected), probs), (u, logits, cosine)
 
 
 def moe_forward(x: Tensor, mixture: ExpertMixture) -> tuple[Tensor, RoutingDecision]:
@@ -137,14 +139,13 @@ def moe_forward(x: Tensor, mixture: ExpertMixture) -> tuple[Tensor, RoutingDecis
     parameters, and the selected experts' bank rows. The layer is one graph
     node, ``moe_layer``: the batch is routed and mixed at once, its gradients
     have the bits of one layer per sample replayed in sample order, and the
-    decision keeps the sample axis.
+    decision it returns, the one its vjp reads, keeps the sample axis.
     """
     x = ad._lift(x)
     ad._sample_count(x.data, "moe_forward")
-    routing = _route(x.data, mixture.W, mixture.E, mixture.cfg)
-    out = ad.moe_layer(x, mixture.W, mixture.E, mixture.weight, mixture.bias, routing)
-    # A copy: the layer's vjp reads routing.probs.
-    return out, RoutingDecision(routing.selected, routing.weights, routing.probs.copy())
+    decision, gate = _route(x.data, mixture.W, mixture.E, mixture.cfg)
+    return ad.moe_layer(x, mixture.W, mixture.E, mixture.weight, mixture.bias, decision,
+                        gate), decision
 
 
 def init_from_pretrained(

@@ -193,7 +193,7 @@ def _eval_entropy(state: TrainState, path: Path, maps_dir: Path | None = None) -
     with no MoE layer or no ``run.stats_samples`` evaluates nothing, writes nothing
     and returns no entropy."""
     cfg, model = state.cfg, state.model
-    if not model.moe_layer_names or cfg.stats_samples <= 0:
+    if not cfg.model.moe_layers or cfg.stats_samples <= 0:
         return {}
     stats = evaluate_stats(model, {m: state.modalities[m] for m in model.task_order}, state.tasks,
                            cfg.stats_samples, cfg.height, cfg.width, maps_dir=maps_dir)

@@ -106,8 +106,7 @@ def gate(x_grid, W, E, cfg: moe_mod.MoEConfig) -> moe_mod.RoutingDecision:
     the uniform distribution, so the first k experts are selected with weight
     1/N each.
     """
-    routing = moe_mod._route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), W, E, cfg)
-    return moe_mod.RoutingDecision(routing.selected, routing.weights, routing.probs)
+    return moe_mod._route(np.asarray(np.reshape(x_grid, -1), dtype=np.float64), W, E, cfg)[0]
 
 
 def sample_decision(decision: moe_mod.RoutingDecision, index: int) -> moe_mod.RoutingDecision:

@@ -128,7 +128,7 @@ def test_criterion_3_gradient_correctness():
         assert finite_diff_check(through_experts, mixture.weight.data, h=1e-5) < 1e-4
 
         for p in (mixture.weight, mixture.bias):
-            p.zero_grad()
+            p.grad = None
         out, decision = moe_forward(Tensor(x), mixture)
         backward(ad.sum_all(ad.mul(out, coef_t)))
         for n in range(mixture.cfg.n_experts):

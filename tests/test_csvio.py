@@ -55,7 +55,7 @@ def test_top1_map_is_a_schema_line_then_rows_of_ints(tmp_path):
     cfg = parse_config({"moe": {"n_experts": 4, "top_k": 2}, "run": {"iterations": 1}})
     modalities, tasks, model, _ = build_setup(cfg)
     evaluate_stats(model, modalities, tasks, 1, cfg.height, cfg.width, maps_dir=tmp_path)
-    assert len(list(tmp_path.iterdir())) == len(modalities) * len(model.moe_layer_names)
+    assert len(list(tmp_path.iterdir())) == len(modalities) * len(model.spec.moe_layers)
     for modality in sorted(modalities):
         image, _ = gdata.generate_sample(modalities[modality], tasks[modality],
                                          gdata.EVAL_INDEX_OFFSET, cfg.height, cfg.width)

@@ -141,6 +141,8 @@ class TestForwardBatch:
         assert len(routings) == 2 * 2  # two samples, two MoE blocks
         layers = {layer for _, layer, _ in routings}
         assert layers == {"trunk.0", "trunk.2"}
+        # Each slice views the layer's read-only softmax.
+        assert not any(d.full_softmax.flags.writeable for _, _, d in routings)
 
     def test_unknown_task_rejected(self):
         tasks = default_tasks()

@@ -3,7 +3,7 @@ against dense reference sums, gradients against finite differences."""
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -344,7 +344,7 @@ class TestMoEGradients:
         while found_unselected < 10:
             mixture, x, coef, decision = _fd_instance(rng)
             for p in (mixture.weight, mixture.bias, mixture.W, mixture.E):
-                p.zero_grad()
+                p.grad = None
             out, decision = moe_forward(Tensor(x), mixture)
             backward(ad.sum_all(ad.mul(out, Tensor(coef))))
             selected = set(decision.selected_indices.reshape(-1).tolist())
@@ -808,6 +808,15 @@ class TestOneNodeLayer:
         assert [op.name for op in record.ops] == ["moe_layer"]
         assert record.ops[0].inputs == (x, mixture.W, mixture.E, mixture.weight, mixture.bias)
 
+    def test_returned_decision_is_frozen_and_read_only(self):
+        # moe_forward hands back the decision its vjp reads, so no caller may change it.
+        x, mixture = _layer_instance(np.random.default_rng(7))
+        _, decision = moe_forward(_one_sample(x), mixture)
+        with pytest.raises(ValueError, match="read-only"):
+            decision.full_softmax[...] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            decision.full_softmax = np.zeros_like(decision.full_softmax)
+
     def test_matches_five_node_composition_bit_for_bit(self):
         rng = np.random.default_rng(2403)
         seen = dict(single=0, k_is_n=0, unused=0, zero_row=0, x_frozen=0, expert_frozen=0)
@@ -848,7 +857,7 @@ class TestOneNodeLayer:
             grads = []
             for forward in (moe_forward, oracle_moe_forward):
                 for t in leaves:
-                    t.zero_grad()
+                    t.grad = None
                 out, _ = forward(ad.relu(ad.grid_linear(x0, W0)), mixture)
                 backward(ad.sum_all(ad.mul(out, coef)))
                 grads.append(_as_bytes([t.grad for t in leaves]))
@@ -977,7 +986,7 @@ def test_trunk_op_needs_sample_and_grid_axes(op, shape, monkeypatch):
         if op == "grid_linear":
             ad.grid_linear(x, W)
         elif op == "moe_layer":
-            ad.moe_layer(x, W, E, mixture.weight, mixture.bias, moe_mod._route(x.data, W, E, cfg))
+            ad.moe_layer(x, W, E, mixture.weight, mixture.bias, *moe_mod._route(x.data, W, E, cfg))
         else:
             # moe_forward refuses the input before its gate runs.
             def routed(*args):
