@@ -34,7 +34,6 @@ EVAL_INDEX_OFFSET = 1_000_000
 class ModalitySpec:
     """Distribution parameters for one synthetic sensor."""
 
-    id: str
     channel_means: tuple[float, ...]
     channel_stds: tuple[float, ...]
     spatial_freq: float = 2.0
@@ -51,7 +50,6 @@ class ModalitySpec:
 class TaskSpec:
     """What one task head predicts and how its loss is scored."""
 
-    id: str
     kind: str
     head_width: int
     label_noise: float = 0.0
@@ -80,7 +78,6 @@ def default_modalities(channels: int = 8, seed: int = 0) -> dict[str, ModalitySp
     mean_c = -0.3825 + 0.099 * idx
     return {
         "A": ModalitySpec(
-            id="A",
             channel_means=tuple(mean_a),
             channel_stds=tuple(np.full(channels, 0.22)),
             spatial_freq=4.0,
@@ -89,7 +86,6 @@ def default_modalities(channels: int = 8, seed: int = 0) -> dict[str, ModalitySp
             seed=seed * 1000 + 11,
         ),
         "B": ModalitySpec(
-            id="B",
             channel_means=tuple(mean_b),
             channel_stds=tuple(np.full(channels, 0.26)),
             spatial_freq=1.5,
@@ -98,7 +94,6 @@ def default_modalities(channels: int = 8, seed: int = 0) -> dict[str, ModalitySp
             seed=seed * 1000 + 23,
         ),
         "C": ModalitySpec(
-            id="C",
             channel_means=tuple(mean_c),
             channel_stds=tuple(np.full(channels, 0.20)),
             spatial_freq=2.5,
@@ -115,9 +110,9 @@ def default_tasks(label_noise: dict[str, float] | tuple[tuple[str, float], ...] 
     noise = dict.fromkeys(MODALITIES, 0.0)
     noise.update(label_noise)
     return {
-        "A": TaskSpec("A", CLASSIFICATION, head_width=4, label_noise=noise["A"]),
-        "B": TaskSpec("B", REGRESSION, head_width=5, label_noise=noise["B"]),
-        "C": TaskSpec("C", REGRESSION, head_width=5, label_noise=noise["C"]),
+        "A": TaskSpec(CLASSIFICATION, head_width=4, label_noise=noise["A"]),
+        "B": TaskSpec(REGRESSION, head_width=5, label_noise=noise["B"]),
+        "C": TaskSpec(REGRESSION, head_width=5, label_noise=noise["C"]),
     }
 
 

@@ -71,15 +71,14 @@ class LossTracker:
     """Per-task current losses and their EMA history."""
 
     n_tasks: int
-    cur: np.ndarray | None = None
-    his: np.ndarray | None = None
-    last_multipliers: LrMultipliers = field(default=None)  # type: ignore[assignment]
+    cur: np.ndarray | None = field(init=False, default=None)
+    his: np.ndarray | None = field(init=False, default=None)
+    last_multipliers: LrMultipliers = field(init=False)
 
     def __post_init__(self):
         if self.n_tasks < 1:
             raise ConfigError("n_tasks", f"must be >= 1, got {self.n_tasks}")
-        if self.last_multipliers is None:
-            self.last_multipliers = LrMultipliers.identity(self.n_tasks)
+        self.last_multipliers = LrMultipliers.identity(self.n_tasks)
 
 
 def losses_valid(observed: np.ndarray) -> bool:

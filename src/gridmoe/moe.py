@@ -169,22 +169,22 @@ def init_from_pretrained(
     rng = np.random.default_rng(seed)
 
     gate_dim = weight.shape[1] if cfg.gate_dim is None else cfg.gate_dim
-    W = _orthogonal_frame(rng, gate_dim, weight.shape[1], GATE_INIT_STD)
-    E = _orthogonal_frame(rng, gate_dim, cfg.n_experts, GATE_INIT_STD)
+    W = _orthogonal_frame(rng, gate_dim, weight.shape[1])
+    E = _orthogonal_frame(rng, gate_dim, cfg.n_experts)
     return ExpertMixture(
         Tensor(W, requires_grad=True), Tensor(E, requires_grad=True),
         Tensor(np.repeat(weight[None], cfg.n_experts, axis=0), requires_grad=True),
         Tensor(np.repeat(bias[None], cfg.n_experts, axis=0), requires_grad=True), cfg)
 
 
-def _orthogonal_frame(rng: np.random.Generator, dim: int, count: int, std: float) -> np.ndarray:
-    """Seeded zero-mean columns with marginal std ``std``, orthonormal in blocks.
+def _orthogonal_frame(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """Seeded zero-mean columns with marginal std ``GATE_INIT_STD``, orthonormal in blocks.
 
     Orthogonal embedding columns under an isotropy-preserving transform make
     every expert's top-1 region equally likely at initialization (an iid
     gaussian draw skews top-1 frequencies well past the documented +-0.1
-    band). Entries of a scaled random orthogonal frame keep zero mean and the
-    requested marginal std.
+    band). Entries of a scaled random orthogonal frame keep zero mean and
+    that marginal std.
     """
     cols: list[np.ndarray] = []
     while len(cols) < count:
@@ -193,7 +193,7 @@ def _orthogonal_frame(rng: np.random.Generator, dim: int, count: int, std: float
         q = q * np.sign(np.diag(r))  # Haar-distributed frame
         take = min(dim, count - len(cols))
         cols.extend(q[:, i] for i in range(take))
-    return np.column_stack(cols) * (std * np.sqrt(dim))
+    return np.column_stack(cols) * (GATE_INIT_STD * np.sqrt(dim))
 
 
 # ---------------------------------------------------------------------------

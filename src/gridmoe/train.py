@@ -42,7 +42,6 @@ TRAIN_FILES = (MANIFEST_NAME, manifest_path_for(RUN_FILES["checkpoint"]).name, *
 
 @dataclass
 class TrainResult:
-    out_dir: Path
     task_order: list[str]
     loss_history: dict[str, list[float]]
     gamma_min: float
@@ -108,7 +107,6 @@ class TrainState:
 
     cfg: RunConfig
     modalities: dict
-    tasks: dict
     model: Model
     sampler: gdata.BatchSampler
     groups: list[list[ad.Tensor]]  # ``Model.param_groups``: the backbone, then each head
@@ -120,8 +118,8 @@ class TrainState:
 
 def start_training(cfg: RunConfig) -> TrainState:
     """The state before the first step: a fresh model, sampler and empty statistics."""
-    modalities, tasks, model, sampler = build_setup(cfg)
-    return TrainState(cfg, modalities, tasks, model, sampler, model.param_groups(),
+    modalities, _, model, sampler = build_setup(cfg)
+    return TrainState(cfg, modalities, model, sampler, model.param_groups(),
                       dso.LossTracker(len(model.task_order)), ExpertStats())
 
 
@@ -148,7 +146,7 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     order, iteration = model.task_order, state.sampler.batches
     samples = []
     for modality, index in state.sampler.next_batch():
-        image, target = gdata.generate_sample(state.modalities[modality], state.tasks[modality],
+        image, target = gdata.generate_sample(state.modalities[modality], model.tasks[modality],
                                               index, cfg.height, cfg.width)
         samples.append((modality, index, image, target))
 
@@ -195,7 +193,7 @@ def _eval_entropy(state: TrainState, path: Path, maps_dir: Path | None = None) -
     cfg, model = state.cfg, state.model
     if not cfg.model.moe_layers or cfg.stats_samples <= 0:
         return {}
-    stats = evaluate_stats(model, {m: state.modalities[m] for m in model.task_order}, state.tasks,
+    stats = evaluate_stats(model, {m: state.modalities[m] for m in model.task_order}, model.tasks,
                            cfg.stats_samples, cfg.height, cfg.width, maps_dir=maps_dir)
     stats.to_csv(path)
     return {m: stats.participation_entropy(m) for m in model.task_order}
@@ -230,7 +228,7 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     for name in ("diagnostic_dump",) if final_entropy else (
             "diagnostic_dump", "expert_stats_init", "expert_stats_final", "top1_maps"):
         del artifacts[name]  # not written
-    return TrainResult(out_dir=out_dir, task_order=order, loss_history=history,
+    return TrainResult(task_order=order, loss_history=history,
                        gamma_min=min(gammas), gamma_max=max(gammas), stats=state.stats,
                        artifacts=artifacts, init_entropy=init_entropy, final_entropy=final_entropy,
                        model=state.model if keep_model else None)
@@ -404,8 +402,8 @@ def imbalance_benchmark(out_root, seeds=(0, 1, 2, 3, 4), iterations: int = 2000
     make_out_dir(out_root, (BENCHMARK_SEEDS_CSV,))
     rows = []
     for seed, dso_cfg, plain_cfg in runs:
-        with_dso = train(dso_cfg, keep_model=False)
-        without_dso = train(plain_cfg, keep_model=False)
+        with_dso = recorded_train(dso_cfg, "")
+        without_dso = recorded_train(plain_cfg, "")
         rows.append({"seed": seed, "spread_with_dso": normalized_loss_spread(with_dso.loss_history),
                      "spread_without_dso": normalized_loss_spread(without_dso.loss_history),
                      **{f"entropy_change_{m}": with_dso.final_entropy[m] - with_dso.init_entropy[m]

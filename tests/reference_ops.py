@@ -160,7 +160,7 @@ def per_sample_forward_batch(model, samples):
     total = losses[0]
     for loss in losses[1:]:
         total = ad.add(total, loss)
-    return total, {task_id: mean.item() for task_id, mean in means.items()}, all_routings
+    return total, {task_id: float(mean.data) for task_id, mean in means.items()}, all_routings
 
 
 class ShuffledSampler(gdata.BatchSampler):

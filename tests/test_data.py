@@ -76,10 +76,10 @@ class TestGenerateSample:
     def test_degenerate_params_constant_at_means(self):
         means = (0.3, 0.7, 1.1)
         spec = ModalitySpec(
-            id="A", channel_means=means, channel_stds=(0.0, 0.0, 0.0),
+            channel_means=means, channel_stds=(0.0, 0.0, 0.0),
             spatial_freq=3.0, speckle_rate=0.0, blob_density=0.0, seed=4,
         )
-        task = TaskSpec("A", CLASSIFICATION, head_width=4)
+        task = TaskSpec(CLASSIFICATION, head_width=4)
         image, _ = generate_sample(spec, task, 5, height=6, width=6)
         for c, mean in enumerate(means):
             np.testing.assert_array_equal(image[:, :, c], mean)
@@ -101,7 +101,7 @@ class TestGenerateSample:
     def test_classification_label_noise_flips_labels(self):
         mods = default_modalities()
         clean_task = default_tasks()["A"]
-        noisy_task = TaskSpec("A", CLASSIFICATION, head_width=4, label_noise=0.5)
+        noisy_task = TaskSpec(CLASSIFICATION, head_width=4, label_noise=0.5)
         flips = 0
         total = 0
         for i in range(20):
@@ -112,7 +112,7 @@ class TestGenerateSample:
         assert 0.2 < flips / total < 0.6  # ~0.5 * 3/4 expected
 
     def test_matches_loop_generator_bit_for_bit(self, monkeypatch):
-        dense = ModalitySpec(id="B", channel_means=(0.1, -0.2, 0.3), channel_stds=(0.3, 0.2, 0.1),
+        dense = ModalitySpec(channel_means=(0.1, -0.2, 0.3), channel_stds=(0.3, 0.2, 0.1),
                              spatial_freq=1.5, speckle_rate=0.2, blob_density=8.0, seed=3)
         cases = [(dense, default_tasks()["B"])]
         for seed, noise in itertools.product((0, 5), (0.0, 0.4)):
@@ -152,9 +152,9 @@ class TestGenerateSample:
 
     def test_task_spec_validation(self):
         with pytest.raises(ConfigError):
-            TaskSpec("A", "pixel-detection", head_width=4)
+            TaskSpec("pixel-detection", head_width=4)
         with pytest.raises(ConfigError):
-            TaskSpec("A", CLASSIFICATION, head_width=1)
+            TaskSpec(CLASSIFICATION, head_width=1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def histogram_symmetric_kl(
 
 
 def modality_separation(
-    mods: list[ModalitySpec],
+    mods: dict[str, ModalitySpec],
     tasks: dict[str, TaskSpec],
     n_samples: int = 200,
     height: int = 8,
@@ -185,9 +185,9 @@ def modality_separation(
 ) -> np.ndarray:
     """Pairwise per-channel symmetric KL (averaged over channels)."""
     channel_values = []
-    for mod in mods:
+    for name, mod in mods.items():
         stack = np.stack(
-            [generate_sample(mod, tasks[mod.id], i, height, width)[0] for i in range(n_samples)]
+            [generate_sample(mod, tasks[name], i, height, width)[0] for i in range(n_samples)]
         )
         channel_values.append(stack.reshape(-1, mod.channels))
     m = len(mods)
@@ -196,7 +196,7 @@ def modality_separation(
         for j in range(i + 1, m):
             per_channel = [
                 histogram_symmetric_kl(channel_values[i][:, c], channel_values[j][:, c], bins)
-                for c in range(mods[i].channels)
+                for c in range(channel_values[i].shape[1])
             ]
             out[i, j] = out[j, i] = float(np.mean(per_channel))
     return out
@@ -206,7 +206,7 @@ def self_test(n_samples: int = 200, threshold: float = 0.5) -> np.ndarray:
     """Verify the default modalities stay pairwise separated; returns the matrix."""
     mods = default_modalities()
     tasks = default_tasks()
-    matrix = modality_separation(list(mods.values()), tasks, n_samples=n_samples)
+    matrix = modality_separation(mods, tasks, n_samples=n_samples)
     off_diag = matrix[~np.eye(len(mods), dtype=bool)]
     if np.any(off_diag <= threshold):
         raise ShapeError(
@@ -231,7 +231,7 @@ class TestModalitySeparation:
         # full-scale generator self-test: 10^4 samples per modality
         mods = default_modalities()
         tasks = default_tasks()
-        matrix = modality_separation(list(mods.values()), tasks, n_samples=10_000)
+        matrix = modality_separation(mods, tasks, n_samples=10_000)
         off_diag = matrix[~np.eye(3, dtype=bool)]
         assert np.all(off_diag > 0.5)
 

@@ -128,7 +128,7 @@ class TestForwardBatch:
         forward = make_batch(mods, tasks, indices)
         total1, losses1, _ = model.forward_batch(forward)
         total2, losses2, _ = model.forward_batch(list(reversed(forward)))
-        assert total1.item() == total2.item()
+        assert float(total1.data) == float(total2.data)
         for t in losses1:
             assert losses1[t] == losses2[t]
 

@@ -1,5 +1,6 @@
 """Config parsing, validation messages, and run manifests."""
 
+import dataclasses
 import json
 import re
 from datetime import datetime, timezone
@@ -8,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from gridmoe.data import EVAL_INDEX_OFFSET
+from gridmoe.dso import DsoConfig
 from gridmoe.errors import ConfigError
+from gridmoe.model import ModelSpec
+from gridmoe.moe import MoEConfig
 from gridmoe.runconfig import (
     REQUIRED,
     SCHEMA,
@@ -256,6 +260,19 @@ class TestSchemaTable:
         cfg = parse_config(raw)
         raw["model"]["moe_layers"].append(3)
         assert cfg.snapshot()["model"]["moe_layers"] == [1]
+
+    def test_config_dataclasses_restate_the_table_defaults(self):
+        # Library callers build these dataclasses without the table, so each restates
+        # the table's default for every key the table does not require.
+        restated = {}
+        for section, spec in (("model", ModelSpec), ("moe", MoEConfig), ("dso", DsoConfig)):
+            for f in dataclasses.fields(spec):
+                if f.name in SCHEMA[section] and SCHEMA[section][f.name][1] is not REQUIRED:
+                    default = list(f.default) if f.name == "moe_layers" else f.default
+                    restated[f"{section}.{f.name}"] = (default, SCHEMA[section][f.name][1])
+        assert len(restated) == 9
+        for key, (default, schema_default) in restated.items():
+            assert default == schema_default, key
 
     def test_readme_lists_the_table(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -1,5 +1,5 @@
-"""Smoke tests of the two bit-for-bit gates in ``tools/``: each runs, exits 0
-and finds a tree equal to itself."""
+"""Smoke tests of ``tools/``: the two bit-for-bit gates each run, exit 0 and find a
+tree equal to itself, and the call counter prints the same lines for one tree twice."""
 
 import shutil
 import subprocess
@@ -41,3 +41,14 @@ def test_artifact_digest_prints_the_same_lines_twice():
     assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
     assert len(runs[0].stdout.splitlines()) == 53
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_step_counts_prints_the_same_lines_twice():
+    runs = [run_tool("step_counts.py", "--workload", "train", "--warmup", "1", "--steps", "2")
+            for _ in range(2)]
+    assert all(run.returncode == 0 for run in runs), [run.stderr for run in runs]
+    assert runs[1].stdout == runs[0].stdout
+    lines = runs[0].stdout.splitlines()
+    assert "9.00  py gridmoe.autodiff.OpRecord.__init__" in lines  # the step's 9 graph nodes
+    assert lines[-1].endswith("  total")
+    assert not any("setprofile" in line for line in lines)

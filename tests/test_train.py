@@ -2,6 +2,7 @@
 loop, artifact layout, divergence abort, sweeps."""
 
 import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from gridmoe.csvio import format_value, read_csv
 from gridmoe.errors import ConfigError, TrainingAborted
 from gridmoe.model import Model
 from gridmoe.moe import STATS_CSV_COLUMNS, ExpertStats, RoutingDecision
-from gridmoe.runconfig import parse_config
+from gridmoe.runconfig import parse_config, verify_manifest
 from gridmoe.train import (
     _dso_columns,
     _loss_columns,
@@ -56,8 +57,8 @@ def small_config(out_dir, iterations=40, seed=0, dso_enabled=True, moe_layers=(0
 
 class TestTrainBasics:
     def test_artifacts_written(self, tmp_path):
-        result = train(small_config(tmp_path / "run"))
-        out = result.out_dir
+        out = tmp_path / "run"
+        train(small_config(out))
         for name in ("losses.csv", "dso_log.csv", "expert_stats.csv",
                      "expert_stats_init.csv", "expert_stats_final.csv",
                      "checkpoint.bin", "checkpoint.manifest.json",
@@ -446,6 +447,13 @@ class TestBenchmarkPieces:
         assert row["spread_with_dso"] >= 0.0
         assert {k for k in row if k.startswith("entropy_change_")} == {
             "entropy_change_A", "entropy_change_B", "entropy_change_C"}
+
+    def test_every_run_leaves_a_manifest(self, tmp_path):
+        # A run directory without its manifest reads as incomplete.
+        imbalance_benchmark(tmp_path, seeds=(0,), iterations=3)
+        for run in ("seed0_dso", "seed0_plain"):
+            assert verify_manifest(tmp_path / run)
+            assert json.loads((tmp_path / run / "manifest.json").read_text())["exit_status"] == 0
 
     def test_per_seed_csv_equals_per_seed_results(self, tmp_path):
         rows = imbalance_benchmark(tmp_path / "bench", seeds=(0, 2), iterations=12)
