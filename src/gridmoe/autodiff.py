@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -72,24 +71,17 @@ class Tensor:
 class OpRecord:
     """One executed primitive: its inputs and the adjoint rule to replay.
 
-    The output tensor owns its record (``Tensor._op``), so the record refers
-    back to it weakly. A strong back-reference would make every graph a
-    reference cycle that only the cyclic garbage collector frees; this way a
-    graph is freed as soon as its root goes out of scope.
+    The output tensor owns its record (``Tensor._op``) and the record does not
+    refer back to it, so a graph holds no reference cycle and is freed as soon
+    as its root goes out of scope.
     """
 
-    __slots__ = ("name", "inputs", "vjp", "_output")
+    __slots__ = ("name", "inputs", "vjp")
 
-    def __init__(self, name: str, inputs: tuple[Tensor, ...], output: Tensor, vjp: Vjp):
+    def __init__(self, name: str, inputs: tuple[Tensor, ...], vjp: Vjp):
         self.name = name
         self.inputs = inputs
         self.vjp = vjp
-        self._output = weakref.ref(output)
-
-    @property
-    def output(self) -> Tensor | None:
-        """The tensor this op produced, or None once it has been freed."""
-        return self._output()
 
 
 @dataclass
@@ -125,7 +117,7 @@ def _lift(value) -> Tensor:
 def _node(name: str, data: np.ndarray, inputs: Sequence[Tensor], vjp: Vjp) -> Tensor:
     out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad:
-        out._op = OpRecord(name, tuple(inputs), out, vjp)
+        out._op = OpRecord(name, tuple(inputs), vjp)
     return out
 
 
@@ -157,16 +149,17 @@ def backward(root: Tensor) -> None:
     if root.data.size != 1:
         raise UsageError("backward requires a scalar root tensor")
     record = ComputationRecord.trace(root)
-    adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
+    # An op output's adjoint is keyed by the output's record, a leaf's by the leaf.
+    adjoint: dict[int, np.ndarray] = {id(root._op or root): np.ones_like(root.data)}
     leaves: dict[int, Tensor] = {} if root._op is not None else {id(root): root}
     for op in reversed(record.ops):
-        out_grad = adjoint.get(id(op.output))
+        out_grad = adjoint.get(id(op))
         if out_grad is None:
             continue
         for parent, contribution in zip(op.inputs, op.vjp(out_grad)):
             if contribution is None:
                 continue
-            key = id(parent)
+            key = id(parent._op or parent)
             if parent._op is None:
                 leaves[key] = parent
             adjoint[key] = adjoint[key] + contribution if key in adjoint else contribution
@@ -422,8 +415,6 @@ class _Dispatch:
     """Sorted dispatch of one expert mixture: what its vjp replays."""
 
     x_shape: tuple
-    positions: int
-    k: int
     rows: np.ndarray          # the position of each sorted (position, slot) entry
     experts: np.ndarray       # the expert of each sorted entry
     by_position: np.ndarray   # (positions, k) indices into the sorted order, ids ascending
@@ -436,7 +427,7 @@ class _Dispatch:
         """Each position's k terms added in ascending expert id, starting from zero."""
         picked = terms.take(self.by_position, axis=0)
         total = picked[:, 0] + 0.0  # the bits of adding into zeros: -0.0 reads 0.0
-        for j in range(1, self.k):
+        for j in range(1, picked.shape[1]):
             total += picked[:, j]
         return total
 
@@ -477,7 +468,7 @@ def _mix(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, sel: np.ndarray,
         np.matmul(xs[lo:hi], weight[n].T, out=ys[lo:hi])
     ys += bias.take(experts, axis=0)
 
-    dispatch = _Dispatch(x.shape, positions, k, rows, experts, by_position.reshape(positions, k),
+    dispatch = _Dispatch(x.shape, rows, experts, by_position.reshape(positions, k),
                          segments, xs, ws, ys)
     out = dispatch.per_position(ws * ys)
     return out.reshape(*lead, c_out), dispatch
@@ -492,7 +483,7 @@ def _mix_vjp(g, d: _Dispatch, weight: Tensor, bias: Tensor, need_x: bool, need_s
     """
     w = weight.data
     n_experts, c_out, c_in = w.shape
-    g_rows = g.reshape(d.positions, c_out).take(d.rows, axis=0)
+    g_rows = g.reshape(-1, c_out).take(d.rows, axis=0)
     gs = g_rows * d.ws
     dw = np.zeros(w.shape) if weight.requires_grad else None
     db = np.zeros(bias.shape) if bias.requires_grad else None
@@ -512,7 +503,7 @@ def _mix_vjp(g, d: _Dispatch, weight: Tensor, bias: Tensor, need_x: bool, need_s
     if need_sel:
         # Added into zeros, like every other accumulated sum here, so a
         # -0.0 dot product reads 0.0.
-        table = np.zeros((d.positions, n_experts))
+        table = np.zeros((d.by_position.shape[0], n_experts))
         table.reshape(-1)[d.rows * n_experts + d.experts] += (g_rows * d.ys).sum(axis=1)
     return dx, table, dw, db
 

@@ -161,7 +161,7 @@ def cmd_inspect_gates(args) -> int:
     for (_, layer), cell in sorted(stats.cells.items()):
         for expert, (mass, top1) in enumerate(zip(cell.participation, cell.top1)):
             print(f"  {layer} expert {expert}: mass/position "
-                  f"{mass / max(cell.positions, 1):.4f} top1 {top1}")
+                  f"{mass / max(cell.top1.sum(), 1):.4f} top1 {top1}")
     print(f"artifacts in {out_dir}")
     return EXIT_OK
 

@@ -83,8 +83,7 @@ class Model:
 
     def __init__(self, spec: ModelSpec, tasks: dict[str, gdata.TaskSpec], seed: int = 0):
         self.spec = spec
-        self.tasks = dict(sorted(tasks.items()))
-        self.task_order = list(self.tasks)
+        self.tasks = dict(sorted(tasks.items()))  # its key order is the task order
         rng = np.random.default_rng(seed)
 
         c = spec.channels
@@ -132,7 +131,7 @@ class Model:
         that order, the decision holding the task's rows of the layer's.
         """
         samples = list(samples)
-        task_index = {task_id: i for i, task_id in enumerate(self.task_order)}
+        task_index = {task_id: i for i, task_id in enumerate(self.tasks)}
         for task_id, *_ in samples:
             if task_id not in task_index:
                 raise ShapeError(f"sample tagged with unknown task {task_id!r}")
@@ -160,7 +159,7 @@ class Model:
     def param_groups(self) -> list[list[Tensor]]:
         """The backbone (trunk, gates, experts), then each task head in task order."""
         backbone = [p for block in self.blocks for p in block.parameters()]
-        return [backbone, *(list(self.heads[task_id]) for task_id in self.task_order)]
+        return [backbone, *(list(head) for head in self.heads.values())]
 
     def named_parameters(self) -> list[tuple[str, Tensor, tuple]]:
         """(checkpoint entry, tensor, index) triples; the entry is ``tensor.data[index]``,
@@ -168,8 +167,7 @@ class Model:
         named: list[tuple[str, Tensor, tuple]] = []
         for block in self.blocks:
             named.extend(block.named_parameters())
-        for task_id in self.task_order:
-            w, b = self.heads[task_id]
+        for task_id, (w, b) in self.heads.items():
             named.append((f"head.{task_id}.weight", w, ()))
             named.append((f"head.{task_id}.bias", b, ()))
         return named

@@ -214,7 +214,6 @@ STATS_CSV_COLUMNS = (
 class _StatsCell:
     participation: np.ndarray
     top1: np.ndarray
-    positions: int = 0
 
 
 @dataclass
@@ -242,7 +241,6 @@ class ExpertStats:
         # Ids come in descending probability, ties to the lowest id, so the
         # first is the argmax of the full softmax.
         cell.top1 += np.bincount(sel[:, 0], minlength=n)
-        cell.positions += sel.shape[0]
 
     def participation_entropy(self, dataset: str) -> float:
         """Mean (over this dataset's layers) entropy of normalized participation."""
@@ -264,7 +262,7 @@ class ExpertStats:
     def rows(self) -> list[dict]:
         """One row per (dataset, layer, expert), keyed by ``STATS_CSV_COLUMNS`` in order."""
         return [dict(zip(STATS_CSV_COLUMNS, (dataset, layer, expert, float(mass), int(top1),
-                                             cell.positions), strict=True))
+                                             int(cell.top1.sum())), strict=True))
                 for (dataset, layer), cell in sorted(self.cells.items())
                 for expert, (mass, top1) in enumerate(zip(cell.participation, cell.top1))]
 

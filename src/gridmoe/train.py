@@ -112,6 +112,8 @@ class TrainState:
     groups: list[list[ad.Tensor]]  # ``Model.param_groups``: the backbone, then each head
     tracker: dso.LossTracker
     stats: ExpertStats
+    loss_columns: list[str]  # ``_loss_columns`` and ``_dso_columns`` of the model's tasks
+    dso_columns: list[str]
     # The last loss rows: a non-finite loss writes them to the diagnostic dump.
     recent: collections.deque = field(default_factory=lambda: collections.deque(maxlen=10))
 
@@ -120,7 +122,8 @@ def start_training(cfg: RunConfig) -> TrainState:
     """The state before the first step: a fresh model, sampler and empty statistics."""
     modalities, _, model, sampler = build_setup(cfg)
     return TrainState(cfg, modalities, model, sampler, model.param_groups(),
-                      dso.LossTracker(len(model.task_order)), ExpertStats())
+                      dso.LossTracker(len(model.tasks)), ExpertStats(),
+                      _loss_columns(model.tasks), _dso_columns(model.tasks))
 
 
 def _loss_columns(order) -> list[str]:
@@ -135,7 +138,7 @@ def _dso_columns(order) -> list[str]:
 
 def train_step(state: TrainState) -> tuple[dict, dict]:
     """One iteration; returns its ``losses.csv`` and ``dso_log.csv`` rows, each keyed by
-    its file's columns (``_loss_columns``, ``_dso_columns``) in order.
+    its file's columns (``state.loss_columns``, ``state.dso_columns``) in order.
 
     Draws a mixed batch and runs it forward. A non-finite loss writes the last
     loss rows to ``diagnostic_dump.csv`` and raises ``TrainingAborted``;
@@ -143,7 +146,7 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     backward and one SGD update per parameter group at its effective rate.
     """
     cfg, model, tracker = state.cfg, state.model, state.tracker
-    order, iteration = model.task_order, state.sampler.batches
+    order, iteration = model.tasks, state.sampler.batches
     samples = []
     for modality, index in state.sampler.next_batch():
         image, target = gdata.generate_sample(state.modalities[modality], model.tasks[modality],
@@ -154,7 +157,7 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     values = np.array([losses[t] for t in order])
     if not np.all(np.isfinite(values)):
         dump_path = Path(cfg.out_dir) / RUN_FILES["diagnostic_dump"]
-        write_csv(dump_path, _loss_columns(order), state.recent, "diagnostic_dump")
+        write_csv(dump_path, state.loss_columns, state.recent, "diagnostic_dump")
         raise TrainingAborted(
             f"non-finite loss at iteration {iteration}: "
             + ", ".join(f"{t}={v}" for t, v in zip(order, values)),
@@ -173,13 +176,13 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
                 param.data = param.data - lr * param.grad
             param.grad = None
 
-    loss_row = dict(zip(_loss_columns(order), [iteration, *values.tolist(), float(values.sum())],
+    loss_row = dict(zip(state.loss_columns, [iteration, *values.tolist(), float(values.sum())],
                         strict=True))
     state.recent.append(loss_row)
 
     cur = tracker.cur if tracker.cur is not None else values
     his = tracker.his if tracker.his is not None else values
-    dso_row = dict(zip(_dso_columns(order), [
+    dso_row = dict(zip(state.dso_columns, [
         iteration, *cur.tolist(), *his.tolist(), *multipliers.ratios.tolist(),
         *multipliers.head_lambdas.tolist(), multipliers.consistency, multipliers.backbone_gamma,
         *rates[1:], rates[0]], strict=True))
@@ -193,10 +196,10 @@ def _eval_entropy(state: TrainState, path: Path, maps_dir: Path | None = None) -
     cfg, model = state.cfg, state.model
     if not cfg.model.moe_layers or cfg.stats_samples <= 0:
         return {}
-    stats = evaluate_stats(model, {m: state.modalities[m] for m in model.task_order}, model.tasks,
+    stats = evaluate_stats(model, {m: state.modalities[m] for m in model.tasks}, model.tasks,
                            cfg.stats_samples, cfg.height, cfg.width, maps_dir=maps_dir)
     stats.to_csv(path)
-    return {m: stats.participation_entropy(m) for m in model.task_order}
+    return {m: stats.participation_entropy(m) for m in model.tasks}
 
 
 def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
@@ -205,19 +208,18 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     artifacts = {name: out_dir / file for name, file in RUN_FILES.items()}
     write_config_snapshot(out_dir, cfg)
     state = start_training(cfg)
-    order = state.model.task_order
+    order = list(state.model.tasks)
     init_entropy = _eval_entropy(state, artifacts["expert_stats_init"])
 
     history: dict[str, list[float]] = {t: [] for t in order}
     gammas = []
-    loss_columns = _loss_columns(order)
-    with CsvLogger(artifacts["losses"], loss_columns, "losses") as loss_log, \
-         CsvLogger(artifacts["dso_log"], _dso_columns(order), "dso_log") as dso_log:
+    with CsvLogger(artifacts["losses"], state.loss_columns, "losses") as loss_log, \
+         CsvLogger(artifacts["dso_log"], state.dso_columns, "dso_log") as dso_log:
         for _ in range(cfg.iterations):
             loss_row, dso_row = train_step(state)
             loss_log.write(loss_row)
             dso_log.write(dso_row)
-            for t, column in zip(order, loss_columns[1:]):
+            for t, column in zip(order, state.loss_columns[1:]):
                 history[t].append(loss_row[column])
             # The record dso.step returned, on every path: its gamma is the row's.
             gammas.append(state.tracker.last_multipliers.backbone_gamma)

@@ -126,7 +126,7 @@ def per_sample_forward_batch(model, samples):
     the total, each task's mean as a float and the decisions, per (sample,
     MoE layer) in batch order.
     """
-    per_task = {t: [] for t in model.task_order}
+    per_task = {t: [] for t in model.tasks}
     all_routings = []
     for task_id, sample_index, image, target in samples:
         if task_id not in per_task:
@@ -385,16 +385,17 @@ def replayed_adjoints(out, g, tensors):
 
     The same replay as ``backward`` (reverse topological order, first
     contribution taken as is, later ones added), without the zero fill for
-    tensors that got no contribution: those read None.
+    tensors that got no contribution: those read None. As in ``backward``, an op
+    output's adjoint is keyed by its record and a leaf's by the leaf.
     """
-    adjoint = {id(out): g}
+    adjoint = {id(out._op or out): g}
     for op in reversed(ad.ComputationRecord.trace(out).ops):
-        out_grad = adjoint.get(id(op.output))
+        out_grad = adjoint.get(id(op))
         if out_grad is None:
             continue
         for parent, contribution in zip(op.inputs, op.vjp(out_grad)):
             if contribution is None:
                 continue
-            key = id(parent)
+            key = id(parent._op or parent)
             adjoint[key] = contribution if key not in adjoint else adjoint[key] + contribution
-    return [adjoint.get(id(t)) for t in tensors]
+    return [adjoint.get(id(t._op or t)) for t in tensors]

@@ -22,13 +22,13 @@ DIGEST_ARGS = ("--seeds", "0", "--iterations", "100")
 REWRITE = "python3 tests/test_artifact_digests.py"
 
 
-def fingerprint() -> list[str]:
-    """The header: how the file is written, then the Python and numpy versions,
-    numpy's BLAS and its enabled CPU features."""
+def fingerprint(rewrite: str) -> list[str]:
+    """A pinned file's header: the command that rewrites it, then the Python and numpy
+    versions, numpy's BLAS and its enabled CPU features."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     simd = config["SIMD Extensions"]
-    return [f"# written by: {REWRITE}", f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+    return [f"# written by: {rewrite}", f"# python {platform.python_version()}", f"# numpy {np.__version__}",
             f"# blas {blas['name']} {blas['version']}",
             f"# blas configuration {blas.get('openblas configuration', '')}",
             f"# cpu features {' '.join([*simd['baseline'], *simd['found']])}"]
@@ -45,15 +45,20 @@ def digest_lines() -> list[str]:
     return printed.getvalue().splitlines()
 
 
-def test_artifacts_match_the_pinned_digests():
-    lines = PINNED.read_text().splitlines()
+def pinned_lines(path: Path, rewrite: str) -> list[str]:
+    """The lines of ``path`` under its header, which must be this host's fingerprint."""
+    lines = path.read_text().splitlines()
     header = [line for line in lines if line.startswith("#")]
-    pinned = [line for line in lines if not line.startswith("#")]
-    here = fingerprint()
+    here = fingerprint(rewrite)
     assert header == here, (
-        f"{PINNED.name} was written on another host; its fingerprint:\n"
+        f"{path.name} was written on another host; its fingerprint:\n"
         + "\n".join(header) + "\nthis host's:\n" + "\n".join(here)
-        + f"\nrewrite it here with: {REWRITE}")
+        + f"\nrewrite it here with: {rewrite}")
+    return [line for line in lines if not line.startswith("#")]
+
+
+def test_artifacts_match_the_pinned_digests():
+    pinned = pinned_lines(PINNED, REWRITE)
     assert pinned, f"{PINNED.name} pins no digest"
     actual = digest_lines()
     moved = sorted({line.split("  ", 1)[1] for line in set(pinned) ^ set(actual)})
@@ -61,4 +66,4 @@ def test_artifacts_match_the_pinned_digests():
 
 
 if __name__ == "__main__":
-    PINNED.write_text("\n".join([*fingerprint(), *digest_lines()]) + "\n")
+    PINNED.write_text("\n".join([*fingerprint(REWRITE), *digest_lines()]) + "\n")

@@ -255,14 +255,14 @@ class TestBackward:
         z = ad.add(y, ad.mul(y, 2.0))
         root = ad.sum_all(z)
         record = ad.ComputationRecord.trace(root)
-        positions = {id(op.output): i for i, op in enumerate(record.ops)}
+        positions = {id(op): i for i, op in enumerate(record.ops)}
         for op in record.ops:
             for parent in op.inputs:
                 if parent._op is not None:
-                    assert positions[id(parent)] < positions[id(op.output)]
+                    assert positions[id(parent._op)] < positions[id(op)]
 
     def test_graph_freed_by_refcount_once_root_dropped(self):
-        # Records hold their outputs weakly, so no graph is a reference cycle:
+        # No record refers to its output, so no graph is a reference cycle:
         # with the cyclic collector off, dropping the root frees every node.
         rng = np.random.default_rng(8)
         weight = Tensor(rng.normal(size=(3, 3)), requires_grad=True)

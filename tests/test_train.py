@@ -2,6 +2,7 @@
 loop, artifact layout, divergence abort, sweeps."""
 
 import ctypes
+import importlib
 import json
 import os
 import subprocess
@@ -75,7 +76,7 @@ class TestTrainBasics:
         cfg = parse_config(raw)
         modalities, tasks, model, _ = build_setup(cfg)
         assert sorted(modalities) == sorted(tasks) == ["A", "B", "C"]
-        assert model.task_order == sorted(model.heads) == ["A", "B"]
+        assert list(model.tasks) == sorted(model.heads) == ["A", "B"]
 
         result = train(cfg)
         for name in ("expert_stats_init", "expert_stats_final"):
@@ -106,12 +107,12 @@ class TestTrainBasics:
         cfg = small_config(tmp_path / "run", iterations=10)
         result = train(cfg)
         # per (dataset, layer): top-1 counts sum to processed grid positions
-        for (_, _), cell in result.stats.cells.items():
-            assert cell.top1.sum() == cell.positions
+        for (dataset, _), cell in result.stats.cells.items():
+            assert cell.top1.sum() == 10 * dict(cfg.counts)[dataset] * cfg.height * cfg.width
         # modality A appears twice per batch, B and C once
         a_cell = result.stats.cells[("A", "trunk.0")]
         b_cell = result.stats.cells[("B", "trunk.0")]
-        assert a_cell.positions == 2 * b_cell.positions
+        assert a_cell.top1.sum() == 2 * b_cell.top1.sum()
 
     def test_determinism_bit_identical(self, tmp_path):
         r1 = train(small_config(tmp_path / "a", iterations=25))
@@ -321,7 +322,7 @@ def test_rows_are_keyed_by_their_files_columns_in_order(tmp_path, dso_enabled):
     """Each ``losses.csv``, ``dso_log.csv`` and ``expert_stats`` row has exactly its
     file's columns as keys, in column order."""
     state = start_training(small_config(tmp_path / "run", dso_enabled=dso_enabled))
-    order = state.model.task_order
+    order = list(state.model.tasks)
     for _ in range(2):
         loss_row, dso_row = train_step(state)
         assert list(loss_row) == _loss_columns(order)
@@ -329,6 +330,19 @@ def test_rows_are_keyed_by_their_files_columns_in_order(tmp_path, dso_enabled):
     rows = state.stats.rows()
     assert len(rows) == 3 * 2 * 4  # modalities x MoE layers x experts
     assert all(tuple(row) == STATS_CSV_COLUMNS for row in rows)
+
+
+def test_a_run_names_its_log_columns_once(tmp_path, monkeypatch):
+    """``train`` builds each log's column list once per run, not once per step."""
+    train_mod = importlib.import_module("gridmoe.train")
+    calls = {}
+    for name in ("_loss_columns", "_dso_columns"):
+        def counted(order, listed=getattr(train_mod, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return listed(order)
+        monkeypatch.setattr(train_mod, name, counted)
+    train(small_config(tmp_path / "run", iterations=5))
+    assert calls == {"_loss_columns": 1, "_dso_columns": 1}
 
 
 class TestAbort:
@@ -382,8 +396,7 @@ class TestEvaluateStats:
         stats = evaluate_stats(model, modalities, tasks, n_samples=3,
                                height=cfg.height, width=cfg.width)
         for (_, _), cell in stats.cells.items():
-            assert cell.positions == 3 * cfg.height * cfg.width
-            assert cell.top1.sum() == cell.positions
+            assert cell.top1.sum() == 3 * cfg.height * cfg.width
 
 
 class TestSweep:
@@ -536,7 +549,8 @@ class TestGraphSize:
         model, draw = benchmark_step(tmp_path)
         total, _, _ = model.forward_batch(draw())
         ad.backward(total)
-        outputs = [op.output for op in ad.ComputationRecord.trace(total).ops]
+        ops = ad.ComputationRecord.trace(total).ops
+        outputs = [total, *(t for op in ops for t in op.inputs if t._op is not None)]
         assert len(outputs) == 9 and all(t.grad is None for t in outputs)
         params = [p for group in model.param_groups() for p in group]
         assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
@@ -573,7 +587,7 @@ class TestSampleAxis:
                 ad.backward(total)
                 grads = [p.grad for p in params]
                 runs.append(([total.data.tobytes(),
-                              *(np.float64(losses[t]).tobytes() for t in model.task_order)],
+                              *(np.float64(losses[t]).tobytes() for t in model.tasks)],
                              [g.tobytes() for g in grads],
                              [(task, layer, d.selected_indices.tobytes(), d.gate_weights.tobytes(),
                                d.full_softmax.tobytes(), d.expert_applications)
