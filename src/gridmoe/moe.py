@@ -163,9 +163,9 @@ def init_from_pretrained(
     """
     weight = np.asarray(pretrained_weight, dtype=np.float64)
     bias = np.asarray(pretrained_bias, dtype=np.float64)
-    if weight.ndim != 2 or bias.shape != weight.shape[:1]:
-        raise ShapeError(f"init_from_pretrained: needs a (C_out, C_in) weight and a (C_out,) "
-                         f"bias, got {weight.shape} and {bias.shape}")
+    if weight.ndim != 2 or weight.shape[1] < 1 or bias.shape != weight.shape[:1]:
+        raise ShapeError(f"init_from_pretrained: needs a (C_out, C_in >= 1) weight and a "
+                         f"(C_out,) bias, got {weight.shape} and {bias.shape}")
     rng = np.random.default_rng(seed)
 
     gate_dim = weight.shape[1] if cfg.gate_dim is None else cfg.gate_dim

@@ -43,7 +43,7 @@ TRAIN_FILES = (MANIFEST_NAME, manifest_path_for(RUN_FILES["checkpoint"]).name, *
 @dataclass
 class TrainResult:
     task_order: list[str]
-    loss_history: dict[str, list[float]]
+    loss_history: dict[str, np.ndarray]  # each task's row of one (tasks, iterations) array
     gamma_min: float
     gamma_max: float
     stats: ExpertStats
@@ -211,18 +211,18 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     order = list(state.model.tasks)
     init_entropy = _eval_entropy(state, artifacts["expert_stats_init"])
 
-    history: dict[str, list[float]] = {t: [] for t in order}
-    gammas = []
+    # Allocated once and written in place, so a run's memory does not grow with its length.
+    history = np.empty((len(order), cfg.iterations))
+    gamma_min, gamma_max = np.inf, -np.inf
     with CsvLogger(artifacts["losses"], state.loss_columns, "losses") as loss_log, \
          CsvLogger(artifacts["dso_log"], state.dso_columns, "dso_log") as dso_log:
-        for _ in range(cfg.iterations):
+        for i in range(cfg.iterations):
             loss_row, dso_row = train_step(state)
             loss_log.write(loss_row)
             dso_log.write(dso_row)
-            for t, column in zip(order, state.loss_columns[1:]):
-                history[t].append(loss_row[column])
-            # The record dso.step returned, on every path: its gamma is the row's.
-            gammas.append(state.tracker.last_multipliers.backbone_gamma)
+            history[:, i] = [loss_row[column] for column in state.loss_columns[1:-1]]
+            gamma = state.tracker.last_multipliers.backbone_gamma  # the dso_log row's gamma
+            gamma_min, gamma_max = min(gamma_min, gamma), max(gamma_max, gamma)
 
     save_checkpoint(artifacts["checkpoint"], state.model.state_dict())
     state.stats.to_csv(artifacts["expert_stats"])
@@ -230,8 +230,8 @@ def train(cfg: RunConfig, keep_model: bool = True) -> TrainResult:
     for name in ("diagnostic_dump",) if final_entropy else (
             "diagnostic_dump", "expert_stats_init", "expert_stats_final", "top1_maps"):
         del artifacts[name]  # not written
-    return TrainResult(task_order=order, loss_history=history,
-                       gamma_min=min(gammas), gamma_max=max(gammas), stats=state.stats,
+    return TrainResult(task_order=order, loss_history=dict(zip(order, history)),
+                       gamma_min=gamma_min, gamma_max=gamma_max, stats=state.stats,
                        artifacts=artifacts, init_entropy=init_entropy, final_entropy=final_entropy,
                        model=state.model if keep_model else None)
 
@@ -304,7 +304,7 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     rows: list[dict] = []
     for combo, seed, cfg in runs:
         result = recorded_train(cfg, config_path)
-        final = {t: result.loss_history[t][-1] for t in result.task_order}
+        final = {t: float(result.loss_history[t][-1]) for t in result.task_order}
         rows.append({**{key: _render(value) for key, value in zip(keys, combo)}, "seed": seed,
                      **{f"final_loss_{t}": loss for t, loss in final.items()},
                      "final_total": float(sum(final.values())),
@@ -356,7 +356,7 @@ def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool
         "model": {"depth": 4, "channels": 8, "moe_layers": [0, 2]},
         "moe": {"n_experts": 4, "top_k": 2, "gate_temperature": 0.3},
         "dso": {"alpha": 0.05, "theta": 0.3, "bias_b": 1.0},
-        "sampler": {"counts": {"A": 2, "B": 1, "C": 1}, "batch_size": 4},
+        "sampler": {"counts": {"A": 2, "B": 1, "C": 1}},
         "data": {"height": 8, "width": 8, "label_noise": noise},
         "run": {
             "seed": seed,
@@ -370,7 +370,7 @@ def benchmark_config(seed: int, iterations: int, out_dir: str, dso_enabled: bool
     return parse_config(raw)
 
 
-def normalized_loss_spread(history: dict[str, list[float]]) -> float:
+def normalized_loss_spread(history: dict[str, np.ndarray]) -> float:
     """Cross-task standard deviation of (final loss / initial loss).
 
     Initial and final levels are means over the first and last ``SPREAD_WINDOW``

@@ -315,6 +315,16 @@ class TestSweepCommand:
             in capsys.readouterr().err
         assert not out.exists() and files_under(tmp_path) == before
 
+    def test_grid_key_without_values_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", **{"run.iterations": 2,
+                                                     "run.stats_samples": 0})
+        before = files_under(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg), "--grid", "moe.top_k=", "--out", str(out)])
+        assert code == 2
+        assert "no values for 'moe.top_k'" in capsys.readouterr().err
+        assert not out.exists() and files_under(tmp_path) == before
+
     @pytest.mark.parametrize("key, values", [
         ("moe.top_k", "1,1"), ("run.dso", "true,True"), ("run.base_lr", "0.5,0.50"),
         ("model.moe_layers", "0|2,0|2"),

@@ -29,7 +29,7 @@ class TestSpec:
             ModelSpec(depth=3, moe_layers=(0, 5))
         with pytest.raises(ConfigError):
             ModelSpec(depth=3, moe_layers=(1, 1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"model\.depth"):
             ModelSpec(depth=0)
 
 

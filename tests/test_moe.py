@@ -153,12 +153,18 @@ class TestGate:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"moe\.n_experts"):
             MoEConfig(n_experts=0, top_k=1)
         with pytest.raises(ConfigError):
             MoEConfig(n_experts=2, top_k=3)
         with pytest.raises(ConfigError):
             MoEConfig(n_experts=2, top_k=1, gate_temperature=0.0)
+
+    def test_gate_shapes_must_agree(self):
+        mixture = init_from_pretrained(np.eye(3), np.zeros(3), MoEConfig(n_experts=2, top_k=1))
+        for E in (np.ones((2, 2)), np.ones(3)):
+            with pytest.raises(ShapeError, match="gate parameter shapes are inconsistent"):
+                replace(mixture, E=Tensor(E))
 
     def test_zero_embedding_rejected(self):
         E = np.ones((3, 2))
@@ -384,7 +390,9 @@ class TestInitFromPretrained:
 
     def test_shape_mismatch(self):
         cfg = MoEConfig(n_experts=2, top_k=1)
-        for weight, bias in (((2, 3, 5), (3,)), ((3, 5), (5,)), ((3, 5), (3, 1))):
+        # A (2, 0) weight has no input channels to draw a gate frame for.
+        for weight, bias in (((2, 3, 5), (3,)), ((3, 5), (5,)), ((3, 5), (3, 1)),
+                             ((2, 0), (2,))):
             with pytest.raises(ShapeError, match=re.escape(f"got {weight} and {bias}")):
                 init_from_pretrained(np.zeros(weight), np.zeros(bias), cfg)
 
@@ -441,6 +449,10 @@ class TestExpertStats:
         with pytest.raises(UsageError, match="'L0' has 5 experts, expected 4"):
             stats.accumulate(self._uniform_decision(n=5), "dsA", "L0")
         assert stats.cells[("dsA", "L0")].top1.sum() == 1
+
+    def test_entropy_of_a_dataset_without_statistics_refused(self):
+        with pytest.raises(UsageError, match="no accumulated statistics for dataset 'A'"):
+            ExpertStats().participation_entropy("A")
 
     def test_counting_oracle_single_expert(self):
         # Route 1000 positions entirely to expert 3 by construction.

@@ -2,12 +2,14 @@
 loop, artifact layout, divergence abort, sweeps."""
 
 import ctypes
+import gc
 import importlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,45 @@ class TestSmokeRun:
         for task, series in result.loss_history.items():
             assert np.mean(series[-10:]) < np.mean(series[:10]), task
 
+
+class TestRunLength:
+    """What a run keeps does not grow per step beyond its float64 losses, which are
+    the logged ones, bit for bit."""
+
+    @staticmethod
+    def retained_bytes(out_dir, iterations):
+        """Bytes still allocated after a plain run returns, its result held."""
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            result = train(small_config(out_dir, iterations, dso_enabled=False, moe_layers=()),
+                           keep_model=False)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before, result
+        finally:
+            tracemalloc.stop()
+
+    def test_retained_memory_per_step_is_the_losses_alone(self, tmp_path):
+        self.retained_bytes(tmp_path / "warm", 2)  # imports and one-time caches
+        n = 25
+        short, _ = self.retained_bytes(tmp_path / "short", n)
+        long, result = self.retained_bytes(tmp_path / "long", 4 * n)
+        per_step = (long - short) / (3 * n)
+        # Between the 24 B a step of three float64 losses and the ~96 B that lists
+        # holding a Python float per loss and per gamma would keep.
+        assert per_step < 48, f"{per_step:.1f} B retained per extra step"
+        assert [len(row) for row in result.loss_history.values()] == [4 * n] * 3
+
+    def test_history_rows_and_gamma_range_are_the_logs(self, tmp_path):
+        result = train(benchmark_config(0, 30, str(tmp_path / "run"), True), keep_model=False)
+        losses = read_csv(result.artifacts["losses"])
+        for t, row in result.loss_history.items():
+            assert row.dtype == np.float64 and row.shape == (30,) and row.flags.c_contiguous
+            assert row.tobytes() == np.array([float(r[f"loss_{t}"]) for r in losses]).tobytes()
+        gammas = [float(r["gamma"]) for r in read_csv(result.artifacts["dso_log"])]
+        assert min(gammas) < max(gammas)  # the governor moved gamma
+        assert (result.gamma_min, result.gamma_max) == (min(gammas), max(gammas))
 
 def _has_mallopt():
     try:
