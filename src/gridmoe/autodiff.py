@@ -3,12 +3,12 @@
 The engine covers exactly what the grid mixture-of-experts layer, the task
 heads, and the losses need: per-grid linear maps, last-axis softmax, relu,
 add, mul, cosine gate logits, sparse expert mixing, and two mean-reduced
-losses. Everything is 64-bit, dense, row-major, rank <= 4. A whole MoE layer,
-from the gate projection to the expert mixing, records one node,
-``moe_layer``, and all task heads with their losses and the total record
-one node, ``heads_loss``; both are built from the same array-level helpers
-as those ops. The trunk's ops take a batch of samples on axis 0, with
-every gradient bit for bit as one op per sample would give it.
+losses. Everything is 64-bit, dense, row-major, rank <= 4. All task heads
+with their losses and the total record one node, ``heads_loss``, built from
+the same array-level helpers as those ops; ``moe.moe_forward`` chains them
+the same way into one ``moe_layer`` node per MoE layer. The trunk's ops take
+a batch of samples on axis 0, with every gradient bit for bit as one op per
+sample would give it.
 
 Execution is eager. Each operation whose inputs carry gradients appends an
 ``OpRecord`` to the output tensor; ``backward`` linearizes the records
@@ -228,9 +228,9 @@ def sum_all(x: Tensor) -> Tensor:
 #
 # Each one is written once as an array-level forward (with its checks) and
 # vjp, which record nothing. The public op is a thin wrapper that records one
-# node; ``moe_layer`` chains the same helpers into one node per MoE layer.
+# node; ``moe.moe_forward`` chains the same helpers into one node per MoE layer.
 #
-# The trunk ops, ``grid_linear`` and ``moe_layer``, take a (B, grid..., C)
+# The trunk ops, ``grid_linear`` and ``moe_forward``, take a (B, grid..., C)
 # input whose axis 0 indexes samples. Their forward and input gradient run
 # on the whole batch; every reduction over grid positions (a weight or bias
 # gradient) gives one term per sample
@@ -538,47 +538,6 @@ def mix_experts(x: Tensor, weight: Tensor, bias: Tensor, selected: np.ndarray,
         return dx, dsel, dw, db
 
     return _node("mix_experts", out, (x, selected_weights, weight, bias), vjp)
-
-
-def moe_layer(x: Tensor, gate_w: Tensor, gate_e: Tensor, weight: Tensor, bias: Tensor,
-              decision, gate: tuple) -> Tensor:
-    """One graph node for a whole expert-mixture layer routed by ``decision``.
-
-    ``decision`` is a ``moe.RoutingDecision`` and ``gate`` the gate's (u,
-    logits, cosine), both as ``moe._route`` returns them. The forward is
-    ``mix_experts`` of x with the decision's selection. The vjp replays, in
-    reverse and with the same expressions, the vjps of the five ops this node
-    stands for: ``mix_experts``, ``gather_last``, ``softmax``, ``gate_logits``
-    and the gate's ``grid_linear``. So every gradient has the bits of the
-    five-node graph: dx is the mixture's term plus the gate's, in that order,
-    and a gradient is None where that graph has none. Axis 0 of x indexes
-    samples, and the gradients have the bits of one such graph per sample
-    replayed in sample order.
-    """
-    samples = _sample_count(x.data, "moe_layer")
-    out, dispatch = _mix(x.data, weight.data, bias.data, decision.selected_indices,
-                         decision.gate_weights, samples)
-    need_gate = x.requires_grad or gate_w.requires_grad or gate_e.requires_grad
-    probs = decision.full_softmax
-    u, logits, cosine = gate
-
-    def vjp(g):
-        dx, table, *d_bank = _mix_vjp(g, dispatch, weight, bias, x.requires_grad, need_gate)
-        dw = de = None
-        if table is not None:
-            # The table is the gradient gather_last's vjp scatters into zeros.
-            dlogits = _softmax_vjp(table.reshape(probs.shape), probs)
-            du, de = _cosine_logits_vjp(dlogits, u, logits, cosine,
-                                        x.requires_grad or gate_w.requires_grad,
-                                        gate_e.requires_grad, samples)
-            if du is not None:
-                dx_gate, dw, _ = _linear_vjp(du, x.data, gate_w.data, x.requires_grad,
-                                             gate_w.requires_grad, False, samples)
-                if dx_gate is not None:
-                    dx = dx + dx_gate
-        return (dx, dw, de, *d_bank)
-
-    return _node("moe_layer", out, (x, gate_w, gate_e, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

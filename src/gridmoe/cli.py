@@ -73,15 +73,11 @@ def _parse_grid(spec: str) -> dict[str, list]:
         if entry is None:
             raise ConfigError(key, "unknown key")
         parsed = [_parse_value(key, *entry, v) for v in values.split(",") if v != ""]
-        if not parsed:
-            raise ConfigError("grid", f"no values for {key!r}")
         if key in grid:
             raise ConfigError(key, "is given more than once in --grid")
         if any(v in parsed[:i] for i, v in enumerate(parsed)):  # as parsed: true,True repeats
             raise ConfigError(key, f"repeats a value in --grid: {values!r}")
         grid[key] = parsed
-    if not grid:
-        raise ConfigError("grid", "empty sweep grid")
     return grid
 
 

@@ -85,7 +85,7 @@ def losses_valid(observed: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(observed)) and np.all(observed > 0.0))
 
 
-def update_ema(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LossTracker:
+def update_ema(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> None:
     """Fold this iteration's losses into the tracker.
 
     his <- alpha * cur + (1 - alpha) * his_prev; on the very first iteration
@@ -104,7 +104,6 @@ def update_ema(tracker: LossTracker, observed_losses, cfg: DsoConfig) -> LossTra
         # but a constant stream stays a bit-exact fixed point
         tracker.his = tracker.his + cfg.alpha * (observed - tracker.his)
     tracker.cur = observed.copy()
-    return tracker
 
 
 def head_multipliers(ratios: np.ndarray, cfg: DsoConfig) -> np.ndarray:

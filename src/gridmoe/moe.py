@@ -118,7 +118,7 @@ def topk_select(probs: np.ndarray, k: int) -> np.ndarray:
 
 def _route(x: np.ndarray, W: Tensor, E: Tensor, cfg: MoEConfig) -> tuple[RoutingDecision, tuple]:
     """The gate's decision at every position of x, and the (u, logits, cosine) its vjp reuses:
-    ``moe_layer``'s vjp reads only the decision's softmax, made read-only here, and ``_mix``
+    ``moe_forward``'s vjp reads only the decision's softmax, made read-only here, and ``_mix``
     copies the ids and the gate weights into its dispatch."""
     if x.shape[-1] != W.shape[1]:
         raise ShapeError(f"routing: expected {W.shape[1]} channels, got {x.shape[-1]}")
@@ -137,15 +137,40 @@ def moe_forward(x: Tensor, mixture: ExpertMixture) -> tuple[Tensor, RoutingDecis
     one or more grid axes; fewer axes are refused before routing. Exactly k
     experts are evaluated per position; gradients flow to the input, the gate
     parameters, and the selected experts' bank rows. The layer is one graph
-    node, ``moe_layer``: the batch is routed and mixed at once, its gradients
-    have the bits of one layer per sample replayed in sample order, and the
-    decision it returns, the one its vjp reads, keeps the sample axis.
+    node, ``moe_layer``: the batch is routed and mixed at once, and the
+    decision it returns, the one its vjp reads, keeps the sample axis. The vjp
+    replays, in reverse and with the same expressions, the vjps of the five
+    ops the node stands for (``mix_experts``, ``gather_last``, ``softmax``,
+    ``gate_logits``, the gate's ``grid_linear``), so each gradient has the bits
+    of that graph per sample replayed in sample order: dx is the mixture's
+    term plus the gate's, and a gradient is None where that graph has none.
     """
     x = ad._lift(x)
-    ad._sample_count(x.data, "moe_forward")
-    decision, gate = _route(x.data, mixture.W, mixture.E, mixture.cfg)
-    return ad.moe_layer(x, mixture.W, mixture.E, mixture.weight, mixture.bias, decision,
-                        gate), decision
+    samples = ad._sample_count(x.data, "moe_forward")
+    W, E, weight, bias = mixture.W, mixture.E, mixture.weight, mixture.bias
+    decision, (u, logits, cosine) = _route(x.data, W, E, mixture.cfg)
+    out, dispatch = ad._mix(x.data, weight.data, bias.data, decision.selected_indices,
+                            decision.gate_weights, samples)
+    need_gate = x.requires_grad or W.requires_grad or E.requires_grad
+    probs = decision.full_softmax
+
+    def vjp(g):
+        dx, table, *d_bank = ad._mix_vjp(g, dispatch, weight, bias, x.requires_grad, need_gate)
+        dw = de = None
+        if table is not None:
+            # The table is the gradient gather_last's vjp scatters into zeros.
+            dlogits = ad._softmax_vjp(table.reshape(probs.shape), probs)
+            du, de = ad._cosine_logits_vjp(dlogits, u, logits, cosine,
+                                           x.requires_grad or W.requires_grad,
+                                           E.requires_grad, samples)
+            if du is not None:
+                dx_gate, dw, _ = ad._linear_vjp(du, x.data, W.data, x.requires_grad,
+                                                W.requires_grad, False, samples)
+                if dx_gate is not None:
+                    dx = dx + dx_gate
+        return (dx, dw, de, *d_bank)
+
+    return ad._node("moe_layer", out, (x, W, E, weight, bias), vjp), decision
 
 
 def init_from_pretrained(

@@ -285,8 +285,11 @@ def sweep_rows(base_raw: dict, grid: dict[str, list], seeds, out_root: Path,
     import itertools
 
     keys = sorted(grid)
-    if not keys or any(not grid[k] for k in keys):
-        raise ValueError("sweep grid is empty")
+    if not keys:
+        raise ConfigError("grid", "empty sweep grid")
+    for key in keys:
+        if not grid[key]:
+            raise ConfigError("grid", f"no values for {key!r}")
     for key, option in (("run.seed", "--seeds"), ("run.out_dir", "--out")):
         if key in grid:
             raise ConfigError(key, f"cannot be swept: every run's value comes from {option}")

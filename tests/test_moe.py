@@ -988,7 +988,7 @@ class TestSampleAxis:
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["no_axes", "no_grid_axis"])
-@pytest.mark.parametrize("op", ["grid_linear", "moe_layer", "moe_forward"])
+@pytest.mark.parametrize("op", ["grid_linear", "moe_forward"])
 def test_trunk_op_needs_sample_and_grid_axes(op, shape, monkeypatch):
     rng = np.random.default_rng(5102)
     cfg, W, E = random_instance(rng, 4, 2, 3, 3)
@@ -997,8 +997,6 @@ def test_trunk_op_needs_sample_and_grid_axes(op, shape, monkeypatch):
     with pytest.raises(ShapeError, match=f"^{op}: .*" + re.escape(f"got shape {shape}")):
         if op == "grid_linear":
             ad.grid_linear(x, W)
-        elif op == "moe_layer":
-            ad.moe_layer(x, W, E, mixture.weight, mixture.bias, *moe_mod._route(x.data, W, E, cfg))
         else:
             # moe_forward refuses the input before its gate runs.
             def routed(*args):

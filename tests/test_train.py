@@ -6,6 +6,7 @@ import gc
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -488,6 +489,17 @@ class TestSweep:
             sweep_rows({"moe": {"n_experts": 2, "top_k": 1},
                         "run": {"iterations": 1}}, {}, seeds=[0], out_root=tmp_path)
 
+    @pytest.mark.parametrize("grid, message", [
+        ({}, "grid: empty sweep grid"),
+        ({"moe.top_k": [1], "dso.tau": []}, "grid: no values for 'dso.tau'"),
+    ], ids=["no_keys", "key_without_values"])
+    def test_empty_grid_is_a_config_error_and_writes_nothing(self, tmp_path, grid, message):
+        out_root = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            sweep_rows({"moe": {"n_experts": 2, "top_k": 1}, "run": {"iterations": 1}}, grid,
+                       seeds=[0], out_root=out_root)
+        assert not out_root.exists()
+
 
 class TestBenchmarkPieces:
     def test_normalized_spread_of_flat_histories_is_zero(self):
@@ -574,6 +586,32 @@ class TestGraphSize:
         assert sorted(set(names)) == ["grid_linear", "heads_loss", "moe_layer", "relu"]
         assert [names.count(n) for n in ("moe_layer", "grid_linear", "relu", "heads_loss")] \
             == [2, 2, 4, 1]
+
+    def test_one_wrapper_on_autodiff_node_sees_every_node_of_a_step(self, tmp_path, monkeypatch):
+        # Every op, moe_forward's moe_layer included, records its node through the
+        # module attribute autodiff._node, so one wrapper there sees the whole graph.
+        # A module that bound _node at import would record nodes it misses.
+        state = start_training(benchmark_config(0, 1, str(tmp_path / "run"), True))
+        recorded, roots = [], []
+        real_node, real_backward = ad._node, ad.backward
+
+        def counted(name, data, inputs, vjp):
+            out = real_node(name, data, inputs, vjp)
+            recorded.append(out._op)
+            return out
+
+        def kept(root):
+            roots.append(root)
+            real_backward(root)
+
+        monkeypatch.setattr(ad, "_node", counted)
+        monkeypatch.setattr(ad, "backward", kept)
+        train_step(state)
+        ops = ad.ComputationRecord.trace(roots[0]).ops
+        assert len(ops) == 9
+        assert sorted(op.name for op in ops) \
+            == ["grid_linear"] * 2 + ["heads_loss"] + ["moe_layer"] * 2 + ["relu"] * 4
+        assert {id(op) for op in ops} <= {id(op) for op in recorded}
 
     def test_benchmark_backbone_group_holds_12_tensors(self, tmp_path):
         # Per MoE block the gate's W and E and the bank's stacked weight and
