@@ -213,16 +213,20 @@ def generate_sample(
 class BatchSampler:
     """Deterministic stream of mixed batches with exact per-batch composition.
 
-    Its state is ``batches``, the number drawn. The next batch lists each
-    modality's indices ``batches * count + j`` as ``(modality, sample_index)``
-    pairs, in ``counts`` order, indices ascending: ``Model.forward_batch``'s order.
+    Its state is ``batches``, the number drawn; ``next_batch`` draws ``batch(batches)``.
     """
 
     def __init__(self, counts: tuple[tuple[str, int], ...]):
         self.counts = counts
         self.batches = 0
 
-    def next_batch(self) -> list[tuple[str, int]]:
-        n, self.batches = self.batches, self.batches + 1
+    def batch(self, n: int) -> list[tuple[str, int]]:
+        """Batch ``n``: each modality's indices ``n * count + j`` as ``(modality,
+        sample_index)`` pairs, in ``counts`` order, indices ascending:
+        ``Model.forward_batch``'s order."""
         return [(modality, n * count + j) for modality, count in self.counts
                 for j in range(count)]
+
+    def next_batch(self) -> list[tuple[str, int]]:
+        n, self.batches = self.batches, self.batches + 1
+        return self.batch(n)

@@ -122,7 +122,7 @@ class Model:
     def forward_batch(self, samples):
         """The summed task losses of a tagged batch, run as one (B, H, W, C) batch.
 
-        ``samples`` is an iterable of (task_id, sample_index, image, target).
+        ``samples`` is a list of (task_id, sample_index, image, target).
         The batch is stacked in (task order, sample index) order, so each
         task's samples are adjacent and its losses are added in sample-index
         order: the result is exactly independent of batch order. Returns the
@@ -130,7 +130,6 @@ class Model:
         mean as a float, and (task, layer, decision) per (task, MoE layer) in
         that order, the decision holding the task's rows of the layer's.
         """
-        samples = list(samples)
         task_index = {task_id: i for i, task_id in enumerate(self.tasks)}
         for task_id, *_ in samples:
             if task_id not in task_index:

@@ -38,6 +38,10 @@ RUN_FILES = {"config_snapshot": CONFIG_SNAPSHOT_NAME, "losses": "losses.csv",
              "expert_stats_final": "expert_stats_final.csv", "top1_maps": TOP1_MAPS_DIR,
              "diagnostic_dump": "diagnostic_dump.csv"}
 TRAIN_FILES = (MANIFEST_NAME, manifest_path_for(RUN_FILES["checkpoint"]).name, *RUN_FILES.values())
+# Batches whose samples ``train_step`` generates in one chunk. Back-to-back calls keep the
+# generator's caches warm, and a sample depends only on its spec and index, so the bits
+# do not change; a chunk of 200 ``benchmark_config`` samples is about 1.1 MB.
+PREFETCH_STEPS = 50
 
 
 @dataclass
@@ -114,6 +118,9 @@ class TrainState:
     stats: ExpertStats
     loss_columns: list[str]  # ``_loss_columns`` and ``_dso_columns`` of the model's tasks
     dso_columns: list[str]
+    # Generated (image, target) of coming batches, keyed by ``(modality, index)``;
+    # ``train_step`` pops each sample it trains on.
+    prefetched: dict = field(default_factory=dict)
     # The last loss rows: a non-finite loss writes them to the diagnostic dump.
     recent: collections.deque = field(default_factory=lambda: collections.deque(maxlen=10))
 
@@ -140,7 +147,10 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     """One iteration; returns its ``losses.csv`` and ``dso_log.csv`` rows, each keyed by
     its file's columns (``state.loss_columns``, ``state.dso_columns``) in order.
 
-    Draws a mixed batch and runs it forward. A non-finite loss writes the last
+    Draws a mixed batch and runs it forward. A drawn pair that ``state.prefetched``
+    lacks starts a new chunk: the samples of ``PREFETCH_STEPS`` batches from the
+    drawn one, or fewer at the run's end, generated in batch order, one
+    ``gdata.generate_sample`` call each. A non-finite loss writes the last
     loss rows to ``diagnostic_dump.csv`` and raises ``TrainingAborted``;
     otherwise the step accumulates routing statistics, runs the governor, then
     backward and one SGD update per parameter group at its effective rate.
@@ -148,10 +158,14 @@ def train_step(state: TrainState) -> tuple[dict, dict]:
     cfg, model, tracker = state.cfg, state.model, state.tracker
     order, iteration = model.tasks, state.sampler.batches
     samples = []
-    for modality, index in state.sampler.next_batch():
-        image, target = gdata.generate_sample(state.modalities[modality], model.tasks[modality],
-                                              index, cfg.height, cfg.width)
-        samples.append((modality, index, image, target))
+    for pair in state.sampler.next_batch():
+        if pair not in state.prefetched:
+            end = max(iteration + 1, min(iteration + PREFETCH_STEPS, cfg.iterations))
+            state.prefetched = {
+                (m, i): gdata.generate_sample(state.modalities[m], model.tasks[m], i,
+                                              cfg.height, cfg.width)
+                for n in range(iteration, end) for m, i in state.sampler.batch(n)}
+        samples.append((*pair, *state.prefetched.pop(pair)))
 
     total, losses, routings = model.forward_batch(samples)
     values = np.array([losses[t] for t in order])

@@ -283,6 +283,14 @@ class TestSampler:
             assert batch == [("B", start), ("A", 2 * start), ("A", 2 * start + 1),
                              ("C", 3 * start), ("C", 3 * start + 1), ("C", 3 * start + 2)]
 
+    def test_batch_n_is_the_nth_batch_drawn_and_draws_nothing(self):
+        sampler = BatchSampler((("B", 1), ("A", 2), ("C", 3)))
+        ahead = [sampler.batch(n) for n in range(5)]
+        assert sampler.batches == 0
+        assert [sampler.next_batch() for _ in range(5)] == ahead
+        assert sampler.batch(2) == ahead[2]
+        assert sampler.batches == 5
+
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({"moe": {"n_experts": 4, "top_k": 2}, "run": {"iterations": 1},

@@ -20,8 +20,10 @@ from test_artifact_digests import ROOT, fingerprint, pinned_lines
 
 PINNED = Path(__file__).with_name("step_counts.txt")
 REWRITE = "python3 tests/test_step_counts.py"
-# (workload, warm-up units, counted units): all three sets take under 2 s together.
-UNITS = (("train", 10, 50), ("plain", 10, 50), ("eval", 3, 30))
+# (workload, warm-up units, counted units): all three sets take under 2 s together. A
+# training window's two counts are multiples of ``train.PREFETCH_STEPS``, so the counted
+# steps generate their samples in whole chunks: 4 ``generate_sample`` calls per step.
+UNITS = (("train", 50, 50), ("plain", 50, 50), ("eval", 3, 30))
 
 
 def count_sets() -> list[str]:

@@ -429,6 +429,104 @@ class TestStepNumber:
             assert fresh.sampler.batches == n
 
 
+class TestPrefetch:
+    """``train_step`` generates the samples of ``PREFETCH_STEPS`` batches at a time."""
+
+    @pytest.mark.parametrize("dso_enabled", [True, False], ids=["dso", "no_dso"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_batch_at_a_time_writes_the_same_bytes(self, tmp_path, monkeypatch, seed,
+                                                       dso_enabled):
+        # 130 is not a multiple of 50, so the run's last chunk is capped at its end.
+        cfg = benchmark_config(seed, 130, str(tmp_path / "run"), dso_enabled)
+
+        def files():
+            train(cfg, keep_model=False)
+            root = tmp_path / "run"
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+                    if p.is_file()}
+
+        chunked = files()
+        monkeypatch.setattr(train_module(), "PREFETCH_STEPS", 1)
+        assert files() == chunked
+
+    def test_each_training_sample_is_generated_once_and_the_chunk_stays_bounded(
+            self, tmp_path, monkeypatch):
+        cfg = benchmark_config(0, 130, str(tmp_path / "run"), True)
+        state = start_training(cfg)
+        names = {spec: modality for modality, spec in state.modalities.items()}
+        generated = []
+        real = gdata.generate_sample
+
+        def counted(spec, task, index, height, width):
+            generated.append((names[spec], index))
+            return real(spec, task, index, height, width)
+
+        monkeypatch.setattr(gdata, "generate_sample", counted)
+        batch = sum(count for _, count in cfg.counts)
+        held = []
+        for _ in range(cfg.iterations):
+            train_step(state)
+            held.append(len(state.prefetched))
+        assert sorted(generated) == sorted((modality, index) for modality, count in cfg.counts
+                                           for index in range(cfg.iterations * count))
+        limit = train_module().PREFETCH_STEPS * batch
+        assert max(held) == limit - batch and held[-1] == 0
+        assert all(n <= limit for n in held)
+
+    def test_batches_skipped_by_hand_leave_the_chunk_with_its_next_chunk(self, tmp_path):
+        """Samples of batches drawn by hand mid-chunk are not trained on; the chunk
+        that follows replaces them, so the bound holds."""
+        cfg = benchmark_config(0, 130, str(tmp_path / "run"), True)
+        state = start_training(cfg)
+        limit = train_module().PREFETCH_STEPS * sum(count for _, count in cfg.counts)
+        for _ in range(10):
+            train_step(state)
+        for _ in range(5):
+            state.sampler.next_batch()
+        while state.sampler.batches < cfg.iterations:
+            loss_row, _ = train_step(state)
+            assert len(state.prefetched) <= limit, loss_row["iteration"]
+        assert loss_row["iteration"] == cfg.iterations - 1
+
+    def test_a_step_past_the_runs_iterations_still_trains_on_its_batch(self, tmp_path):
+        state = start_training(small_config(tmp_path / "run", iterations=2))
+        rows = [train_step(state)[0] for _ in range(4)]
+        assert [row["iteration"] for row in rows] == [0, 1, 2, 3]
+        assert not state.prefetched
+
+    def test_a_shuffled_sampler_trains_in_its_drawn_order(self, tmp_path, monkeypatch):
+        """A sampler that permutes each batch gets its samples forwarded in its order,
+        each the sample of its (modality, index), across a chunk boundary."""
+        monkeypatch.setattr(gdata, "BatchSampler", lambda counts: ShuffledSampler(counts, 5))
+        state = start_training(benchmark_config(0, 60, str(tmp_path / "run"), True))
+        drawn, forwarded = [], []
+        next_batch = state.sampler.next_batch
+
+        def recorded_batch():
+            drawn.append(next_batch())
+            return drawn[-1]
+
+        def spy(model, samples):
+            forwarded.append(samples)
+            return forward_batch(model, samples)
+
+        state.sampler.next_batch = recorded_batch
+        forward_batch = Model.forward_batch
+        monkeypatch.setattr(Model, "forward_batch", spy)
+        for _ in range(60):
+            train_step(state)
+        assert [[(m, i) for m, i, *_ in samples] for samples in forwarded] == drawn
+        assert any(pairs != state.sampler.batch(n) for n, pairs in enumerate(drawn))
+        tasks = state.model.tasks
+        for m, i, image, target in (sample for samples in forwarded for sample in samples):
+            fresh = gdata.generate_sample(state.modalities[m], tasks[m], i, 8, 8)
+            assert image.tobytes() == fresh[0].tobytes() and target.tobytes() == fresh[1].tobytes()
+
+
+def train_module():
+    return importlib.import_module("gridmoe.train")
+
+
 class TestEvaluateStats:
     def test_counts_match_samples(self, tmp_path):
         cfg = small_config(tmp_path / "run", iterations=1)

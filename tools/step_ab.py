@@ -1,4 +1,4 @@
-"""Time two gridmoe trees step by step, interleaved, and check they compute the same bits.
+"""Time two gridmoe trees block by block, interleaved, and check they compute the same bits.
 
 ::
 
@@ -8,21 +8,31 @@ Each DIR is a checkout holding ``src/gridmoe``; each tree's package is
 imported under its own name, so both run in one process. The two sides take
 turns, one unit of work each, the first side alternating from pair to pair:
 
-- ``train``: one ``train.benchmark_config`` step with the governor and the
-  MoE layers (one side of the ``imbalance_pair`` benchmark workload);
-- ``plain``: the same step with neither (``plain_joint``);
+- ``train``: a block of ``train.benchmark_config`` steps with the governor
+  and the MoE layers (one side of the ``imbalance_pair`` benchmark workload);
+- ``plain``: the same block with neither (``plain_joint``);
 - ``eval``: one ``Model.features`` call on one 16x16 sample with 8 experts
   on every block (``wide_gate_eval``).
 
 A training step is one ``train.train_step`` call on a state from
 ``train.start_training``; the CSV writes that ``train`` does around it are not
-timed, and no thread is used. Every step's ``losses.csv`` and ``dso_log.csv``
-rows must render the same on both sides (``csvio.format_value``, so a
--0.0/0.0 flip counts), and so must the final routing statistics'
-``stats.rows()`` and the final parameters' bytes; for ``eval`` every routing
-decision must. A tree from before ``train_step`` is refused:
-time it with that tree's own ``tools/step_ab.py``. The script prints each
-side's p50 and p90 in ms and the median of the per-pair ratios change/parent.
+timed, and no thread is used. A block is the change tree's
+``train.PREFETCH_STEPS`` steps, and both sides run that many per unit, a
+tree without the constant too. ``train_step`` generates the samples of that
+many batches in the step that draws the first of them, so every block holds
+one whole chunk of generation; a unit of one step would pair a chunk step
+with a plain one, and the per-pair ratio would overstate the change as p90
+does. ``--steps`` is rounded up to whole blocks, and each run lasts exactly
+that many steps.
+
+Every step's ``losses.csv`` and ``dso_log.csv`` rows must render the same
+on both sides (``csvio.format_value``, so a -0.0/0.0 flip counts), and so
+must the final routing statistics' ``stats.rows()`` and the final
+parameters' bytes; for ``eval`` every routing decision must. A tree from
+before ``train_step`` is refused: time it with that tree's own
+``tools/step_ab.py``. The script prints each side's p50 and p90 in ms per
+step (a block's time over its steps) or per sample, and the median of the
+per-pair ratios change/parent.
 
 CPU speed on a shared host can swing by 2x within seconds. Interleaving puts
 both sides of a pair in the same few milliseconds, so a swing moves both; two
@@ -86,20 +96,20 @@ def config(gm, workload: str, steps: int, out_dir: str):
     return gm.runconfig.parse_config(raw)
 
 
-def time_training(trees, workload: str, steps: int, out_dir: str):
+def time_training(trees, workload: str, blocks: int, block: int, out_dir: str):
     # A non-finite loss writes its diagnostic dump into out_dir.
-    states = {side: gm.train.start_training(config(gm, workload, steps, out_dir))
+    states = {side: gm.train.start_training(config(gm, workload, blocks * block, out_dir))
               for side, gm in trees.items()}
     times = {side: [] for side in SIDES}
     rows = {side: [] for side in SIDES}
-    for i in range(steps):
+    for i in range(blocks):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            gm = trees[side]
+            gm, state = trees[side], states[side]
             t0 = time.perf_counter()
-            step_rows = gm.train.train_step(states[side])
-            times[side].append(time.perf_counter() - t0)
-            rows[side].append([{k: gm.csvio.format_value(v) for k, v in row.items()}
-                               for row in step_rows])
+            block_rows = [gm.train.train_step(state) for _ in range(block)]
+            times[side].append((time.perf_counter() - t0) / block)
+            rows[side].extend([{k: gm.csvio.format_value(v) for k, v in row.items()}
+                               for row in step_rows] for step_rows in block_rows)
     final = {side: ([{k: trees[side].csvio.format_value(v) for k, v in row.items()}
                      for row in states[side].stats.rows()],
                     {k: (v.dtype.str, v.shape, v.tobytes())
@@ -153,14 +163,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         if args.workload == "eval":
             times, same = time_eval(trees, args.steps, tmp)
+            unit, units = "sample", f"{args.steps} samples"
         else:
-            times, same = time_training(trees, args.workload, args.steps, tmp)
+            block = getattr(trees["change"].train, "PREFETCH_STEPS", 1)
+            blocks = -(-args.steps // block)
+            times, same = time_training(trees, args.workload, blocks, block, tmp)
+            unit, units = "step", f"{blocks} blocks of {block} steps"
 
-    unit = "sample" if args.workload == "eval" else "step"
     for side in SIDES:
         ms = [t * 1e3 for t in times[side]]
         print(f"{side:6s} {unit} ms: p50 {percentile(ms, 0.5):.3f}  p90 {percentile(ms, 0.9):.3f}"
-              f"  ({len(ms)} {unit}s)")
+              f"  ({units})")
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     print(f"median per-pair ratio change/parent: {statistics.median(ratios):.3f}")
     print("bit for bit: " + ("yes" if same else "NO, the trees compute different bits"))

@@ -5,13 +5,17 @@
     python3 tools/step_counts.py [--src DIR] [--workload train|plain|eval] [--warmup N] [--steps N]
 
 ``--src`` is a checkout holding ``src/gridmoe`` (default: the checkout that
-holds this file). The units are those ``tools/step_ab.py`` times, on the
-same configs: a ``train.train_step`` call for ``train`` and ``plain``, a
-``Model.features`` call on one 16x16 sample for ``eval``. The tool runs
-``--warmup`` units untraced, then ``--steps`` units under ``sys.setprofile``,
-and prints one ``<calls per unit>  py|c <name>`` line per called function,
-most calls first, then the total. ``py`` is a Python function, named by its
-module and qualified name; ``c`` is a builtin or C method.
+holds this file). The workloads are ``tools/step_ab.py``'s, on the same
+configs; a unit is a ``train.train_step`` call for ``train`` and ``plain``
+(``step_ab.py`` times blocks of them), a ``Model.features`` call on one
+16x16 sample for ``eval``. The tool runs ``--warmup`` units untraced, then
+``--steps`` units under ``sys.setprofile``, and prints one
+``<calls per unit>  py|c <name>`` line per called function, most calls
+first, then the total. ``py`` is a Python function, named by its module and
+qualified name; ``c`` is a builtin or C method. A step generates its
+samples in chunks of ``train.PREFETCH_STEPS`` batches, so a training
+window counts them per step only when ``--warmup`` and ``--steps`` are both
+multiples of it.
 
 The tree is imported as the package ``gridmoe`` wherever it lies, and the
 tool's own ``sys.setprofile`` call is not counted, so two trees that make the
